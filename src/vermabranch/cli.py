@@ -2,7 +2,7 @@
 
 Exit status is 0 when no check fails (discrepancy-reported records do not
 fail a run), 1 when at least one check fails, and 2 on usage or precondition
-errors.
+errors, degenerate weights included.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _degree(text: str) -> int:
+    d = int(text)
+    if d < 0:
+        raise argparse.ArgumentTypeError(f"degree must be nonnegative: {d}")
+    return d
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vermabranch",
@@ -36,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     so = sub.add_parser("verify-so", help="orthogonal-pair scenario checks")
     so.add_argument("--n", type=int, default=3, help="number of variables (>= 2)")
-    so.add_argument("--max-degree", type=int, default=4)
+    so.add_argument("--max-degree", type=_degree, default=4)
     so.add_argument("--lambda", dest="lam", type=_rational, default=None,
                     metavar="RATIONAL|formal",
                     help="inducing weight; omit or pass 'formal' for the symbolic one")
@@ -44,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--seed", type=int, default=0)
 
     diag = sub.add_parser("verify-diag", help="diagonal-pair scenario checks")
-    diag.add_argument("--max-degree", type=int, default=4)
+    diag.add_argument("--max-degree", type=_degree, default=4)
     diag.add_argument("--lambda", dest="lam", type=_rational, default=None,
                       metavar="RATIONAL|formal")
     diag.add_argument("--mu", type=_rational, default=None, metavar="RATIONAL|formal")
@@ -62,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ortho = sub.add_parser("ortho-tables",
                            help="print the Gegenbauer and Jacobi tables")
-    ortho.add_argument("--max-degree", type=int, default=3)
+    ortho.add_argument("--max-degree", type=_degree, default=3)
 
     allp = sub.add_parser("all", help="every scenario plus the property suites")
     allp.add_argument("--n", type=int, default=3)
-    allp.add_argument("--max-degree", type=int, default=4)
+    allp.add_argument("--max-degree", type=_degree, default=4)
     allp.add_argument("--N", type=int, default=3)
     allp.add_argument("--cutoff", type=int, default=8)
     allp.add_argument("--cases", type=int, default=25,
@@ -132,7 +139,7 @@ def main(argv=None) -> int:
             bundle = run_suite(config)
             bundle.extend(run_property_suites(args.seed, args.cases))
             return _emit(bundle, config, args.json)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

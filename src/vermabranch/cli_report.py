@@ -76,7 +76,6 @@ class RunConfig:
     mu: Optional[Fraction] = None
     N: int = 3
     cutoff: int = 8
-    output: str = "text"
     seed: int = 0
 
     def __post_init__(self):

@@ -11,7 +11,6 @@ verbatim for the i-free versions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .orthopoly import JacobiSpec, jacobi, jacobi_recursion_coeffs
@@ -24,8 +23,14 @@ from .weylalg import DiffOp, proportionality
 
 @dataclass(frozen=True)
 class DiagContext:
+    """The two inducing weights (formal by default).
+    ``_memo``, not a field, keeps the t-polynomials built from this context."""
+
     lam: ParamScalar
     mu: ParamScalar
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
 
     @staticmethod
     def formal() -> "DiagContext":
@@ -99,8 +104,12 @@ def op_F_t(ctx: DiagContext, l: int) -> DiffOp:
 
 def jacobi_t_polynomial(ctx: DiagContext, l: int) -> GeoPoly:
     """P_l^(-lam-1, mu+lam-2l+1)(2t+1) as a polynomial in t."""
+    hit = ctx._memo.get(l)
+    if hit is not None:
+        return hit
     spec = JacobiSpec(l, -ctx.lam - 1, ctx.mu + ctx.lam - (2 * l - 1))
-    return substitute_linear(jacobi(spec), 2, 1)
+    p = ctx._memo[l] = substitute_linear(jacobi(spec), 2, 1)
+    return p
 
 
 def singular_vector_Ptilde(ctx: DiagContext, l: int) -> GeoPoly:
@@ -267,14 +276,8 @@ def branching_sets(N: int, cutoff: int) -> BranchingSets:
 @dataclass
 class DecompositionReport:
     bundle: ReportBundle
-    generic_weights: List[str] = field(default_factory=list)
     verma_summands: List[int] = field(default_factory=list)
     projective_summands: List[Tuple[int, int, int]] = field(default_factory=list)
-
-
-def generic_decomposition(ctx: DiagContext, cutoff: int) -> List[ParamScalar]:
-    """Weights lam + mu - 2j, j = 0..cutoff."""
-    return [ctx.lam + ctx.mu - 2 * j for j in range(cutoff + 1)]
 
 
 def grothendieck_check(N: int, cutoff: int) -> DecompositionReport:

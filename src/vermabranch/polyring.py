@@ -14,7 +14,7 @@ golden files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
 from .scalars import ParamScalar
@@ -216,9 +216,6 @@ class GeoPoly:
                     rem[t] = s
         return GeoPoly(self.vars, quot)
 
-    def homogeneous_component(self, d: int) -> "GeoPoly":
-        return GeoPoly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def substitute_var(self, var: str, image: "GeoPoly") -> "GeoPoly":
         """Substitute one variable by a polynomial in the image's variables;
         the remaining variables must not occur."""
@@ -290,20 +287,31 @@ def quadratic_sum(vars: VarSet, upto: int) -> GeoPoly:
     return out
 
 
-def curated_factors(vars: VarSet) -> Dict[str, GeoPoly]:
-    """The only polynomials ever allowed in denominators, per variable set."""
-    if vars.kind == "xi":
-        n = vars.arity
-        return {
-            "xn": GeoPoly.var(vars, vars.names[-1]),
-            "q1": quadratic_sum(vars, n - 1),
-            "q": quadratic_sum(vars, n),
-        }
-    if vars.kind == "xi_eta":
-        return {"eta": GeoPoly.var(vars, "eta")}
-    if vars.kind == "t":
-        return {"t": GeoPoly.var(vars, "t")}
-    return {}
+_CURATED: Dict[VarSet, Mapping[str, GeoPoly]] = {}
+
+
+def curated_factors(vars: VarSet) -> Mapping[str, GeoPoly]:
+    """The only polynomials ever allowed in denominators, per variable set.
+
+    Built on first use of each variable set and shared read-only after that.
+    """
+    facs = _CURATED.get(vars)
+    if facs is None:
+        if vars.kind == "xi":
+            n = vars.arity
+            d = {
+                "xn": GeoPoly.var(vars, vars.names[-1]),
+                "q1": quadratic_sum(vars, n - 1),
+                "q": quadratic_sum(vars, n),
+            }
+        elif vars.kind == "xi_eta":
+            d = {"eta": GeoPoly.var(vars, "eta")}
+        elif vars.kind == "t":
+            d = {"t": GeoPoly.var(vars, "t")}
+        else:
+            d = {}
+        facs = _CURATED[vars] = MappingProxyType(d)
+    return facs
 
 
 class RatCoeff:
@@ -346,10 +354,6 @@ class RatCoeff:
     @property
     def vars(self) -> VarSet:
         return self.num.vars
-
-    @staticmethod
-    def from_poly(p: GeoPoly) -> "RatCoeff":
-        return RatCoeff(p)
 
     @staticmethod
     def zero(vars: VarSet) -> "RatCoeff":

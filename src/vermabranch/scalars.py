@@ -375,16 +375,3 @@ def _reduce(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
 ALPHA = ParamScalar.symbol("a")
 LAMBDA = ParamScalar.symbol("l")
 MU = ParamScalar.symbol("m")
-
-
-def param_arith(x: ParamScalar, y: ParamScalar, kind: str) -> ParamScalar:
-    """Field arithmetic dispatcher used by the report layer."""
-    if kind == "add":
-        return x + y
-    if kind == "sub":
-        return x - y
-    if kind == "mul":
-        return x * y
-    if kind == "div":
-        return x / y
-    raise ValueError(f"unknown arithmetic kind {kind!r}")

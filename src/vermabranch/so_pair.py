@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from math import factorial
+from typing import Dict, List, Tuple
 
 from .orthopoly import GegenbauerSpec, gegenbauer
-from .polyring import (GeoPoly, RatCoeff, VarSet, gegen_tilde_convert,
-                       quadratic_sum, xi_vars)
+from .polyring import (GeoPoly, RatCoeff, VarSet, curated_factors,
+                       gegen_tilde_convert, xi_vars)
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
 from .scalars import ParamScalar
 from .weylalg import DiffOp, proportionality
@@ -26,10 +27,14 @@ ALPHA_SYMBOL = "a"
 
 @dataclass(frozen=True)
 class SoPairContext:
-    """Dimension n >= 2 and the inducing character (formal by default)."""
+    """Dimension n >= 2 and the inducing character (formal by default).
+    ``_memo``, not a field, keeps the families built from this context."""
 
     n: int
     lam: ParamScalar
+
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
 
     @staticmethod
     def formal(n: int) -> "SoPairContext":
@@ -48,13 +53,13 @@ class SoPairContext:
         return -self.lam - Fraction(self.n - 1, 2)
 
     def xn(self) -> GeoPoly:
-        return GeoPoly.var(self.vars, self.vars.names[-1])
+        return curated_factors(self.vars)["xn"]
 
     def q_prime(self) -> GeoPoly:
-        return quadratic_sum(self.vars, self.n - 1)
+        return curated_factors(self.vars)["q1"]
 
     def q_full(self) -> GeoPoly:
-        return quadratic_sum(self.vars, self.n)
+        return curated_factors(self.vars)["q"]
 
 
 @dataclass(frozen=True)
@@ -78,22 +83,15 @@ def _top_normalization(l: int) -> Fraction:
     """Target coefficient l!/(2^k k!) at the highest quadratic-invariant
     power k = floor(l/2)."""
     k = l // 2
-    num = 1
-    for i in range(2 * k + 1, l + 1):
-        num *= i
-    # l!/(2^k k!) = (2k)!/(2^k k!) * (product of the remaining factors)
-    fact = Fraction(1)
-    for i in range(1, l + 1):
-        fact *= i
-    kfact = Fraction(1)
-    for i in range(1, k + 1):
-        kfact *= i
-    return fact / (Fraction(2) ** k * kfact)
+    return Fraction(factorial(l), 2 ** k * factorial(k))
 
 
 def singular_vector_F(ctx: SoPairContext, l: int) -> SingularVector:
     """Normalized degree-l singular vector: the coefficient of
     xn^{l-2k} (sum' xi^2)^k at k = floor(l/2) equals l!/(2^k k!)."""
+    hit = ctx._memo.get(("F", l))
+    if hit is not None:
+        return hit
     if l < 0:
         raise ValueError("degree must be nonnegative")
     coeffs = _tilde_coeffs(ctx, l)
@@ -107,7 +105,8 @@ def singular_vector_F(ctx: SoPairContext, l: int) -> SingularVector:
     out = GeoPoly.zero(ctx.vars)
     for k, c in enumerate(coeffs):
         out = out + (xn ** (l - 2 * k) * q1 ** k).scale(c * scale)
-    return SingularVector(l, out)
+    ctx._memo[("F", l)] = vec = SingularVector(l, out)
+    return vec
 
 
 def lowering_direction_op(ctx: SoPairContext, m: int) -> DiffOp:
@@ -147,6 +146,9 @@ def op_Q(ctx: SoPairContext) -> DiffOp:
 
 def ladder_ops(ctx: SoPairContext, l: int) -> Tuple[DiffOp, DiffOp, DiffOp]:
     """(e, f, h) at degree l; f carries the curated localized coefficients."""
+    hit = ctx._memo.get(("ladder", l))
+    if hit is not None:
+        return hit
     vs = ctx.vars
     alpha = ctx.alpha
     xn = ctx.xn()
@@ -158,7 +160,8 @@ def ladder_ops(ctx: SoPairContext, l: int) -> Tuple[DiffOp, DiffOp, DiffOp]:
              + DiffOp.scalar(vs, l))
     f_op = DiffOp.mult_rat(RatCoeff(GeoPoly.const(vs, 1), {"xn": 1})) @ inner
     h_op = DiffOp.scalar(vs, (alpha + l) * 2)
-    return e_op, f_op, h_op
+    ctx._memo[("ladder", l)] = ops = (e_op, f_op, h_op)
+    return ops
 
 
 def e_euler_form(ctx: SoPairContext) -> DiffOp:
@@ -187,10 +190,6 @@ class LadderReport:
     f_constants: Dict[int, str]
 
 
-def _prop_const(p: GeoPoly, ref: GeoPoly) -> Optional[ParamScalar]:
-    return proportionality(p, ref)
-
-
 def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
     """Check the ladder structure degree by degree by exact application."""
     bundle = ReportBundle()
@@ -203,7 +202,7 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
         tag = f"n={ctx.n},l={l}"
 
         ev = e_l.apply(fs[l].poly)
-        ce = _prop_const(ev, fs[l + 1].poly)
+        ce = proportionality(ev, fs[l + 1].poly)
         exp_e, exp_f = expected_ladder_constants(ctx, l)
         bundle.check(f"sl2.raise.{tag}", anchor, ce is not None and ce == exp_e,
                      witness=ev.render())
@@ -219,7 +218,7 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
             bundle.check(f"sl2.lower.{tag}", anchor, fv.is_polynomial() and fv.num.is_zero(),
                          witness=fv.render())
         elif fv.is_polynomial():
-            cf = _prop_const(fv.as_poly(), fs[l - 1].poly)
+            cf = proportionality(fv.as_poly(), fs[l - 1].poly)
             bundle.check(f"sl2.lower.{tag}", anchor, cf is not None and cf == exp_f,
                          witness=fv.render())
             if cf is not None:
@@ -327,13 +326,13 @@ def pq_membership_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
             bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", pv.is_zero(),
                          witness=pv.render())
         else:
-            c = _prop_const(pv, fs[l - 1].poly)
+            c = proportionality(pv, fs[l - 1].poly)
             bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", c is not None,
                          witness=pv.render())
             if c is not None:
                 bundle.data[f"pq.lower-constant.{tag}"] = c.render()
         qv = q.apply(fs[l].poly)
-        c = _prop_const(qv, fs[l + 1].poly)
+        c = proportionality(qv, fs[l + 1].poly)
         bundle.check(f"pq.raise.{tag}", "so-pair:raising-operator", c is not None,
                      witness=qv.render())
         if c is not None:
@@ -390,17 +389,17 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
             continue
         tilde_dn = gegen_tilde_convert(gegenbauer(GegenbauerSpec(l - 1, asym)), l - 1) \
             .substitute_params({ALPHA_SYMBOL: ctx.alpha})
-        c_tilde = _prop_const(t_img, tilde_dn)
+        c_tilde = proportionality(t_img, tilde_dn)
         bundle.check(f"tmodel.tilde.{tag}", anchor,
                      c_tilde is not None and c_tilde == ctx.alpha * 2 + (l - 1),
                      witness=t_img.render())
         g_dn = t_model_poly(fs[l - 1])
-        c_t = _prop_const(image, g_dn)
+        c_t = proportionality(image, g_dn)
         exp_f = expected_ladder_constants(ctx, l)[1]
         bundle.check(f"tmodel.f-square.{tag}", anchor,
                      c_t is not None and c_t == exp_f,
                      witness=None if c_t is None else c_t.render())
-        c_xi = _prop_const(pv, fs[l - 1].poly)
+        c_xi = proportionality(pv, fs[l - 1].poly)
         bundle.check(f"tmodel.p-membership.{tag}", "so-pair:lowering-operator",
                      c_xi is not None, witness=pv.render())
         if c_t is not None and c_xi is not None and not c_t.is_zero():
@@ -468,7 +467,7 @@ def verify_nonclosure(ctx: SoPairContext, degrees=(0, 1, 2)) -> ReportBundle:
     for l in degrees:
         f = singular_vector_F(ctx, l)
         img = pq.apply(f.poly)
-        c = _prop_const(img, f.poly)
+        c = proportionality(img, f.poly)
         tag = f"n={ctx.n},l={l}"
         bundle.check(f"nonclosure.pq-eigenvalue.{tag}", "so-pair:pq-commutator",
                      c is not None, witness=img.render())

@@ -88,6 +88,23 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [("--n", "2", "--max-degree", "2", "--lambda=-1/2"),
+                                  ("--n", "3", "--lambda=-1")])
+def test_degenerate_weight_is_precondition_error(args):
+    proc = run_cli("verify-so", *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: normalization divisor vanishes")
+
+
+def test_negative_degree_is_usage_error():
+    proc = run_cli("ortho-tables", "--max-degree", "-3")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--max-degree" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_ortho_tables_output(capsys):
     rc = main(["ortho-tables", "--max-degree", "2"])
     assert rc == 0

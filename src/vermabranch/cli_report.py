@@ -1,17 +1,15 @@
-"""Suite composition: run configurations, the truncated character check for
-the conformal-parabolic branching, and the generic-weight listings tied to
-the relative square identity e f + f e = Cas - h^2/2."""
+"""Suite composition: run configurations and the truncated character check for
+the conformal-parabolic branching."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, Optional
 
 from . import diag_pair, so_pair
 from .report import ReportBundle, VerificationRecord, record
-from .scalars import ParamScalar
 
 
 def hilbert_check(n: int, J: int) -> VerificationRecord:
@@ -27,40 +25,6 @@ def hilbert_check(n: int, J: int) -> VerificationRecord:
     rhs = [comb(k + n - 1, n - 1) for k in range(J + 1)]
     return record(f"hilbert.n={n},J={J}", "so-pair:branching-character",
                   lhs == rhs, witness=f"{lhs} vs {rhs}")
-
-
-def genericity_obstructions(ctx: so_pair.SoPairContext, J: int):
-    """(l, arrow, constant) triples where a ladder constant vanishes."""
-    out = []
-    for l in range(J + 1):
-        e_c, f_c = so_pair.expected_ladder_constants(ctx, l)
-        if e_c.is_zero():
-            out.append((l, "raise", e_c))
-        if l > 0 and f_c.is_zero():
-            out.append((l, "lower", f_c))
-    return out
-
-
-def dirac_weights(ctx: so_pair.SoPairContext, J: int) -> ReportBundle:
-    """Weight labels on both sides of the branching in the generic range,
-    plus the exactly verified square identity behind them.
-
-    The inducing-character labels rho and rho' are carried as opaque strings;
-    only the first entries of the labels are computed.
-    """
-    bad = genericity_obstructions(ctx, J)
-    if bad:
-        l, arrow, c = bad[0]
-        raise ValueError(
-            f"weight is not generic: the {arrow} constant at l={l} is {c.render()}")
-    bundle = ReportBundle()
-    bundle.data["dirac.lhs"] = f"({ctx.lam.render()}, rho)"
-    bundle.data["dirac.rhs"] = [f"({(ctx.lam - j).render()}, rho')" for j in range(J + 1)]
-    squares = so_pair.casimir_check(ctx, J)
-    for r in squares.records:
-        if r.check_id.startswith("casimir.dirac-square"):
-            bundle.add(r)
-    return bundle
 
 
 # ---------------------------------------------------------------------------

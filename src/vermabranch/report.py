@@ -46,6 +46,10 @@ class ReportBundle:
         self.add(record(check_id, anchor, ok, witness))
 
     def extend(self, other: "ReportBundle"):
+        """Append other's records and data; colliding data keys raise ValueError."""
+        clash = sorted(self.data.keys() & other.data.keys())
+        if clash:
+            raise ValueError(f"report data keys collide: {', '.join(clash)}")
         self.records.extend(other.records)
         self.data.update(other.data)
 

@@ -1,27 +1,41 @@
 """Exact coefficient field: rational functions in the formal parameters a, l, m.
 
-Everything is built on arbitrary-precision rationals (``fractions.Fraction``);
-there is no floating point anywhere.  The three parameter symbols are rendered
+There is no floating point anywhere.  The three parameter symbols are rendered
 ``a``, ``l``, ``m`` (for the spectral parameter, and the two inducing
-characters).  A :class:`ParamScalar` is a quotient of two :class:`ParamPoly`
-values kept in a canonical form: the denominator is a primitive integer
-polynomial with positive leading coefficient, and common linear factors of the
-shape ``s + k/2`` (s a symbol, k a small integer) are cancelled by trial exact
-division.  Equality never relies on the reduction: it is decided by
-cross-multiplication.
+characters).  A :class:`ParamPoly` is a sparse polynomial with Python ``int``
+coefficients, and a :class:`ParamScalar` is a quotient ``num/den`` of two of
+them, so the arithmetic path builds no ``fractions.Fraction``: rationals
+appear only at the boundary (``ParamScalar.const``, ``rational_value`` and
+``render``).
+
+Canonical form: the denominator has a positive leading coefficient, and the
+integer content of numerator and denominator together is 1.  Common linear
+factors ``s + k/2`` (s a symbol both sides use, k in -40..40) are cancelled by
+the factor theorem: ``s + k/2`` divides ``P`` exactly when ``P`` vanishes
+identically at ``s = -k/2``, which is tested by integer evaluation of the
+denominator and then the numerator.  Only on a hit are both divided, by the
+primitive factor ``2s + k`` (odd k) or ``s + k/2`` (even k); Gauss's lemma
+keeps the quotients integral.  Other common factors are not cancelled, so
+equality never relies on the reduction: it is decided by cross-multiplication.
+``render`` divides both sides by the content of the denominator and so prints
+a primitive denominator with positive leading coefficient over a numerator
+with rational coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from math import gcd
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Exponents = Tuple[int, int, int]
 RationalLike = Union[int, Fraction]
 
 SYMBOLS = ("a", "l", "m")
 
-# linear factors s + k/2 tried during quotient reduction
+_CONST: Exponents = (0, 0, 0)
+
+# k for the linear factors s + k/2 cancelled during quotient reduction
 _FACTOR_HALF_RANGE = range(-40, 41)
 
 
@@ -31,90 +45,66 @@ def _mono_key(e: Exponents):
 
 
 class ParamPoly:
-    """Sparse polynomial in the parameters a, l, m over the rationals."""
+    """Sparse polynomial in the parameters a, l, m over the integers.
+
+    ``terms`` maps exponent triples to nonzero ints.  The constructor keeps the
+    mapping it is given, so it must be clean and is not mutated afterwards.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponents, RationalLike] | None = None):
-        clean: Dict[Exponents, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    clean[tuple(e)] = c  # type: ignore[index]
-        self.terms = clean
-
-    # -- constructors -----------------------------------------------------
+    def __init__(self, terms: Dict[Exponents, int] | None = None):
+        self.terms = {} if terms is None else terms
 
     @staticmethod
-    def const(c: RationalLike) -> "ParamPoly":
-        return ParamPoly({(0, 0, 0): Fraction(c)})
+    def const(c: int) -> "ParamPoly":
+        return ParamPoly({_CONST: c} if c else {})
 
     @staticmethod
     def symbol(name: str) -> "ParamPoly":
-        i = SYMBOLS.index(name)
         e = [0, 0, 0]
-        e[i] = 1
-        return ParamPoly({tuple(e): Fraction(1)})
-
-    # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        e[SYMBOLS.index(name)] = 1
+        return ParamPoly({tuple(e): 1})
 
     def is_constant(self) -> bool:
-        return all(e == (0, 0, 0) for e in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and _CONST in t)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0, 0, 0), Fraction(0))
-
-    def leading(self) -> Tuple[Exponents, Fraction]:
-        e = max(self.terms, key=_mono_key)
-        return e, self.terms[e]
-
-    def symbols_used(self) -> Tuple[str, ...]:
-        used = [False, False, False]
-        for e in self.terms:
-            for i in range(3):
-                if e[i]:
-                    used[i] = True
-        return tuple(s for i, s in enumerate(SYMBOLS) if used[i])
+        return self.terms.get(_CONST, 0)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
         return ParamPoly(out)
 
     def __neg__(self) -> "ParamPoly":
         return ParamPoly({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        return self + (-other)
-
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return ParamPoly(out)
-
-    def scale(self, c: RationalLike) -> "ParamPoly":
-        c = Fraction(c)
-        return ParamPoly({e: c * v for e, v in self.terms.items()})
+        a, b = self.terms, other.terms
+        if len(b) == 1 and _CONST in b:
+            p, c = self, b[_CONST]
+        elif len(a) == 1 and _CONST in a:
+            p, c = other, a[_CONST]
+        else:
+            out: Dict[Exponents, int] = {}
+            get = out.get
+            for (x0, x1, x2), c1 in a.items():
+                for (y0, y1, y2), c2 in b.items():
+                    e = (x0 + y0, x1 + y1, x2 + y2)
+                    out[e] = get(e, 0) + c1 * c2
+            return ParamPoly({e: c for e, c in out.items() if c})
+        return p if c == 1 else ParamPoly({e: c * v for e, v in p.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ParamPoly) and self.terms == other.terms
@@ -123,52 +113,40 @@ class ParamPoly:
         return hash(frozenset(self.terms.items()))
 
     def exact_divide(self, divisor: "ParamPoly") -> "ParamPoly | None":
-        """Quotient self/divisor if the division is exact, else None."""
-        if divisor.is_zero():
+        """Quotient self/divisor in Z[a, l, m] if the division is exact, else None."""
+        if not divisor.terms:
             raise ZeroDivisionError("division by the zero polynomial")
         rem = dict(self.terms)
-        quot: Dict[Exponents, Fraction] = {}
-        de, dc = divisor.leading()
+        quot: Dict[Exponents, int] = {}
+        de = max(divisor.terms, key=_mono_key)
+        dc = divisor.terms[de]
         while rem:
             e = max(rem, key=_mono_key)
             q = (e[0] - de[0], e[1] - de[1], e[2] - de[2])
             if min(q) < 0:
                 return None
-            c = rem[e] / dc
-            quot[q] = quot.get(q, Fraction(0)) + c
+            c, r = divmod(rem[e], dc)
+            if r:
+                return None
+            quot[q] = c
             for e2, c2 in divisor.terms.items():
                 t = (q[0] + e2[0], q[1] + e2[1], q[2] + e2[2])
-                s = rem.get(t, Fraction(0)) - c * c2
+                s = rem.get(t, 0) - c * c2
                 if s:
                     rem[t] = s
                 else:
-                    rem.pop(t, None)
+                    del rem[t]
         return ParamPoly(quot)
-
-    def substitute(self, bindings: Mapping[str, "ParamPoly"]) -> "ParamPoly":
-        images = []
-        for i, s in enumerate(SYMBOLS):
-            images.append(bindings.get(s))
-        out = ParamPoly()
-        for e, c in self.terms.items():
-            term = ParamPoly.const(c)
-            for i in range(3):
-                if not e[i]:
-                    continue
-                base = images[i] if images[i] is not None else ParamPoly.symbol(SYMBOLS[i])
-                for _ in range(e[i]):
-                    term = term * base
-            out = out + term
-        return out
 
     # -- rendering --------------------------------------------------------
 
-    def render(self) -> str:
+    def render(self, div: int = 1) -> str:
+        """The polynomial with every coefficient divided by ``div``."""
         if not self.terms:
             return "0"
         parts = []
         for e in sorted(self.terms, key=_mono_key, reverse=True):
-            c = self.terms[e]
+            c = self.terms[e] if div == 1 else Fraction(self.terms[e], div)
             mono = "*".join(
                 f"{SYMBOLS[i]}" + (f"^{e[i]}" if e[i] > 1 else "")
                 for i in range(3)
@@ -193,32 +171,57 @@ _ZERO = ParamPoly()
 _ONE = ParamPoly.const(1)
 
 
-def _content(p: ParamPoly) -> Fraction:
-    """Positive rational content, signed by the leading coefficient."""
-    if p.is_zero():
-        return Fraction(1)
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = _gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    _, lead = p.leading()
-    return content if lead > 0 else -content
+def _half_roots(p: ParamPoly, i: int, ks: Sequence[int] = _FACTOR_HALF_RANGE) -> List[int]:
+    """The k in ks at which p vanishes identically at symbol i = -k/2.
+
+    Each is a k with ``s + k/2`` dividing p (the factor theorem).  The test is
+    exact integer evaluation of ``2^d p(-k/2)`` (d the degree of p in s), one
+    Horner row per monomial in the other two symbols.
+    """
+    d = max(e[i] for e in p.terms)
+    rows: Dict[Exponents, List[int]] = {}
+    for e, c in p.terms.items():
+        rest = e[:i] + (0,) + e[i + 1:]
+        row = rows.get(rest)
+        if row is None:
+            row = rows[rest] = [0] * (d + 1)
+        row[d - e[i]] = c << (d - e[i])
+    found = []
+    for k in ks:
+        for row in rows.values():
+            acc = 0
+            for c in row:
+                acc = acc * -k + c
+            if acc:
+                break
+        else:
+            found.append(k)
+    return found
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def _linear_factor(i: int, k: int) -> ParamPoly:
+    """The primitive integer form of s + k/2: 2s + k for odd k, s + k/2 for even k."""
+    e = [0, 0, 0]
+    e[i] = 1
+    if k % 2:
+        return ParamPoly({tuple(e): 2, _CONST: k})
+    return ParamPoly({tuple(e): 1, _CONST: k // 2} if k else {tuple(e): 1})
 
 
-def _candidate_factors(num: ParamPoly, den: ParamPoly) -> Iterable[ParamPoly]:
-    syms = set(num.symbols_used()) & set(den.symbols_used())
-    for s in syms:
-        base = ParamPoly.symbol(s)
-        for k in _FACTOR_HALF_RANGE:
-            yield base + ParamPoly.const(Fraction(k, 2))
+def _cancel_linear(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
+    """Cancel the common factors s + k/2, k in -40..40, with multiplicity."""
+    for i in range(3):
+        if not (any(e[i] for e in den.terms) and any(e[i] for e in num.terms)):
+            continue
+        for k in _half_roots(num, i, _half_roots(den, i)):
+            f = _linear_factor(i, k)
+            while True:
+                den, num = den.exact_divide(f), num.exact_divide(f)
+                if den.is_constant():
+                    return num, den
+                if not (_half_roots(den, i, (k,)) and _half_roots(num, i, (k,))):
+                    break
+    return num, den
 
 
 class ParamScalar:
@@ -229,15 +232,33 @@ class ParamScalar:
     def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
         if den is None:
             den = _ONE
-        if den.is_zero():
+        dt = den.terms
+        if not dt:
             raise ZeroDivisionError("zero denominator in ParamScalar")
-        self.num, self.den = _reduce(num, den)
+        if not num.terms:
+            self.num, self.den = _ZERO, _ONE
+            return
+        if len(dt) == 1 and _CONST in dt:
+            if dt[_CONST] == 1:
+                self.num, self.den = num, _ONE
+                return
+        else:
+            num, den = _cancel_linear(num, den)
+            dt = den.terms
+        # canonical form: num and den with integer content 1, den's lead positive
+        g = gcd(*num.terms.values(), *dt.values())
+        if dt[max(dt, key=_mono_key)] < 0:
+            g = -g
+        if g != 1:
+            num = ParamPoly({e: c // g for e, c in num.terms.items()})
+            den = ParamPoly({e: c // g for e, c in dt.items()})
+        self.num, self.den = num, den
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def const(c: RationalLike) -> "ParamScalar":
-        return ParamScalar(ParamPoly.const(c))
+        return ParamScalar(ParamPoly.const(c.numerator), ParamPoly.const(c.denominator))
 
     @staticmethod
     def symbol(name: str) -> "ParamScalar":
@@ -254,13 +275,13 @@ class ParamScalar:
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_rational(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
     def rational_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(self.num.constant_value(), self.den.constant_value())
 
     # -- arithmetic -------------------------------------------------------
 
@@ -323,9 +344,11 @@ class ParamScalar:
     # -- rendering --------------------------------------------------------
 
     def render(self) -> str:
-        if self.den == _ONE:
-            return self.num.render()
-        return f"({self.num.render()})/({self.den.render()})"
+        dt = self.den.terms
+        g = gcd(*dt.values())
+        if len(dt) == 1 and _CONST in dt:
+            return self.num.render(g)
+        return f"({self.num.render(g)})/({self.den.render(g)})"
 
     def __repr__(self):
         return f"ParamScalar({self.render()})"
@@ -343,32 +366,6 @@ def _substitute_scalar(p: ParamPoly, bindings: Mapping[str, "ParamScalar | Param
                 term = term * base
         out = out + term
     return out
-
-
-def _reduce(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
-    if num.is_zero():
-        return _ZERO, _ONE
-    if den.is_constant():
-        d = den.constant_value()
-        return num.scale(Fraction(1) / d), _ONE
-    # cancel curated linear factors by trial exact division
-    for f in _candidate_factors(num, den):
-        while True:
-            qd = den.exact_divide(f)
-            if qd is None:
-                break
-            qn = num.exact_divide(f)
-            if qn is None:
-                break
-            num, den = qn, qd
-            if den.is_constant():
-                d = den.constant_value()
-                return num.scale(Fraction(1) / d), _ONE
-    # normalize: denominator primitive with positive leading coefficient
-    c = _content(den)
-    den = den.scale(Fraction(1) / c)
-    num = num.scale(Fraction(1) / c)
-    return num, den
 
 
 # convenience symbols

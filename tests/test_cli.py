@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from vermabranch.cli import build_parser, main
+from vermabranch.report import ReportBundle
 from vermabranch.tables import GOLDEN_TABLES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,6 +104,21 @@ def test_negative_degree_is_usage_error():
     assert "Traceback" not in proc.stderr
     assert "--max-degree" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_bundle_extend_rejects_data_key_collision():
+    a, b = ReportBundle(), ReportBundle()
+    a.data.update({"so.n": 2, "dirac.lhs": "x", "kept": 1})
+    b.data.update({"so.n": 3, "dirac.lhs": "y", "new": 2})
+    b.check("b.check", "anchor", True)
+    with pytest.raises(ValueError, match="dirac.lhs, so.n"):
+        a.extend(b)
+    assert a.data == {"so.n": 2, "dirac.lhs": "x", "kept": 1} and not a.records
+    c = ReportBundle()
+    c.data["new"] = 2
+    c.check("c.check", "anchor", True)
+    a.extend(c)
+    assert a.data["new"] == 2 and [r.check_id for r in a.records] == ["c.check"]
 
 
 def test_ortho_tables_output(capsys):

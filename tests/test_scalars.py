@@ -1,9 +1,11 @@
 """Field arithmetic and canonical reduction in the parameter scalars."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
@@ -80,3 +82,262 @@ def test_ring_axioms(a, b, c):
 def test_division_inverts_multiplication(a, b):
     if not b.is_zero():
         assert (a / b) * b == a
+
+
+# -- reference oracle ----------------------------------------------------------
+# The earlier Fraction-coefficient implementation, kept here as a test-only
+# reference: a ParamPoly with one Fraction per term, and a quotient reduction
+# that tries an exact division by every s + k/2, k in -40..40.  The integer core
+# must print exactly what this reference prints for every quotient.
+
+def _ref_key(e):
+    return (sum(e), e)
+
+
+class _RefPoly:
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c}
+
+    def is_constant(self):
+        return all(e == (0, 0, 0) for e in self.terms)
+
+    def constant_value(self):
+        return self.terms.get((0, 0, 0), Fraction(0))
+
+    def leading(self):
+        e = max(self.terms, key=_ref_key)
+        return e, self.terms[e]
+
+    def symbols_used(self):
+        return {i for e in self.terms for i in range(3) if e[i]}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return _RefPoly(out)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return _RefPoly(out)
+
+    def scale(self, c):
+        return _RefPoly({e: c * v for e, v in self.terms.items()})
+
+    def exact_divide(self, divisor):
+        rem = dict(self.terms)
+        quot = {}
+        de, dc = divisor.leading()
+        while rem:
+            e = max(rem, key=_ref_key)
+            q = (e[0] - de[0], e[1] - de[1], e[2] - de[2])
+            if min(q) < 0:
+                return None
+            c = rem[e] / dc
+            quot[q] = quot.get(q, Fraction(0)) + c
+            for e2, c2 in divisor.terms.items():
+                t = (q[0] + e2[0], q[1] + e2[1], q[2] + e2[2])
+                s = rem.get(t, Fraction(0)) - c * c2
+                if s:
+                    rem[t] = s
+                else:
+                    rem.pop(t, None)
+        return _RefPoly(quot)
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for e in sorted(self.terms, key=_ref_key, reverse=True):
+            c = self.terms[e]
+            mono = "*".join("alm"[i] + (f"^{e[i]}" if e[i] > 1 else "")
+                            for i in range(3) if e[i])
+            ac = abs(c)
+            body = (mono if ac == 1 else f"{ac}*{mono}") if mono else str(ac)
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(parts)
+
+
+def _ref_reduce(num, den):
+    one = _RefPoly({(0, 0, 0): 1})
+    if not num.terms:
+        return _RefPoly(), one
+    if den.is_constant():
+        return num.scale(1 / den.constant_value()), one
+    for i in num.symbols_used() & den.symbols_used():
+        e = [0, 0, 0]
+        e[i] = 1
+        for k in range(-40, 41):
+            f = _RefPoly({tuple(e): 1, (0, 0, 0): Fraction(k, 2)})
+            while True:
+                qd = den.exact_divide(f)
+                if qd is None:
+                    break
+                qn = num.exact_divide(f)
+                if qn is None:
+                    break
+                num, den = qn, qd
+                if den.is_constant():
+                    return num.scale(1 / den.constant_value()), one
+    # denominator primitive with positive leading coefficient
+    g, lcm = 0, 1
+    for c in den.terms.values():
+        g = math.gcd(g, c.numerator)
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    content = Fraction(g, lcm) if den.leading()[1] > 0 else -Fraction(g, lcm)
+    return num.scale(1 / content), den.scale(1 / content)
+
+
+def _ref_render(num, den):
+    num, den = _ref_reduce(num, den)
+    if den.terms == {(0, 0, 0): 1}:
+        return num.render()
+    return f"({num.render()})/({den.render()})"
+
+
+# A quotient is given by factor lists: each factor a dict from (a, l, m)
+# exponents to Fraction coefficients.  N = scale * prod(num factors) and
+# D = prod(den factors).
+
+def _linear(i, c):
+    e = [0, 0, 0]
+    e[i] = 1
+    return {tuple(e): Fraction(1), (0, 0, 0): Fraction(c)}
+
+
+_L_PLUS_50 = _linear(1, 50)
+_L_SQUARED_PLUS_1 = {(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(1)}
+
+fractions_ = st.fractions(min_value=-30, max_value=30, max_denominator=7)
+big_fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(bool),
+                          st.integers(1, 10 ** 25))
+
+
+@st.composite
+def quotients(draw):
+    syms = draw(st.sampled_from([(1,), (1, 2)]))
+    exps = [(0, i, j) for i in range(3) for j in range(3 if 2 in syms else 1)]
+
+    def linear():
+        half = draw(st.booleans())
+        c = Fraction(draw(st.integers(-40, 40)), 2) if half else draw(fractions_)
+        return _linear(draw(st.sampled_from(syms)), c)
+
+    def poly():
+        return {e: draw(fractions_) for e in draw(st.lists(st.sampled_from(exps),
+                                                         min_size=1, max_size=4))}
+
+    def side():
+        return [draw(st.one_of(st.builds(linear), st.builds(poly)))
+                for _ in range(draw(st.integers(0, 2)))]
+
+    common = [linear() for _ in range(draw(st.integers(0, 3)))]
+    common += draw(st.lists(st.sampled_from([_L_PLUS_50, _L_SQUARED_PLUS_1]), max_size=1))
+    num, den = side() + common, side() + common
+    scale = draw(st.one_of(fractions_, big_fractions))
+    den_scale = draw(st.one_of(st.just(Fraction(1)), big_fractions))
+    return scale, num, den_scale, den
+
+
+def _ref_product(scale, factors):
+    out = _RefPoly({(0, 0, 0): scale})
+    for f in factors:
+        out = out * _RefPoly(f)
+    return out
+
+
+def _new_poly(terms):
+    """Sum of c * a^i l^j m^k over ((i, j, k), c) pairs, in ParamScalar arithmetic."""
+    out = ParamScalar.const(0)
+    for e, c in terms:
+        mono = ParamScalar.const(c)
+        for sym, k in zip((ALPHA, LAMBDA, MU), e):
+            for _ in range(k):
+                mono = mono * sym
+        out = out + mono
+    return out
+
+
+def _new_product(scale, factors):
+    out = ParamScalar.const(scale)
+    for f in factors:
+        out = out * _new_poly(f.items())
+    return out
+
+
+def _new_quotient(q):
+    scale, num, den_scale, den = q
+    return _new_product(scale, num) / _new_product(den_scale, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotients())
+def test_render_matches_fraction_reference(q):
+    scale, num, den_scale, den = q
+    assume(_ref_product(den_scale, den).terms)
+    expected = _ref_render(_ref_product(scale, num), _ref_product(den_scale, den))
+    assert _new_quotient(q).render() == expected
+
+
+@pytest.mark.parametrize("num, den, expected", [
+    ([_L_PLUS_50], [_L_PLUS_50], "(l + 50)/(l + 50)"),
+    ([_L_SQUARED_PLUS_1], [_L_SQUARED_PLUS_1], "(l^2 + 1)/(l^2 + 1)"),
+    ([_linear(1, Fraction(3, 2)), _linear(2, -2)], [_linear(1, Fraction(3, 2))], "m - 2"),
+    ([_linear(1, Fraction(1, 2))], [_linear(1, Fraction(1, 2)), _linear(1, 7)],
+     "(1)/(l + 7)"),
+    ([_linear(2, Fraction(-1, 2))], [_linear(1, 1), {(0, 0, 0): Fraction(3, 4)}],
+     "(4/3*m - 2/3)/(l + 1)"),
+])
+def test_reference_cases(num, den, expected):
+    q = (Fraction(1), num, Fraction(1), den)
+    assert _ref_render(_ref_product(1, num), _ref_product(1, den)) == expected
+    assert _new_quotient(q).render() == expected
+
+
+def test_large_constants_match_reference():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 30))
+        b = Fraction(rng.randint(-10 ** 40, 10 ** 40) or 1, rng.randint(1, 10 ** 30))
+        expected = _ref_render(_RefPoly({(0, 0, 0): a}), _RefPoly({(0, 0, 0): b}))
+        value = ParamScalar.const(a) / ParamScalar.const(b)
+        assert value.render() == expected == str(a / b)
+        assert value.rational_value() == a / b
+        assert (LAMBDA * a / b).render() == _ref_render(
+            _RefPoly({(0, 1, 0): a}), _RefPoly({(0, 0, 0): b}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotients())
+def test_quotient_equals_sympy_cancel(q):
+    sympy = pytest.importorskip("sympy")
+    a, l, m = sympy.symbols("a l m")
+
+    def expr(scale, factors):
+        out = sympy.Rational(scale.numerator, scale.denominator)
+        for f in factors:
+            out *= sum(sympy.Rational(c.numerator, c.denominator) * a ** e[0] * l ** e[1] * m ** e[2]
+                       for e, c in f.items())
+        return out
+
+    scale, num, den_scale, den = q
+    den_expr = expr(den_scale, den)
+    assume(den_expr != 0)
+    expected = sympy.cancel(expr(scale, num) / den_expr)
+    value = _new_quotient(q)
+    assert sympy.cancel(sympy.sympify(value.render().replace("^", "**")) - expected) == 0
+    p, r = sympy.fraction(expected)
+
+    def from_sympy(e):
+        return _new_poly((k, Fraction(int(c.p), int(c.q)))
+                         for k, c in sympy.Poly(e, a, l, m).terms())
+    assert value == from_sympy(p) / from_sympy(r)

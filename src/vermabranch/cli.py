@@ -34,6 +34,13 @@ def _degree(text: str) -> int:
     return d
 
 
+def _cases(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"cases must be at least 1: {k}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vermabranch",
@@ -76,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     allp.add_argument("--max-degree", type=_degree, default=4)
     allp.add_argument("--N", type=int, default=3)
     allp.add_argument("--cutoff", type=int, default=8)
-    allp.add_argument("--cases", type=int, default=25,
+    allp.add_argument("--cases", type=_cases, default=25,
                       help="cases per randomized property suite")
     allp.add_argument("--json", metavar="PATH")
     allp.add_argument("--seed", type=int, default=0)

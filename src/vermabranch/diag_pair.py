@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .orthopoly import JacobiSpec, jacobi, jacobi_recursion_coeffs
-from .polyring import (GeoPoly, dehomogenize, homogenize, substitute_linear,
-                       t_var, xi_eta_vars, xy_vars)
+from .polyring import (GeoPoly, dehomogenize, homogenize, per_context,
+                       substitute_linear, t_var, xi_eta_vars, xy_vars)
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
 from .scalars import ParamScalar
 from .weylalg import DiffOp, proportionality
@@ -24,13 +24,11 @@ from .weylalg import DiffOp, proportionality
 @dataclass(frozen=True)
 class DiagContext:
     """The two inducing weights (formal by default).
-    ``_memo``, not a field, keeps the t-polynomials built from this context."""
+    ``_memo``, not a field, keeps the t-polynomials built from this context
+    (see :func:`~vermabranch.polyring.per_context`)."""
 
     lam: ParamScalar
     mu: ParamScalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "_memo", {})
 
     @staticmethod
     def formal() -> "DiagContext":
@@ -102,14 +100,11 @@ def op_F_t(ctx: DiagContext, l: int) -> DiffOp:
 
 # -- singular vectors --------------------------------------------------------
 
+@per_context
 def jacobi_t_polynomial(ctx: DiagContext, l: int) -> GeoPoly:
     """P_l^(-lam-1, mu+lam-2l+1)(2t+1) as a polynomial in t."""
-    hit = ctx._memo.get(l)
-    if hit is not None:
-        return hit
     spec = JacobiSpec(l, -ctx.lam - 1, ctx.mu + ctx.lam - (2 * l - 1))
-    p = ctx._memo[l] = substitute_linear(jacobi(spec), 2, 1)
-    return p
+    return substitute_linear(jacobi(spec), 2, 1)
 
 
 def singular_vector_Ptilde(ctx: DiagContext, l: int) -> GeoPoly:
@@ -191,8 +186,6 @@ def model_transport_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
             rhs = op_X_t(ctx, l).apply(q)
             ok = (lhs.is_zero() and rhs.is_zero()) or \
                 (not lhs.is_zero() and dehomogenize(lhs, l - 1) == rhs)
-            if not ok and lhs.is_zero():
-                ok = rhs.is_zero()
             bundle.check(f"diag.transport.l={l},deg={probe_deg}", anchor, ok)
     return bundle
 

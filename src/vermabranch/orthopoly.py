@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .polyring import GeoPoly, VarSet, x_var
+from .polyring import GeoPoly, t_var, x_var
 from .scalars import ParamScalar
 from .weylalg import DiffOp
 
@@ -65,14 +65,10 @@ class JacobiSpec:
     beta: ParamScalar
 
 
-def _x() -> VarSet:
-    return x_var()
-
-
 def gegenbauer(spec: GegenbauerSpec, method: str = "explicit") -> GeoPoly:
     """C_l^alpha as a polynomial in x; C_{-1} := 0."""
     l, alpha = spec.l, ParamScalar.coerce(spec.alpha)
-    xv = _x()
+    xv = x_var()
     if l < 0:
         return GeoPoly.zero(xv)
     if method == "recurrence":
@@ -102,8 +98,8 @@ def jacobi(spec: JacobiSpec) -> GeoPoly:
     alpha = ParamScalar.coerce(spec.alpha)
     beta = ParamScalar.coerce(spec.beta)
     if l < 0:
-        return GeoPoly.zero(_x())
-    xv = _x()
+        return GeoPoly.zero(x_var())
+    xv = x_var()
     x = GeoPoly.var(xv, "x")
     half = Fraction(1, 2)
     xm = (x - GeoPoly.const(xv, 1)).scale(half)
@@ -138,7 +134,7 @@ def jacobi_derivative(spec: JacobiSpec, k: int) -> GeoPoly:
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     if k > spec.l:
-        return GeoPoly.zero(_x())
+        return GeoPoly.zero(x_var())
     alpha = ParamScalar.coerce(spec.alpha)
     beta = ParamScalar.coerce(spec.beta)
     c = rising_factorial(alpha + beta + spec.l + 1, k) * Fraction(1, 2 ** k)
@@ -167,7 +163,7 @@ def hypergeom_2f1_terminating(a, b, c, arg: GeoPoly, terms: int) -> GeoPoly:
 def gegenbauer_via_2f1(l: int, alpha) -> GeoPoly:
     """(2a)_l / l! * 2F1(-l, 2a+l; a+1/2; (1-x)/2)."""
     alpha = ParamScalar.coerce(alpha)
-    xv = _x()
+    xv = x_var()
     arg = (GeoPoly.const(xv, 1) - GeoPoly.var(xv, "x")).scale(Fraction(1, 2))
     series = hypergeom_2f1_terminating(ParamScalar.const(-l), alpha * 2 + l,
                                        alpha + Fraction(1, 2), arg, l)
@@ -179,7 +175,7 @@ def jacobi_via_2f1(spec: JacobiSpec) -> GeoPoly:
     alpha = ParamScalar.coerce(spec.alpha)
     beta = ParamScalar.coerce(spec.beta)
     l = spec.l
-    xv = _x()
+    xv = x_var()
     arg = (GeoPoly.const(xv, 1) - GeoPoly.var(xv, "x")).scale(Fraction(1, 2))
     series = hypergeom_2f1_terminating(ParamScalar.const(-l), alpha + beta + l + 1,
                                        alpha + 1, arg, l)
@@ -191,7 +187,7 @@ def orthogonality_integral(k: int, l: int, alpha: int, beta: int) -> Fraction:
     nonnegative weights."""
     if alpha < 0 or beta < 0 or not isinstance(alpha, int) or not isinstance(beta, int):
         raise ValueError("only nonnegative integer weight parameters are supported")
-    xv = _x()
+    xv = x_var()
     one = GeoPoly.const(xv, 1)
     x = GeoPoly.var(xv, "x")
     weight = (one - x) ** alpha * (one + x) ** beta
@@ -219,7 +215,7 @@ def jacobi_norm_closed_form(l: int, alpha: int, beta: int) -> Fraction:
 def gegenbauer_ode_op(l: int, alpha) -> DiffOp:
     """(1-x^2) d^2 - (2a+1) x d + l(l+2a), annihilating C_l^a."""
     alpha = ParamScalar.coerce(alpha)
-    xv = _x()
+    xv = x_var()
     one = GeoPoly.const(xv, 1)
     x = GeoPoly.var(xv, "x")
     d = DiffOp.partial(xv, "x")
@@ -232,7 +228,7 @@ def jacobi_ode_op(l: int, alpha, beta) -> DiffOp:
     """(1-x^2) d^2 + (b-a-(a+b+2)x) d + l(l+a+b+1), annihilating P_l^(a,b)."""
     alpha = ParamScalar.coerce(alpha)
     beta = ParamScalar.coerce(beta)
-    xv = _x()
+    xv = x_var()
     one = GeoPoly.const(xv, 1)
     x = GeoPoly.var(xv, "x")
     d = DiffOp.partial(xv, "x")
@@ -244,7 +240,7 @@ def jacobi_ode_op(l: int, alpha, beta) -> DiffOp:
 
 def gegenbauer_lower_op(l: int) -> DiffOp:
     """(1-x^2) d + l x, sending C_l to (l+2a-1) C_{l-1}."""
-    xv = _x()
+    xv = x_var()
     one = GeoPoly.const(xv, 1)
     x = GeoPoly.var(xv, "x")
     return DiffOp.mult(one - x * x) @ DiffOp.partial(xv, "x") + DiffOp.mult(x.scale(l))
@@ -253,7 +249,7 @@ def gegenbauer_lower_op(l: int) -> DiffOp:
 def gegenbauer_raise_op(l: int, alpha) -> DiffOp:
     """(1-x^2) d - (l+2a) x, sending C_l to -(l+1) C_{l+1}."""
     alpha = ParamScalar.coerce(alpha)
-    xv = _x()
+    xv = x_var()
     one = GeoPoly.const(xv, 1)
     x = GeoPoly.var(xv, "x")
     return (DiffOp.mult(one - x * x) @ DiffOp.partial(xv, "x")
@@ -262,7 +258,6 @@ def gegenbauer_raise_op(l: int, alpha) -> DiffOp:
 
 def gegenbauer_tilde_lower_op(l: int) -> DiffOp:
     """-2(t+1) d_t + l on the t-line."""
-    from .polyring import t_var
     tv = t_var()
     t = GeoPoly.var(tv, "t")
     one = GeoPoly.const(tv, 1)
@@ -271,7 +266,6 @@ def gegenbauer_tilde_lower_op(l: int) -> DiffOp:
 
 def gegenbauer_tilde_raise_op(l: int, alpha) -> DiffOp:
     """2t(t+1) d_t - l t - 2(l+a) on the t-line."""
-    from .polyring import t_var
     alpha = ParamScalar.coerce(alpha)
     tv = t_var()
     t = GeoPoly.var(tv, "t")

@@ -14,10 +14,11 @@ golden files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .scalars import ParamScalar
+from .scalars import ParamScalar, _mono_key
 
 Expts = Tuple[int, ...]
 
@@ -55,10 +56,6 @@ def t_var() -> VarSet:
 
 def x_var() -> VarSet:
     return VarSet("x", ("x",))
-
-
-def _mono_key(e: Expts):
-    return (sum(e), e)
 
 
 class GeoPoly:
@@ -127,11 +124,7 @@ class GeoPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = c if s is None else s + c
         return GeoPoly(self.vars, out)
 
     def __neg__(self) -> "GeoPoly":
@@ -148,11 +141,7 @@ class GeoPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 p = c1 * c2
                 s = out.get(e)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = p if s is None else s + p
         return GeoPoly(self.vars, out)
 
     def __pow__(self, k: int) -> "GeoPoly":
@@ -171,9 +160,6 @@ class GeoPoly:
         return (isinstance(other, GeoPoly) and self.vars == other.vars
                 and self.terms.keys() == other.terms.keys()
                 and all(self.terms[e] == other.terms[e] for e in self.terms))
-
-    def __hash__(self):
-        return hash((self.vars, frozenset((e, c.render()) for e, c in self.terms.items())))
 
     # -- calculus and substitution ----------------------------------------
 
@@ -314,6 +300,23 @@ def curated_factors(vars: VarSet) -> Mapping[str, GeoPoly]:
     return facs
 
 
+def per_context(build):
+    """Memoize ``build(ctx, *args)`` in the context's instance dict, keyed by
+    the function name and the positional arguments.
+
+    The context's dataclass fields, equality and repr are untouched.  A build
+    that raises (a degenerate weight) stores nothing.
+    """
+    @wraps(build)
+    def cached(ctx, *args):
+        memo = vars(ctx).setdefault("_memo", {})
+        key = (build.__name__, args)
+        if key not in memo:
+            memo[key] = build(ctx, *args)
+        return memo[key]
+    return cached
+
+
 class RatCoeff:
     """Quotient of a GeoPoly by a product of curated factors.
 
@@ -431,9 +434,6 @@ class RatCoeff:
         if not isinstance(other, RatCoeff):
             return NotImplemented
         return (self.num * other.den_poly()) == (other.num * self.den_poly())
-
-    def __hash__(self):
-        return hash((self.num, tuple(sorted(self.den.items()))))
 
     def render(self) -> str:
         if not self.den:

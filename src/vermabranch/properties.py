@@ -49,14 +49,25 @@ def _rand_op(rng: random.Random, vars, max_terms: int = 2) -> DiffOp:
     return out
 
 
+def _run(stem: str, anchor: str, seed: int, cases: int, case) -> ReportBundle:
+    """Draw up to ``cases`` cases with ``case(rng)``; the first witness it
+    returns (None means the case held) fails the check."""
+    rng = random.Random(seed)
+    witness = None
+    for _ in range(cases):
+        witness = case(rng)
+        if witness is not None:
+            break
+    bundle = ReportBundle()
+    bundle.check(f"property.{stem}.seed={seed}", anchor, witness is None,
+                 witness=witness)
+    return bundle
+
+
 def field_axioms(seed: int, cases: int) -> ReportBundle:
     """Commutativity, associativity, distributivity and inverses in the
     parameter field."""
-    rng = random.Random(seed)
-    bundle = ReportBundle()
-    ok = True
-    witness = None
-    for _ in range(cases):
+    def case(rng):
         a, b, c = (_rand_scalar(rng) for _ in range(3))
         checks = [
             a + b == b + a,
@@ -70,12 +81,8 @@ def field_axioms(seed: int, cases: int) -> ReportBundle:
             checks.append(a / a == ParamScalar.const(1))
             checks.append((b / a) * a == b)
         if not all(checks):
-            ok = False
-            witness = f"a={a.render()}, b={b.render()}, c={c.render()}"
-            break
-    bundle.check(f"property.field-axioms.seed={seed}", "engine:scalar-field",
-                 ok, witness=witness)
-    return bundle
+            return f"a={a.render()}, b={b.render()}, c={c.render()}"
+    return _run("field-axioms", "engine:scalar-field", seed, cases, case)
 
 
 def _op_case(rng: random.Random, max_terms: int = 2):
@@ -84,65 +91,37 @@ def _op_case(rng: random.Random, max_terms: int = 2):
 
 
 def associativity(seed: int, cases: int) -> ReportBundle:
-    rng = random.Random(seed)
-    bundle = ReportBundle()
-    ok = True
-    witness = None
-    for _ in range(cases):
+    def case(rng):
         _, a, b, c = _op_case(rng, max_terms=1)
         if (a @ b) @ c != a @ (b @ c):
-            ok = False
-            witness = f"{a.render()} ; {b.render()} ; {c.render()}"
-            break
-    bundle.check(f"property.compose-associative.seed={seed}",
-                 "engine:normal-ordering", ok, witness=witness)
-    return bundle
+            return f"{a.render()} ; {b.render()} ; {c.render()}"
+    return _run("compose-associative", "engine:normal-ordering", seed, cases, case)
 
 
 def apply_compose(seed: int, cases: int) -> ReportBundle:
     """(A o B)(p) agrees with A(B(p))."""
-    rng = random.Random(seed)
-    bundle = ReportBundle()
-    ok = True
-    witness = None
-    for _ in range(cases):
+    def case(rng):
         vars, a, b, _ = _op_case(rng)
         p = _rand_poly(rng, vars, max_terms=3, max_deg=3)
         if (a @ b).apply(p) != a.apply(b.apply(p)):
-            ok = False
-            witness = f"{a.render()} ; {b.render()} ; {p.render()}"
-            break
-    bundle.check(f"property.apply-compose.seed={seed}",
-                 "engine:normal-ordering", ok, witness=witness)
-    return bundle
+            return f"{a.render()} ; {b.render()} ; {p.render()}"
+    return _run("apply-compose", "engine:normal-ordering", seed, cases, case)
 
 
 def jacobi_identity(seed: int, cases: int) -> ReportBundle:
-    rng = random.Random(seed)
-    bundle = ReportBundle()
-    ok = True
-    witness = None
-    for _ in range(cases):
+    def case(rng):
         _, a, b, c = _op_case(rng, max_terms=1)
         s = (a.commutator(b.commutator(c)) + b.commutator(c.commutator(a))
              + c.commutator(a.commutator(b)))
         if not s.is_zero():
-            ok = False
-            witness = s.render()
-            break
-    bundle.check(f"property.jacobi-identity.seed={seed}",
-                 "engine:normal-ordering", ok, witness=witness)
-    return bundle
+            return s.render()
+    return _run("jacobi-identity", "engine:normal-ordering", seed, cases, case)
 
 
 def normal_order_confluence(seed: int, cases: int) -> ReportBundle:
     """Folding a product of elementary factors in any association order
     lands on the same normal form."""
-    rng = random.Random(seed)
-    bundle = ReportBundle()
-    ok = True
-    witness = None
-    for _ in range(cases):
+    def case(rng):
         vars = xi_vars(2)
         factors = []
         for _ in range(4):
@@ -159,12 +138,8 @@ def normal_order_confluence(seed: int, cases: int) -> ReportBundle:
             right = f @ right
         mid = (factors[0] @ factors[1]) @ (factors[2] @ factors[3])
         if not (left == right == mid):
-            ok = False
-            witness = " ; ".join(f.render() for f in factors)
-            break
-    bundle.check(f"property.normal-order-confluence.seed={seed}",
-                 "engine:normal-ordering", ok, witness=witness)
-    return bundle
+            return " ; ".join(f.render() for f in factors)
+    return _run("normal-order-confluence", "engine:normal-ordering", seed, cases, case)
 
 
 ALL_SUITES = (field_axioms, associativity, apply_compose, jacobi_identity,

@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Tuple
 
-from .orthopoly import GegenbauerSpec, gegenbauer
+from .orthopoly import GegenbauerSpec, gegenbauer, gegenbauer_tilde_lower_op
 from .polyring import (GeoPoly, RatCoeff, VarSet, curated_factors,
-                       gegen_tilde_convert, xi_vars)
+                       gegen_tilde_convert, per_context, t_var, xi_vars)
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
 from .scalars import ParamScalar
 from .weylalg import DiffOp, proportionality
@@ -28,13 +28,11 @@ ALPHA_SYMBOL = "a"
 @dataclass(frozen=True)
 class SoPairContext:
     """Dimension n >= 2 and the inducing character (formal by default).
-    ``_memo``, not a field, keeps the families built from this context."""
+    ``_memo``, not a field, keeps the families built from this context
+    (see :func:`~vermabranch.polyring.per_context`)."""
 
     n: int
     lam: ParamScalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "_memo", {})
 
     @staticmethod
     def formal(n: int) -> "SoPairContext":
@@ -68,15 +66,12 @@ class SingularVector:
     poly: GeoPoly
 
 
-def _tilde_coeffs(ctx: SoPairContext, l: int) -> List[ParamScalar]:
-    """Coefficients (in t) of the converted Gegenbauer polynomial, with the
-    spectral parameter specialized to -lam-(n-1)/2."""
+@per_context
+def tilde_gegenbauer(ctx: SoPairContext, l: int) -> GeoPoly:
+    """The converted Gegenbauer polynomial in t, with the spectral parameter
+    specialized to -lam-(n-1)/2."""
     c = gegenbauer(GegenbauerSpec(l, ParamScalar.symbol(ALPHA_SYMBOL)))
-    tilde = gegen_tilde_convert(c, l)
-    out = []
-    for k in range(l // 2 + 1):
-        out.append(tilde.coefficient((k,)).substitute({ALPHA_SYMBOL: ctx.alpha}))
-    return out
+    return gegen_tilde_convert(c, l).substitute_params({ALPHA_SYMBOL: ctx.alpha})
 
 
 def _top_normalization(l: int) -> Fraction:
@@ -86,15 +81,14 @@ def _top_normalization(l: int) -> Fraction:
     return Fraction(factorial(l), 2 ** k * factorial(k))
 
 
+@per_context
 def singular_vector_F(ctx: SoPairContext, l: int) -> SingularVector:
     """Normalized degree-l singular vector: the coefficient of
     xn^{l-2k} (sum' xi^2)^k at k = floor(l/2) equals l!/(2^k k!)."""
-    hit = ctx._memo.get(("F", l))
-    if hit is not None:
-        return hit
     if l < 0:
         raise ValueError("degree must be nonnegative")
-    coeffs = _tilde_coeffs(ctx, l)
+    tilde = tilde_gegenbauer(ctx, l)
+    coeffs = [tilde.coefficient((k,)) for k in range(l // 2 + 1)]
     top = coeffs[l // 2]
     if top.is_zero():
         raise ZeroDivisionError(
@@ -105,10 +99,10 @@ def singular_vector_F(ctx: SoPairContext, l: int) -> SingularVector:
     out = GeoPoly.zero(ctx.vars)
     for k, c in enumerate(coeffs):
         out = out + (xn ** (l - 2 * k) * q1 ** k).scale(c * scale)
-    ctx._memo[("F", l)] = vec = SingularVector(l, out)
-    return vec
+    return SingularVector(l, out)
 
 
+@per_context
 def lowering_direction_op(ctx: SoPairContext, m: int) -> DiffOp:
     """Quadratic nilradical action in direction m (0-based index):
     (1/2) x_m Laplacian + (lam - Euler) d_m."""
@@ -132,6 +126,7 @@ def verify_singular(ctx: SoPairContext, v: SingularVector) -> bool:
     return True
 
 
+@per_context
 def op_Q(ctx: SoPairContext) -> DiffOp:
     """The enveloping-algebra raising operator
     (sum' xi^2) P - (lam - E + 2)(n + 2 lam - 2E + 1) xn."""
@@ -144,11 +139,9 @@ def op_Q(ctx: SoPairContext) -> DiffOp:
     return first - (a @ b @ DiffOp.mult(ctx.xn()))
 
 
+@per_context
 def ladder_ops(ctx: SoPairContext, l: int) -> Tuple[DiffOp, DiffOp, DiffOp]:
     """(e, f, h) at degree l; f carries the curated localized coefficients."""
-    hit = ctx._memo.get(("ladder", l))
-    if hit is not None:
-        return hit
     vs = ctx.vars
     alpha = ctx.alpha
     xn = ctx.xn()
@@ -160,8 +153,23 @@ def ladder_ops(ctx: SoPairContext, l: int) -> Tuple[DiffOp, DiffOp, DiffOp]:
              + DiffOp.scalar(vs, l))
     f_op = DiffOp.mult_rat(RatCoeff(GeoPoly.const(vs, 1), {"xn": 1})) @ inner
     h_op = DiffOp.scalar(vs, (alpha + l) * 2)
-    ctx._memo[("ladder", l)] = ops = (e_op, f_op, h_op)
-    return ops
+    return e_op, f_op, h_op
+
+
+@per_context
+def ladder_images(ctx: SoPairContext, l: int
+                  ) -> Tuple[GeoPoly, RatCoeff, RatCoeff, GeoPoly | None]:
+    """(e(l) F_l, f(l) F_l, f(l+1) e(l) F_l, e(l-1) f(l) F_l): the raise and
+    lower images and the two legs of the bracket and of the Casimir.  The last
+    is None at l = 0, where the lowering leg is dropped; elsewhere a
+    non-polynomial f-image raises."""
+    e_l, f_l, _ = ladder_ops(ctx, l)
+    f = singular_vector_F(ctx, l).poly
+    ev = e_l.apply(f)
+    fv = f_l.apply_rat(f)
+    up = ladder_ops(ctx, l + 1)[1].apply_rat(ev)
+    down = ladder_ops(ctx, l - 1)[0].apply(fv.as_poly()) if l > 0 else None
+    return ev, fv, up, down
 
 
 def e_euler_form(ctx: SoPairContext) -> DiffOp:
@@ -198,10 +206,10 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
     e_consts: Dict[int, str] = {}
     f_consts: Dict[int, str] = {}
     for l in range(max_degree + 1):
-        e_l, f_l, h_l = ladder_ops(ctx, l)
+        h_l = ladder_ops(ctx, l)[2]
         tag = f"n={ctx.n},l={l}"
 
-        ev = e_l.apply(fs[l].poly)
+        ev, fv, up, down = ladder_images(ctx, l)
         ce = proportionality(ev, fs[l + 1].poly)
         exp_e, exp_f = expected_ladder_constants(ctx, l)
         bundle.check(f"sl2.raise.{tag}", anchor, ce is not None and ce == exp_e,
@@ -211,7 +219,6 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
             bundle.check(f"sl2.raise-nonzero.{tag}", "so-pair:verma-structure",
                          not ce.is_zero(), witness=ce.render())
 
-        fv = f_l.apply_rat(fs[l].poly)
         bundle.check(f"sl2.lower-polynomial.{tag}", "so-pair:localized-f",
                      fv.is_polynomial(), witness=fv.render())
         if l == 0:
@@ -225,12 +232,7 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
                 f_consts[l] = cf.render()
 
         # bracket on the weight vector: (f(l+1) e(l) - e(l-1) f(l)) F_l = -h(l) F_l
-        _, f_up, _ = ladder_ops(ctx, l + 1)
-        bra = f_up.apply_rat(e_l.apply(fs[l].poly))
-        if l > 0:
-            e_dn, _, _ = ladder_ops(ctx, l - 1)
-            sub = e_dn.apply(f_l.apply(fs[l].poly))
-            bra = bra - RatCoeff(sub)
+        bra = up if down is None else up - RatCoeff(down)
         ok = bra.is_polynomial() and bra.as_poly() == fs[l].poly.scale(-(ctx.alpha + l) * 2)
         bundle.check(f"sl2.bracket.{tag}", anchor, ok, witness=bra.render())
 
@@ -242,15 +244,13 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
 
         # product of consecutive constants: (ef - fe) eigenvalue on F_l
         if l in e_consts:
-            up = ParamScalar.coerce(0)
-            cf_up = expected_ladder_constants(ctx, l + 1)[1]
-            up = exp_e * cf_up
-            down = ParamScalar.const(0)
+            c_up = exp_e * expected_ladder_constants(ctx, l + 1)[1]
+            c_down = ParamScalar.const(0)
             if l > 0:
-                down = exp_f * expected_ladder_constants(ctx, l - 1)[0]
+                c_down = exp_f * expected_ladder_constants(ctx, l - 1)[0]
             bundle.check(f"sl2.weight-consistency.{tag}", "so-pair:ladder-diagram",
-                         up - down == -(ctx.alpha + l) * 2,
-                         witness=(up - down).render())
+                         c_up - c_down == -(ctx.alpha + l) * 2,
+                         witness=(c_up - c_down).render())
     return LadderReport(bundle, e_consts, f_consts)
 
 
@@ -299,12 +299,8 @@ def casimir_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
         bundle.check(f"casimir.closed-form.{tag}", anchor, okc, witness=closed.render())
         # (ef + fe) F_l = (Cas - h^2/2) F_l: the computable shadow of the
         # relative Dirac square
-        e_l, f_l, h_l = ladder_ops(ctx, l)
-        _, f_up, _ = ladder_ops(ctx, l + 1)
-        effe = f_up.apply_rat(e_l.apply(f.poly))
-        if l >= 1:
-            e_dn, _, _ = ladder_ops(ctx, l - 1)
-            effe = effe + RatCoeff(e_dn.apply(f_l.apply(f.poly)))
+        _, _, up, down = ladder_images(ctx, l)
+        effe = up if down is None else up + RatCoeff(down)
         rhs = f.poly.scale(eig - (ctx.alpha + l) * (ctx.alpha + l) * 2)
         okd = effe.is_polynomial() and effe.as_poly() == rhs
         bundle.check(f"casimir.dirac-square.{tag}", "dirac:relative-square", okd,
@@ -342,7 +338,6 @@ def pq_membership_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
 
 def t_model_poly(v: SingularVector) -> GeoPoly:
     """Collapse F_l = sum c_k xn^{l-2k} q'^k to sum c_k t^k."""
-    from .polyring import t_var
     tv = t_var()
     arity = v.poly.vars.arity
     out: Dict[Tuple[int, ...], ParamScalar] = {}
@@ -367,29 +362,23 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     operator maps along the same arrows; its constant picks up an extra
     factor, recorded as data.
     """
-    from .orthopoly import gegenbauer, gegenbauer_tilde_lower_op
     bundle = ReportBundle()
     anchor = "so-pair:t-model"
     fs = [singular_vector_F(ctx, l) for l in range(max_degree + 1)]
     p = op_P(ctx)
-    asym = ParamScalar.symbol(ALPHA_SYMBOL)
     for l in range(max_degree + 1):
         tag = f"n={ctx.n},l={l}"
         g_l = t_model_poly(fs[l])
         image = gegenbauer_tilde_lower_op(l).apply(g_l)
         pv = p.apply(fs[l].poly)
         # unnormalized family: the ladder constant (l+2a-1)
-        tilde_l = gegen_tilde_convert(gegenbauer(GegenbauerSpec(l, asym)), l) \
-            .substitute_params({ALPHA_SYMBOL: ctx.alpha})
-        t_img = gegenbauer_tilde_lower_op(l).apply(tilde_l)
+        t_img = gegenbauer_tilde_lower_op(l).apply(tilde_gegenbauer(ctx, l))
         if l == 0:
             bundle.check(f"tmodel.f-square.{tag}", anchor,
                          image.is_zero() and pv.is_zero())
             bundle.check(f"tmodel.tilde.{tag}", anchor, t_img.is_zero())
             continue
-        tilde_dn = gegen_tilde_convert(gegenbauer(GegenbauerSpec(l - 1, asym)), l - 1) \
-            .substitute_params({ALPHA_SYMBOL: ctx.alpha})
-        c_tilde = proportionality(t_img, tilde_dn)
+        c_tilde = proportionality(t_img, tilde_gegenbauer(ctx, l - 1))
         bundle.check(f"tmodel.tilde.{tag}", anchor,
                      c_tilde is not None and c_tilde == ctx.alpha * 2 + (l - 1),
                      witness=t_img.render())

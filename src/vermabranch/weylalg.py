@@ -107,11 +107,7 @@ class DiffOp:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = c if s is None else s + c
         return DiffOp(self.vars, out)
 
     def __neg__(self) -> "DiffOp":
@@ -159,11 +155,8 @@ class DiffOp:
         z = RatCoeff.zero(self.vars)
         return all(self.terms.get(e, z) == other.terms.get(e, z) for e in keys)
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
+        return not self.terms
 
     def order(self) -> int:
         """Highest total derivative order; -1 for the zero operator."""

@@ -30,6 +30,14 @@ def test_golden_tables_byte_identical(name):
     assert GOLDEN_TABLES[name]() == expected
 
 
+def test_all_report_matches_golden(tmp_path):
+    # the frozen report of `vermabranch all`: a refactor must reproduce it
+    # byte for byte, and it is never regenerated to make this test pass
+    out = tmp_path / "all.json"
+    assert main(["all", "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "all_report.json").read_bytes()
+
+
 def test_corrupted_golden_detected():
     # exit-status/diff contract spot check: a perturbed golden must not match
     name = "f_vectors.txt"
@@ -103,6 +111,16 @@ def test_negative_degree_is_usage_error():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "--max-degree" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_cases_below_one_is_usage_error(cases):
+    # zero cases would report every property suite as passed vacuously
+    proc = run_cli("all", f"--cases={cases}")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--cases" in proc.stderr
     assert proc.stdout == ""
 
 

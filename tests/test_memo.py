@@ -1,16 +1,24 @@
 """Caching contract: curated factors are built once per variable set, and each
-context builds its singular-vector families once."""
+context builds its singular-vector families, operators and ladder images
+once."""
 
 import dataclasses
 import inspect
+import sys
 from fractions import Fraction
 
 import pytest
 
 from vermabranch import diag_pair, polyring, so_pair
 from vermabranch.diag_pair import DiagContext, jacobi_t_polynomial
-from vermabranch.polyring import curated_factors, quadratic_sum, xi_vars
-from vermabranch.so_pair import SoPairContext, ladder_ops, singular_vector_F
+from vermabranch.polyring import (curated_factors, per_context, quadratic_sum,
+                                  xi_vars)
+from vermabranch.so_pair import (SoPairContext, ladder_images, ladder_ops,
+                                 lowering_direction_op, op_P, op_Q,
+                                 singular_vector_F, tilde_gegenbauer)
+
+SO_BUILDS = [(lowering_direction_op, (1,)), (op_Q, ()), (ladder_images, (0,)),
+             (ladder_images, (3,)), (tilde_gegenbauer, (3,))]
 
 
 def test_curated_factors_shared_per_varset():
@@ -45,6 +53,31 @@ def test_singular_vector_built_once_per_context():
     assert singular_vector_F(fresh, 3).poly == singular_vector_F(ctx, 3).poly
 
 
+@pytest.mark.parametrize("fn, args", SO_BUILDS,
+                         ids=[f"{fn.__name__}{args}" for fn, args in SO_BUILDS])
+def test_so_builds_once_per_context(fn, args):
+    ctx = SoPairContext.formal(3)
+    first = fn(ctx, *args)
+    assert fn(ctx, *args) is first
+    assert fn(SoPairContext.formal(3), *args) == first
+
+
+def test_op_P_is_the_memoized_last_direction():
+    ctx = SoPairContext.formal(3)
+    assert op_P(ctx) is lowering_direction_op(ctx, 2)
+
+
+def test_ladder_images_match_direct_application():
+    ctx = SoPairContext.formal(3)
+    f = singular_vector_F(ctx, 2).poly
+    (e_l, f_l, _), (e_dn, _, _) = ladder_ops(ctx, 2), ladder_ops(ctx, 1)
+    ev, fv, up, down = ladder_images(ctx, 2)
+    assert ev == e_l.apply(f) and fv == f_l.apply_rat(f)
+    assert up == ladder_ops(ctx, 3)[1].apply_rat(ev)
+    assert down == e_dn.apply(f_l.apply(f))
+    assert ladder_images(ctx, 0)[3] is None
+
+
 def test_jacobi_built_once_per_context():
     ctx = DiagContext.formal()
     assert jacobi_t_polynomial(ctx, 4) is jacobi_t_polynomial(ctx, 4)
@@ -66,6 +99,29 @@ def test_degenerate_build_is_not_memoized():
     for _ in range(2):
         with pytest.raises(ZeroDivisionError):
             singular_vector_F(ctx, 1)
+        with pytest.raises(ZeroDivisionError):
+            ladder_images(ctx, 1)
+    assert not [k for k in vars(ctx)["_memo"] if k[1] == (1,)
+                and k[0] in ("singular_vector_F", "ladder_images")]
+
+
+def test_raising_build_stores_nothing():
+    calls = []
+
+    @per_context
+    def build(ctx, k):
+        calls.append(k)
+        if k < 0:
+            raise ValueError("negative")
+        return [k]
+
+    ctx = SoPairContext.formal(2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build(ctx, -1)
+    assert build(ctx, 1) is build(ctx, 1)
+    assert calls == [-1, -1, 1]
+    assert build.__name__ == "build" and inspect.isfunction(build)
 
 
 def test_context_fields_unchanged():
@@ -78,6 +134,10 @@ def test_context_fields_unchanged():
 
 
 @pytest.mark.parametrize("fn", [polyring.curated_factors, so_pair.singular_vector_F,
-                                so_pair.ladder_ops, diag_pair.jacobi_t_polynomial])
+                                so_pair.ladder_ops, diag_pair.jacobi_t_polynomial,
+                                so_pair.lowering_direction_op, so_pair.op_Q,
+                                so_pair.ladder_images, so_pair.tilde_gegenbauer])
 def test_traced_functions_stay_plain(fn):
+    # the benchmark tracer wraps plain functions of the module they belong to
     assert inspect.isfunction(fn)
+    assert getattr(sys.modules[fn.__module__], fn.__name__) is fn

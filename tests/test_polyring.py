@@ -11,6 +11,7 @@ from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors,
                                   substitute_linear, t_var, x_var,
                                   xi_eta_vars, xi_vars, xy_vars)
 from vermabranch.scalars import LAMBDA, ParamScalar
+from vermabranch.weylalg import DiffOp
 
 
 def test_varsets():
@@ -140,3 +141,16 @@ def test_coefficient_lookup():
     p = GeoPoly(vs, {(2, 1): ParamScalar.const(Fraction(1, 2))})
     assert p.coefficient((2, 1)) == ParamScalar.const(Fraction(1, 2))
     assert p.coefficient((0, 0)).is_zero()
+
+
+@pytest.mark.parametrize("wrap", [lambda p: p, RatCoeff, DiffOp.mult],
+                         ids=["GeoPoly", "RatCoeff", "DiffOp"])
+def test_values_are_unhashable(wrap):
+    # equal values with unequal hashes would break sets and dict keys, so the
+    # classes define __eq__ without __hash__
+    vs = xi_vars(2)
+    unit = (LAMBDA * LAMBDA + 1) / (LAMBDA * LAMBDA + 1)
+    v = wrap(GeoPoly.const(vs, unit))
+    assert v == wrap(GeoPoly.const(vs, 1))
+    with pytest.raises(TypeError):
+        hash(v)

@@ -97,8 +97,12 @@ def _emit(bundle: ReportBundle, config: RunConfig, json_path: str | None) -> int
         if json_path == "-":
             sys.stdout.write(text)
         else:
-            with open(json_path, "w") as fh:
-                fh.write(text)
+            try:
+                with open(json_path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"error: cannot write the report: {exc}", file=sys.stderr)
+                return 2
     else:
         for rec in sorted(bundle.records, key=lambda r: r.check_id):
             line = f"{rec.status:22s} {rec.check_id}"

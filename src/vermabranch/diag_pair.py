@@ -181,7 +181,7 @@ def model_transport_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
     tv = t_var()
     for l in range(max_degree + 1):
         for probe_deg in range(l + 1):
-            q = GeoPoly(tv, {(k,): ParamScalar.const(k + 1) for k in range(probe_deg + 1)})
+            q = GeoPoly.from_terms(tv, {(k,): k + 1 for k in range(probe_deg + 1)})
             lhs = x_hat.apply(homogenize(q, l))
             rhs = op_X_t(ctx, l).apply(q)
             ok = (lhs.is_zero() and rhs.is_zero()) or \

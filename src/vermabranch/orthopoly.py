@@ -86,7 +86,7 @@ def gegenbauer(spec: GegenbauerSpec, method: str = "explicit") -> GeoPoly:
         for k in range(l // 2 + 1):
             coeff = rising_factorial(alpha, l - k) * ((-1) ** k) \
                 * Fraction(2 ** (l - 2 * k), factorial(k) * factorial(l - 2 * k))
-            out = out + GeoPoly(xv, {(l - 2 * k,): coeff})
+            out = out + GeoPoly.from_terms(xv, {(l - 2 * k,): coeff})
         return out
     raise ValueError(f"unknown method {method!r}")
 

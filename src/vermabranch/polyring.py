@@ -63,21 +63,27 @@ class GeoPoly:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: VarSet, terms: Mapping[Expts, object] | None = None):
-        clean: Dict[Expts, ParamScalar] = {}
-        if terms:
-            for e, c in terms.items():
-                c = ParamScalar.coerce(c)
-                if not c.is_zero():
-                    if len(e) != vars.arity:
-                        raise ValueError("exponent arity mismatch")
-                    if min(e) < 0:
-                        raise ValueError("negative exponent")
-                    clean[tuple(e)] = c
+    def __init__(self, vars: VarSet, terms: Mapping[Expts, ParamScalar] | None = None):
+        """Trusts ``terms`` to map exponent tuples of the right arity to
+        ParamScalars, and only drops the zero coefficients; data from
+        elsewhere goes through :meth:`from_terms`."""
         self.vars = vars
-        self.terms = clean
+        self.terms = {e: c for e, c in terms.items() if not c.is_zero()} if terms else {}
 
     # -- constructors -----------------------------------------------------
+
+    @staticmethod
+    def from_terms(vars: VarSet, terms: Mapping[Expts, object]) -> "GeoPoly":
+        """The validating constructor: coerces int, Fraction and ParamPoly
+        coefficients and rejects exponents of the wrong arity or sign."""
+        clean: Dict[Expts, ParamScalar] = {}
+        for e, c in terms.items():
+            if len(e) != vars.arity:
+                raise ValueError("exponent arity mismatch")
+            if min(e) < 0:
+                raise ValueError("negative exponent")
+            clean[tuple(e)] = ParamScalar.coerce(c)
+        return GeoPoly(vars, clean)
 
     @staticmethod
     def const(vars: VarSet, c) -> "GeoPoly":
@@ -87,7 +93,7 @@ class GeoPoly:
     def var(vars: VarSet, name: str, power: int = 1) -> "GeoPoly":
         e = [0] * vars.arity
         e[vars.index(name)] = power
-        return GeoPoly(vars, {tuple(e): 1})
+        return GeoPoly.from_terms(vars, {tuple(e): 1})
 
     @staticmethod
     def zero(vars: VarSet) -> "GeoPoly":
@@ -269,7 +275,7 @@ def quadratic_sum(vars: VarSet, upto: int) -> GeoPoly:
     for i in range(upto):
         e = [0] * vars.arity
         e[i] = 2
-        out = out + GeoPoly(vars, {tuple(e): 1})
+        out = out + GeoPoly.from_terms(vars, {tuple(e): 1})
     return out
 
 
@@ -328,9 +334,12 @@ class RatCoeff:
     __slots__ = ("num", "den")
 
     def __init__(self, num: GeoPoly, den: Mapping[str, int] | None = None):
+        if not den:
+            self.num, self.den = num, {}
+            return
         allowed = curated_factors(num.vars)
         d: Dict[str, int] = {}
-        for k, e in (den or {}).items():
+        for k, e in den.items():
             if k not in allowed:
                 raise ValueError(f"{k!r} is not a curated denominator factor for {num.vars.kind}")
             if e < 0:
@@ -385,14 +394,19 @@ class RatCoeff:
     def __add__(self, other: "RatCoeff") -> "RatCoeff":
         if self.vars != other.vars:
             raise ValueError("variable-set mismatch")
+        if not self.den and not other.den:
+            return RatCoeff(self.num + other.num)
         facs = curated_factors(self.vars)
-        keys = set(self.den) | set(other.den)
-        den = {k: max(self.den.get(k, 0), other.den.get(k, 0)) for k in keys}
+        den = dict(self.den)
+        for k, e in other.den.items():
+            den[k] = max(den.get(k, 0), e)
         ln = self.num
         rn = other.num
-        for k in keys:
-            ln = ln * facs[k] ** (den[k] - self.den.get(k, 0))
-            rn = rn * facs[k] ** (den[k] - other.den.get(k, 0))
+        for k, e in den.items():
+            if e > self.den.get(k, 0):
+                ln = ln * facs[k] ** (e - self.den.get(k, 0))
+            if e > other.den.get(k, 0):
+                rn = rn * facs[k] ** (e - other.den.get(k, 0))
         return RatCoeff(ln + rn, den)
 
     def __neg__(self) -> "RatCoeff":
@@ -464,7 +478,7 @@ def homogenize(q: GeoPoly, l: int, target: VarSet | None = None) -> GeoPoly:
     for e, c in q.terms.items():
         k = e[0]
         out[(k, l - k)] = c
-    return GeoPoly(target, out)
+    return GeoPoly.from_terms(target, out)
 
 
 def dehomogenize(p: GeoPoly, l: int) -> GeoPoly:
@@ -475,13 +489,13 @@ def dehomogenize(p: GeoPoly, l: int) -> GeoPoly:
         if sum(e) != l:
             raise ValueError("input is not homogeneous of the stated degree")
         out[(e[0],)] = c
-    return GeoPoly(tv, out)
+    return GeoPoly.from_terms(tv, out)
 
 
 def substitute_linear(p: GeoPoly, a, b) -> GeoPoly:
     """Compose a univariate polynomial with the affine image a*t + b."""
     tv = t_var()
-    image = GeoPoly(tv, {(1,): ParamScalar.coerce(a), (0,): ParamScalar.coerce(b)})
+    image = GeoPoly.from_terms(tv, {(1,): a, (0,): b})
     return p.substitute_var(p.vars.names[0], image)
 
 
@@ -500,4 +514,4 @@ def gegen_tilde_convert(c: GeoPoly, l: int | None = None) -> GeoPoly:
             raise ValueError(f"parity violation: degree-{e[0]} term in a degree-{l} polynomial")
         k = (l - e[0]) // 2
         out[(k,)] = coeff * ((-1) ** k)
-    return GeoPoly(tv, out)
+    return GeoPoly.from_terms(tv, out)

@@ -37,8 +37,8 @@ def _rand_poly(rng: random.Random, vars, max_terms: int = 3, max_deg: int = 2) -
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(0, max_deg) for _ in range(vars.arity))
-        terms[e] = ParamScalar.const(rng.randint(-5, 5))
-    return GeoPoly(vars, terms)
+        terms[e] = rng.randint(-5, 5)
+    return GeoPoly.from_terms(vars, terms)
 
 
 def _rand_op(rng: random.Random, vars, max_terms: int = 2) -> DiffOp:

@@ -287,6 +287,11 @@ class ParamScalar:
 
     def __add__(self, other) -> "ParamScalar":
         other = ParamScalar.coerce(other)
+        # both sides are canonical, so a zero summand leaves the other as is
+        if not self.num.terms:
+            return other
+        if not other.num.terms:
+            return self
         return ParamScalar(self.num * other.den + other.num * self.den,
                            self.den * other.den)
 

@@ -348,7 +348,7 @@ def t_model_poly(v: SingularVector) -> GeoPoly:
         probe[0] = 2 * k
         probe[-1] += v.l - 2 * k
         out[(k,)] = v.poly.coefficient(tuple(probe))
-    return GeoPoly(tv, out)
+    return GeoPoly.from_terms(tv, out)
 
 
 def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:

@@ -33,6 +33,23 @@ def _iter_sub(e: DerivMono):
             yield (k,) + tail, comb(head, k) * c
 
 
+class _Derivatives(dict):
+    """``D^k x`` for one coefficient or polynomial ``x``, filled on demand and
+    dropped with the call that builds it.  ``D^k x`` is one more derive of
+    ``D^(k - e_i) x``, i the last variable in k, so each entry takes the chain
+    of derives, first variable first, that differentiating x directly takes.
+    A zero stays zero."""
+
+    def __init__(self, x):
+        super().__init__({(0,) * x.vars.arity: x})
+
+    def __missing__(self, k: DerivMono):
+        i = max(j for j, kj in enumerate(k) if kj)
+        prev = self[k[:i] + (k[i] - 1,) + k[i + 1:]]
+        d = self[k] = prev if prev.is_zero() else prev.derive(i)
+        return d
+
+
 class DiffOp:
     """Element of the localized Weyl algebra in normal form."""
 
@@ -122,23 +139,28 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product self o other."""
         self._check(other)
-        out = DiffOp.zero(self.vars)
+        derivs = [(eb, _Derivatives(cb)) for eb, cb in other.terms.items()]
+        acc: Dict[DerivMono, RatCoeff] = {}
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+            for eb, dcb in derivs:
                 # push D^ea through cb
                 for k, binomial in _iter_sub(ea):
-                    dc = cb
-                    for i, ki in enumerate(k):
-                        for _ in range(ki):
-                            dc = dc.derive(i)
-                        if dc.is_zero():
-                            break
+                    dc = dcb[k]
                     if dc.is_zero():
                         continue
                     e = tuple(a - ki + b for a, ki, b in zip(ea, k, eb))
-                    coeff = (ca * dc).scale(binomial)
-                    out = out + DiffOp(self.vars, {e: coeff})
-        return out
+                    coeff = ca * dc
+                    if binomial != 1:
+                        coeff = coeff.scale(binomial)
+                    s = acc.get(e)
+                    s = coeff if s is None else s + coeff
+                    # a cancelled monomial leaves the order; a later product
+                    # on it is appended afresh
+                    if s.is_zero():
+                        del acc[e]
+                    else:
+                        acc[e] = s
+        return DiffOp(self.vars, acc)
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other)
@@ -169,17 +191,11 @@ class DiffOp:
         denominator when a localized coefficient fails to divide out."""
         if self.vars != p.vars:
             raise ValueError("variable-set mismatch")
+        dp = _Derivatives(p)
         out = RatCoeff.zero(self.vars)
         for e, c in self.terms.items():
-            dp = p
-            for i, ei in enumerate(e):
-                for _ in range(ei):
-                    dp = dp.derive(i)
-                if dp.is_zero():
-                    break
-            if dp.is_zero():
-                continue
-            out = out + c.mul_poly(dp)
+            if not dp[e].is_zero():
+                out = out + c.mul_poly(dp[e])
         return out
 
     def apply(self, p: GeoPoly) -> GeoPoly:

@@ -114,6 +114,16 @@ def test_negative_degree_is_usage_error():
     assert proc.stdout == ""
 
 
+def test_unwritable_json_path_is_precondition_error(tmp_path):
+    # the suite runs first, so a failed write must not pass for a failed check
+    path = tmp_path / "missing" / "x.json"
+    proc = run_cli("verify-so", "--n", "2", "--max-degree", "2", "--json", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write the report")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_cases_below_one_is_usage_error(cases):
     # zero cases would report every property suite as passed vacuously

@@ -143,6 +143,26 @@ def test_coefficient_lookup():
     assert p.coefficient((0, 0)).is_zero()
 
 
+def test_from_terms_validates_and_coerces():
+    vs = xi_vars(2)
+    with pytest.raises(ValueError, match="exponent arity mismatch"):
+        GeoPoly.from_terms(vs, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        GeoPoly.from_terms(vs, {(1, -1): 1})
+    p = GeoPoly.from_terms(vs, {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 0): 0})
+    assert p.terms == {(1, 0): ParamScalar.const(2),
+                       (0, 1): ParamScalar.const(Fraction(1, 3))}
+    assert all(isinstance(c, ParamScalar) for c in p.terms.values())
+
+
+def test_constructor_drops_zero_coefficients():
+    vs = xi_vars(2)
+    p = GeoPoly(vs, {(1, 0): ParamScalar.const(0), (0, 1): LAMBDA - LAMBDA,
+                     (1, 1): LAMBDA})
+    assert p.terms == {(1, 1): LAMBDA}
+    assert GeoPoly(vs, {(2, 0): ParamScalar.const(0)}).is_zero()
+
+
 @pytest.mark.parametrize("wrap", [lambda p: p, RatCoeff, DiffOp.mult],
                          ids=["GeoPoly", "RatCoeff", "DiffOp"])
 def test_values_are_unhashable(wrap):

@@ -1,5 +1,7 @@
 """Normal ordering, composition, and the action of differential operators."""
 
+import random
+
 import pytest
 
 from vermabranch.polyring import GeoPoly, RatCoeff, quadratic_sum, xi_vars
@@ -7,7 +9,8 @@ from vermabranch.properties import (apply_compose, associativity,
                                     field_axioms, jacobi_identity,
                                     normal_order_confluence)
 from vermabranch.scalars import LAMBDA, ParamScalar
-from vermabranch.weylalg import DiffOp, proportionality
+from vermabranch.so_pair import SoPairContext, ladder_ops, op_P, op_Q
+from vermabranch.weylalg import DiffOp, _iter_sub, proportionality
 
 VS = xi_vars(2)
 X1 = GeoPoly.var(VS, "x1")
@@ -81,3 +84,86 @@ def test_randomized_property_suites_small():
                   jacobi_identity, normal_order_confluence):
         bundle = suite(7, 20)
         assert bundle.ok(), suite.__name__
+
+
+# -- reference fold ----------------------------------------------------------
+# compose and apply_rat read each D^k of a coefficient from one table per call
+# and sum into one dict.  The plain fold below re-derives D^k for every
+# (ea, k) and adds every product through DiffOp.__add__; the two must agree
+# term for term, down to the rendered form of every coefficient.
+
+def _ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
+    out = DiffOp.zero(a.vars)
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            for k, binomial in _iter_sub(ea):
+                dc = cb
+                for i, ki in enumerate(k):
+                    for _ in range(ki):
+                        dc = dc.derive(i)
+                    if dc.is_zero():
+                        break
+                if dc.is_zero():
+                    continue
+                e = tuple(x - ki + y for x, ki, y in zip(ea, k, eb))
+                out = out + DiffOp(a.vars, {e: (ca * dc).scale(binomial)})
+    return out
+
+
+def _ref_apply_rat(op: DiffOp, p: GeoPoly) -> RatCoeff:
+    out = RatCoeff.zero(op.vars)
+    for e, c in op.terms.items():
+        dp = p
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                dp = dp.derive(i)
+        if not dp.is_zero():
+            out = out + c.mul_poly(dp)
+    return out
+
+
+def _assert_matches_reference(a: DiffOp, b: DiffOp, p: GeoPoly):
+    assert a.compose(b).render() == _ref_compose(a, b).render()
+    assert a.apply_rat(p).render() == _ref_apply_rat(a, p).render()
+
+
+@pytest.mark.parametrize("l", range(5))
+def test_ladder_products_match_reference(l):
+    ctx = SoPairContext.formal(3)
+    e, f, h = ladder_ops(ctx, l)
+    p = quadratic_sum(ctx.vars, 3) * ctx.xn() ** l
+    for a, b in ((e, f), (f, e), (f, f), (h, e)):
+        _assert_matches_reference(a, b, p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_op_q_products_match_reference(n):
+    ctx = SoPairContext.formal(n)
+    q, p_op = op_Q(ctx), op_P(ctx)
+    probe = quadratic_sum(ctx.vars, n) * ctx.xn()
+    _assert_matches_reference(q, p_op, probe)
+    _assert_matches_reference(p_op, q, probe)
+
+
+def _rand_localized_op(rng: random.Random, vs) -> DiffOp:
+    """A sum of one or two terms whose coefficients carry xn, q1 and q
+    denominators, so compose runs the quotient rule through its table."""
+    out = DiffOp.zero(vs)
+    for _ in range(rng.randint(1, 2)):
+        num = GeoPoly.from_terms(vs, {
+            tuple(rng.randint(0, 2) for _ in range(vs.arity)):
+                rng.choice((1, -2, 3, LAMBDA, LAMBDA + 1))
+            for _ in range(rng.randint(1, 3))})
+        den = {k: rng.randint(1, 2) for k in ("xn", "q1", "q") if rng.random() < 0.5}
+        e = tuple(rng.randint(0, 1) for _ in range(vs.arity))
+        out = out + DiffOp(vs, {e: RatCoeff(num, den)})
+    return out
+
+
+def test_random_localized_products_match_reference():
+    rng = random.Random(11)
+    vs = xi_vars(3)
+    ops = [_rand_localized_op(rng, vs) for _ in range(50)]
+    probe = quadratic_sum(vs, 3) * GeoPoly.var(vs, "x1") * GeoPoly.var(vs, "x3")
+    for a, b in zip(ops, ops[1:] + ops[:1]):
+        _assert_matches_reference(a, b, probe)

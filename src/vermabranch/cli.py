@@ -8,6 +8,7 @@ errors, degenerate weights included.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -91,6 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _probe_writable(json_path: str | None) -> None:
+    """Raise OSError unless the report can be written to json_path, before
+    any check runs; a file made by the probe is removed again."""
+    if json_path and json_path != "-":
+        existed = os.path.exists(json_path)
+        open(json_path, "a").close()
+        if not existed:
+            os.remove(json_path)
+
+
 def _emit(bundle: ReportBundle, config: RunConfig, json_path: str | None) -> int:
     if json_path:
         text = render_json(bundle, config.to_dict(), seed=config.seed)
@@ -129,6 +140,11 @@ def _ortho_tables(max_degree: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _probe_writable(getattr(args, "json", None))
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "verify-so":
             config = RunConfig("so_pair", n=args.n, max_degree=args.max_degree,

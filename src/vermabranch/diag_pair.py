@@ -125,7 +125,7 @@ def annihilation_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
     for l in range(max_degree + 1):
         p = singular_vector_Ptilde(ctx, l)
         bundle.check(f"diag.annihilation.l={l}", "diag-pair:singular-solutions",
-                     x_hat.apply(p).is_zero(), witness=p.render())
+                     x_hat.apply(p).is_zero(), witness=p)
         bundle.check(f"diag.homogeneous.l={l}", "diag-pair:singular-solutions",
                      p.is_homogeneous() and p.degree() == l)
     return bundle
@@ -137,7 +137,7 @@ def t_annihilation_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
         q = jacobi_t_polynomial(ctx, l)
         img = op_X_t(ctx, l).apply(q)
         bundle.check(f"diag.t-annihilation.l={l}", "diag-pair:hypergeometric-ode",
-                     img.is_zero(), witness=img.render())
+                     img.is_zero(), witness=img)
     return bundle
 
 
@@ -152,12 +152,11 @@ def verify_lowering(ctx: DiagContext, max_degree: int) -> ReportBundle:
         c = lowering_constant(ctx, l)
         img = f_hat.apply(vecs[l])
         ok = img == vecs[l - 1].scale(c)
-        bundle.check(f"diag.lowering.fourier.l={l}", anchor, ok,
-                     witness=img.render())
+        bundle.check(f"diag.lowering.fourier.l={l}", anchor, ok, witness=img)
         q = jacobi_t_polynomial(ctx, l)
         timg = op_F_t(ctx, l).apply(q)
         okt = timg == jacobi_t_polynomial(ctx, l - 1).scale(c)
-        bundle.check(f"diag.lowering.t.l={l}", anchor, okt, witness=timg.render())
+        bundle.check(f"diag.lowering.t.l={l}", anchor, okt, witness=timg)
         bundle.data[f"diag.lowering-constant.l={l}"] = c.render()
     return bundle
 
@@ -166,9 +165,9 @@ def commutation_check(ctx: DiagContext) -> ReportBundle:
     bundle = ReportBundle()
     anchor = "diag-pair:commuting-operators"
     xf = op_X_fourier(ctx).commutator(op_F_fourier(ctx))
-    bundle.check("diag.commute.fourier", anchor, xf.is_zero(), witness=xf.render())
+    bundle.check("diag.commute.fourier", anchor, xf.is_zero(), witness=xf)
     xy = op_X_function(ctx).commutator(op_F_function(ctx))
-    bundle.check("diag.commute.function", anchor, xy.is_zero(), witness=xy.render())
+    bundle.check("diag.commute.function", anchor, xy.is_zero(), witness=xy)
     return bundle
 
 
@@ -222,7 +221,7 @@ def top_coefficient_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
         c = (ParamScalar.const(-l * (l - 1)) + (ParamScalar.const(2 * l - 2) - ctx.mu) * l
              + (ctx.mu - (l - 1)) * l)
         bundle.check(f"diag.top-cancellation.l={l}", "diag-pair:lowering-theorem",
-                     c.is_zero(), witness=c.render())
+                     c.is_zero(), witness=c)
     return bundle
 
 

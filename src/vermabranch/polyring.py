@@ -163,9 +163,7 @@ class GeoPoly:
         return GeoPoly(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GeoPoly) and self.vars == other.vars
-                and self.terms.keys() == other.terms.keys()
-                and all(self.terms[e] == other.terms[e] for e in self.terms))
+        return isinstance(other, GeoPoly) and self.vars == other.vars and self.terms == other.terms
 
     # -- calculus and substitution ----------------------------------------
 

@@ -66,21 +66,22 @@ def _run(stem: str, anchor: str, seed: int, cases: int, case) -> ReportBundle:
 
 def field_axioms(seed: int, cases: int) -> ReportBundle:
     """Commutativity, associativity, distributivity and inverses in the
-    parameter field."""
+    parameter field, each with equal hashes for the equal sides."""
     def case(rng):
         a, b, c = (_rand_scalar(rng) for _ in range(3))
-        checks = [
-            a + b == b + a,
-            (a + b) + c == a + (b + c),
-            a * b == b * a,
-            (a * b) * c == a * (b * c),
-            a * (b + c) == a * b + a * c,
-            a + (-a) == ParamScalar.const(0),
+        pairs = [
+            (a + b, b + a),
+            ((a + b) + c, a + (b + c)),
+            (a * b, b * a),
+            ((a * b) * c, a * (b * c)),
+            (a * (b + c), a * b + a * c),
+            (a + (-a), ParamScalar.const(0)),
         ]
         if not a.is_zero():
-            checks.append(a / a == ParamScalar.const(1))
-            checks.append((b / a) * a == b)
-        if not all(checks):
+            pairs.append((a / a, ParamScalar.const(1)))
+            pairs.append(((b / a) * a, b))
+        # equal values must also hash equal
+        if not all(x == y and hash(x) == hash(y) for x, y in pairs):
             return f"a={a.render()}, b={b.render()}, c={c.render()}"
     return _run("field-axioms", "engine:scalar-field", seed, cases, case)
 

@@ -27,7 +27,11 @@ class VerificationRecord:
         return d
 
 
-def record(check_id: str, anchor: str, ok: bool, witness: str | None = None) -> VerificationRecord:
+def record(check_id: str, anchor: str, ok: bool, witness=None) -> VerificationRecord:
+    """A pass or fail record.  A failed check keeps its witness, a string or
+    a value rendered here; a passing one renders nothing."""
+    if not ok and witness is not None and not isinstance(witness, str):
+        witness = witness.render()
     return VerificationRecord(check_id, anchor, PASS if ok else FAIL,
                               None if ok else witness)
 
@@ -42,7 +46,7 @@ class ReportBundle:
     def add(self, rec: VerificationRecord):
         self.records.append(rec)
 
-    def check(self, check_id: str, anchor: str, ok: bool, witness: str | None = None):
+    def check(self, check_id: str, anchor: str, ok: bool, witness=None):
         self.add(record(check_id, anchor, ok, witness))
 
     def extend(self, other: "ReportBundle"):

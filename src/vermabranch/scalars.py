@@ -8,15 +8,13 @@ them, so the arithmetic path builds no ``fractions.Fraction``: rationals
 appear only at the boundary (``ParamScalar.const``, ``rational_value`` and
 ``render``).
 
-Canonical form: the denominator has a positive leading coefficient, and the
-integer content of numerator and denominator together is 1.  Common linear
-factors ``s + k/2`` (s a symbol both sides use, k in -40..40) are cancelled by
-the factor theorem: ``s + k/2`` divides ``P`` exactly when ``P`` vanishes
-identically at ``s = -k/2``, which is tested by integer evaluation of the
-denominator and then the numerator.  Only on a hit are both divided, by the
-primitive factor ``2s + k`` (odd k) or ``s + k/2`` (even k); Gauss's lemma
-keeps the quotients integral.  Other common factors are not cancelled, so
-equality never relies on the reduction: it is decided by cross-multiplication.
+Canonical form: numerator and denominator have no common factor, the
+denominator has a positive leading coefficient, and the integer content of
+numerator and denominator together is 1.  Each quotient is divided by the gcd
+of its two sides in Z[a, l, m], found by a recursive content/primitive-part
+pseudo-remainder sequence over the symbols (Brown 1971); the common case, a
+denominator whose primitive part divides the numerator, is one exact
+division.  A value thus has one form, and equality and hashing compare forms.
 ``render`` divides both sides by the content of the denominator and so prints
 a primitive denominator with positive leading coefficient over a numerator
 with rational coefficients.
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 Exponents = Tuple[int, int, int]
 RationalLike = Union[int, Fraction]
@@ -34,9 +32,6 @@ RationalLike = Union[int, Fraction]
 SYMBOLS = ("a", "l", "m")
 
 _CONST: Exponents = (0, 0, 0)
-
-# k for the linear factors s + k/2 cancelled during quotient reduction
-_FACTOR_HALF_RANGE = range(-40, 41)
 
 
 def _mono_key(e: Exponents):
@@ -116,6 +111,11 @@ class ParamPoly:
         """Quotient self/divisor in Z[a, l, m] if the division is exact, else None."""
         if not divisor.terms:
             raise ZeroDivisionError("division by the zero polynomial")
+        if divisor.is_constant():
+            c = divisor.terms[_CONST]
+            if any(v % c for v in self.terms.values()):
+                return None
+            return self if c == 1 else ParamPoly({e: v // c for e, v in self.terms.items()})
         rem = dict(self.terms)
         quot: Dict[Exponents, int] = {}
         de = max(divisor.terms, key=_mono_key)
@@ -171,57 +171,78 @@ _ZERO = ParamPoly()
 _ONE = ParamPoly.const(1)
 
 
-def _half_roots(p: ParamPoly, i: int, ks: Sequence[int] = _FACTOR_HALF_RANGE) -> List[int]:
-    """The k in ks at which p vanishes identically at symbol i = -k/2.
+def _degree(p: ParamPoly, i: int) -> int:
+    return max(e[i] for e in p.terms)
 
-    Each is a k with ``s + k/2`` dividing p (the factor theorem).  The test is
-    exact integer evaluation of ``2^d p(-k/2)`` (d the degree of p in s), one
-    Horner row per monomial in the other two symbols.
-    """
-    d = max(e[i] for e in p.terms)
-    rows: Dict[Exponents, List[int]] = {}
+
+def _content(p: ParamPoly, i: int, g: ParamPoly | None = None) -> ParamPoly:
+    """The gcd of g and of the coefficients of p as a polynomial in symbol i."""
+    rows: Dict[int, Dict[Exponents, int]] = {}
     for e, c in p.terms.items():
-        rest = e[:i] + (0,) + e[i + 1:]
-        row = rows.get(rest)
-        if row is None:
-            row = rows[rest] = [0] * (d + 1)
-        row[d - e[i]] = c << (d - e[i])
-    found = []
-    for k in ks:
-        for row in rows.values():
-            acc = 0
-            for c in row:
-                acc = acc * -k + c
-            if acc:
-                break
-        else:
-            found.append(k)
-    return found
+        rows.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    for t in rows.values():
+        g = ParamPoly(t) if g is None else _gcd(g, ParamPoly(t))
+    return g
 
 
-def _linear_factor(i: int, k: int) -> ParamPoly:
-    """The primitive integer form of s + k/2: 2s + k for odd k, s + k/2 for even k."""
-    e = [0, 0, 0]
-    e[i] = 1
-    if k % 2:
-        return ParamPoly({tuple(e): 2, _CONST: k})
-    return ParamPoly({tuple(e): 1, _CONST: k // 2} if k else {tuple(e): 1})
+def _prem(p: ParamPoly, q: ParamPoly, i: int) -> ParamPoly:
+    """The pseudo-remainder of p by q in symbol i: lc(q)^k p minus a multiple
+    of q, of lower degree in symbol i than q."""
+    dq = _degree(q, i)
+    lq = ParamPoly({e[:i] + (0,) + e[i + 1:]: c for e, c in q.terms.items() if e[i] == dq})
+    while p.terms:
+        dp = _degree(p, i)
+        if dp < dq:
+            break
+        # lc(p) s^(dp - dq), with s symbol i
+        lead = ParamPoly({e[:i] + (dp - dq,) + e[i + 1:]: c
+                          for e, c in p.terms.items() if e[i] == dp})
+        p = p * lq + -(lead * q)
+    return p
 
 
-def _cancel_linear(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
-    """Cancel the common factors s + k/2, k in -40..40, with multiplicity."""
-    for i in range(3):
-        if not (any(e[i] for e in den.terms) and any(e[i] for e in num.terms)):
-            continue
-        for k in _half_roots(num, i, _half_roots(den, i)):
-            f = _linear_factor(i, k)
-            while True:
-                den, num = den.exact_divide(f), num.exact_divide(f)
-                if den.is_constant():
-                    return num, den
-                if not (_half_roots(den, i, (k,)) and _half_roots(num, i, (k,))):
-                    break
-    return num, den
+def _gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly:
+    """A greatest common divisor of the nonzero p and q in Z[a, l, m], up to sign.
+
+    Recursive over the symbols (Brown 1971).  A symbol that only one side uses
+    drops out through that side's content in it.  In a symbol both use, the
+    gcd is the gcd of the contents times the last nonzero remainder of the
+    primitive pseudo-remainder sequence.
+    """
+    if p.is_constant() or q.is_constant():
+        return ParamPoly.const(gcd(*p.terms.values(), *q.terms.values()))
+    shared = []
+    # dp, dq: the degrees of p and q in symbol i
+    for i, dp, dq in zip(range(len(SYMBOLS)), map(max, zip(*p.terms)), map(max, zip(*q.terms))):
+        if dp and not dq:
+            return _content(p, i, q)
+        if dq and not dp:
+            return _content(q, i, p)
+        if dp:
+            shared.append((min(dp, dq), i))
+    i = min(shared)[1]
+    cp, cq = _content(p, i), _content(q, i)
+    p, q = p.exact_divide(cp), q.exact_divide(cq)
+    if _degree(p, i) < _degree(q, i):
+        p, q = q, p
+    while True:
+        r = _prem(p, q, i)
+        if not r.terms:
+            return _gcd(cp, cq) * q
+        if not _degree(r, i):
+            return _gcd(cp, cq)
+        p, q = q, r.exact_divide(_content(r, i))
+
+
+def _cancel(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
+    """num and den divided by their gcd, up to an integer factor."""
+    c = gcd(*den.terms.values())
+    # the common case: the primitive part of den divides num
+    q = num.exact_divide(ParamPoly({e: v // c for e, v in den.terms.items()}))
+    if q is not None:
+        return q, ParamPoly.const(c)
+    g = _gcd(num, den)
+    return num.exact_divide(g), den.exact_divide(g)
 
 
 class ParamScalar:
@@ -243,7 +264,7 @@ class ParamScalar:
                 self.num, self.den = num, _ONE
                 return
         else:
-            num, den = _cancel_linear(num, den)
+            num, den = _cancel(num, den)
             dt = den.terms
         # canonical form: num and den with integer content 1, den's lead positive
         g = gcd(*num.terms.values(), *dt.values())
@@ -324,8 +345,9 @@ class ParamScalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (ParamScalar, ParamPoly, int, Fraction)):
             return NotImplemented
+        # both sides are canonical, so equal values have equal forms
         other = ParamScalar.coerce(other)
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))

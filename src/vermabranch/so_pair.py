@@ -212,29 +212,27 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
         ev, fv, up, down = ladder_images(ctx, l)
         ce = proportionality(ev, fs[l + 1].poly)
         exp_e, exp_f = expected_ladder_constants(ctx, l)
-        bundle.check(f"sl2.raise.{tag}", anchor, ce is not None and ce == exp_e,
-                     witness=ev.render())
+        bundle.check(f"sl2.raise.{tag}", anchor, ce is not None and ce == exp_e, witness=ev)
         if ce is not None:
             e_consts[l] = ce.render()
             bundle.check(f"sl2.raise-nonzero.{tag}", "so-pair:verma-structure",
-                         not ce.is_zero(), witness=ce.render())
+                         not ce.is_zero(), witness=ce)
 
         bundle.check(f"sl2.lower-polynomial.{tag}", "so-pair:localized-f",
-                     fv.is_polynomial(), witness=fv.render())
+                     fv.is_polynomial(), witness=fv)
         if l == 0:
             bundle.check(f"sl2.lower.{tag}", anchor, fv.is_polynomial() and fv.num.is_zero(),
-                         witness=fv.render())
+                         witness=fv)
         elif fv.is_polynomial():
             cf = proportionality(fv.as_poly(), fs[l - 1].poly)
-            bundle.check(f"sl2.lower.{tag}", anchor, cf is not None and cf == exp_f,
-                         witness=fv.render())
+            bundle.check(f"sl2.lower.{tag}", anchor, cf is not None and cf == exp_f, witness=fv)
             if cf is not None:
                 f_consts[l] = cf.render()
 
         # bracket on the weight vector: (f(l+1) e(l) - e(l-1) f(l)) F_l = -h(l) F_l
         bra = up if down is None else up - RatCoeff(down)
         ok = bra.is_polynomial() and bra.as_poly() == fs[l].poly.scale(-(ctx.alpha + l) * 2)
-        bundle.check(f"sl2.bracket.{tag}", anchor, ok, witness=bra.render())
+        bundle.check(f"sl2.bracket.{tag}", anchor, ok, witness=bra)
 
         # h eigenvalue and weight-space dimension bookkeeping
         bundle.check(f"sl2.h-eigenvalue.{tag}", anchor,
@@ -249,8 +247,7 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
             if l > 0:
                 c_down = exp_f * expected_ladder_constants(ctx, l - 1)[0]
             bundle.check(f"sl2.weight-consistency.{tag}", "so-pair:ladder-diagram",
-                         c_up - c_down == -(ctx.alpha + l) * 2,
-                         witness=(c_up - c_down).render())
+                         c_up - c_down == -(ctx.alpha + l) * 2, witness=c_up - c_down)
     return LadderReport(bundle, e_consts, f_consts)
 
 
@@ -293,18 +290,17 @@ def casimir_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
         tag = f"n={ctx.n},l={l}"
         comp = casimir_composed(ctx, l).apply_rat(f.poly)
         ok = comp.is_polynomial() and comp.as_poly() == f.poly.scale(eig)
-        bundle.check(f"casimir.scalar.{tag}", anchor, ok, witness=comp.render())
+        bundle.check(f"casimir.scalar.{tag}", anchor, ok, witness=comp)
         closed = casimir_closed_form(ctx, l).apply_rat(f.poly)
         okc = closed.is_polynomial() and closed.as_poly() == f.poly.scale(eig)
-        bundle.check(f"casimir.closed-form.{tag}", anchor, okc, witness=closed.render())
+        bundle.check(f"casimir.closed-form.{tag}", anchor, okc, witness=closed)
         # (ef + fe) F_l = (Cas - h^2/2) F_l: the computable shadow of the
         # relative Dirac square
         _, _, up, down = ladder_images(ctx, l)
         effe = up if down is None else up + RatCoeff(down)
         rhs = f.poly.scale(eig - (ctx.alpha + l) * (ctx.alpha + l) * 2)
         okd = effe.is_polynomial() and effe.as_poly() == rhs
-        bundle.check(f"casimir.dirac-square.{tag}", "dirac:relative-square", okd,
-                     witness=effe.render())
+        bundle.check(f"casimir.dirac-square.{tag}", "dirac:relative-square", okd, witness=effe)
     return bundle
 
 
@@ -319,18 +315,15 @@ def pq_membership_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
         tag = f"n={ctx.n},l={l}"
         pv = p.apply(fs[l].poly)
         if l == 0:
-            bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", pv.is_zero(),
-                         witness=pv.render())
+            bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", pv.is_zero(), witness=pv)
         else:
             c = proportionality(pv, fs[l - 1].poly)
-            bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", c is not None,
-                         witness=pv.render())
+            bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", c is not None, witness=pv)
             if c is not None:
                 bundle.data[f"pq.lower-constant.{tag}"] = c.render()
         qv = q.apply(fs[l].poly)
         c = proportionality(qv, fs[l + 1].poly)
-        bundle.check(f"pq.raise.{tag}", "so-pair:raising-operator", c is not None,
-                     witness=qv.render())
+        bundle.check(f"pq.raise.{tag}", "so-pair:raising-operator", c is not None, witness=qv)
         if c is not None:
             bundle.data[f"pq.raise-constant.{tag}"] = c.render()
     return bundle
@@ -380,17 +373,15 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
             continue
         c_tilde = proportionality(t_img, tilde_gegenbauer(ctx, l - 1))
         bundle.check(f"tmodel.tilde.{tag}", anchor,
-                     c_tilde is not None and c_tilde == ctx.alpha * 2 + (l - 1),
-                     witness=t_img.render())
+                     c_tilde is not None and c_tilde == ctx.alpha * 2 + (l - 1), witness=t_img)
         g_dn = t_model_poly(fs[l - 1])
         c_t = proportionality(image, g_dn)
         exp_f = expected_ladder_constants(ctx, l)[1]
         bundle.check(f"tmodel.f-square.{tag}", anchor,
-                     c_t is not None and c_t == exp_f,
-                     witness=None if c_t is None else c_t.render())
+                     c_t is not None and c_t == exp_f, witness=c_t)
         c_xi = proportionality(pv, fs[l - 1].poly)
         bundle.check(f"tmodel.p-membership.{tag}", "so-pair:lowering-operator",
-                     c_xi is not None, witness=pv.render())
+                     c_xi is not None, witness=pv)
         if c_t is not None and c_xi is not None and not c_t.is_zero():
             bundle.data[f"tmodel.p-over-f-constant.{tag}"] = (c_xi / c_t).render()
     return bundle
@@ -459,7 +450,7 @@ def verify_nonclosure(ctx: SoPairContext, degrees=(0, 1, 2)) -> ReportBundle:
         c = proportionality(img, f.poly)
         tag = f"n={ctx.n},l={l}"
         bundle.check(f"nonclosure.pq-eigenvalue.{tag}", "so-pair:pq-commutator",
-                     c is not None, witness=img.render())
+                     c is not None, witness=img)
         if c is not None:
             eigs.append(c)
             bundle.data[f"nonclosure.pq-eigenvalue.{tag}"] = c.render()
@@ -471,12 +462,12 @@ def verify_nonclosure(ctx: SoPairContext, degrees=(0, 1, 2)) -> ReportBundle:
     if len(eigs) >= 3:
         second_diff = eigs[2] - eigs[1] * 2 + eigs[0]
         bundle.check(f"nonclosure.pq-not-affine.n={ctx.n}", "so-pair:pq-commutator",
-                     not second_diff.is_zero(), witness=second_diff.render())
+                     not second_diff.is_zero(), witness=second_diff)
     bundle.check(f"nonclosure.pq-not-identity.n={ctx.n}", "so-pair:pq-commutator",
-                 pq.order() > 0, witness=pq.render())
+                 pq.order() > 0, witness=pq)
     ep = e_euler_form(ctx).commutator(p)
     bundle.check(f"nonclosure.ep-order.n={ctx.n}", "so-pair:ep-commutator",
-                 ep.order() == 2, witness=ep.render())
+                 ep.order() == 2, witness=ep)
 
     for name, computed, displayed in (
             ("pq", pq, _pq_commutator_display(ctx)),
@@ -497,5 +488,5 @@ def singular_family_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     for l in range(max_degree + 1):
         f = singular_vector_F(ctx, l)
         bundle.check(f"singular.annihilated.n={ctx.n},l={l}", "so-pair:singular-pde",
-                     verify_singular(ctx, f), witness=f.poly.render())
+                     verify_singular(ctx, f), witness=f.poly)
     return bundle

@@ -115,13 +115,39 @@ def test_negative_degree_is_usage_error():
 
 
 def test_unwritable_json_path_is_precondition_error(tmp_path):
-    # the suite runs first, so a failed write must not pass for a failed check
+    # a failed write must not pass for a failed check
     path = tmp_path / "missing" / "x.json"
     proc = run_cli("verify-so", "--n", "2", "--max-degree", "2", "--json", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: cannot write the report")
     assert not path.exists()
+
+
+def test_unwritable_json_path_fails_before_any_check(tmp_path, monkeypatch, capsys):
+    import vermabranch.cli as cli
+
+    def no_suite(config):
+        raise AssertionError("a check ran before the report path was probed")
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    path = tmp_path / "missing" / "x.json"
+    assert main(["verify-diag", "--max-degree", "30", "--json", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report") and err.count("\n") == 1
+    assert not path.exists()
+
+
+def test_writable_json_path_probe_leaves_report_unchanged(tmp_path):
+    # the probe neither leaves a file behind on a usage error nor changes the report
+    path = tmp_path / "so.json"
+    assert main(["verify-so", "--n", "1", "--json", str(path)]) == 2
+    assert not path.exists()
+    assert main(["verify-so", "--n", "2", "--max-degree", "2", "--json", str(path)]) == 0
+    first = path.read_bytes()
+    assert main(["verify-so", "--n", "2", "--max-degree", "2", "--json", str(path)]) == 0
+    assert path.read_bytes() == first
+    assert first == run_cli("verify-so", "--n", "2", "--max-degree", "2",
+                            "--json", "-").stdout.encode()
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
@@ -132,6 +158,21 @@ def test_cases_below_one_is_usage_error(cases):
     assert "Traceback" not in proc.stderr
     assert "--cases" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_witness_rendered_only_for_failed_checks():
+    class Value:
+        renders = 0
+
+        def render(self):
+            Value.renders += 1
+            return "w"
+    b = ReportBundle()
+    b.check("passed", "anchor", True, witness=Value())
+    b.check("failed", "anchor", False, witness=Value())
+    b.check("failed-text", "anchor", False, witness="plain")
+    assert Value.renders == 1
+    assert [r.witness for r in b.records] == [None, "w", "plain"]
 
 
 def test_bundle_extend_rejects_data_key_collision():

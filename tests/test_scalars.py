@@ -31,7 +31,7 @@ def test_cancellation_of_linear_factors():
     num = LAMBDA * LAMBDA - 1
     den = LAMBDA + 1
     assert num / den == LAMBDA - 1
-    # equality is cross-multiplied, so uncancelled forms still compare equal
+    # every quotient is reduced, so equal values have one form
     a = (LAMBDA * MU + MU) / MU
     assert a == LAMBDA + 1
 
@@ -41,6 +41,17 @@ def test_half_integer_factor_reduction():
     half = LAMBDA + Fraction(1, 2)
     val = (half * (LAMBDA - 3)) / half
     assert val.render() == "l - 3"
+
+
+def test_common_factors_outside_linear_half_integers_cancel():
+    # factors outside the family s + k/2, -40 <= k <= 40: 2l - 41 is l + k/2
+    # with k = -41, and 3l - 2 is no l + k/2 at all
+    x = (LAMBDA * 2 - 41) * (LAMBDA + 1) / (LAMBDA * 2 - 41)
+    assert x.render() == "l + 1"
+    assert x == LAMBDA + 1 and hash(x) == hash(LAMBDA + 1)
+    y = (LAMBDA * 3 - 2) * MU / ((LAMBDA * 3 - 2) * (MU + 1))
+    assert y.render() == "(m)/(m + 1)"
+    assert y == MU / (MU + 1) and hash(y) == hash(MU / (MU + 1))
 
 
 def test_division_by_zero_rejected():
@@ -86,9 +97,9 @@ def test_division_inverts_multiplication(a, b):
 
 # -- reference oracle ----------------------------------------------------------
 # The earlier Fraction-coefficient implementation, kept here as a test-only
-# reference: a ParamPoly with one Fraction per term, and a quotient reduction
-# that tries an exact division by every s + k/2, k in -40..40.  The integer core
-# must print exactly what this reference prints for every quotient.
+# reference: a ParamPoly with one Fraction per term.  A quotient is brought to
+# lowest terms by sympy.cancel; the integer core must print exactly what this
+# reference prints for every quotient.
 
 def _ref_key(e):
     return (sum(e), e)
@@ -110,9 +121,6 @@ class _RefPoly:
         e = max(self.terms, key=_ref_key)
         return e, self.terms[e]
 
-    def symbols_used(self):
-        return {i for e in self.terms for i in range(3) if e[i]}
-
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -129,26 +137,6 @@ class _RefPoly:
 
     def scale(self, c):
         return _RefPoly({e: c * v for e, v in self.terms.items()})
-
-    def exact_divide(self, divisor):
-        rem = dict(self.terms)
-        quot = {}
-        de, dc = divisor.leading()
-        while rem:
-            e = max(rem, key=_ref_key)
-            q = (e[0] - de[0], e[1] - de[1], e[2] - de[2])
-            if min(q) < 0:
-                return None
-            c = rem[e] / dc
-            quot[q] = quot.get(q, Fraction(0)) + c
-            for e2, c2 in divisor.terms.items():
-                t = (q[0] + e2[0], q[1] + e2[1], q[2] + e2[2])
-                s = rem.get(t, Fraction(0)) - c * c2
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
-        return _RefPoly(quot)
 
     def render(self):
         if not self.terms:
@@ -173,21 +161,20 @@ def _ref_reduce(num, den):
         return _RefPoly(), one
     if den.is_constant():
         return num.scale(1 / den.constant_value()), one
-    for i in num.symbols_used() & den.symbols_used():
-        e = [0, 0, 0]
-        e[i] = 1
-        for k in range(-40, 41):
-            f = _RefPoly({tuple(e): 1, (0, 0, 0): Fraction(k, 2)})
-            while True:
-                qd = den.exact_divide(f)
-                if qd is None:
-                    break
-                qn = num.exact_divide(f)
-                if qn is None:
-                    break
-                num, den = qn, qd
-                if den.is_constant():
-                    return num.scale(1 / den.constant_value()), one
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("a l m")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(
+            s ** k for s, k in zip(syms, e))) for e, c in p.terms.items())
+
+    def from_sympy(e):
+        return _RefPoly({k: Fraction(int(c.p), int(c.q))
+                         for k, c in sympy.Poly(e, *syms).terms()})
+    p, q = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+    num, den = from_sympy(p), from_sympy(q)
+    if den.is_constant():
+        return num.scale(1 / den.constant_value()), one
     # denominator primitive with positive leading coefficient
     g, lcm = 0, 1
     for c in den.terms.values():
@@ -289,8 +276,8 @@ def test_render_matches_fraction_reference(q):
 
 
 @pytest.mark.parametrize("num, den, expected", [
-    ([_L_PLUS_50], [_L_PLUS_50], "(l + 50)/(l + 50)"),
-    ([_L_SQUARED_PLUS_1], [_L_SQUARED_PLUS_1], "(l^2 + 1)/(l^2 + 1)"),
+    ([_L_PLUS_50], [_L_PLUS_50], "1"),
+    ([_L_SQUARED_PLUS_1], [_L_SQUARED_PLUS_1], "1"),
     ([_linear(1, Fraction(3, 2)), _linear(2, -2)], [_linear(1, Fraction(3, 2))], "m - 2"),
     ([_linear(1, Fraction(1, 2))], [_linear(1, Fraction(1, 2)), _linear(1, 7)],
      "(1)/(l + 7)"),
@@ -341,3 +328,32 @@ def test_quotient_equals_sympy_cancel(q):
         return _new_poly((k, Fraction(int(c.p), int(c.q)))
                          for k, c in sympy.Poly(e, a, l, m).terms())
     assert value == from_sympy(p) / from_sympy(r)
+
+
+# common factors outside the family s + k/2, -40 <= k <= 40: l + k/2 with
+# |k| > 40, k s + c with k in 3..7, l m + c and l^2 + 1
+extra_factors = st.one_of(
+    st.builds(lambda k: _linear(1, Fraction(k, 2)),
+              st.one_of(st.integers(-200, -41), st.integers(41, 200))),
+    st.builds(lambda i, k, c: {(0, 2 - i, i - 1): Fraction(k), (0, 0, 0): Fraction(c)},
+              st.sampled_from([1, 2]), st.integers(3, 7), st.integers(-9, 9).filter(bool)),
+    st.builds(lambda c: {(0, 1, 1): Fraction(1), (0, 0, 0): Fraction(c)},
+              st.integers(-5, 5).filter(bool)),
+    st.just(_L_SQUARED_PLUS_1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(quotients(), st.lists(extra_factors, min_size=1, max_size=2), quotients())
+def test_equal_values_hash_equal(q, extra, other):
+    scale, num, den_scale, den = q
+    assume(_ref_product(den_scale, den).terms)
+    assume(_ref_product(other[2], other[3]).terms)
+    a = _new_quotient(q)
+    b = _new_quotient((scale, num + extra, den_scale, den + extra))
+    c = _new_quotient(other)
+    assert a == b and hash(a) == hash(b) and (a - b).is_zero()
+    for x, y in ((a, c), (b, c), (c, a)):
+        assert (x == y) == (x - y).is_zero()
+        if x == y:
+            assert hash(x) == hash(y)

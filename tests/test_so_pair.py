@@ -134,3 +134,12 @@ def test_nonclosure_eigenvalues_cubic():
 
 def test_family_check():
     assert singular_family_check(CTX3, 6).ok()
+
+
+def test_high_degree_vector_is_fully_reduced():
+    # the normalizer of F_l carries the factors 2l + n - 1 - 2i; from degree 43
+    # on (n = 2) some fall outside any fixed family of linear factors, and only
+    # a full gcd cancels them all
+    f = singular_vector_F(SoPairContext.formal(2), 44)
+    assert f.poly.terms
+    assert all(c.den.is_constant() for c in f.poly.terms.values())

@@ -201,7 +201,7 @@ def recursion_crosscheck(ctx: DiagContext, max_degree: int) -> ReportBundle:
         got = [q.coefficient((i,)) for i in range(l + 1)]
         ok = all(a == b for a, b in zip(coeffs, got))
         bundle.check(f"diag.recursion.l={l}", anchor, ok,
-                     witness=" , ".join(c.render() for c in got))
+                     witness=lambda: " , ".join(c.render() for c in got))
     # formal bracket identity, with i and l as free symbols
     i = ParamScalar.symbol("a")
     l = ParamScalar.symbol("l")
@@ -209,7 +209,7 @@ def recursion_crosscheck(ctx: DiagContext, max_degree: int) -> ReportBundle:
     lhs = i * (i - l * 2 + m + 3) + (l - 1) * (l - m - 2)
     rhs = -((i + 1) * (-i + l * 2 - m - 2) + l * (m - l + 1))
     bundle.check("diag.recursion.bracket-identity", anchor, lhs == rhs,
-                 witness=f"{lhs.render()} vs {rhs.render()}")
+                 witness=lambda: f"{lhs.render()} vs {rhs.render()}")
     return bundle
 
 

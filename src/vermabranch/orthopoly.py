@@ -195,7 +195,7 @@ def orthogonality_integral(k: int, l: int, alpha: int, beta: int) -> Fraction:
     b = ParamScalar.const(beta)
     prod = weight * jacobi(JacobiSpec(k, a, b)) * jacobi(JacobiSpec(l, a, b))
     total = Fraction(0)
-    for e, c in prod.terms.items():
+    for e, c in prod.coefficients().items():
         j = e[0]
         if j % 2 == 0:
             total += c.rational_value() * Fraction(2, j + 1)

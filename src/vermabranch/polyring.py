@@ -4,23 +4,42 @@ localization at the curated denominator set.
 Variable sets are small and fixed by the two scenarios: ``x1..xn`` for the
 orthogonal pair, ``xi, eta`` for the diagonal pair, and the one-variable lines
 ``t`` and ``x`` for the inhomogeneous models.  Coefficients live in the exact
-parameter field (:class:`~vermabranch.scalars.ParamScalar`).
+parameter field Q(a, l, m) (:mod:`~vermabranch.scalars`).
 
-Monomials are ordered graded-lexicographically with the distinguished variable
-(the last one) least significant, which keeps rendered output stable for the
-golden files.
+A :class:`GeoPoly` is an integer polynomial in the geometric variables and
+the parameters over one shared denominator ``den`` in Z[a, l, m] (FLINT's
+``fmpq_poly`` form), with the integer content of both sides divided out and a
+positive leading coefficient in ``den``.  Each monomial is one int of 16-bit
+fields, highest first: the total geometric degree, g_1..g_n, then the a, l, m
+exponents (Monagan and Pearce, CASC 2007).  Integer order is thus the
+graded-lexicographic order of the geometric part, the last variable least
+significant, which keeps rendered output stable for the golden files, and a
+monomial product is one integer addition.  Every exponent stays below 2^15,
+so two fields never carry into their neighbour; a product that reaches 2^15
+in a field raises ValueError.  The packed form stays in this module: only the
+read-only view (``coefficients``, ``coefficient``, ``leading``) builds
+per-monomial ParamScalars, in the canonical form of :mod:`scalars`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache, reduce, wraps
+from math import gcd
+from operator import or_
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .scalars import ParamScalar, _mono_key
+from .scalars import _CONST, _ONE, _gcd, _mono_key, Exponents, ParamPoly, ParamScalar
 
 Expts = Tuple[int, ...]
+
+_W = 16                      # bits per packed field
+_FIELD = (1 << _W) - 1
+_LIMIT = 1 << (_W - 1)       # every exponent stays below this
+_PBITS = 3 * _W              # the a, l, m fields
+_PMASK = (1 << _PBITS) - 1
+_OVERFLOW = f"exponent of {_LIMIT} or more in a geometric polynomial"
 
 
 @dataclass(frozen=True)
@@ -58,17 +77,117 @@ def x_var() -> VarSet:
     return VarSet("x", ("x",))
 
 
-class GeoPoly:
-    """Sparse polynomial in geometric variables over the parameter field."""
+# -- the packed monomials ------------------------------------------------------
 
-    __slots__ = ("vars", "terms")
+@lru_cache(maxsize=None)
+def _layout(n: int) -> Tuple[Tuple[int, ...], int, int]:
+    """For n geometric variables: the shift of each one's field, the shift of
+    the degree field, and the mask of every field's top bit."""
+    shifts = tuple(_PBITS + _W * (n - 1 - i) for i in range(n))
+    top = sum(1 << (_W * f + _W - 1) for f in range(n + 4))
+    return shifts, _PBITS + _W * n, top
+
+
+def _pack(e: Expts, p: Exponents = _CONST) -> int:
+    """The key of geometric exponents e times parameter exponents p."""
+    d = sum(e)
+    if d >= _LIMIT or max(p) >= _LIMIT:
+        raise ValueError(_OVERFLOW)
+    shifts, dshift, _ = _layout(len(e))
+    k = d << dshift | p[0] << 2 * _W | p[1] << _W | p[2]
+    for s, x in zip(shifts, e):
+        k |= x << s
+    return k
+
+
+def _geo(k: int, n: int) -> Expts:
+    """The geometric exponents of key k."""
+    return tuple(k >> s & _FIELD for s in _layout(n)[0])
+
+
+def _params(k: int) -> Exponents:
+    return (k >> 2 * _W & _FIELD, k >> _W & _FIELD, k & _FIELD)
+
+
+def _product(a: Dict[int, int], b: Dict[int, int], n: int) -> Dict[int, int]:
+    """The product of two packed polynomials in n geometric variables, with
+    every key tested against the top bits of its fields."""
+    out: Dict[int, int] = {}
+    get = out.get
+    b = b.items()
+    for k1, c1 in a.items():
+        for k2, c2 in b:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    out = {k: c for k, c in out.items() if c}
+    if out and reduce(or_, out) & _layout(n)[2]:
+        raise ValueError(_OVERFLOW)
+    return out
+
+
+def _times(terms: Dict[int, int], p: ParamPoly, n: int) -> Dict[int, int]:
+    """terms times the parameter polynomial p."""
+    pt = p.terms
+    if len(pt) == 1 and _CONST in pt:
+        c = pt[_CONST]
+        return terms if c == 1 else {k: c * v for k, v in terms.items()}
+    return _product(terms, {_pack((), e): c for e, c in pt.items()}, n)
+
+
+def _lcm(d1: ParamPoly, d2: ParamPoly) -> Tuple[ParamPoly, ParamPoly, ParamPoly]:
+    """A common multiple D of two denominators, with D/d1 and D/d2."""
+    g = _gcd(d1, d2)
+    m1, m2 = d2.exact_divide(g), d1.exact_divide(g)
+    return d1 * m1, m1, m2
+
+
+def _dmul(d1: ParamPoly, d2: ParamPoly) -> ParamPoly:
+    return d2 if d1 is _ONE else d1 if d2 is _ONE else d1 * d2
+
+
+def _split(c) -> Tuple[ParamPoly, ParamPoly]:
+    """Numerator and denominator of a ParamScalar, ParamPoly, int or Fraction."""
+    if isinstance(c, ParamScalar):
+        return c.num, c.den
+    if isinstance(c, ParamPoly):
+        return c, _ONE
+    d = c.denominator
+    return ParamPoly.const(c.numerator), _ONE if d == 1 else ParamPoly.const(d)
+
+
+def _new(vars: VarSet, terms: Dict[int, int], den: ParamPoly = _ONE) -> "GeoPoly":
+    """The GeoPoly of packed nonzero terms over den, brought to kernel form.
+    Every internal result is built here, not by the constructor."""
+    if not terms:
+        den = _ONE
+    else:
+        dt = den.terms
+        if len(dt) != 1 or dt.get(_CONST) != 1:
+            g = gcd(*terms.values(), *dt.values())
+            if dt[max(dt, key=_mono_key)] < 0:
+                g = -g
+            if g != 1:
+                terms = {k: c // g for k, c in terms.items()}
+                den = ParamPoly({e: c // g for e, c in dt.items()})
+    p = GeoPoly.__new__(GeoPoly)
+    p.vars, p.terms, p.den = vars, terms, den
+    return p
+
+
+class GeoPoly:
+    """Sparse polynomial in geometric variables over Q(a, l, m): ``terms``
+    maps packed monomials to nonzero ints over the shared denominator ``den``."""
+
+    __slots__ = ("vars", "terms", "den")
 
     def __init__(self, vars: VarSet, terms: Mapping[Expts, ParamScalar] | None = None):
-        """Trusts ``terms`` to map exponent tuples of the right arity to
-        ParamScalars, and only drops the zero coefficients; data from
-        elsewhere goes through :meth:`from_terms`."""
-        self.vars = vars
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()} if terms else {}
+        """The polynomial with ParamScalar coefficients ``terms``; trusts the
+        exponents' arity and sign (outside data goes through :meth:`from_terms`)."""
+        out = _new(vars, {})
+        for e, c in (terms or {}).items():
+            g = _pack(e)
+            out += _new(vars, {g + _pack((), pe): v for pe, v in c.num.terms.items()}, c.den)
+        self.vars, self.terms, self.den = vars, out.terms, out.den
 
     # -- constructors -----------------------------------------------------
 
@@ -87,7 +206,8 @@ class GeoPoly:
 
     @staticmethod
     def const(vars: VarSet, c) -> "GeoPoly":
-        return GeoPoly(vars, {(0,) * vars.arity: ParamScalar.coerce(c)})
+        num, den = _split(c)
+        return _new(vars, {_pack((), e): v for e, v in num.terms.items()}, den)
 
     @staticmethod
     def var(vars: VarSet, name: str, power: int = 1) -> "GeoPoly":
@@ -97,7 +217,7 @@ class GeoPoly:
 
     @staticmethod
     def zero(vars: VarSet) -> "GeoPoly":
-        return GeoPoly(vars)
+        return _new(vars, {})
 
     # -- queries ----------------------------------------------------------
 
@@ -106,49 +226,67 @@ class GeoPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(self.terms) >> _layout(self.vars.arity)[1] if self.terms else -1
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        dshift = _layout(self.vars.arity)[1]
+        return len({k >> dshift for k in self.terms}) <= 1
+
+    def coefficients(self) -> Dict[Expts, ParamScalar]:
+        """The read-only view: the coefficient of each geometric monomial as a
+        canonical ParamScalar, highest monomial first.  Built on each call."""
+        rows: Dict[int, Dict[Exponents, int]] = {}
+        for k, c in self.terms.items():
+            rows.setdefault(k >> _PBITS, {})[_params(k)] = c
+        n = self.vars.arity
+        return {_geo(g << _PBITS, n): ParamScalar(ParamPoly(rows[g]), self.den)
+                for g in sorted(rows, reverse=True)}
 
     def coefficient(self, e: Expts) -> ParamScalar:
-        return self.terms.get(tuple(e), ParamScalar.const(0))
+        g = _pack(tuple(e)) >> _PBITS
+        row = {_params(k): c for k, c in self.terms.items() if k >> _PBITS == g}
+        return ParamScalar(ParamPoly(row), self.den)
 
     def leading(self) -> Tuple[Expts, ParamScalar]:
-        e = max(self.terms, key=_mono_key)
-        return e, self.terms[e]
+        e = _geo(max(self.terms), self.vars.arity)
+        return e, self.coefficient(e)
 
     def _check(self, other: "GeoPoly"):
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError(f"variable-set mismatch: {self.vars} vs {other.vars}")
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "GeoPoly") -> "GeoPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return GeoPoly(self.vars, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        a, b, den = self.terms, other.terms, self.den
+        if other.den != den:
+            n = self.vars.arity
+            den, ma, mb = _lcm(den, other.den)
+            a, b = _times(a, ma, n), _times(b, mb, n)
+        out = dict(a)
+        for k, c in b.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return _new(self.vars, out, den)
 
     def __neg__(self) -> "GeoPoly":
-        return GeoPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _new(self.vars, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "GeoPoly") -> "GeoPoly":
         return self + (-other)
 
     def __mul__(self, other: "GeoPoly") -> "GeoPoly":
         self._check(other)
-        out: Dict[Expts, ParamScalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
-                s = out.get(e)
-                out[e] = p if s is None else s + p
-        return GeoPoly(self.vars, out)
+        return _new(self.vars, _product(self.terms, other.terms, self.vars.arity),
+                    _dmul(self.den, other.den))
 
     def __pow__(self, k: int) -> "GeoPoly":
         if k < 0:
@@ -159,68 +297,87 @@ class GeoPoly:
         return out
 
     def scale(self, c) -> "GeoPoly":
-        c = ParamScalar.coerce(c)
-        return GeoPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+        num, den = _split(c)
+        return _new(self.vars, _times(self.terms, num, self.vars.arity), _dmul(self.den, den))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GeoPoly) and self.vars == other.vars and self.terms == other.terms
+        if not isinstance(other, GeoPoly) or self.vars != other.vars:
+            return False
+        if self.den == other.den:
+            return self.terms == other.terms
+        n = self.vars.arity
+        return _times(self.terms, other.den, n) == _times(other.terms, self.den, n)
 
     # -- calculus and substitution ----------------------------------------
 
     def derive(self, var: str | int) -> "GeoPoly":
         i = var if isinstance(var, int) else self.vars.index(var)
-        out: Dict[Expts, ParamScalar] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = c * e[i]
-        return GeoPoly(self.vars, out)
+        shifts, dshift, _ = _layout(self.vars.arity)
+        s = shifts[i]
+        unit = 1 << s | 1 << dshift
+        out: Dict[int, int] = {}
+        for k, c in self.terms.items():
+            g = k >> s & _FIELD
+            if g:
+                out[k - unit] = c * g
+        return _new(self.vars, out, self.den)
 
     def exact_divide(self, divisor: "GeoPoly") -> Optional["GeoPoly"]:
-        """Quotient self/divisor when the division is exact, else None."""
+        """Quotient self/divisor when the division is exact, else None.
+
+        The divisor must have rational constant coefficients, as every
+        curated factor has.  By Gauss's lemma, division by its primitive part
+        runs in integers and fails at the first inexact step.
+        """
         self._check(divisor)
-        if divisor.is_zero():
+        dt = divisor.terms
+        if not dt:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return GeoPoly.zero(self.vars)
+        if not divisor.den.is_constant() or any(k & _PMASK for k in dt):
+            raise ValueError("exact_divide needs a divisor with constant coefficients")
+        if not self.terms:
+            return self
+        top = _layout(self.vars.arity)[2]
+        cont = gcd(*dt.values())
+        div = [(k, c // cont) for k, c in dt.items()]
+        de, dc = max(div)
         rem = dict(self.terms)
-        quot: Dict[Expts, ParamScalar] = {}
-        de, dc = divisor.leading()
+        quot: Dict[int, int] = {}
         while rem:
-            e = max(rem, key=_mono_key)
-            q = tuple(a - b for a, b in zip(e, de))
-            if min(q) < 0:
+            e = max(rem)
+            q = e - de
+            if q < 0 or q & top:
                 return None
-            c = rem[e] / dc
-            s = quot.get(q)
-            quot[q] = c if s is None else s + c
-            for e2, c2 in divisor.terms.items():
-                t = tuple(a + b for a, b in zip(q, e2))
-                s = rem.get(t)
-                s = -(c * c2) if s is None else s - c * c2
-                if s.is_zero():
-                    rem.pop(t, None)
-                else:
+            c, r = divmod(rem[e], dc)
+            if r:
+                return None
+            quot[q] = c
+            for k, v in div:
+                t = q + k
+                s = rem.get(t, 0) - c * v
+                if s:
                     rem[t] = s
-        return GeoPoly(self.vars, quot)
+                else:
+                    del rem[t]
+        # self / divisor = quot * den(divisor) / (den(self) * cont)
+        return _new(self.vars, _times(quot, divisor.den, self.vars.arity),
+                    self.den * ParamPoly.const(cont))
 
     def substitute_var(self, var: str, image: "GeoPoly") -> "GeoPoly":
         """Substitute one variable by a polynomial in the image's variables;
         the remaining variables must not occur."""
         i = self.vars.index(var)
-        for e in self.terms:
-            for j, ej in enumerate(e):
-                if j != i and ej:
-                    raise ValueError("substitute_var needs a univariate polynomial")
+        coeffs = self.coefficients()
+        if any(ej and j != i for e in coeffs for j, ej in enumerate(e)):
+            raise ValueError("substitute_var needs a univariate polynomial")
         out = GeoPoly.zero(image.vars)
-        for e, c in self.terms.items():
+        for e, c in coeffs.items():
             out = out + (image ** e[i]).scale(c)
         return out
 
     def substitute_params(self, bindings) -> "GeoPoly":
-        return GeoPoly(self.vars, {e: c.substitute(bindings) for e, c in self.terms.items()})
+        return GeoPoly(self.vars, {e: c.substitute(bindings)
+                                   for e, c in self.coefficients().items()})
 
     # -- rendering --------------------------------------------------------
 
@@ -228,13 +385,9 @@ class GeoPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_mono_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                self.vars.names[i] + (f"^{e[i]}" if e[i] > 1 else "")
-                for i in range(len(e))
-                if e[i]
-            )
+        for e, c in self.coefficients().items():
+            mono = "*".join(self.vars.names[i] + (f"^{x}" if x > 1 else "")
+                            for i, x in enumerate(e) if x)
             cs = c.render()
             if mono:
                 if cs == "1":
@@ -390,7 +543,7 @@ class RatCoeff:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "RatCoeff") -> "RatCoeff":
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("variable-set mismatch")
         if not self.den and not other.den:
             return RatCoeff(self.num + other.num)
@@ -414,7 +567,7 @@ class RatCoeff:
         return self + (-other)
 
     def __mul__(self, other: "RatCoeff") -> "RatCoeff":
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("variable-set mismatch")
         den = dict(self.den)
         for k, e in other.den.items():
@@ -472,22 +625,15 @@ def homogenize(q: GeoPoly, l: int, target: VarSet | None = None) -> GeoPoly:
         raise ValueError("homogenize expects a univariate polynomial")
     if q.degree() > l:
         raise ValueError(f"degree {q.degree()} exceeds homogeneity {l}")
-    out: Dict[Expts, ParamScalar] = {}
-    for e, c in q.terms.items():
-        k = e[0]
-        out[(k, l - k)] = c
-    return GeoPoly.from_terms(target, out)
+    return GeoPoly.from_terms(target, {(e[0], l - e[0]): c for e, c in q.coefficients().items()})
 
 
 def dehomogenize(p: GeoPoly, l: int) -> GeoPoly:
     """Inverse of :func:`homogenize` on homogeneous degree-l polynomials."""
-    tv = t_var()
-    out: Dict[Expts, ParamScalar] = {}
-    for e, c in p.terms.items():
-        if sum(e) != l:
-            raise ValueError("input is not homogeneous of the stated degree")
-        out[(e[0],)] = c
-    return GeoPoly.from_terms(tv, out)
+    coeffs = p.coefficients()
+    if any(sum(e) != l for e in coeffs):
+        raise ValueError("input is not homogeneous of the stated degree")
+    return GeoPoly.from_terms(t_var(), {(e[0],): c for e, c in coeffs.items()})
 
 
 def substitute_linear(p: GeoPoly, a, b) -> GeoPoly:
@@ -507,7 +653,7 @@ def gegen_tilde_convert(c: GeoPoly, l: int | None = None) -> GeoPoly:
         l = c.degree()
     tv = t_var()
     out: Dict[Expts, ParamScalar] = {}
-    for e, coeff in c.terms.items():
+    for e, coeff in c.coefficients().items():
         if (l - e[0]) % 2:
             raise ValueError(f"parity violation: degree-{e[0]} term in a degree-{l} polynomial")
         k = (l - e[0]) // 2

@@ -28,12 +28,16 @@ class VerificationRecord:
 
 
 def record(check_id: str, anchor: str, ok: bool, witness=None) -> VerificationRecord:
-    """A pass or fail record.  A failed check keeps its witness, a string or
-    a value rendered here; a passing one renders nothing."""
-    if not ok and witness is not None and not isinstance(witness, str):
+    """A pass or fail record.  A failed check keeps its witness: a string, a
+    value rendered here, or a zero-argument callable called here that returns
+    either.  A passing one builds and renders nothing."""
+    if ok:
+        return VerificationRecord(check_id, anchor, PASS)
+    if callable(witness):
+        witness = witness()
+    if witness is not None and not isinstance(witness, str):
         witness = witness.render()
-    return VerificationRecord(check_id, anchor, PASS if ok else FAIL,
-                              None if ok else witness)
+    return VerificationRecord(check_id, anchor, FAIL, witness)
 
 
 @dataclass

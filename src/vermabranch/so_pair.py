@@ -458,7 +458,7 @@ def verify_nonclosure(ctx: SoPairContext, degrees=(0, 1, 2)) -> ReportBundle:
         others = [d for d in eigs if not (d == c)]
         bundle.check(f"nonclosure.pq.n={ctx.n},l={l}", "so-pair:pq-commutator",
                      len(others) > 0,
-                     witness=f"eigenvalue {c.render()} shared by the whole family")
+                     witness=lambda: f"eigenvalue {c.render()} shared by the whole family")
     if len(eigs) >= 3:
         second_diff = eigs[2] - eigs[1] * 2 + eigs[0]
         bundle.check(f"nonclosure.pq-not-affine.n={ctx.n}", "so-pair:pq-commutator",

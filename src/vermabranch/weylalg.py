@@ -236,8 +236,8 @@ def proportionality(p: GeoPoly, q: GeoPoly) -> ParamScalar | None:
     if p.is_zero():
         return ParamScalar.const(0)
     e, qc = q.leading()
-    pc = p.terms.get(e)
-    if pc is None:
+    pc = p.coefficient(e)
+    if pc.is_zero():
         return None
     c = pc / qc
     return c if p == q.scale(c) else None

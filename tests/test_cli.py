@@ -167,12 +167,20 @@ def test_witness_rendered_only_for_failed_checks():
         def render(self):
             Value.renders += 1
             return "w"
+    calls = []
+
+    def build():
+        calls.append(1)
+        return "built"
     b = ReportBundle()
     b.check("passed", "anchor", True, witness=Value())
     b.check("failed", "anchor", False, witness=Value())
     b.check("failed-text", "anchor", False, witness="plain")
-    assert Value.renders == 1
-    assert [r.witness for r in b.records] == [None, "w", "plain"]
+    b.check("passed-built", "anchor", True, witness=build)
+    b.check("failed-built", "anchor", False, witness=build)
+    b.check("failed-built-value", "anchor", False, witness=lambda: Value())
+    assert Value.renders == 2 and len(calls) == 1
+    assert [r.witness for r in b.records] == [None, "w", "plain", None, "built", "w"]
 
 
 def test_bundle_extend_rejects_data_key_collision():

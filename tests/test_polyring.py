@@ -1,6 +1,7 @@
 """Sparse geometric polynomials, curated-denominator coefficients, and the
 homogenization helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors,
                                   homogenize, quadratic_sum,
                                   substitute_linear, t_var, x_var,
                                   xi_eta_vars, xi_vars, xy_vars)
-from vermabranch.scalars import LAMBDA, ParamScalar
+from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamPoly, ParamScalar, _mono_key
 from vermabranch.weylalg import DiffOp
 
 
@@ -150,16 +151,16 @@ def test_from_terms_validates_and_coerces():
     with pytest.raises(ValueError, match="negative exponent"):
         GeoPoly.from_terms(vs, {(1, -1): 1})
     p = GeoPoly.from_terms(vs, {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 0): 0})
-    assert p.terms == {(1, 0): ParamScalar.const(2),
-                       (0, 1): ParamScalar.const(Fraction(1, 3))}
-    assert all(isinstance(c, ParamScalar) for c in p.terms.values())
+    assert p.coefficients() == {(1, 0): ParamScalar.const(2),
+                                (0, 1): ParamScalar.const(Fraction(1, 3))}
+    assert all(isinstance(c, ParamScalar) for c in p.coefficients().values())
 
 
 def test_constructor_drops_zero_coefficients():
     vs = xi_vars(2)
     p = GeoPoly(vs, {(1, 0): ParamScalar.const(0), (0, 1): LAMBDA - LAMBDA,
                      (1, 1): LAMBDA})
-    assert p.terms == {(1, 1): LAMBDA}
+    assert p.coefficients() == {(1, 1): LAMBDA}
     assert GeoPoly(vs, {(2, 0): ParamScalar.const(0)}).is_zero()
 
 
@@ -174,3 +175,182 @@ def test_values_are_unhashable(wrap):
     assert v == wrap(GeoPoly.const(vs, 1))
     with pytest.raises(TypeError):
         hash(v)
+
+
+# -- the packed kernel ---------------------------------------------------------
+
+def test_exponents_stay_below_the_field_limit():
+    tv = t_var()
+    with pytest.raises(ValueError):
+        GeoPoly.var(tv, "t", 2 ** 15)
+    with pytest.raises(ValueError):
+        GeoPoly(tv, {(2 ** 15,): ParamScalar.const(1)})
+    with pytest.raises(ValueError):
+        GeoPoly.from_terms(xi_vars(2), {(2 ** 14, 2 ** 14): 1})
+    with pytest.raises(ValueError):
+        GeoPoly.const(tv, ParamPoly({(0, 2 ** 15, 0): 1}))
+    half = GeoPoly.var(tv, "t", 2 ** 14)
+    with pytest.raises(ValueError):
+        half * half
+    # the parameter fields are guarded too
+    lam = GeoPoly.const(tv, ParamPoly({(0, 2 ** 14, 0): 1}))
+    with pytest.raises(ValueError):
+        lam * lam
+    with pytest.raises(ValueError):
+        lam.scale(lam.coefficient((0,)))
+    top = GeoPoly.var(tv, "t", 2 ** 15 - 1)
+    assert top.degree() == 2 ** 15 - 1
+    assert (top * GeoPoly.const(tv, 3)).degree() == 2 ** 15 - 1
+
+
+def test_equal_values_with_different_shared_denominators():
+    vs = xi_vars(2)
+    x1 = GeoPoly.var(vs, "x1")
+    a = x1.scale(LAMBDA / (LAMBDA + 1))
+    b = x1.scale(LAMBDA / (LAMBDA + 1)).scale(LAMBDA + 2).scale(1 / (LAMBDA + 2))
+    assert a.den != b.den
+    assert a == b and b == a
+    assert a.render() == b.render() == "((l)/(l + 1))*x1"
+    assert a != b.scale(2) and (a - b).is_zero()
+
+
+def test_exact_divide_needs_constant_coefficients():
+    vs = xi_vars(3)
+    x3 = GeoPoly.var(vs, "x3")
+    with pytest.raises(ValueError):
+        (x3 * x3).exact_divide(x3.scale(LAMBDA))
+    with pytest.raises(ValueError):
+        (x3 * x3).exact_divide(x3.scale(1 / (LAMBDA + 1)))
+    # rational constant coefficients are fine
+    assert (x3 * x3).exact_divide(x3.scale(Fraction(2, 3))) == x3.scale(Fraction(3, 2))
+
+
+# A test-only reference: the earlier per-coefficient GeoPoly arithmetic, one
+# ParamScalar per geometric monomial.  The kernel must render exactly what it
+# renders.
+
+class _RefGeo:
+    def __init__(self, vars, terms):
+        self.vars = vars
+        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e)
+            out[e] = c if s is None else s + c
+        return _RefGeo(self.vars, out)
+
+    def __neg__(self):
+        return _RefGeo(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                p = c1 * c2
+                s = out.get(e)
+                out[e] = p if s is None else s + p
+        return _RefGeo(self.vars, out)
+
+    def scale(self, c):
+        c = ParamScalar.coerce(c)
+        return _RefGeo(self.vars, {e: c * v for e, v in self.terms.items()})
+
+    def derive(self, i):
+        out = {}
+        for e, c in self.terms.items():
+            if e[i]:
+                e2 = list(e)
+                e2[i] -= 1
+                out[tuple(e2)] = c * e[i]
+        return _RefGeo(self.vars, out)
+
+    def exact_divide(self, divisor):
+        rem = dict(self.terms)
+        quot = {}
+        de = max(divisor.terms, key=_mono_key)
+        dc = divisor.terms[de]
+        while rem:
+            e = max(rem, key=_mono_key)
+            q = tuple(a - b for a, b in zip(e, de))
+            if min(q) < 0:
+                return None
+            c = rem[e] / dc
+            s = quot.get(q)
+            quot[q] = c if s is None else s + c
+            for e2, c2 in divisor.terms.items():
+                t = tuple(a + b for a, b in zip(q, e2))
+                s = rem.get(t)
+                s = -(c * c2) if s is None else s - c * c2
+                if s.is_zero():
+                    rem.pop(t, None)
+                else:
+                    rem[t] = s
+        return _RefGeo(self.vars, quot)
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for e in sorted(self.terms, key=_mono_key, reverse=True):
+            mono = "*".join(self.vars.names[i] + (f"^{e[i]}" if e[i] > 1 else "")
+                            for i in range(len(e)) if e[i])
+            cs = self.terms[e].render()
+            simple = " " not in cs and "/" not in cs
+            if mono:
+                body = (mono if cs == "1" else f"-{mono}" if cs == "-1"
+                        else f"{cs}*{mono}" if simple else f"({cs})*{mono}")
+            else:
+                body = cs if simple else f"({cs})"
+            if not parts:
+                parts.append(body)
+            else:
+                parts.append("- " + body[1:] if body.startswith("-") else "+ " + body)
+        return " ".join(parts)
+
+
+_COEFFS = [ParamScalar.const(1), ParamScalar.const(-2), ParamScalar.const(Fraction(3, 4)),
+           ParamScalar.const(Fraction(-5, 6)), LAMBDA, MU - ALPHA * 3,
+           LAMBDA / (LAMBDA + 1), (MU - 1) / (LAMBDA * 2 - 3),
+           (ALPHA * LAMBDA + Fraction(1, 2)) / (MU * MU + 1), Fraction(7, 2) / (LAMBDA + 1)]
+
+
+def _rand_pair(rng, vs, max_terms=4, max_deg=2):
+    """One random polynomial as a kernel GeoPoly and as a reference."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in range(vs.arity))
+        terms[e] = rng.choice(_COEFFS) * rng.choice(_COEFFS[:4])
+    return GeoPoly(vs, terms), _RefGeo(vs, terms)
+
+
+_VARSETS = [xi_vars(2), xi_vars(3), xi_vars(4), xi_eta_vars(), t_var()]
+
+
+@pytest.mark.parametrize("vs", _VARSETS, ids=lambda vs: f"{vs.kind}{vs.arity}")
+def test_kernel_matches_per_coefficient_reference(vs):
+    rng = random.Random(8)
+    divisors = list(curated_factors(vs).values())
+    divisors.append(GeoPoly.from_terms(vs, {(1,) + (0,) * (vs.arity - 1): 2,
+                                            (0,) * vs.arity: Fraction(-1, 3)}))
+    for _ in range(40):
+        (a, ra), (b, rb) = _rand_pair(rng, vs), _rand_pair(rng, vs)
+        c = rng.choice(_COEFFS)
+        cases = [(a + b, ra + rb), (a - b, ra + -rb), (a * b, ra * rb),
+                 (a + (-a), ra + -ra), ((a + b) - b, (ra + rb) + -rb),
+                 (a.scale(c), ra.scale(c)), (a * b + (-(b * a)), ra * rb + -(rb * ra))]
+        cases += [(a.derive(i), ra.derive(i)) for i in range(vs.arity)]
+        for got, want in cases:
+            assert got.render() == want.render()
+        assert ((a + (-a)).is_zero() and (a * b - b * a).is_zero()
+                and (a - b).is_zero() == (a == b))
+        assert a * b == b * a and (a + b) - b == a
+        for f in divisors:
+            rf = _RefGeo(vs, f.coefficients())
+            for num, rnum in ((a * f, ra * rf), (a, ra), (a * b * f, ra * rb * rf)):
+                got, want = num.exact_divide(f), rnum.exact_divide(rf)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.render() == want.render()

@@ -141,5 +141,5 @@ def test_high_degree_vector_is_fully_reduced():
     # on (n = 2) some fall outside any fixed family of linear factors, and only
     # a full gcd cancels them all
     f = singular_vector_F(SoPairContext.formal(2), 44)
-    assert f.poly.terms
-    assert all(c.den.is_constant() for c in f.poly.terms.values())
+    assert f.poly.coefficients()
+    assert all(c.den.is_constant() for c in f.poly.coefficients().values())

@@ -195,10 +195,12 @@ def recursion_crosscheck(ctx: DiagContext, max_degree: int) -> ReportBundle:
     polynomial identity in formal (i, l, mu)."""
     bundle = ReportBundle()
     anchor = "diag-pair:coefficient-recursion"
+    zero = ParamScalar.const(0)
     for l in range(max_degree + 1):
         coeffs = jacobi_recursion_coeffs(l, ctx.lam, ctx.mu)
         q = jacobi_t_polynomial(ctx, l)
-        got = [q.coefficient((i,)) for i in range(l + 1)]
+        cs = q.coefficients()
+        got = [cs.get((i,), zero) for i in range(l + 1)]
         ok = all(a == b for a, b in zip(coeffs, got))
         bundle.check(f"diag.recursion.l={l}", anchor, ok,
                      witness=lambda: " , ".join(c.render() for c in got))

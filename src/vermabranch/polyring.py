@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
 from math import gcd
-from operator import or_
+from operator import add, or_
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -474,12 +474,28 @@ def per_context(build):
     return cached
 
 
+@lru_cache(maxsize=None)
+def _factor_power(vars: VarSet, key: str, e: int) -> Dict[int, int]:
+    """The packed terms of curated factor ``key`` to the power e; every
+    curated factor has integer coefficients, over the denominator 1."""
+    return (curated_factors(vars)[key] ** e).terms
+
+
+def _rat(num: GeoPoly, den: Dict[str, int]) -> "RatCoeff":
+    """num/den for a num that no factor of den divides: no trial division."""
+    r = RatCoeff.__new__(RatCoeff)
+    r.num, r.den = num, den if num.terms else {}
+    return r
+
+
 class RatCoeff:
     """Quotient of a GeoPoly by a product of curated factors.
 
     The denominator is kept factored as a multiset over the curated keys;
-    construction reduces the numerator against each factor by trial exact
-    division, so a RatCoeff with an empty denominator *is* a polynomial.
+    construction divides each factor out of the numerator as often as it
+    goes, so a RatCoeff with an empty denominator *is* a polynomial.  The
+    factors of a variable set are pairwise coprime, so a value has one
+    (num, den) form.
     """
 
     __slots__ = ("num", "den")
@@ -497,22 +513,15 @@ class RatCoeff:
                 raise ValueError("negative denominator exponent")
             if e:
                 d[k] = d.get(k, 0) + e
-        # reduce numerator against the denominator factors
-        if not num.is_zero():
-            for k in list(d):
-                f = allowed[k]
-                while d.get(k, 0) > 0:
-                    q = num.exact_divide(f)
-                    if q is None:
-                        break
-                    num = q
-                    d[k] -= 1
-                if d.get(k) == 0:
-                    del d[k]
-        else:
+        if not num.terms:
             d = {}
-        self.num = num
-        self.den = d
+        # divide each factor out of the numerator as often as it goes
+        for k in list(d):
+            while d[k] and (q := num.exact_divide(allowed[k])) is not None:
+                num, d[k] = q, d[k] - 1
+            if not d[k]:
+                del d[k]
+        self.num, self.den = num, d
 
     @property
     def vars(self) -> VarSet:
@@ -521,6 +530,60 @@ class RatCoeff:
     @staticmethod
     def zero(vars: VarSet) -> "RatCoeff":
         return RatCoeff(GeoPoly.zero(vars))
+
+    @staticmethod
+    def sum_of_products(vars: VarSet, triples) -> "RatCoeff":
+        """sum k*x*y over ``triples`` (k, x, y), k an int and x, y RatCoeffs
+        in vars, reduced against the denominator once.
+
+        Each x.num is lifted to the common curated denominator, the largest
+        exponent of each factor, and the products go into one packed sum per
+        Z[a, l, m] denominator, as heap-based sparse division accumulates
+        before it normalizes (Monagan and Pearce, J. Symb. Comput. 46, 2011).
+        """
+        live, den = [], {}
+        for k, x, y in triples:
+            if k and x.num.terms and y.num.terms:
+                cd = x.den
+                if y.den:
+                    cd = {f: cd.get(f, 0) + y.den.get(f, 0) for f in {**cd, **y.den}}
+                for f, e in cd.items():
+                    den[f] = max(den.get(f, 0), e)
+                live.append((k, x.num, y.num, cd))
+        n = vars.arity
+        lifted: Dict[tuple, Dict[int, int]] = {}
+        groups = []  # (Z[a, l, m] denominator, packed numerator sum)
+        for k, xn, yn, cd in live:
+            xt = xn.terms
+            lift = den and tuple((f, e - cd.get(f, 0)) for f, e in den.items() if e > cd.get(f, 0))
+            if lift:
+                key = (id(xn), lift)
+                if key not in lifted:
+                    for f, j in lift:
+                        xt = _product(xt, _factor_power(vars, f, j), n)
+                    lifted[key] = xt
+                xt = lifted[key]
+            pden = _dmul(xn.den, yn.den)
+            # compared by value, not by hash
+            for d, acc in groups:
+                if d is pden or d == pden:
+                    break
+            else:
+                acc = {}
+                groups.append((pden, acc))
+            get = acc.get
+            yt = yn.terms.items()
+            for k1, c1 in xt.items():
+                c1 *= k
+                for k2, c2 in yt:
+                    t = k1 + k2
+                    acc[t] = get(t, 0) + c1 * c2
+        if any(reduce(or_, acc) & _layout(n)[2] for _, acc in groups):
+            raise ValueError(_OVERFLOW)
+        if not groups:
+            return RatCoeff.zero(vars)
+        return RatCoeff(reduce(add, [_new(vars, {t: c for t, c in acc.items() if c}, d)
+                                     for d, acc in groups]), den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -533,13 +596,6 @@ class RatCoeff:
             raise ValueError(f"not a polynomial: denominator {self.den} remains on {self.num.render()}")
         return self.num
 
-    def den_poly(self) -> GeoPoly:
-        out = GeoPoly.const(self.vars, 1)
-        facs = curated_factors(self.vars)
-        for k, e in self.den.items():
-            out = out * facs[k] ** e
-        return out
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "RatCoeff") -> "RatCoeff":
@@ -547,21 +603,11 @@ class RatCoeff:
             raise ValueError("variable-set mismatch")
         if not self.den and not other.den:
             return RatCoeff(self.num + other.num)
-        facs = curated_factors(self.vars)
-        den = dict(self.den)
-        for k, e in other.den.items():
-            den[k] = max(den.get(k, 0), e)
-        ln = self.num
-        rn = other.num
-        for k, e in den.items():
-            if e > self.den.get(k, 0):
-                ln = ln * facs[k] ** (e - self.den.get(k, 0))
-            if e > other.den.get(k, 0):
-                rn = rn * facs[k] ** (e - other.den.get(k, 0))
-        return RatCoeff(ln + rn, den)
+        one = _rat(GeoPoly.const(self.vars, 1), {})
+        return RatCoeff.sum_of_products(self.vars, [(1, self, one), (1, other, one)])
 
     def __neg__(self) -> "RatCoeff":
-        return RatCoeff(-self.num, self.den)
+        return _rat(-self.num, self.den)
 
     def __sub__(self, other: "RatCoeff") -> "RatCoeff":
         return self + (-other)
@@ -574,31 +620,33 @@ class RatCoeff:
             den[k] = den.get(k, 0) + e
         return RatCoeff(self.num * other.num, den)
 
-    def mul_poly(self, p: GeoPoly) -> "RatCoeff":
-        return RatCoeff(self.num * p, self.den)
-
     def scale(self, c) -> "RatCoeff":
-        return RatCoeff(self.num.scale(c), self.den)
+        # a factor with constant coefficients divides num iff it divides any
+        # nonzero multiple of num over Q(a, l, m)
+        return _rat(self.num.scale(c), self.den)
 
     def derive(self, var: str | int) -> "RatCoeff":
-        """d/dvar by the quotient rule over the factored denominator."""
+        """d/dvar by the quotient rule over the factored denominator:
+        num'/den - sum_k e_k (num/den) (f_k'/f_k)."""
         i = var if isinstance(var, int) else self.vars.index(var)
-        facs = curated_factors(self.vars)
-        out = RatCoeff(self.num.derive(i), self.den)
+        if not self.den:
+            return _rat(self.num.derive(i), {})
+        vs = self.vars
+        facs = curated_factors(vs)
+        triples = [(1, _rat(self.num.derive(i), {}), _rat(GeoPoly.const(vs, 1), self.den))]
         for k, e in self.den.items():
-            fk = facs[k]
-            dfk = fk.derive(i)
-            if dfk.is_zero():
-                continue
-            den = dict(self.den)
-            den[k] = e + 1
-            out = out + RatCoeff(self.num * dfk, den).scale(-e)
-        return out
+            dfk = facs[k].derive(i)
+            # f_k' is nonzero and of lower degree than f_k
+            if not dfk.is_zero():
+                triples.append((-e, self, _rat(dfk, {k: 1})))
+        return RatCoeff.sum_of_products(vs, triples)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatCoeff):
             return NotImplemented
-        return (self.num * other.den_poly()) == (other.num * self.den_poly())
+        # both sides are reduced against their denominators, so equal values
+        # have equal denominators and equal numerators
+        return self.den == other.den and self.num == other.num
 
     def render(self) -> str:
         if not self.den:

@@ -245,6 +245,25 @@ def _cancel(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
     return num.exact_divide(g), den.exact_divide(g)
 
 
+def _normalize(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
+    """num and den with integer content 1 together and den's lead positive."""
+    dt = den.terms
+    g = gcd(*num.terms.values(), *dt.values())
+    if dt[max(dt, key=_mono_key)] < 0:
+        g = -g
+    if g != 1:
+        num = ParamPoly({e: c // g for e, c in num.terms.items()})
+        den = ParamPoly({e: c // g for e, c in dt.items()})
+    return num, den
+
+
+def _reduced(num: ParamPoly, den: ParamPoly) -> "ParamScalar":
+    """The ParamScalar num/den of a num and den without a common factor."""
+    s = ParamScalar.__new__(ParamScalar)
+    s.num, s.den = _normalize(num, den) if num.terms else (_ZERO, _ONE)
+    return s
+
+
 class ParamScalar:
     """Element of the rational-function field Q(a, l, m)."""
 
@@ -265,15 +284,7 @@ class ParamScalar:
                 return
         else:
             num, den = _cancel(num, den)
-            dt = den.terms
-        # canonical form: num and den with integer content 1, den's lead positive
-        g = gcd(*num.terms.values(), *dt.values())
-        if dt[max(dt, key=_mono_key)] < 0:
-            g = -g
-        if g != 1:
-            num = ParamPoly({e: c // g for e, c in num.terms.items()})
-            den = ParamPoly({e: c // g for e, c in dt.items()})
-        self.num, self.den = num, den
+        self.num, self.den = _normalize(num, den)
 
     # -- constructors -----------------------------------------------------
 
@@ -313,13 +324,22 @@ class ParamScalar:
             return other
         if not other.num.terms:
             return self
-        return ParamScalar(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1.is_constant() and d2.is_constant():
+            return ParamScalar(n1 * d2 + n2 * d1, d1 * d2)
+        # both sides are reduced, so a common factor of the sum's two sides
+        # divides g = gcd(d1, d2) (Knuth, TAOCP 2, 4.5.1)
+        g = d1 if d1 == d2 else _gcd(d1, d2)
+        if g.is_constant():
+            return _reduced(n1 * d2 + n2 * d1, d1 * d2)
+        s1, s2 = d1.exact_divide(g), d2.exact_divide(g)
+        t, g = _cancel(n1 * s2 + n2 * s1, g)
+        return _reduced(t, s1 * s2 * g)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamScalar":
-        return ParamScalar(-self.num, self.den)
+        return _reduced(-self.num, self.den)
 
     def __sub__(self, other) -> "ParamScalar":
         return self + (-ParamScalar.coerce(other))
@@ -329,7 +349,15 @@ class ParamScalar:
 
     def __mul__(self, other) -> "ParamScalar":
         other = ParamScalar.coerce(other)
-        return ParamScalar(self.num * other.num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1.is_constant() and d2.is_constant():
+            return ParamScalar(n1 * n2, d1 * d2)
+        # both sides are reduced, so only n1, d2 and n2, d1 can share a factor
+        if not d2.is_constant():
+            n1, d2 = _cancel(n1, d2)
+        if not d1.is_constant():
+            n2, d1 = _cancel(n2, d1)
+        return _reduced(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 

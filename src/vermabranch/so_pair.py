@@ -88,7 +88,8 @@ def singular_vector_F(ctx: SoPairContext, l: int) -> SingularVector:
     if l < 0:
         raise ValueError("degree must be nonnegative")
     tilde = tilde_gegenbauer(ctx, l)
-    coeffs = [tilde.coefficient((k,)) for k in range(l // 2 + 1)]
+    cs, zero = tilde.coefficients(), ParamScalar.const(0)
+    coeffs = [cs.get((k,), zero) for k in range(l // 2 + 1)]
     top = coeffs[l // 2]
     if top.is_zero():
         raise ZeroDivisionError(
@@ -333,6 +334,7 @@ def t_model_poly(v: SingularVector) -> GeoPoly:
     """Collapse F_l = sum c_k xn^{l-2k} q'^k to sum c_k t^k."""
     tv = t_var()
     arity = v.poly.vars.arity
+    cs, zero = v.poly.coefficients(), ParamScalar.const(0)
     out: Dict[Tuple[int, ...], ParamScalar] = {}
     for k in range(v.l // 2 + 1):
         # the x1^{2k} xn^{l-2k} monomial carries the q'^k coefficient with
@@ -340,7 +342,7 @@ def t_model_poly(v: SingularVector) -> GeoPoly:
         probe = [0] * arity
         probe[0] = 2 * k
         probe[-1] += v.l - 2 * k
-        out[(k,)] = v.poly.coefficient(tuple(probe))
+        out[(k,)] = cs.get(tuple(probe), zero)
     return GeoPoly.from_terms(tv, out)
 
 

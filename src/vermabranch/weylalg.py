@@ -8,12 +8,18 @@ composition re-establishes that normal form via the Leibniz rule
     D^a (c g) = sum_{k <= a} binom(a, k) (D^k c) (D^{a-k} g),
 
 which works verbatim for localized coefficients since RatCoeff knows its own
-quotient-rule derivative.
+quotient-rule derivative.  ``compose``, ``commutator`` and ``apply_rat``
+collect every product ``binom * c * D^k g`` under the derivative monomial it
+lands on, both orders of a commutator with opposite signs, and build each
+output coefficient by one :meth:`RatCoeff.sum_of_products`: one packed sum
+and one reduction against the curated denominator per coefficient.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
+from operator import add, sub
 from typing import Dict, Tuple
 
 from .polyring import GeoPoly, RatCoeff, VarSet
@@ -22,15 +28,29 @@ from .scalars import ParamScalar
 DerivMono = Tuple[int, ...]
 
 
-def _iter_sub(e: DerivMono):
+@lru_cache(maxsize=None)
+def _iter_sub(e: DerivMono) -> Tuple[Tuple[DerivMono, int], ...]:
     """All k with 0 <= k <= e componentwise, with the product of binomials."""
     if not e:
-        yield (), 1
-        return
-    head, rest = e[0], e[1:]
-    for tail, c in _iter_sub(rest):
-        for k in range(head + 1):
-            yield (k,) + tail, comb(head, k) * c
+        return (((), 1),)
+    head = e[0]
+    return tuple(((k,) + tail, comb(head, k) * c)
+                 for tail, c in _iter_sub(e[1:]) for k in range(head + 1))
+
+
+def _leibniz(a: "DiffOp", b: "DiffOp", sign: int,
+             out: Dict[DerivMono, list]) -> Dict[DerivMono, list]:
+    """Append the triple (sign * binomial, ca, D^k cb) of every Leibniz
+    product of a o b to out[e], e the product's derivative monomial."""
+    derivs = [(eb, _Derivatives(cb)) for eb, cb in b.terms.items()]
+    for ea, ca in a.terms.items():
+        for eb, dcb in derivs:
+            ab = tuple(map(add, ea, eb))
+            for k, binomial in _iter_sub(ea):
+                dc = dcb[k]
+                if not dc.is_zero():
+                    out.setdefault(tuple(map(sub, ab, k)), []).append((sign * binomial, ca, dc))
+    return out
 
 
 class _Derivatives(dict):
@@ -139,43 +159,25 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product self o other."""
         self._check(other)
-        derivs = [(eb, _Derivatives(cb)) for eb, cb in other.terms.items()]
-        acc: Dict[DerivMono, RatCoeff] = {}
-        for ea, ca in self.terms.items():
-            for eb, dcb in derivs:
-                # push D^ea through cb
-                for k, binomial in _iter_sub(ea):
-                    dc = dcb[k]
-                    if dc.is_zero():
-                        continue
-                    e = tuple(a - ki + b for a, ki, b in zip(ea, k, eb))
-                    coeff = ca * dc
-                    if binomial != 1:
-                        coeff = coeff.scale(binomial)
-                    s = acc.get(e)
-                    s = coeff if s is None else s + coeff
-                    # a cancelled monomial leaves the order; a later product
-                    # on it is appended afresh
-                    if s.is_zero():
-                        del acc[e]
-                    else:
-                        acc[e] = s
-        return DiffOp(self.vars, acc)
+        return self._sum(_leibniz(self, other, 1, {}))
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self.compose(other) - other.compose(self)
+        """self o other - other o self, both orders summed per coefficient."""
+        self._check(other)
+        return self._sum(_leibniz(other, self, -1, _leibniz(self, other, 1, {})))
+
+    def _sum(self, products: Dict[DerivMono, list]) -> "DiffOp":
+        s = RatCoeff.sum_of_products
+        return DiffOp(self.vars, {e: s(self.vars, t) for e, t in products.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        if self.vars != other.vars:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        z = RatCoeff.zero(self.vars)
-        return all(self.terms.get(e, z) == other.terms.get(e, z) for e in keys)
+        # zero coefficients are dropped and RatCoeff equality compares forms
+        return self.vars == other.vars and self.terms == other.terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -192,11 +194,8 @@ class DiffOp:
         if self.vars != p.vars:
             raise ValueError("variable-set mismatch")
         dp = _Derivatives(p)
-        out = RatCoeff.zero(self.vars)
-        for e, c in self.terms.items():
-            if not dp[e].is_zero():
-                out = out + c.mul_poly(dp[e])
-        return out
+        return RatCoeff.sum_of_products(
+            self.vars, [(1, c, RatCoeff(dp[e])) for e, c in self.terms.items()])
 
     def apply(self, p: GeoPoly) -> GeoPoly:
         """Action on a polynomial, demanding a polynomial result."""

@@ -94,6 +94,76 @@ def test_ratcoeff_quotient_rule():
     assert d == RatCoeff(-one, {"t": 2})
 
 
+def test_ratcoeff_equality_compares_reduced_forms():
+    # at n = 2 the factors are q1 = x1^2, xn = x2 and q = x1^2 + x2^2
+    vs = xi_vars(2)
+    x1 = GeoPoly.var(vs, "x1")
+    a, b = RatCoeff(x1, {"q1": 1}), RatCoeff(x1 ** 3, {"q1": 2})
+    assert a.den == b.den == {"q1": 1}
+    assert a == b and b == a
+    c = RatCoeff(x1, {"q1": 2})
+    assert a != c and c != a
+    assert a != RatCoeff(x1.scale(2), {"q1": 1})
+    assert RatCoeff(x1 * x1, {"q": 1}) != RatCoeff(x1 * x1, {"xn": 1})
+
+
+def test_ratcoeff_scalar_multiples_skip_trial_division(monkeypatch):
+    # a nonzero multiple of a numerator that no factor divides stays so
+    vs = xi_vars(3)
+    x3 = GeoPoly.var(vs, "x3")
+    r = RatCoeff(x3.scale(LAMBDA) + GeoPoly.const(vs, 1), {"q1": 2, "xn": 1})
+    calls = []
+    divide = GeoPoly.exact_divide
+    monkeypatch.setattr(GeoPoly, "exact_divide",
+                        lambda self, d: calls.append(d) or divide(self, d))
+    neg, tripled = -r, r.scale(3)
+    assert calls == []
+    monkeypatch.undo()
+    assert neg.den == tripled.den == r.den
+    assert neg == RatCoeff(-r.num, r.den)
+    assert tripled == RatCoeff(r.num.scale(3), r.den)
+    assert (neg + r).is_zero() and r.scale(0).is_zero()
+
+
+def _over(vs, p, den, common):
+    """p / prod f^den as a polynomial over prod f^common, by GeoPoly products."""
+    facs = curated_factors(vs)
+    for f, e in common.items():
+        p = p * facs[f] ** (e - den.get(f, 0))
+    return p
+
+
+def test_sum_of_products_matches_cross_multiplication():
+    # coefficients over distinct Z[a, l, m] denominators and curated factors,
+    # checked over one common denominator with GeoPoly arithmetic alone
+    vs = xi_vars(3)
+    x1, x3 = GeoPoly.var(vs, "x1"), GeoPoly.var(vs, "x3")
+    q1 = quadratic_sum(vs, 2)
+    xs = [RatCoeff(x1.scale(1 / (LAMBDA + 1)), {"q1": 1}),
+          RatCoeff(x3.scale(Fraction(2, 3)) + q1, {"xn": 2}),
+          RatCoeff(x1 * x3 + GeoPoly.const(vs, 1 / (LAMBDA + 2)), {"q": 1, "q1": 1}),
+          RatCoeff(q1.scale(MU))]
+    triples = [(k, a, b) for k, (a, b) in zip((1, -2, 3, 5, -1, 4),
+                                               ((xs[0], xs[1]), (xs[1], xs[2]), (xs[2], xs[3]),
+                                                (xs[3], xs[0]), (xs[0], xs[2]), (xs[3], xs[3])))]
+    common = {"xn": 2, "q1": 2, "q": 2}
+    want = GeoPoly.zero(vs)
+    for k, a, b in triples:
+        den = {f: a.den.get(f, 0) + b.den.get(f, 0) for f in common}
+        want = want + _over(vs, (a.num * b.num).scale(k), den, common)
+    got = RatCoeff.sum_of_products(vs, triples)
+    assert _over(vs, got.num, got.den, common) == want
+    # reduced: no factor of its denominator divides its numerator
+    assert got.den and all(got.num.exact_divide(curated_factors(vs)[f]) is None for f in got.den)
+    # a sum that cancels, and an empty one
+    back = [(-k, a, b) for k, a, b in triples]
+    assert RatCoeff.sum_of_products(vs, triples + back).is_zero()
+    assert RatCoeff.sum_of_products(vs, []).is_zero()
+    # (x3/q1) * (q1/xn) divides out to 1
+    one = RatCoeff.sum_of_products(vs, [(1, RatCoeff(x3, {"q1": 1}), RatCoeff(q1, {"xn": 1}))])
+    assert one.is_polynomial() and one.as_poly() == GeoPoly.const(vs, 1)
+
+
 def test_rejects_non_curated_denominator():
     with pytest.raises(ValueError):
         RatCoeff(GeoPoly.const(xi_vars(2), 1), {"bogus": 1})

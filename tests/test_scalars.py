@@ -290,6 +290,52 @@ def test_reference_cases(num, den, expected):
     assert _new_quotient(q).render() == expected
 
 
+# Sums and products of reduced quotients cancel crosswise: a common factor of
+# a sum divides gcd(d1, d2), one of a product pairs n1 with d2 or n2 with d1.
+
+_L = _linear(1, 0)
+_M = _linear(2, 0)
+
+
+def _ref_sum_and_product(x, y):
+    (n1, d1), (n2, d2) = ((_ref_product(s, f), _ref_product(ds, g)) for s, f, ds, g in (x, y))
+    return (_ref_render(n1 * d2 + n2 * d1, d1 * d2), _ref_render(n1 * n2, d1 * d2))
+
+
+@pytest.mark.parametrize("x, y, total, product", [
+    # 1/(l(l+1)) + 1/(l(l+2))
+    ((1, [], 1, [_L, _linear(1, 1)]), (1, [], 1, [_L, _linear(1, 2)]),
+     "(2*l + 3)/(l^3 + 3*l^2 + 2*l)", "(1)/(l^4 + 3*l^3 + 2*l^2)"),
+    # 1/(l(l-1)) + 1/(l(l+1)) = 2/((l-1)(l+1)): the sum's numerator shares l
+    ((1, [], 1, [_L, _linear(1, -1)]), (1, [], 1, [_L, _linear(1, 1)]),
+     "(2)/(l^2 - 1)", "(1)/(l^4 - l^2)"),
+    # (l+1)/(l+2) * (l+2)/(l+3), and l/(l+2) - l/(l+2)
+    ((1, [_linear(1, 1)], 1, [_linear(1, 2)]), (1, [_linear(1, 2)], 1, [_linear(1, 3)]),
+     "(2*l^2 + 8*l + 7)/(l^2 + 5*l + 6)", "(l + 1)/(l + 3)"),
+    ((1, [_L], 1, [_linear(1, 2)]), (-1, [_L], 1, [_linear(1, 2)]),
+     "0", "(-l^2)/(l^2 + 4*l + 4)"),
+    # (l^2+1)/m * 3m/(2(l+50)): both cross pairs cancel, one by a constant
+    ((1, [_L_SQUARED_PLUS_1], 1, [_M]), (3, [_M], 2, [_L_PLUS_50]),
+     "(l^3 + 50*l^2 + 3/2*m^2 + l + 50)/(l*m + 50*m)", "(3/2*l^2 + 3/2)/(l + 50)"),
+    # a constant denominator against a non-constant one
+    ((Fraction(1, 3), [_L], 1, []), (1, [], 1, [_L, _linear(1, Fraction(1, 2))]),
+     "(2/3*l^3 + 1/3*l^2 + 2)/(2*l^2 + l)", "(2/3)/(2*l + 1)"),
+])
+def test_crosswise_cancellation_matches_reference(x, y, total, product):
+    assert _ref_sum_and_product(x, y) == (total, product)
+    a, b = _new_quotient(x), _new_quotient(y)
+    assert ((a + b).render(), (a * b).render()) == (total, product)
+    assert ((b + a).render(), (b * a).render()) == (total, product)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotients(), quotients())
+def test_sums_and_products_match_reference(x, y):
+    assume(_ref_product(x[2], x[3]).terms and _ref_product(y[2], y[3]).terms)
+    a, b = _new_quotient(x), _new_quotient(y)
+    assert ((a + b).render(), (a * b).render()) == _ref_sum_and_product(x, y)
+
+
 def test_large_constants_match_reference():
     rng = random.Random(11)
     for _ in range(200):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vermabranch.polyring import GeoPoly, RatCoeff, quadratic_sum, xi_vars
+from vermabranch.polyring import GeoPoly, RatCoeff, quadratic_sum, t_var, xi_vars
 from vermabranch.properties import (apply_compose, associativity,
                                     field_axioms, jacobi_identity,
                                     normal_order_confluence)
@@ -87,9 +87,10 @@ def test_randomized_property_suites_small():
 
 
 # -- reference fold ----------------------------------------------------------
-# compose and apply_rat read each D^k of a coefficient from one table per call
-# and sum into one dict.  The plain fold below re-derives D^k for every
-# (ea, k) and adds every product through DiffOp.__add__; the two must agree
+# compose, commutator and apply_rat read each D^k of a coefficient from one
+# table per call and build each output coefficient by one sum of products.
+# The plain fold below re-derives D^k for every (ea, k), forms every product
+# with RatCoeff.__mul__ and adds it through DiffOp.__add__; the two must agree
 # term for term, down to the rendered form of every coefficient.
 
 def _ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -118,12 +119,14 @@ def _ref_apply_rat(op: DiffOp, p: GeoPoly) -> RatCoeff:
             for _ in range(ei):
                 dp = dp.derive(i)
         if not dp.is_zero():
-            out = out + c.mul_poly(dp)
+            out = out + c * RatCoeff(dp)
     return out
 
 
 def _assert_matches_reference(a: DiffOp, b: DiffOp, p: GeoPoly):
     assert a.compose(b).render() == _ref_compose(a, b).render()
+    assert a.commutator(b).render() == (_ref_compose(a, b) - _ref_compose(b, a)).render()
+    assert a.commutator(a).is_zero()
     assert a.apply_rat(p).render() == _ref_apply_rat(a, p).render()
 
 
@@ -167,3 +170,12 @@ def test_random_localized_products_match_reference():
     probe = quadratic_sum(vs, 3) * GeoPoly.var(vs, "x1") * GeoPoly.var(vs, "x3")
     for a, b in zip(ops, ops[1:] + ops[:1]):
         _assert_matches_reference(a, b, probe)
+
+
+def test_products_past_the_exponent_limit_are_rejected():
+    # t^(2^14) * t^(2^14) reaches 2^15 in the t field
+    half = GeoPoly.var(t_var(), "t", 2 ** 14)
+    with pytest.raises(ValueError):
+        DiffOp.mult(half) @ DiffOp.mult(half)
+    with pytest.raises(ValueError):
+        DiffOp.mult(half).apply_rat(half)

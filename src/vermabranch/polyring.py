@@ -9,15 +9,13 @@ parameter field Q(a, l, m) (:mod:`~vermabranch.scalars`).
 A :class:`GeoPoly` is an integer polynomial in the geometric variables and
 the parameters over one shared denominator ``den`` in Z[a, l, m] (FLINT's
 ``fmpq_poly`` form), with the integer content of both sides divided out and a
-positive leading coefficient in ``den``.  Each monomial is one int of 16-bit
-fields, highest first: the total geometric degree, g_1..g_n, then the a, l, m
-exponents (Monagan and Pearce, CASC 2007).  Integer order is thus the
-graded-lexicographic order of the geometric part, the last variable least
-significant, which keeps rendered output stable for the golden files, and a
-monomial product is one integer addition.  Every exponent stays below 2^15,
-so two fields never carry into their neighbour; a product that reaches 2^15
-in a field raises ValueError.  The packed form stays in this module: only the
-read-only view (``coefficients``, ``coefficient``, ``leading``) builds
+positive leading coefficient in ``den``.  A monomial is one int in the packed
+layout of :mod:`~vermabranch.scalars`: 16-bit fields for the total geometric
+degree and g_1..g_n sit above the parameter fields, whose bits are a
+ParamPoly key, so both layers share one kernel and its 2^15 bound.  Integer
+order is graded-lexicographic in the geometric part, the last variable least
+significant, which keeps rendered output stable for the golden files.  Only
+the read-only view (``coefficients``, ``coefficient``, ``leading``) builds
 per-monomial ParamScalars, in the canonical form of :mod:`scalars`.
 """
 
@@ -30,16 +28,10 @@ from operator import add, or_
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .scalars import _CONST, _ONE, _gcd, _mono_key, Exponents, ParamPoly, ParamScalar
+from .scalars import (_FIELD, _LIMIT, _ONE, _OVERFLOW, _PBITS, _PMASK, _PTOP, _W,
+                      _divide, _gcd, _normalize, _product, ParamPoly, ParamScalar)
 
 Expts = Tuple[int, ...]
-
-_W = 16                      # bits per packed field
-_FIELD = (1 << _W) - 1
-_LIMIT = 1 << (_W - 1)       # every exponent stays below this
-_PBITS = 3 * _W              # the a, l, m fields
-_PMASK = (1 << _PBITS) - 1
-_OVERFLOW = f"exponent of {_LIMIT} or more in a geometric polynomial"
 
 
 @dataclass(frozen=True)
@@ -84,17 +76,18 @@ def _layout(n: int) -> Tuple[Tuple[int, ...], int, int]:
     """For n geometric variables: the shift of each one's field, the shift of
     the degree field, and the mask of every field's top bit."""
     shifts = tuple(_PBITS + _W * (n - 1 - i) for i in range(n))
-    top = sum(1 << (_W * f + _W - 1) for f in range(n + 4))
-    return shifts, _PBITS + _W * n, top
+    dshift = _PBITS + _W * n
+    top = _PTOP | sum(1 << (s + _W - 1) for s in shifts + (dshift,))
+    return shifts, dshift, top
 
 
-def _pack(e: Expts, p: Exponents = _CONST) -> int:
-    """The key of geometric exponents e times parameter exponents p."""
+def _pack(e: Expts) -> int:
+    """The key of the geometric exponents e."""
     d = sum(e)
-    if d >= _LIMIT or max(p) >= _LIMIT:
+    if d >= _LIMIT:
         raise ValueError(_OVERFLOW)
     shifts, dshift, _ = _layout(len(e))
-    k = d << dshift | p[0] << 2 * _W | p[1] << _W | p[2]
+    k = d << dshift
     for s, x in zip(shifts, e):
         k |= x << s
     return k
@@ -105,33 +98,13 @@ def _geo(k: int, n: int) -> Expts:
     return tuple(k >> s & _FIELD for s in _layout(n)[0])
 
 
-def _params(k: int) -> Exponents:
-    return (k >> 2 * _W & _FIELD, k >> _W & _FIELD, k & _FIELD)
-
-
-def _product(a: Dict[int, int], b: Dict[int, int], n: int) -> Dict[int, int]:
-    """The product of two packed polynomials in n geometric variables, with
-    every key tested against the top bits of its fields."""
-    out: Dict[int, int] = {}
-    get = out.get
-    b = b.items()
-    for k1, c1 in a.items():
-        for k2, c2 in b:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    out = {k: c for k, c in out.items() if c}
-    if out and reduce(or_, out) & _layout(n)[2]:
-        raise ValueError(_OVERFLOW)
-    return out
-
-
 def _times(terms: Dict[int, int], p: ParamPoly, n: int) -> Dict[int, int]:
     """terms times the parameter polynomial p."""
     pt = p.terms
-    if len(pt) == 1 and _CONST in pt:
-        c = pt[_CONST]
+    if len(pt) == 1 and 0 in pt:
+        c = pt[0]
         return terms if c == 1 else {k: c * v for k, v in terms.items()}
-    return _product(terms, {_pack((), e): c for e, c in pt.items()}, n)
+    return _product(terms, pt, _layout(n)[2])
 
 
 def _lcm(d1: ParamPoly, d2: ParamPoly) -> Tuple[ParamPoly, ParamPoly, ParamPoly]:
@@ -145,30 +118,13 @@ def _dmul(d1: ParamPoly, d2: ParamPoly) -> ParamPoly:
     return d2 if d1 is _ONE else d1 if d2 is _ONE else d1 * d2
 
 
-def _split(c) -> Tuple[ParamPoly, ParamPoly]:
-    """Numerator and denominator of a ParamScalar, ParamPoly, int or Fraction."""
-    if isinstance(c, ParamScalar):
-        return c.num, c.den
-    if isinstance(c, ParamPoly):
-        return c, _ONE
-    d = c.denominator
-    return ParamPoly.const(c.numerator), _ONE if d == 1 else ParamPoly.const(d)
-
-
 def _new(vars: VarSet, terms: Dict[int, int], den: ParamPoly = _ONE) -> "GeoPoly":
     """The GeoPoly of packed nonzero terms over den, brought to kernel form.
     Every internal result is built here, not by the constructor."""
     if not terms:
         den = _ONE
-    else:
-        dt = den.terms
-        if len(dt) != 1 or dt.get(_CONST) != 1:
-            g = gcd(*terms.values(), *dt.values())
-            if dt[max(dt, key=_mono_key)] < 0:
-                g = -g
-            if g != 1:
-                terms = {k: c // g for k, c in terms.items()}
-                den = ParamPoly({e: c // g for e, c in dt.items()})
+    elif den.terms != _ONE.terms:
+        terms, den = _normalize(terms, den)
     p = GeoPoly.__new__(GeoPoly)
     p.vars, p.terms, p.den = vars, terms, den
     return p
@@ -186,7 +142,7 @@ class GeoPoly:
         out = _new(vars, {})
         for e, c in (terms or {}).items():
             g = _pack(e)
-            out += _new(vars, {g + _pack((), pe): v for pe, v in c.num.terms.items()}, c.den)
+            out += _new(vars, {g + k: v for k, v in c.num.terms.items()}, c.den)
         self.vars, self.terms, self.den = vars, out.terms, out.den
 
     # -- constructors -----------------------------------------------------
@@ -206,8 +162,8 @@ class GeoPoly:
 
     @staticmethod
     def const(vars: VarSet, c) -> "GeoPoly":
-        num, den = _split(c)
-        return _new(vars, {_pack((), e): v for e, v in num.terms.items()}, den)
+        c = ParamScalar.coerce(c)
+        return _new(vars, c.num.terms, c.den)
 
     @staticmethod
     def var(vars: VarSet, name: str, power: int = 1) -> "GeoPoly":
@@ -235,16 +191,16 @@ class GeoPoly:
     def coefficients(self) -> Dict[Expts, ParamScalar]:
         """The read-only view: the coefficient of each geometric monomial as a
         canonical ParamScalar, highest monomial first.  Built on each call."""
-        rows: Dict[int, Dict[Exponents, int]] = {}
+        rows: Dict[int, Dict[int, int]] = {}
         for k, c in self.terms.items():
-            rows.setdefault(k >> _PBITS, {})[_params(k)] = c
+            rows.setdefault(k >> _PBITS, {})[k & _PMASK] = c
         n = self.vars.arity
         return {_geo(g << _PBITS, n): ParamScalar(ParamPoly(rows[g]), self.den)
                 for g in sorted(rows, reverse=True)}
 
     def coefficient(self, e: Expts) -> ParamScalar:
         g = _pack(tuple(e)) >> _PBITS
-        row = {_params(k): c for k, c in self.terms.items() if k >> _PBITS == g}
+        row = {k & _PMASK: c for k, c in self.terms.items() if k >> _PBITS == g}
         return ParamScalar(ParamPoly(row), self.den)
 
     def leading(self) -> Tuple[Expts, ParamScalar]:
@@ -285,7 +241,7 @@ class GeoPoly:
 
     def __mul__(self, other: "GeoPoly") -> "GeoPoly":
         self._check(other)
-        return _new(self.vars, _product(self.terms, other.terms, self.vars.arity),
+        return _new(self.vars, _product(self.terms, other.terms, _layout(self.vars.arity)[2]),
                     _dmul(self.den, other.den))
 
     def __pow__(self, k: int) -> "GeoPoly":
@@ -297,8 +253,8 @@ class GeoPoly:
         return out
 
     def scale(self, c) -> "GeoPoly":
-        num, den = _split(c)
-        return _new(self.vars, _times(self.terms, num, self.vars.arity), _dmul(self.den, den))
+        c = ParamScalar.coerce(c)
+        return _new(self.vars, _times(self.terms, c.num, self.vars.arity), _dmul(self.den, c.den))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeoPoly) or self.vars != other.vars:
@@ -337,28 +293,11 @@ class GeoPoly:
             raise ValueError("exact_divide needs a divisor with constant coefficients")
         if not self.terms:
             return self
-        top = _layout(self.vars.arity)[2]
         cont = gcd(*dt.values())
-        div = [(k, c // cont) for k, c in dt.items()]
-        de, dc = max(div)
-        rem = dict(self.terms)
-        quot: Dict[int, int] = {}
-        while rem:
-            e = max(rem)
-            q = e - de
-            if q < 0 or q & top:
-                return None
-            c, r = divmod(rem[e], dc)
-            if r:
-                return None
-            quot[q] = c
-            for k, v in div:
-                t = q + k
-                s = rem.get(t, 0) - c * v
-                if s:
-                    rem[t] = s
-                else:
-                    del rem[t]
+        quot = _divide(dict(self.terms), [(k, c // cont) for k, c in dt.items()],
+                       _layout(self.vars.arity)[2])
+        if quot is None:
+            return None
         # self / divisor = quot * den(divisor) / (den(self) * cont)
         return _new(self.vars, _times(quot, divisor.den, self.vars.arity),
                     self.den * ParamPoly.const(cont))
@@ -550,7 +489,7 @@ class RatCoeff:
                 for f, e in cd.items():
                     den[f] = max(den.get(f, 0), e)
                 live.append((k, x.num, y.num, cd))
-        n = vars.arity
+        top = _layout(vars.arity)[2]
         lifted: Dict[tuple, Dict[int, int]] = {}
         groups = []  # (Z[a, l, m] denominator, packed numerator sum)
         for k, xn, yn, cd in live:
@@ -560,7 +499,7 @@ class RatCoeff:
                 key = (id(xn), lift)
                 if key not in lifted:
                     for f, j in lift:
-                        xt = _product(xt, _factor_power(vars, f, j), n)
+                        xt = _product(xt, _factor_power(vars, f, j), top)
                     lifted[key] = xt
                 xt = lifted[key]
             pden = _dmul(xn.den, yn.den)
@@ -578,7 +517,7 @@ class RatCoeff:
                 for k2, c2 in yt:
                     t = k1 + k2
                     acc[t] = get(t, 0) + c1 * c2
-        if any(reduce(or_, acc) & _layout(n)[2] for _, acc in groups):
+        if any(reduce(or_, acc) & top for _, acc in groups):
             raise ValueError(_OVERFLOW)
         if not groups:
             return RatCoeff.zero(vars)

@@ -8,6 +8,16 @@ them, so the arithmetic path builds no ``fractions.Fraction``: rationals
 appear only at the boundary (``ParamScalar.const``, ``rational_value`` and
 ``render``).
 
+This module holds the one packed monomial layout of the package (Monagan and
+Pearce, CASC 2007).  A monomial is one int of 16-bit fields, highest first:
+the total degree, then one exponent per symbol of ``SYMBOLS``.  Integer order
+is thus the graded-lexicographic order, and a monomial product is one integer
+addition.  Every exponent and degree stays below 2^15, so two fields never
+carry into their neighbour; a product that reaches 2^15 in a field raises
+ValueError.  :mod:`~vermabranch.polyring` puts its geometric fields above
+these, so a parameter monomial is the low ``_PBITS`` of a geometric one, and
+both layers multiply with :func:`_product` and divide with :func:`_divide`.
+
 Canonical form: numerator and denominator have no common factor, the
 denominator has a positive leading coefficient, and the integer content of
 numerator and denominator together is 1.  Each quotient is divided by the gcd
@@ -23,52 +33,115 @@ with rational coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
-from typing import Dict, Mapping, Tuple, Union
+from operator import or_
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-Exponents = Tuple[int, int, int]
 RationalLike = Union[int, Fraction]
 
 SYMBOLS = ("a", "l", "m")
 
-_CONST: Exponents = (0, 0, 0)
+# -- the packed monomials ------------------------------------------------------
+
+_W = 16                                  # bits per packed field
+_FIELD = (1 << _W) - 1
+_LIMIT = 1 << (_W - 1)                   # every exponent stays below this
+_DSHIFT = _W * len(SYMBOLS)              # the total-degree field
+_PBITS = _DSHIFT + _W                    # the parameter fields, degree included
+_PMASK = (1 << _PBITS) - 1
+_SHIFTS = tuple(_W * i for i in reversed(range(len(SYMBOLS))))
+_UNITS = tuple(1 << s | 1 << _DSHIFT for s in _SHIFTS)
+_PTOP = sum(1 << (s + _W - 1) for s in _SHIFTS + (_DSHIFT,))
+_OVERFLOW = f"exponent of {_LIMIT} or more in a polynomial"
 
 
-def _mono_key(e: Exponents):
-    # graded lexicographic, largest first
-    return (sum(e), e)
+def _pack(e: Sequence[int]) -> int:
+    """The packed monomial with exponent e[i] of SYMBOLS[i]."""
+    if sum(e) >= _LIMIT:
+        raise ValueError(_OVERFLOW)
+    return sum(x * u for x, u in zip(e, _UNITS))
+
+
+def _exponents(k: int) -> Tuple[int, ...]:
+    """The exponent of each symbol in the packed monomial k."""
+    return tuple(k >> s & _FIELD for s in _SHIFTS)
+
+
+def _product(a: Dict[int, int], b: Dict[int, int], top: int) -> Dict[int, int]:
+    """The product of two packed polynomials, with every key tested against
+    ``top``, the mask of the top bit of each of their fields."""
+    out: Dict[int, int] = {}
+    get = out.get
+    b = b.items()
+    for k1, c1 in a.items():
+        for k2, c2 in b:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    out = {k: c for k, c in out.items() if c}
+    if out and reduce(or_, out) & top:
+        raise ValueError(_OVERFLOW)
+    return out
+
+
+def _divide(rem: Dict[int, int], div: List[Tuple[int, int]], top: int) -> Optional[Dict[int, int]]:
+    """The quotient of the packed polynomial rem by div in integers if the
+    division is exact, else None; consumes rem.
+
+    A leading monomial of rem that the divisor's does not divide leaves a
+    borrow in the top bit of some field of the difference of their keys.
+    """
+    de, dc = max(div)
+    quot: Dict[int, int] = {}
+    while rem:
+        e = max(rem)
+        q = e - de
+        if q & top:
+            return None
+        c, r = divmod(rem[e], dc)
+        if r:
+            return None
+        quot[q] = c
+        for k, v in div:
+            t = q + k
+            s = rem.get(t, 0) - c * v
+            if s:
+                rem[t] = s
+            else:
+                del rem[t]
+    return quot
 
 
 class ParamPoly:
     """Sparse polynomial in the parameters a, l, m over the integers.
 
-    ``terms`` maps exponent triples to nonzero ints.  The constructor keeps the
+    ``terms`` maps packed monomials to nonzero ints.  The constructor keeps the
     mapping it is given, so it must be clean and is not mutated afterwards.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Exponents, int] | None = None):
+    def __init__(self, terms: Dict[int, int] | None = None):
         self.terms = {} if terms is None else terms
 
     @staticmethod
     def const(c: int) -> "ParamPoly":
-        return ParamPoly({_CONST: c} if c else {})
+        return ParamPoly({0: c} if c else {})
 
     @staticmethod
     def symbol(name: str) -> "ParamPoly":
-        e = [0, 0, 0]
+        e = [0] * len(SYMBOLS)
         e[SYMBOLS.index(name)] = 1
-        return ParamPoly({tuple(e): 1})
+        return ParamPoly({_pack(e): 1})
 
     def is_constant(self) -> bool:
         t = self.terms
-        return not t or (len(t) == 1 and _CONST in t)
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(_CONST, 0)
+        return self.terms.get(0, 0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -87,18 +160,12 @@ class ParamPoly:
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
         a, b = self.terms, other.terms
-        if len(b) == 1 and _CONST in b:
-            p, c = self, b[_CONST]
-        elif len(a) == 1 and _CONST in a:
-            p, c = other, a[_CONST]
+        if len(b) == 1 and 0 in b:
+            p, c = self, b[0]
+        elif len(a) == 1 and 0 in a:
+            p, c = other, a[0]
         else:
-            out: Dict[Exponents, int] = {}
-            get = out.get
-            for (x0, x1, x2), c1 in a.items():
-                for (y0, y1, y2), c2 in b.items():
-                    e = (x0 + y0, x1 + y1, x2 + y2)
-                    out[e] = get(e, 0) + c1 * c2
-            return ParamPoly({e: c for e, c in out.items() if c})
+            return ParamPoly(_product(a, b, _PTOP))
         return p if c == 1 else ParamPoly({e: c * v for e, v in p.terms.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -109,34 +176,16 @@ class ParamPoly:
 
     def exact_divide(self, divisor: "ParamPoly") -> "ParamPoly | None":
         """Quotient self/divisor in Z[a, l, m] if the division is exact, else None."""
-        if not divisor.terms:
+        dt = divisor.terms
+        if not dt:
             raise ZeroDivisionError("division by the zero polynomial")
         if divisor.is_constant():
-            c = divisor.terms[_CONST]
+            c = dt[0]
             if any(v % c for v in self.terms.values()):
                 return None
             return self if c == 1 else ParamPoly({e: v // c for e, v in self.terms.items()})
-        rem = dict(self.terms)
-        quot: Dict[Exponents, int] = {}
-        de = max(divisor.terms, key=_mono_key)
-        dc = divisor.terms[de]
-        while rem:
-            e = max(rem, key=_mono_key)
-            q = (e[0] - de[0], e[1] - de[1], e[2] - de[2])
-            if min(q) < 0:
-                return None
-            c, r = divmod(rem[e], dc)
-            if r:
-                return None
-            quot[q] = c
-            for e2, c2 in divisor.terms.items():
-                t = (q[0] + e2[0], q[1] + e2[1], q[2] + e2[2])
-                s = rem.get(t, 0) - c * c2
-                if s:
-                    rem[t] = s
-                else:
-                    del rem[t]
-        return ParamPoly(quot)
+        q = _divide(dict(self.terms), list(dt.items()), _PTOP)
+        return None if q is None else ParamPoly(q)
 
     # -- rendering --------------------------------------------------------
 
@@ -145,13 +194,10 @@ class ParamPoly:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_mono_key, reverse=True):
-            c = self.terms[e] if div == 1 else Fraction(self.terms[e], div)
-            mono = "*".join(
-                f"{SYMBOLS[i]}" + (f"^{e[i]}" if e[i] > 1 else "")
-                for i in range(3)
-                if e[i]
-            )
+        for k in sorted(self.terms, reverse=True):
+            c = self.terms[k] if div == 1 else Fraction(self.terms[k], div)
+            mono = "*".join(SYMBOLS[i] + (f"^{x}" if x > 1 else "")
+                            for i, x in enumerate(_exponents(k)) if x)
             ac = abs(c)
             if mono:
                 body = mono if ac == 1 else f"{ac}*{mono}"
@@ -172,14 +218,17 @@ _ONE = ParamPoly.const(1)
 
 
 def _degree(p: ParamPoly, i: int) -> int:
-    return max(e[i] for e in p.terms)
+    s = _SHIFTS[i]
+    return max(k >> s & _FIELD for k in p.terms)
 
 
 def _content(p: ParamPoly, i: int, g: ParamPoly | None = None) -> ParamPoly:
     """The gcd of g and of the coefficients of p as a polynomial in symbol i."""
-    rows: Dict[int, Dict[Exponents, int]] = {}
-    for e, c in p.terms.items():
-        rows.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    s, u = _SHIFTS[i], _UNITS[i]
+    rows: Dict[int, Dict[int, int]] = {}
+    for k, c in p.terms.items():
+        x = k >> s & _FIELD
+        rows.setdefault(x, {})[k - x * u] = c
     for t in rows.values():
         g = ParamPoly(t) if g is None else _gcd(g, ParamPoly(t))
     return g
@@ -188,15 +237,15 @@ def _content(p: ParamPoly, i: int, g: ParamPoly | None = None) -> ParamPoly:
 def _prem(p: ParamPoly, q: ParamPoly, i: int) -> ParamPoly:
     """The pseudo-remainder of p by q in symbol i: lc(q)^k p minus a multiple
     of q, of lower degree in symbol i than q."""
+    s, u = _SHIFTS[i], _UNITS[i]
     dq = _degree(q, i)
-    lq = ParamPoly({e[:i] + (0,) + e[i + 1:]: c for e, c in q.terms.items() if e[i] == dq})
+    lq = ParamPoly({k - dq * u: c for k, c in q.terms.items() if k >> s & _FIELD == dq})
     while p.terms:
         dp = _degree(p, i)
         if dp < dq:
             break
         # lc(p) s^(dp - dq), with s symbol i
-        lead = ParamPoly({e[:i] + (dp - dq,) + e[i + 1:]: c
-                          for e, c in p.terms.items() if e[i] == dp})
+        lead = ParamPoly({k - dq * u: c for k, c in p.terms.items() if k >> s & _FIELD == dp})
         p = p * lq + -(lead * q)
     return p
 
@@ -212,8 +261,8 @@ def _gcd(p: ParamPoly, q: ParamPoly) -> ParamPoly:
     if p.is_constant() or q.is_constant():
         return ParamPoly.const(gcd(*p.terms.values(), *q.terms.values()))
     shared = []
-    # dp, dq: the degrees of p and q in symbol i
-    for i, dp, dq in zip(range(len(SYMBOLS)), map(max, zip(*p.terms)), map(max, zip(*q.terms))):
+    for i in range(len(SYMBOLS)):
+        dp, dq = _degree(p, i), _degree(q, i)
         if dp and not dq:
             return _content(p, i, q)
         if dq and not dp:
@@ -245,22 +294,26 @@ def _cancel(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
     return num.exact_divide(g), den.exact_divide(g)
 
 
-def _normalize(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
-    """num and den with integer content 1 together and den's lead positive."""
+def _normalize(num: Dict[int, int], den: ParamPoly) -> Tuple[Dict[int, int], ParamPoly]:
+    """The packed terms num over den, both divided by their integer content
+    together, with the sign that makes den's leading coefficient positive."""
     dt = den.terms
-    g = gcd(*num.terms.values(), *dt.values())
-    if dt[max(dt, key=_mono_key)] < 0:
+    g = gcd(*num.values(), *dt.values())
+    if dt[max(dt)] < 0:
         g = -g
-    if g != 1:
-        num = ParamPoly({e: c // g for e, c in num.terms.items()})
-        den = ParamPoly({e: c // g for e, c in dt.items()})
-    return num, den
+    if g == 1:
+        return num, den
+    return {k: c // g for k, c in num.items()}, ParamPoly({k: c // g for k, c in dt.items()})
 
 
 def _reduced(num: ParamPoly, den: ParamPoly) -> "ParamScalar":
     """The ParamScalar num/den of a num and den without a common factor."""
     s = ParamScalar.__new__(ParamScalar)
-    s.num, s.den = _normalize(num, den) if num.terms else (_ZERO, _ONE)
+    if not num.terms:
+        s.num, s.den = _ZERO, _ONE
+        return s
+    t, s.den = _normalize(num.terms, den)
+    s.num = num if t is num.terms else ParamPoly(t)
     return s
 
 
@@ -278,13 +331,14 @@ class ParamScalar:
         if not num.terms:
             self.num, self.den = _ZERO, _ONE
             return
-        if len(dt) == 1 and _CONST in dt:
-            if dt[_CONST] == 1:
+        if len(dt) == 1 and 0 in dt:
+            if dt[0] == 1:
                 self.num, self.den = num, _ONE
                 return
         else:
             num, den = _cancel(num, den)
-        self.num, self.den = _normalize(num, den)
+        t, self.den = _normalize(num.terms, den)
+        self.num = num if t is num.terms else ParamPoly(t)
 
     # -- constructors -----------------------------------------------------
 
@@ -371,13 +425,16 @@ class ParamScalar:
         return ParamScalar.coerce(other) / self
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (ParamScalar, ParamPoly, int, Fraction)):
+        if not isinstance(other, (ParamScalar, int, Fraction)):
             return NotImplemented
         # both sides are canonical, so equal values have equal forms
         other = ParamScalar.coerce(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a rational value equals its int or Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash((self.num, self.den))
 
     def substitute(self, bindings: Mapping[str, "ParamScalar | ParamPoly | RationalLike"]) -> "ParamScalar":
@@ -401,7 +458,7 @@ class ParamScalar:
     def render(self) -> str:
         dt = self.den.terms
         g = gcd(*dt.values())
-        if len(dt) == 1 and _CONST in dt:
+        if len(dt) == 1 and 0 in dt:
             return self.num.render(g)
         return f"({self.num.render(g)})/({self.den.render(g)})"
 
@@ -411,13 +468,13 @@ class ParamScalar:
 
 def _substitute_scalar(p: ParamPoly, bindings: Mapping[str, "ParamScalar | ParamPoly | RationalLike"]) -> ParamScalar:
     out = ParamScalar.const(0)
-    for e, c in p.terms.items():
+    for k, c in p.terms.items():
         term = ParamScalar.const(c)
-        for i, s in enumerate(SYMBOLS):
-            if not e[i]:
+        for s, x in zip(SYMBOLS, _exponents(k)):
+            if not x:
                 continue
             base = ParamScalar.coerce(bindings[s]) if s in bindings else ParamScalar.symbol(s)
-            for _ in range(e[i]):
+            for _ in range(x):
                 term = term * base
         out = out + term
     return out

@@ -38,6 +38,19 @@ def test_all_report_matches_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / "all_report.json").read_bytes()
 
 
+@pytest.mark.parametrize("args, golden", [
+    # the only report whose scalars take the gcd path (l >= 43)
+    (["verify-so", "--n", "2", "--max-degree", "45"], "verify_so_n2_deg45_report.json"),
+    # specialized weights
+    (["verify-diag", "--lambda", "1/3", "--mu", "2/5"], "verify_diag_l1_3_m2_5_report.json"),
+])
+def test_report_matches_golden(tmp_path, args, golden):
+    # frozen like all_report.json, and never regenerated to make this pass
+    out = tmp_path / "report.json"
+    assert main([*args, "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
+
+
 def test_corrupted_golden_detected():
     # exit-status/diff contract spot check: a perturbed golden must not match
     name = "f_vectors.txt"

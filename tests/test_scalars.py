@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
+from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamPoly, ParamScalar
 
 
 def test_constants_and_rendering():
@@ -71,6 +71,56 @@ def test_substitute_alpha_relation():
     # the weight relation alpha = -lambda - (n-1)/2 at n = 3
     expr = ALPHA * 2
     assert expr.substitute({"a": Fraction(-5, 2)}).rational_value() == -5
+
+
+# -- the packed kernel ---------------------------------------------------------
+
+def test_exact_division_of_parameter_polynomials():
+    a, l, m = (ParamPoly.symbol(s) for s in "alm")
+    one = ParamPoly.const(1)
+    # l does not divide a*m: the leading exponents leave a borrow
+    assert (a * m).exact_divide(l) is None
+    assert (l * m + l).exact_divide(m + one) == l
+    assert (a * a * l + -(m * m * l)).exact_divide(a + m) == a * l + -(m * l)
+    assert (l * l + one).exact_divide(l + one) is None
+
+
+def test_parameter_degree_stays_below_the_field_limit():
+    def power(s, e):  # s^(2^e) by repeated squaring
+        for _ in range(e):
+            s = s * s
+        return s
+
+    lam, alpha = power(LAMBDA, 14), power(ALPHA, 14)
+    assert lam.render() == f"l^{2 ** 14}"
+    assert (lam * (lam / LAMBDA)).render() == f"l^{2 ** 15 - 1}"
+    with pytest.raises(ValueError):
+        lam * lam
+    # the total degree has a field of its own
+    with pytest.raises(ValueError):
+        lam * alpha
+
+
+def test_render_orders_terms_graded_lexicographically():
+    p = ALPHA * ALPHA + LAMBDA * MU * MU * MU - MU * 3 + 1
+    assert p.render() == "l*m^3 + a^2 - 3*m + 1"
+    assert (p / (ALPHA * LAMBDA * LAMBDA - MU * 2 + 7)).render() == \
+        "(l*m^3 + a^2 - 3*m + 1)/(a*l^2 - 2*m + 7)"
+
+
+def test_equality_is_symmetric_and_agrees_with_hashing():
+    values = [ParamScalar.const(0), ParamScalar.const(1), ParamScalar.const(Fraction(3, 4)),
+              LAMBDA, LAMBDA / (MU + 1), ParamPoly.const(0), ParamPoly.const(1),
+              ParamPoly.symbol("l"), 0, 1, 3, Fraction(3, 4), Fraction(2, 1)]
+    for x in values:
+        for y in values:
+            assert (x == y) == (y == x), (x, y)
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert ParamScalar(ParamPoly.symbol("l")) != ParamPoly.symbol("l")
+    assert ParamPoly.symbol("l") != ParamScalar(ParamPoly.symbol("l"))
+    assert {1: "v"}.get(ParamScalar.const(1)) == "v"
+    assert {Fraction(3, 4): "v"}.get(ParamScalar.const(Fraction(3, 4))) == "v"
 
 
 scalars = st.builds(

@@ -11,14 +11,15 @@ verbatim for the i-free versions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb, factorial
 from typing import Dict, List, Tuple
 
-from .orthopoly import JacobiSpec, jacobi, jacobi_recursion_coeffs
-from .polyring import (GeoPoly, dehomogenize, homogenize, per_context,
-                       substitute_linear, t_var, xi_eta_vars, xy_vars)
+from .orthopoly import jacobi_recursion_coeffs
+from .polyring import (GeoPoly, dehomogenize, homogenize, per_context, t_var,
+                       xi_eta_vars, xy_vars)
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
 from .scalars import ParamScalar
-from .weylalg import DiffOp, proportionality
+from .weylalg import DiffOp
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,19 @@ def op_F_t(ctx: DiagContext, l: int) -> DiffOp:
 
 @per_context
 def jacobi_t_polynomial(ctx: DiagContext, l: int) -> GeoPoly:
-    """P_l^(-lam-1, mu+lam-2l+1)(2t+1) as a polynomial in t."""
-    spec = JacobiSpec(l, -ctx.lam - 1, ctx.mu + ctx.lam - (2 * l - 1))
-    return substitute_linear(jacobi(spec), 2, 1)
+    """P_l^(-lam-1, mu+lam-2l+1)(2t+1) in t, built from its 2F1 terms
+    a^l_i = binom(l, i) (i-lam)_{l-i} (mu-l+1)_i / l!: the suffix products
+    S_i = (i-lam) S_{i+1} (S_l = 1) and prefix products R_i = (mu-l+1)_i give
+    all l+1 of them in O(l) products, dividing by nothing that depends on lam, mu."""
+    suffix = [ParamScalar.const(1)]
+    for i in range(l - 1, -1, -1):
+        suffix.append(suffix[-1] * (ParamScalar.const(i) - ctx.lam))
+    terms, prefix = {}, ParamScalar.const(1)
+    for i in range(l + 1):
+        if i:
+            prefix = prefix * (ctx.mu - (l - i))
+        terms[(i,)] = suffix[l - i] * prefix * comb(l, i) / factorial(l)
+    return GeoPoly.from_terms(t_var(), terms)
 
 
 def singular_vector_Ptilde(ctx: DiagContext, l: int) -> GeoPoly:

@@ -82,12 +82,14 @@ def gegenbauer(spec: GegenbauerSpec, method: str = "explicit") -> GeoPoly:
             c_prev, c_cur = c_cur, nxt.scale(Fraction(1, k))
         return c_cur
     if method == "explicit":
-        out = GeoPoly.zero(xv)
-        for k in range(l // 2 + 1):
-            coeff = rising_factorial(alpha, l - k) * ((-1) ** k) \
-                * Fraction(2 ** (l - 2 * k), factorial(k) * factorial(l - 2 * k))
-            out = out + GeoPoly.from_terms(xv, {(l - 2 * k,): coeff})
-        return out
+        # x^{l-2k} has (-1)^k (alpha)_{l-k} 2^{l-2k} / (k! (l-2k)!); k runs down
+        terms, rise = {}, rising_factorial(alpha, l - l // 2)
+        for k in range(l // 2, -1, -1):
+            terms[(l - 2 * k,)] = rise * Fraction((-1) ** k * 2 ** (l - 2 * k),
+                                                  factorial(k) * factorial(l - 2 * k))
+            if k:
+                rise = rise * (alpha + (l - k))
+        return GeoPoly.from_terms(xv, terms)
     raise ValueError(f"unknown method {method!r}")
 
 

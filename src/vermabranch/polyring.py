@@ -138,12 +138,22 @@ class GeoPoly:
 
     def __init__(self, vars: VarSet, terms: Mapping[Expts, ParamScalar] | None = None):
         """The polynomial with ParamScalar coefficients ``terms``; trusts the
-        exponents' arity and sign (outside data goes through :meth:`from_terms`)."""
-        out = _new(vars, {})
+        exponents' arity and sign (outside data goes through :meth:`from_terms`).
+        One pass: every numerator is lifted to the lcm of the denominators."""
+        cs, lift, den = [], {}, _ONE
         for e, c in (terms or {}).items():
-            g = _pack(e)
-            out += _new(vars, {g + k: v for k, v in c.num.terms.items()}, c.den)
-        self.vars, self.terms, self.den = vars, out.terms, out.den
+            if c.num.terms:
+                cs.append((_pack(e), c))
+                if c.den is not _ONE and c.den not in lift:
+                    lift[c.den] = None
+                    den = _lcm(den, c.den)[0]
+        lift, out = {d: den.exact_divide(d) for d in lift}, {}
+        for g, c in cs:
+            t = {g + k: v for k, v in c.num.terms.items()}
+            m = den if c.den is _ONE else lift[c.den]
+            out.update(t if m is _ONE else _times(t, m, vars.arity))
+        p = _new(vars, out, den)
+        self.vars, self.terms, self.den = vars, p.terms, p.den
 
     # -- constructors -----------------------------------------------------
 
@@ -264,7 +274,7 @@ class GeoPoly:
         n = self.vars.arity
         return _times(self.terms, other.den, n) == _times(other.terms, self.den, n)
 
-    # -- calculus and substitution ----------------------------------------
+    # -- calculus ---------------------------------------------------------
 
     def derive(self, var: str | int) -> "GeoPoly":
         i = var if isinstance(var, int) else self.vars.index(var)
@@ -301,22 +311,6 @@ class GeoPoly:
         # self / divisor = quot * den(divisor) / (den(self) * cont)
         return _new(self.vars, _times(quot, divisor.den, self.vars.arity),
                     self.den * ParamPoly.const(cont))
-
-    def substitute_var(self, var: str, image: "GeoPoly") -> "GeoPoly":
-        """Substitute one variable by a polynomial in the image's variables;
-        the remaining variables must not occur."""
-        i = self.vars.index(var)
-        coeffs = self.coefficients()
-        if any(ej and j != i for e in coeffs for j, ej in enumerate(e)):
-            raise ValueError("substitute_var needs a univariate polynomial")
-        out = GeoPoly.zero(image.vars)
-        for e, c in coeffs.items():
-            out = out + (image ** e[i]).scale(c)
-        return out
-
-    def substitute_params(self, bindings) -> "GeoPoly":
-        return GeoPoly(self.vars, {e: c.substitute(bindings)
-                                   for e, c in self.coefficients().items()})
 
     # -- rendering --------------------------------------------------------
 
@@ -361,12 +355,8 @@ def _is_simple(s: str) -> bool:
 
 def quadratic_sum(vars: VarSet, upto: int) -> GeoPoly:
     """x1^2 + ... + x_upto^2 in the given variable set."""
-    out = GeoPoly.zero(vars)
-    for i in range(upto):
-        e = [0] * vars.arity
-        e[i] = 2
-        out = out + GeoPoly.from_terms(vars, {tuple(e): 1})
-    return out
+    return GeoPoly.from_terms(vars, {tuple(2 * (j == i) for j in range(vars.arity)): 1
+                                     for i in range(upto)})
 
 
 _CURATED: Dict[VarSet, Mapping[str, GeoPoly]] = {}
@@ -623,26 +613,16 @@ def dehomogenize(p: GeoPoly, l: int) -> GeoPoly:
     return GeoPoly.from_terms(t_var(), {(e[0],): c for e, c in coeffs.items()})
 
 
-def substitute_linear(p: GeoPoly, a, b) -> GeoPoly:
-    """Compose a univariate polynomial with the affine image a*t + b."""
-    tv = t_var()
-    image = GeoPoly.from_terms(tv, {(1,): a, (0,): b})
-    return p.substitute_var(p.vars.names[0], image)
-
-
-def gegen_tilde_convert(c: GeoPoly, l: int | None = None) -> GeoPoly:
+def gegen_tilde_convert(c: GeoPoly, l: int) -> GeoPoly:
     """Rewrite x^{-l} C(x), C of degree l with the parity of l, as a
     polynomial in t via x^2 = -1/t: the x^{l-2k} coefficient lands on (-t)^k.
     """
     if c.vars.arity != 1:
         raise ValueError("expected a univariate polynomial")
-    if l is None:
-        l = c.degree()
-    tv = t_var()
     out: Dict[Expts, ParamScalar] = {}
     for e, coeff in c.coefficients().items():
         if (l - e[0]) % 2:
             raise ValueError(f"parity violation: degree-{e[0]} term in a degree-{l} polynomial")
         k = (l - e[0]) // 2
         out[(k,)] = coeff * ((-1) ** k)
-    return GeoPoly.from_terms(tv, out)
+    return GeoPoly.from_terms(t_var(), out)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import or_
+from operator import mul, or_
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -467,16 +467,17 @@ class ParamScalar:
 
 
 def _substitute_scalar(p: ParamPoly, bindings: Mapping[str, "ParamScalar | ParamPoly | RationalLike"]) -> ParamScalar:
+    """p with bound symbols replaced, each power read from one table per symbol."""
+    tables = []
+    for i, s in enumerate(SYMBOLS):
+        base = ParamScalar.coerce(bindings.get(s, ParamPoly.symbol(s)))
+        tables.append([ParamScalar.const(1)])
+        for _ in range(_degree(p, i) if p.terms else 0):
+            tables[-1].append(tables[-1][-1] * base)
     out = ParamScalar.const(0)
     for k, c in p.terms.items():
-        term = ParamScalar.const(c)
-        for s, x in zip(SYMBOLS, _exponents(k)):
-            if not x:
-                continue
-            base = ParamScalar.coerce(bindings[s]) if s in bindings else ParamScalar.symbol(s)
-            for _ in range(x):
-                term = term * base
-        out = out + term
+        out = out + reduce(mul, (t[x] for t, x in zip(tables, _exponents(k)) if x),
+                           ParamScalar.const(c))
     return out
 
 

@@ -22,8 +22,6 @@ from .report import DISCREPANCY, ReportBundle, VerificationRecord
 from .scalars import ParamScalar
 from .weylalg import DiffOp, proportionality
 
-ALPHA_SYMBOL = "a"
-
 
 @dataclass(frozen=True)
 class SoPairContext:
@@ -68,10 +66,10 @@ class SingularVector:
 
 @per_context
 def tilde_gegenbauer(ctx: SoPairContext, l: int) -> GeoPoly:
-    """The converted Gegenbauer polynomial in t, with the spectral parameter
-    specialized to -lam-(n-1)/2."""
-    c = gegenbauer(GegenbauerSpec(l, ParamScalar.symbol(ALPHA_SYMBOL)))
-    return gegen_tilde_convert(c, l).substitute_params({ALPHA_SYMBOL: ctx.alpha})
+    """The converted Gegenbauer polynomial x^{-l} C_l^alpha(x) in t (x^2 = -1/t),
+    built directly at the spectral parameter alpha = -lam-(n-1)/2: the t^k
+    coefficient is (-1)^k times the x^{l-2k} coefficient of C_l^alpha."""
+    return gegen_tilde_convert(gegenbauer(GegenbauerSpec(l, ctx.alpha)), l)
 
 
 def _top_normalization(l: int) -> Fraction:
@@ -434,7 +432,7 @@ def _e_p_commutator_display(ctx: SoPairContext) -> DiffOp:
             + (e + s(alpha * 2)) @ (s(lam) - e))
 
 
-def verify_nonclosure(ctx: SoPairContext, degrees=(0, 1, 2)) -> ReportBundle:
+def verify_nonclosure(ctx: SoPairContext) -> ReportBundle:
     """Exact non-closure checks plus term-level diffs against the displayed
     commutators (reported as data, never asserted)."""
     bundle = ReportBundle()
@@ -446,7 +444,7 @@ def verify_nonclosure(ctx: SoPairContext, degrees=(0, 1, 2)) -> ReportBundle:
     # scalar (and no affine-in-degree weight, as an sl(2) bracket would
     # require) fits the whole family.
     eigs: List[ParamScalar] = []
-    for l in degrees:
+    for l in range(3):
         f = singular_vector_F(ctx, l)
         img = pq.apply(f.poly)
         c = proportionality(img, f.poly)
@@ -456,15 +454,23 @@ def verify_nonclosure(ctx: SoPairContext, degrees=(0, 1, 2)) -> ReportBundle:
         if c is not None:
             eigs.append(c)
             bundle.data[f"nonclosure.pq-eigenvalue.{tag}"] = c.render()
-    for l, c in zip(degrees, eigs):
+    for l, c in enumerate(eigs):
         others = [d for d in eigs if not (d == c)]
         bundle.check(f"nonclosure.pq.n={ctx.n},l={l}", "so-pair:pq-commutator",
                      len(others) > 0,
                      witness=lambda: f"eigenvalue {c.render()} shared by the whole family")
     if len(eigs) >= 3:
         second_diff = eigs[2] - eigs[1] * 2 + eigs[0]
+        if second_diff.is_zero():
+            # formally -6(4 lam + n - 3): at lam = (3-n)/4, l = 3 decides (a
+            # degenerate F_3 raises ZeroDivisionError, a precondition error)
+            f3 = singular_vector_F(ctx, 3).poly
+            c3 = proportionality(pq.apply(f3), f3)
+            second_diff = None if c3 is None else c3 - eigs[2] * 2 + eigs[1]
         bundle.check(f"nonclosure.pq-not-affine.n={ctx.n}", "so-pair:pq-commutator",
-                     not second_diff.is_zero(), witness=second_diff)
+                     second_diff is not None and not second_diff.is_zero(),
+                     witness=("F_3 is not an eigenvector of [P, Q]" if second_diff is None
+                              else second_diff))
     bundle.check(f"nonclosure.pq-not-identity.n={ctx.n}", "so-pair:pq-commutator",
                  pq.order() > 0, witness=pq)
     ep = e_euler_form(ctx).commutator(p)

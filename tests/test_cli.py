@@ -119,6 +119,12 @@ def test_degenerate_weight_is_precondition_error(args):
     assert proc.stderr.startswith("error: normalization divisor vanishes")
 
 
+@pytest.mark.parametrize("n, lam", [("2", "1/4"), ("4", "-1/4"), ("5", "-1/2"), ("6", "-3/4")])
+def test_collinear_low_eigenvalues_pass(n, lam):
+    # lam = (3-n)/4, where the [P, Q] eigenvalues at l = 0, 1, 2 are collinear
+    assert main(["verify-so", "--n", n, "--max-degree", "3", f"--lambda={lam}"]) == 0
+
+
 def test_negative_degree_is_usage_error():
     proc = run_cli("ortho-tables", "--max-degree", "-3")
     assert proc.returncode == 2

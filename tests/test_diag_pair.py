@@ -16,7 +16,8 @@ from vermabranch.diag_pair import (DiagContext, annihilation_check,
                                    singular_vector_Ptilde,
                                    t_annihilation_check,
                                    top_coefficient_check, verify_lowering)
-from vermabranch.polyring import GeoPoly, xi_eta_vars
+from vermabranch.orthopoly import JacobiSpec, jacobi
+from vermabranch.polyring import GeoPoly, t_var, x_var, xi_eta_vars
 from vermabranch.report import DISCREPANCY
 from vermabranch.scalars import LAMBDA, MU
 
@@ -82,6 +83,32 @@ def test_top_coefficient_cancellation():
 def test_jacobi_t_polynomial_degree():
     for l in range(7):
         assert jacobi_t_polynomial(CTX, l).degree() == l
+
+
+def _at_2t_plus_1(p):
+    """The univariate p(x) at x = 2t + 1, by Horner's rule."""
+    tv = t_var()
+    image = GeoPoly.var(tv, "t").scale(2) + GeoPoly.const(tv, 1)
+    cs = p.coefficients()
+    out = GeoPoly.zero(tv)
+    for k in range(p.degree(), -1, -1):
+        out = out * image + GeoPoly.const(tv, cs.get((k,), 0))
+    return out
+
+
+def test_affine_substitution_helper():
+    x = GeoPoly.var(x_var(), "x")
+    t = GeoPoly.var(t_var(), "t")
+    assert _at_2t_plus_1(x * x) == (t * t).scale(4) + t.scale(4) + GeoPoly.const(t_var(), 1)
+    assert _at_2t_plus_1(GeoPoly.zero(x_var())).is_zero()
+
+
+@pytest.mark.parametrize("l", range(13))
+def test_closed_form_matches_jacobi_double_sum(l):
+    # the terms a^l_i = binom(l, i) (i-lam)_{l-i} (mu-l+1)_i / l! against
+    # the binomial double sum of P_l^(-lam-1, mu+lam-2l+1), formally
+    spec = JacobiSpec(l, -LAMBDA - 1, MU + LAMBDA - (2 * l - 1))
+    assert jacobi_t_polynomial(DiagContext.formal(), l) == _at_2t_plus_1(jacobi(spec))
 
 
 def test_involution():

@@ -8,8 +8,7 @@ import pytest
 
 from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors,
                                   dehomogenize, gegen_tilde_convert,
-                                  homogenize, quadratic_sum,
-                                  substitute_linear, t_var, x_var,
+                                  homogenize, quadratic_sum, t_var, x_var,
                                   xi_eta_vars, xi_vars, xy_vars)
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamPoly, ParamScalar, _pack
 from vermabranch.weylalg import DiffOp
@@ -179,15 +178,6 @@ def test_homogenize_roundtrip():
         homogenize(q, 2)
 
 
-def test_substitute_linear():
-    xv = x_var()
-    x = GeoPoly.var(xv, "x")
-    p = x * x
-    q = substitute_linear(p, 2, 1)  # (2t+1)^2
-    t = GeoPoly.var(t_var(), "t")
-    assert q == (t * t).scale(4) + t.scale(4) + GeoPoly.const(t_var(), 1)
-
-
 def test_gegen_tilde_convert_parity():
     xv = x_var()
     x = GeoPoly.var(xv, "x")
@@ -224,6 +214,29 @@ def test_from_terms_validates_and_coerces():
     assert p.coefficients() == {(1, 0): ParamScalar.const(2),
                                 (0, 1): ParamScalar.const(Fraction(1, 3))}
     assert all(isinstance(c, ParamScalar) for c in p.coefficients().values())
+
+
+def test_one_pass_constructor_keeps_the_canonical_form():
+    # the constructor lifts every numerator to one lcm of the denominators;
+    # it must give the very terms and denominator that adding the
+    # single-term polynomials one by one gives
+    rng = random.Random(5)
+    dens = [ParamScalar.const(1), ParamScalar.const(6), LAMBDA + 1, LAMBDA * 2 - 3,
+            (LAMBDA + 1) * (MU - 1), ALPHA * MU + 2]
+    for vs in (t_var(), xi_vars(3), xi_eta_vars()):
+        for _ in range(20):
+            coeffs = {}
+            for _ in range(rng.randint(1, 8)):
+                e = tuple(rng.randint(0, 3) for _ in range(vs.arity))
+                num = LAMBDA * rng.randint(-3, 3) + MU * rng.randint(-2, 2) + rng.randint(-4, 4)
+                coeffs[e] = num / rng.choice(dens)
+            one_pass = GeoPoly(vs, coeffs)
+            folded = GeoPoly.zero(vs)
+            for e, c in coeffs.items():
+                folded = folded + GeoPoly(vs, {e: c})
+            assert (one_pass.terms, one_pass.den) == (folded.terms, folded.den)
+            assert one_pass.coefficients() == {e: c for e, c in coeffs.items()
+                                               if not c.is_zero()}
 
 
 def test_constructor_drops_zero_coefficients():

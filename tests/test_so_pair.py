@@ -1,16 +1,20 @@
 """Orthogonal-pair scenario: singular vectors, ladder structure, Casimir,
 membership of the raising/lowering pair, and the non-closure records."""
 
+from fractions import Fraction
+
 import pytest
 
-from vermabranch.polyring import GeoPoly, quadratic_sum
+from vermabranch import so_pair
+from vermabranch.orthopoly import GegenbauerSpec, gegenbauer
+from vermabranch.polyring import GeoPoly, gegen_tilde_convert, quadratic_sum
 from vermabranch.report import DISCREPANCY
-from vermabranch.scalars import LAMBDA, ParamScalar
+from vermabranch.scalars import ALPHA, LAMBDA, ParamScalar
 from vermabranch.so_pair import (SoPairContext, casimir_check, expected_ladder_constants,
                                  ladder_ops, op_P, op_Q, pq_membership_check,
                                  singular_family_check, singular_vector_F,
-                                 t_model_check, verify_nonclosure, verify_singular,
-                                 verify_sl2)
+                                 t_model_check, tilde_gegenbauer, verify_nonclosure,
+                                 verify_singular, verify_sl2)
 from vermabranch.weylalg import proportionality
 
 CTX3 = SoPairContext.formal(3)
@@ -121,6 +125,47 @@ def test_nonclosure(n):
     disc = [cid for cid, s in statuses.items() if s == DISCREPANCY]
     assert disc, "expected discrepancy-reported display diffs"
     assert all("display" in cid for cid in disc)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tilde_gegenbauer_matches_formal_alpha_build(n):
+    # C_l^alpha built at alpha = -lam-(n-1)/2 against C_l^a built with a
+    # formal a, converted, and then specialized coefficient by coefficient
+    ctx = SoPairContext.formal(n)
+    for l in range(11):
+        formal = gegen_tilde_convert(gegenbauer(GegenbauerSpec(l, ALPHA)), l)
+        expected = GeoPoly.from_terms(formal.vars, {
+            e: c.substitute({"a": ctx.alpha}) for e, c in formal.coefficients().items()})
+        assert tilde_gegenbauer(ctx, l) == expected
+
+
+@pytest.mark.parametrize("n, lam", [(2, Fraction(1, 4)), (4, Fraction(-1, 4)),
+                                    (5, Fraction(-1, 2)), (6, Fraction(-3, 4))])
+def test_nonclosure_where_low_eigenvalues_are_collinear(n, lam):
+    # at lam = (3-n)/4 the [P, Q] eigenvalues at l = 0, 1, 2 lie on a line;
+    # the check then reads l = 3, where the family leaves it
+    ctx = SoPairContext.at(n, lam)
+    bundle = verify_nonclosure(ctx)
+    eigs = [ParamScalar.coerce(Fraction(bundle.data[f"nonclosure.pq-eigenvalue.n={n},l={l}"]))
+            for l in range(3)]
+    assert (eigs[2] - eigs[1] * 2 + eigs[0]).is_zero()
+    assert bundle.ok()
+    assert f"nonclosure.pq-not-affine.n={n}" in {r.check_id for r in bundle.records}
+
+
+def test_nonclosure_with_degenerate_third_vector_is_a_precondition_error(monkeypatch):
+    build = so_pair.singular_vector_F
+
+    def degenerate_at_3(ctx, l):
+        if l == 3:
+            raise ZeroDivisionError("normalization divisor vanishes at degree 3")
+        return build(ctx, l)
+
+    monkeypatch.setattr(so_pair, "singular_vector_F", degenerate_at_3)
+    with pytest.raises(ZeroDivisionError):
+        verify_nonclosure(SoPairContext.at(2, Fraction(1, 4)))
+    # away from the collinear weight, l = 3 is never built
+    assert verify_nonclosure(SoPairContext.at(2, Fraction(1, 3))).ok()
 
 
 def test_nonclosure_eigenvalues_cubic():

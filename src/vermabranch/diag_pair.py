@@ -25,7 +25,7 @@ from .weylalg import DiffOp
 @dataclass(frozen=True)
 class DiagContext:
     """The two inducing weights (formal by default).
-    ``_memo``, not a field, keeps the t-polynomials built from this context
+    ``_memo``, not a field, keeps the families built from this context
     (see :func:`~vermabranch.polyring.per_context`)."""
 
     lam: ParamScalar
@@ -115,9 +115,10 @@ def jacobi_t_polynomial(ctx: DiagContext, l: int) -> GeoPoly:
         if i:
             prefix = prefix * (ctx.mu - (l - i))
         terms[(i,)] = suffix[l - i] * prefix * comb(l, i) / factorial(l)
-    return GeoPoly.from_terms(t_var(), terms)
+    return GeoPoly(t_var(), terms)
 
 
+@per_context
 def singular_vector_Ptilde(ctx: DiagContext, l: int) -> GeoPoly:
     """Homogeneous degree-l singular vector eta^l P_l(2 xi/eta + 1)."""
     return homogenize(jacobi_t_polynomial(ctx, l), l)
@@ -191,7 +192,7 @@ def model_transport_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
     tv = t_var()
     for l in range(max_degree + 1):
         for probe_deg in range(l + 1):
-            q = GeoPoly.from_terms(tv, {(k,): k + 1 for k in range(probe_deg + 1)})
+            q = GeoPoly(tv, {(k,): k + 1 for k in range(probe_deg + 1)})
             lhs = x_hat.apply(homogenize(q, l))
             rhs = op_X_t(ctx, l).apply(q)
             ok = (lhs.is_zero() and rhs.is_zero()) or \

@@ -89,7 +89,7 @@ def gegenbauer(spec: GegenbauerSpec, method: str = "explicit") -> GeoPoly:
                                                   factorial(k) * factorial(l - 2 * k))
             if k:
                 rise = rise * (alpha + (l - k))
-        return GeoPoly.from_terms(xv, terms)
+        return GeoPoly(xv, terms)
     raise ValueError(f"unknown method {method!r}")
 
 

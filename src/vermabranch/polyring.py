@@ -14,9 +14,11 @@ layout of :mod:`~vermabranch.scalars`: 16-bit fields for the total geometric
 degree and g_1..g_n sit above the parameter fields, whose bits are a
 ParamPoly key, so both layers share one kernel and its 2^15 bound.  Integer
 order is graded-lexicographic in the geometric part, the last variable least
-significant, which keeps rendered output stable for the golden files.  Only
-the read-only view (``coefficients``, ``coefficient``, ``leading``) builds
-per-monomial ParamScalars, in the canonical form of :mod:`scalars`.
+significant, which keeps rendered output stable for the golden files.  The
+one constructor ``GeoPoly(vars, terms)`` checks and coerces its terms, and
+:meth:`GeoPoly.relabel` moves a value between models.  Only the read-only
+view (``coefficients``, ``coefficient``, ``leading``) builds per-monomial
+ParamScalars, in the canonical form of :mod:`scalars`.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ def _layout(n: int) -> Tuple[Tuple[int, ...], int, int]:
 
 def _pack(e: Expts) -> int:
     """The key of the geometric exponents e."""
+    if min(e) < 0:
+        raise ValueError("negative exponent")
     d = sum(e)
     if d >= _LIMIT:
         raise ValueError(_OVERFLOW)
@@ -136,14 +140,17 @@ class GeoPoly:
 
     __slots__ = ("vars", "terms", "den")
 
-    def __init__(self, vars: VarSet, terms: Mapping[Expts, ParamScalar] | None = None):
-        """The polynomial with ParamScalar coefficients ``terms``; trusts the
-        exponents' arity and sign (outside data goes through :meth:`from_terms`).
-        One pass: every numerator is lifted to the lcm of the denominators."""
+    def __init__(self, vars: VarSet, terms: Mapping[Expts, object] | None = None):
+        """The polynomial with coefficients ``terms``: int, Fraction, ParamPoly
+        or ParamScalar on exponent tuples of the arity of vars.  One pass:
+        every numerator is lifted to the lcm of the denominators."""
         cs, lift, den = [], {}, _ONE
         for e, c in (terms or {}).items():
+            if len(e) != vars.arity:
+                raise ValueError("exponent arity mismatch")
+            g, c = _pack(e), ParamScalar.coerce(c)
             if c.num.terms:
-                cs.append((_pack(e), c))
+                cs.append((g, c))
                 if c.den is not _ONE and c.den not in lift:
                     lift[c.den] = None
                     den = _lcm(den, c.den)[0]
@@ -158,19 +165,6 @@ class GeoPoly:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def from_terms(vars: VarSet, terms: Mapping[Expts, object]) -> "GeoPoly":
-        """The validating constructor: coerces int, Fraction and ParamPoly
-        coefficients and rejects exponents of the wrong arity or sign."""
-        clean: Dict[Expts, ParamScalar] = {}
-        for e, c in terms.items():
-            if len(e) != vars.arity:
-                raise ValueError("exponent arity mismatch")
-            if min(e) < 0:
-                raise ValueError("negative exponent")
-            clean[tuple(e)] = ParamScalar.coerce(c)
-        return GeoPoly(vars, clean)
-
-    @staticmethod
     def const(vars: VarSet, c) -> "GeoPoly":
         c = ParamScalar.coerce(c)
         return _new(vars, c.num.terms, c.den)
@@ -179,7 +173,7 @@ class GeoPoly:
     def var(vars: VarSet, name: str, power: int = 1) -> "GeoPoly":
         e = [0] * vars.arity
         e[vars.index(name)] = power
-        return GeoPoly.from_terms(vars, {tuple(e): 1})
+        return GeoPoly(vars, {tuple(e): 1})
 
     @staticmethod
     def zero(vars: VarSet) -> "GeoPoly":
@@ -312,6 +306,23 @@ class GeoPoly:
         return _new(self.vars, _times(quot, divisor.den, self.vars.arity),
                     self.den * ParamPoly.const(cont))
 
+    def relabel(self, target: VarSet, f) -> "GeoPoly":
+        """The polynomial in target with sign * c on image for each monomial e
+        with coefficient c, where f(e), asked highest e first, is (image, sign)
+        with sign +-1, or None to drop e.  Only the geometric bits of each key
+        change: the integer coefficients and shared denominator stay, and
+        colliding images add."""
+        moves = {}
+        for g in sorted({k >> _PBITS for k in self.terms}, reverse=True):
+            m = f(_geo(g << _PBITS, self.vars.arity))
+            if m is not None:
+                moves[g] = (_pack(m[0]) - (g << _PBITS), m[1])
+        out: Dict[int, int] = {}
+        for k, c in self.terms.items():
+            if (m := moves.get(k >> _PBITS)) is not None:
+                out[k + m[0]] = out.get(k + m[0], 0) + m[1] * c
+        return _new(target, {k: c for k, c in out.items() if c}, self.den)
+
     # -- rendering --------------------------------------------------------
 
     def render(self) -> str:
@@ -355,8 +366,8 @@ def _is_simple(s: str) -> bool:
 
 def quadratic_sum(vars: VarSet, upto: int) -> GeoPoly:
     """x1^2 + ... + x_upto^2 in the given variable set."""
-    return GeoPoly.from_terms(vars, {tuple(2 * (j == i) for j in range(vars.arity)): 1
-                                     for i in range(upto)})
+    return GeoPoly(vars, {tuple(2 * (j == i) for j in range(vars.arity)): 1
+                          for i in range(upto)})
 
 
 _CURATED: Dict[VarSet, Mapping[str, GeoPoly]] = {}
@@ -594,23 +605,20 @@ class RatCoeff:
 # homogenization machinery for the xi/eta model
 # ---------------------------------------------------------------------------
 
-def homogenize(q: GeoPoly, l: int, target: VarSet | None = None) -> GeoPoly:
+def homogenize(q: GeoPoly, l: int) -> GeoPoly:
     """eta^l * Q(xi/eta) for a polynomial Q(t) of degree <= l."""
-    if target is None:
-        target = xi_eta_vars()
     if q.vars.arity != 1:
         raise ValueError("homogenize expects a univariate polynomial")
     if q.degree() > l:
         raise ValueError(f"degree {q.degree()} exceeds homogeneity {l}")
-    return GeoPoly.from_terms(target, {(e[0], l - e[0]): c for e, c in q.coefficients().items()})
+    return q.relabel(xi_eta_vars(), lambda e: ((e[0], l - e[0]), 1))
 
 
 def dehomogenize(p: GeoPoly, l: int) -> GeoPoly:
     """Inverse of :func:`homogenize` on homogeneous degree-l polynomials."""
-    coeffs = p.coefficients()
-    if any(sum(e) != l for e in coeffs):
+    if p.terms and not (p.is_homogeneous() and p.degree() == l):
         raise ValueError("input is not homogeneous of the stated degree")
-    return GeoPoly.from_terms(t_var(), {(e[0],): c for e, c in coeffs.items()})
+    return p.relabel(t_var(), lambda e: ((e[0],), 1))
 
 
 def gegen_tilde_convert(c: GeoPoly, l: int) -> GeoPoly:
@@ -619,10 +627,10 @@ def gegen_tilde_convert(c: GeoPoly, l: int) -> GeoPoly:
     """
     if c.vars.arity != 1:
         raise ValueError("expected a univariate polynomial")
-    out: Dict[Expts, ParamScalar] = {}
-    for e, coeff in c.coefficients().items():
+
+    def f(e):
         if (l - e[0]) % 2:
             raise ValueError(f"parity violation: degree-{e[0]} term in a degree-{l} polynomial")
         k = (l - e[0]) // 2
-        out[(k,)] = coeff * ((-1) ** k)
-    return GeoPoly.from_terms(t_var(), out)
+        return (k,), (-1) ** k
+    return c.relabel(t_var(), f)

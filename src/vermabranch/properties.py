@@ -38,7 +38,7 @@ def _rand_poly(rng: random.Random, vars, max_terms: int = 3, max_deg: int = 2) -
     for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(0, max_deg) for _ in range(vars.arity))
         terms[e] = rng.randint(-5, 5)
-    return GeoPoly.from_terms(vars, terms)
+    return GeoPoly(vars, terms)
 
 
 def _rand_op(rng: random.Random, vars, max_terms: int = 2) -> DiffOp:

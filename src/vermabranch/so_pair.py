@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Dict, List, Tuple
 
@@ -26,7 +27,7 @@ from .weylalg import DiffOp, proportionality
 @dataclass(frozen=True)
 class SoPairContext:
     """Dimension n >= 2 and the inducing character (formal by default).
-    ``_memo``, not a field, keeps the families built from this context
+    ``_memo`` and ``alpha``, not fields, keep what is built from this context
     (see :func:`~vermabranch.polyring.per_context`)."""
 
     n: int
@@ -44,7 +45,7 @@ class SoPairContext:
     def vars(self) -> VarSet:
         return xi_vars(self.n)
 
-    @property
+    @cached_property
     def alpha(self) -> ParamScalar:
         return -self.lam - Fraction(self.n - 1, 2)
 
@@ -56,12 +57,6 @@ class SoPairContext:
 
     def q_full(self) -> GeoPoly:
         return curated_factors(self.vars)["q"]
-
-
-@dataclass(frozen=True)
-class SingularVector:
-    l: int
-    poly: GeoPoly
 
 
 @per_context
@@ -80,7 +75,7 @@ def _top_normalization(l: int) -> Fraction:
 
 
 @per_context
-def singular_vector_F(ctx: SoPairContext, l: int) -> SingularVector:
+def singular_vector_F(ctx: SoPairContext, l: int) -> GeoPoly:
     """Normalized degree-l singular vector: the coefficient of
     xn^{l-2k} (sum' xi^2)^k at k = floor(l/2) equals l!/(2^k k!)."""
     if l < 0:
@@ -93,12 +88,13 @@ def singular_vector_F(ctx: SoPairContext, l: int) -> SingularVector:
         raise ZeroDivisionError(
             f"normalization divisor vanishes at degree {l} for lam={ctx.lam.render()}")
     scale = ParamScalar.const(_top_normalization(l)) / top
-    xn = ctx.xn()
-    q1 = ctx.q_prime()
-    out = GeoPoly.zero(ctx.vars)
+    vs, q1 = ctx.vars, ctx.q_prime()
+    out, q1k = GeoPoly.zero(vs), GeoPoly.const(vs, 1)
     for k, c in enumerate(coeffs):
-        out = out + (xn ** (l - 2 * k) * q1 ** k).scale(c * scale)
-    return SingularVector(l, out)
+        if k:
+            q1k = q1k * q1
+        out = out + (GeoPoly.var(vs, vs.names[-1], l - 2 * k) * q1k).scale(c * scale)
+    return out
 
 
 @per_context
@@ -117,10 +113,10 @@ def op_P(ctx: SoPairContext) -> DiffOp:
     return lowering_direction_op(ctx, ctx.n - 1)
 
 
-def verify_singular(ctx: SoPairContext, v: SingularVector) -> bool:
+def verify_singular(ctx: SoPairContext, f: GeoPoly) -> bool:
     """True iff all n-1 primed-direction operators annihilate the vector."""
     for m in range(ctx.n - 1):
-        if not lowering_direction_op(ctx, m).apply(v.poly).is_zero():
+        if not lowering_direction_op(ctx, m).apply(f).is_zero():
             return False
     return True
 
@@ -163,7 +159,7 @@ def ladder_images(ctx: SoPairContext, l: int
     is None at l = 0, where the lowering leg is dropped; elsewhere a
     non-polynomial f-image raises."""
     e_l, f_l, _ = ladder_ops(ctx, l)
-    f = singular_vector_F(ctx, l).poly
+    f = singular_vector_F(ctx, l)
     ev = e_l.apply(f)
     fv = f_l.apply_rat(f)
     up = ladder_ops(ctx, l + 1)[1].apply_rat(ev)
@@ -209,7 +205,7 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
         tag = f"n={ctx.n},l={l}"
 
         ev, fv, up, down = ladder_images(ctx, l)
-        ce = proportionality(ev, fs[l + 1].poly)
+        ce = proportionality(ev, fs[l + 1])
         exp_e, exp_f = expected_ladder_constants(ctx, l)
         bundle.check(f"sl2.raise.{tag}", anchor, ce is not None and ce == exp_e, witness=ev)
         if ce is not None:
@@ -223,21 +219,21 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
             bundle.check(f"sl2.lower.{tag}", anchor, fv.is_polynomial() and fv.num.is_zero(),
                          witness=fv)
         elif fv.is_polynomial():
-            cf = proportionality(fv.as_poly(), fs[l - 1].poly)
+            cf = proportionality(fv.as_poly(), fs[l - 1])
             bundle.check(f"sl2.lower.{tag}", anchor, cf is not None and cf == exp_f, witness=fv)
             if cf is not None:
                 f_consts[l] = cf.render()
 
         # bracket on the weight vector: (f(l+1) e(l) - e(l-1) f(l)) F_l = -h(l) F_l
         bra = up if down is None else up - RatCoeff(down)
-        ok = bra.is_polynomial() and bra.as_poly() == fs[l].poly.scale(-(ctx.alpha + l) * 2)
+        ok = bra.is_polynomial() and bra.as_poly() == fs[l].scale(-(ctx.alpha + l) * 2)
         bundle.check(f"sl2.bracket.{tag}", anchor, ok, witness=bra)
 
         # h eigenvalue and weight-space dimension bookkeeping
         bundle.check(f"sl2.h-eigenvalue.{tag}", anchor,
-                     h_l.apply(fs[l].poly) == fs[l].poly.scale((ctx.alpha + l) * 2))
+                     h_l.apply(fs[l]) == fs[l].scale((ctx.alpha + l) * 2))
         bundle.check(f"sl2.homogeneous.{tag}", "so-pair:weight-spaces",
-                     fs[l].poly.is_homogeneous() and fs[l].poly.degree() == l)
+                     fs[l].is_homogeneous() and fs[l].degree() == l)
 
         # product of consecutive constants: (ef - fe) eigenvalue on F_l
         if l in e_consts:
@@ -287,17 +283,17 @@ def casimir_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     for l in range(max_degree + 1):
         f = singular_vector_F(ctx, l)
         tag = f"n={ctx.n},l={l}"
-        comp = casimir_composed(ctx, l).apply_rat(f.poly)
-        ok = comp.is_polynomial() and comp.as_poly() == f.poly.scale(eig)
+        comp = casimir_composed(ctx, l).apply_rat(f)
+        ok = comp.is_polynomial() and comp.as_poly() == f.scale(eig)
         bundle.check(f"casimir.scalar.{tag}", anchor, ok, witness=comp)
-        closed = casimir_closed_form(ctx, l).apply_rat(f.poly)
-        okc = closed.is_polynomial() and closed.as_poly() == f.poly.scale(eig)
+        closed = casimir_closed_form(ctx, l).apply_rat(f)
+        okc = closed.is_polynomial() and closed.as_poly() == f.scale(eig)
         bundle.check(f"casimir.closed-form.{tag}", anchor, okc, witness=closed)
         # (ef + fe) F_l = (Cas - h^2/2) F_l: the computable shadow of the
         # relative Dirac square
         _, _, up, down = ladder_images(ctx, l)
         effe = up if down is None else up + RatCoeff(down)
-        rhs = f.poly.scale(eig - (ctx.alpha + l) * (ctx.alpha + l) * 2)
+        rhs = f.scale(eig - (ctx.alpha + l) * (ctx.alpha + l) * 2)
         okd = effe.is_polynomial() and effe.as_poly() == rhs
         bundle.check(f"casimir.dirac-square.{tag}", "dirac:relative-square", okd, witness=effe)
     return bundle
@@ -312,36 +308,26 @@ def pq_membership_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     q = op_Q(ctx)
     for l in range(max_degree + 1):
         tag = f"n={ctx.n},l={l}"
-        pv = p.apply(fs[l].poly)
+        pv = p.apply(fs[l])
         if l == 0:
             bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", pv.is_zero(), witness=pv)
         else:
-            c = proportionality(pv, fs[l - 1].poly)
+            c = proportionality(pv, fs[l - 1])
             bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", c is not None, witness=pv)
             if c is not None:
                 bundle.data[f"pq.lower-constant.{tag}"] = c.render()
-        qv = q.apply(fs[l].poly)
-        c = proportionality(qv, fs[l + 1].poly)
+        qv = q.apply(fs[l])
+        c = proportionality(qv, fs[l + 1])
         bundle.check(f"pq.raise.{tag}", "so-pair:raising-operator", c is not None, witness=qv)
         if c is not None:
             bundle.data[f"pq.raise-constant.{tag}"] = c.render()
     return bundle
 
 
-def t_model_poly(v: SingularVector) -> GeoPoly:
-    """Collapse F_l = sum c_k xn^{l-2k} q'^k to sum c_k t^k."""
-    tv = t_var()
-    arity = v.poly.vars.arity
-    cs, zero = v.poly.coefficients(), ParamScalar.const(0)
-    out: Dict[Tuple[int, ...], ParamScalar] = {}
-    for k in range(v.l // 2 + 1):
-        # the x1^{2k} xn^{l-2k} monomial carries the q'^k coefficient with
-        # multiplicity one
-        probe = [0] * arity
-        probe[0] = 2 * k
-        probe[-1] += v.l - 2 * k
-        out[(k,)] = cs.get(tuple(probe), zero)
-    return GeoPoly.from_terms(tv, out)
+def t_model_poly(f: GeoPoly) -> GeoPoly:
+    """Collapse F_l = sum c_k xn^{l-2k} q'^k to sum c_k t^k, reading c_k on
+    x1^{2k} xn^{l-2k}, where q'^k has coefficient one, and dropping the rest."""
+    return f.relabel(t_var(), lambda e: None if any(e[1:-1]) else ((e[0] // 2,), 1))
 
 
 def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
@@ -363,7 +349,7 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
         tag = f"n={ctx.n},l={l}"
         g_l = t_model_poly(fs[l])
         image = gegenbauer_tilde_lower_op(l).apply(g_l)
-        pv = p.apply(fs[l].poly)
+        pv = p.apply(fs[l])
         # unnormalized family: the ladder constant (l+2a-1)
         t_img = gegenbauer_tilde_lower_op(l).apply(tilde_gegenbauer(ctx, l))
         if l == 0:
@@ -379,7 +365,7 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
         exp_f = expected_ladder_constants(ctx, l)[1]
         bundle.check(f"tmodel.f-square.{tag}", anchor,
                      c_t is not None and c_t == exp_f, witness=c_t)
-        c_xi = proportionality(pv, fs[l - 1].poly)
+        c_xi = proportionality(pv, fs[l - 1])
         bundle.check(f"tmodel.p-membership.{tag}", "so-pair:lowering-operator",
                      c_xi is not None, witness=pv)
         if c_t is not None and c_xi is not None and not c_t.is_zero():
@@ -446,8 +432,8 @@ def verify_nonclosure(ctx: SoPairContext) -> ReportBundle:
     eigs: List[ParamScalar] = []
     for l in range(3):
         f = singular_vector_F(ctx, l)
-        img = pq.apply(f.poly)
-        c = proportionality(img, f.poly)
+        img = pq.apply(f)
+        c = proportionality(img, f)
         tag = f"n={ctx.n},l={l}"
         bundle.check(f"nonclosure.pq-eigenvalue.{tag}", "so-pair:pq-commutator",
                      c is not None, witness=img)
@@ -464,7 +450,7 @@ def verify_nonclosure(ctx: SoPairContext) -> ReportBundle:
         if second_diff.is_zero():
             # formally -6(4 lam + n - 3): at lam = (3-n)/4, l = 3 decides (a
             # degenerate F_3 raises ZeroDivisionError, a precondition error)
-            f3 = singular_vector_F(ctx, 3).poly
+            f3 = singular_vector_F(ctx, 3)
             c3 = proportionality(pq.apply(f3), f3)
             second_diff = None if c3 is None else c3 - eigs[2] * 2 + eigs[1]
         bundle.check(f"nonclosure.pq-not-affine.n={ctx.n}", "so-pair:pq-commutator",
@@ -496,5 +482,5 @@ def singular_family_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     for l in range(max_degree + 1):
         f = singular_vector_F(ctx, l)
         bundle.check(f"singular.annihilated.n={ctx.n},l={l}", "so-pair:singular-pde",
-                     verify_singular(ctx, f), witness=f.poly)
+                     verify_singular(ctx, f), witness=f)
     return bundle

@@ -14,7 +14,7 @@ from .so_pair import SoPairContext, op_Q, proportionality, singular_vector_F
 
 def f_vector_table(n: int, max_degree: int) -> str:
     ctx = SoPairContext.formal(n)
-    lines = [f"F_{l} = {singular_vector_F(ctx, l).poly.render()}"
+    lines = [f"F_{l} = {singular_vector_F(ctx, l).render()}"
              for l in range(max_degree + 1)]
     return "\n".join(lines) + "\n"
 
@@ -36,8 +36,8 @@ def q_action_table(n: int, max_degree: int) -> str:
     lines = []
     for l in range(max_degree + 1):
         src = singular_vector_F(ctx, l)
-        img = q.apply(src.poly)
-        c = proportionality(img, singular_vector_F(ctx, l + 1).poly)
+        img = q.apply(src)
+        c = proportionality(img, singular_vector_F(ctx, l + 1))
         lines.append(f"Q(F_{l}) = ({c.render()}) * F_{l + 1}")
         lines.append(f"       = {img.render()}")
     return "\n".join(lines) + "\n"

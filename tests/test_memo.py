@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from vermabranch import diag_pair, polyring, so_pair
-from vermabranch.diag_pair import DiagContext, jacobi_t_polynomial
+from vermabranch.diag_pair import (DiagContext, jacobi_t_polynomial,
+                                   singular_vector_Ptilde)
 from vermabranch.polyring import (curated_factors, per_context, quadratic_sum,
                                   xi_vars)
 from vermabranch.so_pair import (SoPairContext, ladder_images, ladder_ops,
@@ -50,7 +51,7 @@ def test_singular_vector_built_once_per_context():
     assert singular_vector_F(ctx, 3) is singular_vector_F(ctx, 3)
     assert ladder_ops(ctx, 2) is ladder_ops(ctx, 2)
     fresh = SoPairContext.formal(3)
-    assert singular_vector_F(fresh, 3).poly == singular_vector_F(ctx, 3).poly
+    assert singular_vector_F(fresh, 3) == singular_vector_F(ctx, 3)
 
 
 @pytest.mark.parametrize("fn, args", SO_BUILDS,
@@ -69,7 +70,7 @@ def test_op_P_is_the_memoized_last_direction():
 
 def test_ladder_images_match_direct_application():
     ctx = SoPairContext.formal(3)
-    f = singular_vector_F(ctx, 2).poly
+    f = singular_vector_F(ctx, 2)
     (e_l, f_l, _), (e_dn, _, _) = ladder_ops(ctx, 2), ladder_ops(ctx, 1)
     ev, fv, up, down = ladder_images(ctx, 2)
     assert ev == e_l.apply(f) and fv == f_l.apply_rat(f)
@@ -82,14 +83,16 @@ def test_jacobi_built_once_per_context():
     ctx = DiagContext.formal()
     assert jacobi_t_polynomial(ctx, 4) is jacobi_t_polynomial(ctx, 4)
     assert jacobi_t_polynomial(DiagContext.formal(), 4) == jacobi_t_polynomial(ctx, 4)
+    assert singular_vector_Ptilde(ctx, 4) is singular_vector_Ptilde(ctx, 4)
+    assert singular_vector_Ptilde(DiagContext.formal(), 4) == singular_vector_Ptilde(ctx, 4)
 
 
 def test_formal_and_specialized_contexts_do_not_share():
     formal = SoPairContext.formal(3)
     special = SoPairContext.at(3, Fraction(1, 2))
     f2, s2 = singular_vector_F(formal, 2), singular_vector_F(special, 2)
-    assert f2 is not s2 and f2.poly != s2.poly
-    assert s2.poly == singular_vector_F(SoPairContext.at(3, Fraction(1, 2)), 2).poly
+    assert f2 is not s2 and f2 != s2
+    assert s2 == singular_vector_F(SoPairContext.at(3, Fraction(1, 2)), 2)
     a = DiagContext.at(Fraction(1, 2), Fraction(5, 2))
     assert jacobi_t_polynomial(a, 2) != jacobi_t_polynomial(DiagContext.formal(), 2)
 
@@ -127,16 +130,20 @@ def test_raising_build_stores_nothing():
 def test_context_fields_unchanged():
     assert [f.name for f in dataclasses.fields(SoPairContext)] == ["n", "lam"]
     assert [f.name for f in dataclasses.fields(DiagContext)] == ["lam", "mu"]
-    ctx = SoPairContext.formal(3)
+    ctx, fresh = SoPairContext.formal(3), SoPairContext.formal(3)
     singular_vector_F(ctx, 1)
-    assert ctx == SoPairContext.formal(3)
-    assert repr(ctx) == repr(SoPairContext.formal(3))
+    # alpha is computed once and kept in the instance dict beside the memo;
+    # equality, hashing and repr see neither
+    assert ctx.alpha is ctx.alpha and "alpha" not in vars(fresh)
+    assert ctx == fresh and hash(ctx) == hash(fresh)
+    assert repr(ctx) == repr(fresh)
 
 
 @pytest.mark.parametrize("fn", [polyring.curated_factors, so_pair.singular_vector_F,
                                 so_pair.ladder_ops, diag_pair.jacobi_t_polynomial,
                                 so_pair.lowering_direction_op, so_pair.op_Q,
-                                so_pair.ladder_images, so_pair.tilde_gegenbauer])
+                                so_pair.ladder_images, so_pair.tilde_gegenbauer,
+                                diag_pair.singular_vector_Ptilde])
 def test_traced_functions_stay_plain(fn):
     # the benchmark tracer wraps plain functions of the module they belong to
     assert inspect.isfunction(fn)

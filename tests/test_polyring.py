@@ -174,16 +174,27 @@ def test_homogenize_roundtrip():
     p = homogenize(q, 5)
     assert p.is_homogeneous() and p.degree() == 5
     assert dehomogenize(p, 5) == q
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree 3 exceeds homogeneity 2"):
         homogenize(q, 2)
+    with pytest.raises(ValueError, match="homogenize expects a univariate polynomial"):
+        homogenize(GeoPoly.var(xi_vars(2), "x1"), 2)
+    with pytest.raises(ValueError, match="input is not homogeneous of the stated degree"):
+        dehomogenize(p + GeoPoly.var(xi_eta_vars(), "xi"), 5)
+    with pytest.raises(ValueError, match="input is not homogeneous of the stated degree"):
+        dehomogenize(p, 4)
+    assert dehomogenize(GeoPoly.zero(xi_eta_vars()), 3).is_zero()
 
 
 def test_gegen_tilde_convert_parity():
     xv = x_var()
     x = GeoPoly.var(xv, "x")
     # even-degree input with an odd-degree term is rejected
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parity violation: degree-1 term in a degree-2 polynomial"):
         gegen_tilde_convert(x * x + x, 2)
+    with pytest.raises(ValueError, match="expected a univariate polynomial"):
+        gegen_tilde_convert(GeoPoly.var(xi_vars(2), "x1"), 1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        gegen_tilde_convert(x ** 3, 1)
     # x^2 - 1 at l=2 becomes 1 + t
     out = gegen_tilde_convert(x * x - GeoPoly.const(xv, 1), 2)
     t = GeoPoly.var(t_var(), "t")
@@ -204,13 +215,13 @@ def test_coefficient_lookup():
     assert p.coefficient((0, 0)).is_zero()
 
 
-def test_from_terms_validates_and_coerces():
+def test_constructor_validates_and_coerces():
     vs = xi_vars(2)
     with pytest.raises(ValueError, match="exponent arity mismatch"):
-        GeoPoly.from_terms(vs, {(1, 0, 0): 1})
+        GeoPoly(vs, {(1, 0, 0): 1})
     with pytest.raises(ValueError, match="negative exponent"):
-        GeoPoly.from_terms(vs, {(1, -1): 1})
-    p = GeoPoly.from_terms(vs, {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 0): 0})
+        GeoPoly(vs, {(1, -1): 1})
+    p = GeoPoly(vs, {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 0): 0})
     assert p.coefficients() == {(1, 0): ParamScalar.const(2),
                                 (0, 1): ParamScalar.const(Fraction(1, 3))}
     assert all(isinstance(c, ParamScalar) for c in p.coefficients().values())
@@ -269,7 +280,7 @@ def test_exponents_stay_below_the_field_limit():
     with pytest.raises(ValueError):
         GeoPoly(tv, {(2 ** 15,): ParamScalar.const(1)})
     with pytest.raises(ValueError):
-        GeoPoly.from_terms(xi_vars(2), {(2 ** 14, 2 ** 14): 1})
+        GeoPoly(xi_vars(2), {(2 ** 14, 2 ** 14): 1})
     with pytest.raises(ValueError):
         GeoPoly.const(tv, ParamPoly({_pack((0, 2 ** 15, 0)): 1}))
     half = GeoPoly.var(tv, "t", 2 ** 14)
@@ -420,8 +431,8 @@ _VARSETS = [xi_vars(2), xi_vars(3), xi_vars(4), xi_eta_vars(), t_var()]
 def test_kernel_matches_per_coefficient_reference(vs):
     rng = random.Random(8)
     divisors = list(curated_factors(vs).values())
-    divisors.append(GeoPoly.from_terms(vs, {(1,) + (0,) * (vs.arity - 1): 2,
-                                            (0,) * vs.arity: Fraction(-1, 3)}))
+    divisors.append(GeoPoly(vs, {(1,) + (0,) * (vs.arity - 1): 2,
+                                 (0,) * vs.arity: Fraction(-1, 3)}))
     for _ in range(40):
         (a, ra), (b, rb) = _rand_pair(rng, vs), _rand_pair(rng, vs)
         c = rng.choice(_COEFFS)
@@ -441,3 +452,64 @@ def test_kernel_matches_per_coefficient_reference(vs):
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert got.render() == want.render()
+
+
+# -- relabelling monomials between models --------------------------------------
+
+def _relabel_by_coefficients(p, target, f):
+    """The earlier model change, a test-only reference: each coefficient read
+    as a reduced ParamScalar, and the image built from them."""
+    out = {}
+    for e, c in p.coefficients().items():
+        m = f(e)
+        if m is not None:
+            out[m[0]] = out.get(m[0], ParamScalar.const(0)) + c * m[1]
+    return GeoPoly(target, out)
+
+
+_RELABELS = {
+    # onto the t-line by total degree, signed by the first exponent: images
+    # collide, and their sums can cancel
+    "collapse": lambda vs: (t_var(), lambda e: ((sum(e),), (-1) ** e[0])),
+    "drop-odd": lambda vs: (vs, lambda e: None if e[0] % 2 else (e, 1)),
+    "reverse": lambda vs: (vs, lambda e: (e[::-1], (-1) ** sum(e))),
+    "homogenize": lambda vs: (xi_eta_vars(), lambda e: ((e[0], 8 - e[0]), 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RELABELS))
+@pytest.mark.parametrize("vs", _VARSETS, ids=lambda vs: f"{vs.kind}{vs.arity}")
+def test_relabel_matches_coefficient_round_trip(vs, name):
+    rng = random.Random(12)
+    target, f = _RELABELS[name](vs)
+    for _ in range(40):
+        # a sum of two random polynomials has a shared denominator such as
+        # (l + 1)(2l - 3) over coefficients l/(l + 1) and (m - 1)/(2l - 3)
+        p = _rand_pair(rng, vs)[0] + _rand_pair(rng, vs)[0]
+        got, want = p.relabel(target, f), _relabel_by_coefficients(p, target, f)
+        assert got == want and got.render() == want.render()
+
+
+def test_relabel_keeps_coefficients_and_denominator():
+    vs = xi_vars(3)
+    p = _rand_pair(random.Random(3), vs, max_terms=6)[0]
+    assert not p.den.is_constant()
+    q = p.relabel(vs, lambda e: (e[::-1], 1))
+    assert q.den == p.den and sorted(q.terms.values()) == sorted(p.terms.values())
+    assert q.relabel(vs, lambda e: (e[::-1], 1)).terms == p.terms
+
+
+def test_relabel_adds_colliding_images_and_drops_what_cancels():
+    vs, tv = xi_vars(2), t_var()
+    x1, x2 = GeoPoly.var(vs, "x1"), GeoPoly.var(vs, "x2")
+    c, d = LAMBDA / (LAMBDA + 1), (MU - 1) / (LAMBDA * 2 - 3)
+    flip = lambda e: ((sum(e),), -1 if e == (0, 1) else 1)
+    # c*x1 and -c*x2 both land on t and cancel; d*x1*x2 lands on t^2
+    out = ((x1 + x2).scale(c) + (x1 * x2).scale(d)).relabel(tv, flip)
+    assert out == GeoPoly.var(tv, "t", 2).scale(d)
+    assert out.render() == "((m - 1)/(2*l - 3))*t^2"
+    gone = (x1 + x2).scale(c).relabel(tv, flip)
+    assert gone.is_zero() and not gone.terms and gone.den.is_constant()
+    both = (x1 + x2).scale(c).relabel(tv, lambda e: ((sum(e),), 1))
+    assert both == GeoPoly.var(tv, "t").scale(c * 2)
+    assert (x1 + x2).relabel(vs, lambda e: None).is_zero()

@@ -13,7 +13,8 @@ from vermabranch.scalars import ALPHA, LAMBDA, ParamScalar
 from vermabranch.so_pair import (SoPairContext, casimir_check, expected_ladder_constants,
                                  ladder_ops, op_P, op_Q, pq_membership_check,
                                  singular_family_check, singular_vector_F,
-                                 t_model_check, tilde_gegenbauer, verify_nonclosure,
+                                 t_model_check, t_model_poly, tilde_gegenbauer,
+                                 verify_nonclosure,
                                  verify_singular, verify_sl2)
 from vermabranch.weylalg import proportionality
 
@@ -24,10 +25,10 @@ def test_low_degree_vectors():
     vs = CTX3.vars
     x3 = GeoPoly.var(vs, "x3")
     q1 = quadratic_sum(vs, 2)
-    assert singular_vector_F(CTX3, 0).poly == GeoPoly.const(vs, 1)
-    assert singular_vector_F(CTX3, 1).poly == x3
-    assert singular_vector_F(CTX3, 2).poly == q1 - (x3 * x3).scale(LAMBDA * 2)
-    assert singular_vector_F(CTX3, 3).poly == (q1 * x3).scale(3) - (x3 ** 3).scale(
+    assert singular_vector_F(CTX3, 0) == GeoPoly.const(vs, 1)
+    assert singular_vector_F(CTX3, 1) == x3
+    assert singular_vector_F(CTX3, 2) == q1 - (x3 * x3).scale(LAMBDA * 2)
+    assert singular_vector_F(CTX3, 3) == (q1 * x3).scale(3) - (x3 ** 3).scale(
         LAMBDA * 2 - 2)
 
 
@@ -37,7 +38,7 @@ def test_embedded_fourth_vector():
     q1 = quadratic_sum(vs, 2)
     expected = (q1 * q1).scale(3) - (x3 * x3 * q1).scale(12 * LAMBDA - 12) \
         + (x3 ** 4).scale(LAMBDA * LAMBDA * 4 - LAMBDA * 12 + 8)
-    assert singular_vector_F(CTX3, 4).poly == expected
+    assert singular_vector_F(CTX3, 4) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -57,14 +58,14 @@ def test_q_action_constants():
         3: LAMBDA - 2,
     }
     for l, c in expected.items():
-        img = q.apply(singular_vector_F(CTX3, l).poly)
-        assert proportionality(img, singular_vector_F(CTX3, l + 1).poly) == c
+        img = q.apply(singular_vector_F(CTX3, l))
+        assert proportionality(img, singular_vector_F(CTX3, l + 1)) == c
 
 
 def test_p_lowers():
     p = op_P(CTX3)
-    assert p.apply(singular_vector_F(CTX3, 0).poly).is_zero()
-    assert p.apply(singular_vector_F(CTX3, 1).poly) == GeoPoly.const(
+    assert p.apply(singular_vector_F(CTX3, 0)).is_zero()
+    assert p.apply(singular_vector_F(CTX3, 1)) == GeoPoly.const(
         CTX3.vars, LAMBDA)
 
 
@@ -99,7 +100,7 @@ def test_casimir(n):
 def test_localized_lowering_is_polynomial_on_family():
     for l in range(1, 6):
         _, f_l, _ = ladder_ops(CTX3, l)
-        img = f_l.apply_rat(singular_vector_F(CTX3, l).poly)
+        img = f_l.apply_rat(singular_vector_F(CTX3, l))
         assert img.is_polynomial()
 
 
@@ -114,6 +115,18 @@ def test_t_model():
     assert bundle.ok()
     # the xi-model operator realizes (l - lambda + 1) times the t-line arrows
     assert bundle.data["tmodel.p-over-f-constant.n=3,l=2"] == "l - 1"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_t_model_poly_is_the_normalized_tilde_gegenbauer(n):
+    # F_l collapses to the converted Gegenbauer polynomial times the
+    # normalization l!/(2^k k!) over its top coefficient, k = floor(l/2)
+    ctx = SoPairContext.formal(n)
+    for l in range(7):
+        tilde = tilde_gegenbauer(ctx, l)
+        top = tilde.coefficient((l // 2,))
+        scale = ParamScalar.const(Fraction(so_pair._top_normalization(l))) / top
+        assert t_model_poly(singular_vector_F(ctx, l)) == tilde.scale(scale)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -134,7 +147,7 @@ def test_tilde_gegenbauer_matches_formal_alpha_build(n):
     ctx = SoPairContext.formal(n)
     for l in range(11):
         formal = gegen_tilde_convert(gegenbauer(GegenbauerSpec(l, ALPHA)), l)
-        expected = GeoPoly.from_terms(formal.vars, {
+        expected = GeoPoly(formal.vars, {
             e: c.substitute({"a": ctx.alpha}) for e, c in formal.coefficients().items()})
         assert tilde_gegenbauer(ctx, l) == expected
 
@@ -186,5 +199,5 @@ def test_high_degree_vector_is_fully_reduced():
     # on (n = 2) some fall outside any fixed family of linear factors, and only
     # a full gcd cancels them all
     f = singular_vector_F(SoPairContext.formal(2), 44)
-    assert f.poly.coefficients()
-    assert all(c.den.is_constant() for c in f.poly.coefficients().values())
+    assert f.coefficients()
+    assert all(c.den.is_constant() for c in f.coefficients().values())

@@ -25,8 +25,8 @@ def _weight(rng):
 
 
 def _specialize(p, bindings):
-    return GeoPoly.from_terms(p.vars, {e: c.substitute(bindings)
-                                       for e, c in p.coefficients().items()})
+    return GeoPoly(p.vars, {e: c.substitute(bindings)
+                            for e, c in p.coefficients().items()})
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -49,7 +49,7 @@ def test_so_pair_specialization_commutes(n, seed):
     formal, at = SoPairContext.formal(n), SoPairContext.at(n, lam)
     bindings = {"l": lam}
     for l in DEGREES:
-        assert _specialize(singular_vector_F(formal, l).poly, bindings) \
-            == singular_vector_F(at, l).poly
+        assert _specialize(singular_vector_F(formal, l), bindings) \
+            == singular_vector_F(at, l)
         assert [c.substitute(bindings) for c in expected_ladder_constants(formal, l)] \
             == list(expected_ladder_constants(at, l))

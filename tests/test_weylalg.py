@@ -153,7 +153,7 @@ def _rand_localized_op(rng: random.Random, vs) -> DiffOp:
     denominators, so compose runs the quotient rule through its table."""
     out = DiffOp.zero(vs)
     for _ in range(rng.randint(1, 2)):
-        num = GeoPoly.from_terms(vs, {
+        num = GeoPoly(vs, {
             tuple(rng.randint(0, 2) for _ in range(vs.arity)):
                 rng.choice((1, -2, 3, LAMBDA, LAMBDA + 1))
             for _ in range(rng.randint(1, 3))})

@@ -33,7 +33,7 @@ def hilbert_check(n: int, J: int) -> VerificationRecord:
 
 @dataclass
 class RunConfig:
-    scenario: str  # so_pair | diag_pair | ortho | branch | all
+    scenario: str  # so_pair | diag_pair | branch | all
     n: int = 3
     max_degree: int = 4
     lam: Optional[Fraction] = None  # None means formal

@@ -191,10 +191,11 @@ def model_transport_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
     x_hat = op_X_fourier(ctx)
     tv = t_var()
     for l in range(max_degree + 1):
+        x_t = op_X_t(ctx, l)
         for probe_deg in range(l + 1):
             q = GeoPoly(tv, {(k,): k + 1 for k in range(probe_deg + 1)})
             lhs = x_hat.apply(homogenize(q, l))
-            rhs = op_X_t(ctx, l).apply(q)
+            rhs = x_t.apply(q)
             ok = (lhs.is_zero() and rhs.is_zero()) or \
                 (not lhs.is_zero() and dehomogenize(lhs, l - 1) == rhs)
             bundle.check(f"diag.transport.l={l},deg={probe_deg}", anchor, ok)

@@ -28,11 +28,6 @@ def rising_factorial(z, k: int) -> ParamScalar:
     return out
 
 
-def pochhammer(z, k: int) -> ParamScalar:
-    """(z+1)_k = (z+1)(z+2)...(z+k), the partially rising factorial."""
-    return rising_factorial(ParamScalar.coerce(z) + 1, k)
-
-
 def falling_factorial(z, k: int) -> ParamScalar:
     z = ParamScalar.coerce(z)
     out = ParamScalar.const(1)

@@ -10,15 +10,15 @@ A :class:`GeoPoly` is an integer polynomial in the geometric variables and
 the parameters over one shared denominator ``den`` in Z[a, l, m] (FLINT's
 ``fmpq_poly`` form), with the integer content of both sides divided out and a
 positive leading coefficient in ``den``.  A monomial is one int in the packed
-layout of :mod:`~vermabranch.scalars`: 16-bit fields for the total geometric
-degree and g_1..g_n sit above the parameter fields, whose bits are a
-ParamPoly key, so both layers share one kernel and its 2^15 bound.  Integer
-order is graded-lexicographic in the geometric part, the last variable least
-significant, which keeps rendered output stable for the golden files.  The
-one constructor ``GeoPoly(vars, terms)`` checks and coerces its terms, and
-:meth:`GeoPoly.relabel` moves a value between models.  Only the read-only
-view (``coefficients``, ``coefficient``, ``leading``) builds per-monomial
-ParamScalars, in the canonical form of :mod:`scalars`.
+layout of :mod:`~vermabranch.scalars`, ``_layout(n, _PBITS)``: 16-bit fields
+for the total geometric degree and g_1..g_n sit above the parameter fields,
+whose bits are a ParamPoly key, so both layers share one kernel and its 2^15
+bound.  Integer order is graded-lexicographic in the geometric part, the last
+variable least significant, which keeps rendered output stable for the golden
+files.  The one constructor ``GeoPoly(vars, terms)`` checks and coerces its
+terms, and :meth:`GeoPoly.relabel` moves a value between models.  Only the
+read-only view (``coefficients``, ``coefficient``, ``leading``) builds
+per-monomial ParamScalars, in the canonical form of :mod:`scalars`.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
 from math import gcd
-from operator import add, or_
+from operator import add
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .scalars import (_FIELD, _LIMIT, _ONE, _OVERFLOW, _PBITS, _PMASK, _PTOP, _W,
-                      _divide, _gcd, _normalize, _product, ParamPoly, ParamScalar)
+from .scalars import (_FIELD, _ONE, _PBITS, _PMASK, _add, _divide, _dot, _gcd,
+                      _layout, _normalize, _pack, _product, _unpack, ParamPoly,
+                      ParamScalar)
 
 Expts = Tuple[int, ...]
 
@@ -71,46 +72,6 @@ def x_var() -> VarSet:
     return VarSet("x", ("x",))
 
 
-# -- the packed monomials ------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _layout(n: int) -> Tuple[Tuple[int, ...], int, int]:
-    """For n geometric variables: the shift of each one's field, the shift of
-    the degree field, and the mask of every field's top bit."""
-    shifts = tuple(_PBITS + _W * (n - 1 - i) for i in range(n))
-    dshift = _PBITS + _W * n
-    top = _PTOP | sum(1 << (s + _W - 1) for s in shifts + (dshift,))
-    return shifts, dshift, top
-
-
-def _pack(e: Expts) -> int:
-    """The key of the geometric exponents e."""
-    if min(e) < 0:
-        raise ValueError("negative exponent")
-    d = sum(e)
-    if d >= _LIMIT:
-        raise ValueError(_OVERFLOW)
-    shifts, dshift, _ = _layout(len(e))
-    k = d << dshift
-    for s, x in zip(shifts, e):
-        k |= x << s
-    return k
-
-
-def _geo(k: int, n: int) -> Expts:
-    """The geometric exponents of key k."""
-    return tuple(k >> s & _FIELD for s in _layout(n)[0])
-
-
-def _times(terms: Dict[int, int], p: ParamPoly, n: int) -> Dict[int, int]:
-    """terms times the parameter polynomial p."""
-    pt = p.terms
-    if len(pt) == 1 and 0 in pt:
-        c = pt[0]
-        return terms if c == 1 else {k: c * v for k, v in terms.items()}
-    return _product(terms, pt, _layout(n)[2])
-
-
 def _lcm(d1: ParamPoly, d2: ParamPoly) -> Tuple[ParamPoly, ParamPoly, ParamPoly]:
     """A common multiple D of two denominators, with D/d1 and D/d2."""
     g = _gcd(d1, d2)
@@ -148,17 +109,18 @@ class GeoPoly:
         for e, c in (terms or {}).items():
             if len(e) != vars.arity:
                 raise ValueError("exponent arity mismatch")
-            g, c = _pack(e), ParamScalar.coerce(c)
+            g, c = _pack(e, _PBITS), ParamScalar.coerce(c)
             if c.num.terms:
                 cs.append((g, c))
                 if c.den is not _ONE and c.den not in lift:
                     lift[c.den] = None
                     den = _lcm(den, c.den)[0]
         lift, out = {d: den.exact_divide(d) for d in lift}, {}
+        top = _layout(vars.arity, _PBITS)[3]
         for g, c in cs:
             t = {g + k: v for k, v in c.num.terms.items()}
             m = den if c.den is _ONE else lift[c.den]
-            out.update(t if m is _ONE else _times(t, m, vars.arity))
+            out.update(t if m is _ONE else _product(t, m.terms, top))
         p = _new(vars, out, den)
         self.vars, self.terms, self.den = vars, p.terms, p.den
 
@@ -186,10 +148,10 @@ class GeoPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(self.terms) >> _layout(self.vars.arity)[1] if self.terms else -1
+        return max(self.terms) >> _layout(self.vars.arity, _PBITS)[2] if self.terms else -1
 
     def is_homogeneous(self) -> bool:
-        dshift = _layout(self.vars.arity)[1]
+        dshift = _layout(self.vars.arity, _PBITS)[2]
         return len({k >> dshift for k in self.terms}) <= 1
 
     def coefficients(self) -> Dict[Expts, ParamScalar]:
@@ -199,16 +161,16 @@ class GeoPoly:
         for k, c in self.terms.items():
             rows.setdefault(k >> _PBITS, {})[k & _PMASK] = c
         n = self.vars.arity
-        return {_geo(g << _PBITS, n): ParamScalar(ParamPoly(rows[g]), self.den)
+        return {_unpack(g << _PBITS, n, _PBITS): ParamScalar(ParamPoly(rows[g]), self.den)
                 for g in sorted(rows, reverse=True)}
 
     def coefficient(self, e: Expts) -> ParamScalar:
-        g = _pack(tuple(e)) >> _PBITS
+        g = _pack(tuple(e), _PBITS) >> _PBITS
         row = {k & _PMASK: c for k, c in self.terms.items() if k >> _PBITS == g}
         return ParamScalar(ParamPoly(row), self.den)
 
     def leading(self) -> Tuple[Expts, ParamScalar]:
-        e = _geo(max(self.terms), self.vars.arity)
+        e = _unpack(max(self.terms), self.vars.arity, _PBITS)
         return e, self.coefficient(e)
 
     def _check(self, other: "GeoPoly"):
@@ -225,17 +187,10 @@ class GeoPoly:
             return other
         a, b, den = self.terms, other.terms, self.den
         if other.den != den:
-            n = self.vars.arity
+            top = _layout(self.vars.arity, _PBITS)[3]
             den, ma, mb = _lcm(den, other.den)
-            a, b = _times(a, ma, n), _times(b, mb, n)
-        out = dict(a)
-        for k, c in b.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _new(self.vars, out, den)
+            a, b = _product(a, ma.terms, top), _product(b, mb.terms, top)
+        return _new(self.vars, _add(a, b), den)
 
     def __neg__(self) -> "GeoPoly":
         return _new(self.vars, {k: -c for k, c in self.terms.items()}, self.den)
@@ -245,8 +200,8 @@ class GeoPoly:
 
     def __mul__(self, other: "GeoPoly") -> "GeoPoly":
         self._check(other)
-        return _new(self.vars, _product(self.terms, other.terms, _layout(self.vars.arity)[2]),
-                    _dmul(self.den, other.den))
+        top = _layout(self.vars.arity, _PBITS)[3]
+        return _new(self.vars, _product(self.terms, other.terms, top), _dmul(self.den, other.den))
 
     def __pow__(self, k: int) -> "GeoPoly":
         if k < 0:
@@ -257,24 +212,23 @@ class GeoPoly:
         return out
 
     def scale(self, c) -> "GeoPoly":
-        c = ParamScalar.coerce(c)
-        return _new(self.vars, _times(self.terms, c.num, self.vars.arity), _dmul(self.den, c.den))
+        c, top = ParamScalar.coerce(c), _layout(self.vars.arity, _PBITS)[3]
+        return _new(self.vars, _product(self.terms, c.num.terms, top), _dmul(self.den, c.den))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeoPoly) or self.vars != other.vars:
             return False
         if self.den == other.den:
             return self.terms == other.terms
-        n = self.vars.arity
-        return _times(self.terms, other.den, n) == _times(other.terms, self.den, n)
+        top = _layout(self.vars.arity, _PBITS)[3]
+        return _product(self.terms, other.den.terms, top) == _product(other.terms, self.den.terms, top)
 
     # -- calculus ---------------------------------------------------------
 
     def derive(self, var: str | int) -> "GeoPoly":
         i = var if isinstance(var, int) else self.vars.index(var)
-        shifts, dshift, _ = _layout(self.vars.arity)
-        s = shifts[i]
-        unit = 1 << s | 1 << dshift
+        shifts, units, _, _ = _layout(self.vars.arity, _PBITS)
+        s, unit = shifts[i], units[i]
         out: Dict[int, int] = {}
         for k, c in self.terms.items():
             g = k >> s & _FIELD
@@ -297,13 +251,12 @@ class GeoPoly:
             raise ValueError("exact_divide needs a divisor with constant coefficients")
         if not self.terms:
             return self
-        cont = gcd(*dt.values())
-        quot = _divide(dict(self.terms), [(k, c // cont) for k, c in dt.items()],
-                       _layout(self.vars.arity)[2])
+        cont, top = gcd(*dt.values()), _layout(self.vars.arity, _PBITS)[3]
+        quot = _divide(dict(self.terms), [(k, c // cont) for k, c in dt.items()], top)
         if quot is None:
             return None
         # self / divisor = quot * den(divisor) / (den(self) * cont)
-        return _new(self.vars, _times(quot, divisor.den, self.vars.arity),
+        return _new(self.vars, _product(quot, divisor.den.terms, top),
                     self.den * ParamPoly.const(cont))
 
     def relabel(self, target: VarSet, f) -> "GeoPoly":
@@ -314,9 +267,9 @@ class GeoPoly:
         colliding images add."""
         moves = {}
         for g in sorted({k >> _PBITS for k in self.terms}, reverse=True):
-            m = f(_geo(g << _PBITS, self.vars.arity))
+            m = f(_unpack(g << _PBITS, self.vars.arity, _PBITS))
             if m is not None:
-                moves[g] = (_pack(m[0]) - (g << _PBITS), m[1])
+                moves[g] = (_pack(m[0], _PBITS) - (g << _PBITS), m[1])
         out: Dict[int, int] = {}
         for k, c in self.terms.items():
             if (m := moves.get(k >> _PBITS)) is not None:
@@ -374,7 +327,8 @@ _CURATED: Dict[VarSet, Mapping[str, GeoPoly]] = {}
 
 
 def curated_factors(vars: VarSet) -> Mapping[str, GeoPoly]:
-    """The only polynomials ever allowed in denominators, per variable set.
+    """The only polynomials ever allowed in denominators, per variable set:
+    xn, q1 and q on the xi variables, none on the others.
 
     Built on first use of each variable set and shared read-only after that.
     """
@@ -387,10 +341,6 @@ def curated_factors(vars: VarSet) -> Mapping[str, GeoPoly]:
                 "q1": quadratic_sum(vars, n - 1),
                 "q": quadratic_sum(vars, n),
             }
-        elif vars.kind == "xi_eta":
-            d = {"eta": GeoPoly.var(vars, "eta")}
-        elif vars.kind == "t":
-            d = {"t": GeoPoly.var(vars, "t")}
         else:
             d = {}
         facs = _CURATED[vars] = MappingProxyType(d)
@@ -481,49 +431,41 @@ class RatCoeff:
         Z[a, l, m] denominator, as heap-based sparse division accumulates
         before it normalizes (Monagan and Pearce, J. Symb. Comput. 46, 2011).
         """
-        live, den = [], {}
+        groups, den = [], {}  # (Z[a, l, m] denominator, its products)
         for k, x, y in triples:
-            if k and x.num.terms and y.num.terms:
+            xn, yn = x.num, y.num
+            if k and xn.terms and yn.terms:
                 cd = x.den
                 if y.den:
                     cd = {f: cd.get(f, 0) + y.den.get(f, 0) for f in {**cd, **y.den}}
                 for f, e in cd.items():
                     den[f] = max(den.get(f, 0), e)
-                live.append((k, x.num, y.num, cd))
-        top = _layout(vars.arity)[2]
-        lifted: Dict[tuple, Dict[int, int]] = {}
-        groups = []  # (Z[a, l, m] denominator, packed numerator sum)
-        for k, xn, yn, cd in live:
-            xt = xn.terms
-            lift = den and tuple((f, e - cd.get(f, 0)) for f, e in den.items() if e > cd.get(f, 0))
-            if lift:
-                key = (id(xn), lift)
-                if key not in lifted:
-                    for f, j in lift:
-                        xt = _product(xt, _factor_power(vars, f, j), top)
-                    lifted[key] = xt
-                xt = lifted[key]
-            pden = _dmul(xn.den, yn.den)
-            # compared by value, not by hash
-            for d, acc in groups:
-                if d is pden or d == pden:
-                    break
-            else:
-                acc = {}
-                groups.append((pden, acc))
-            get = acc.get
-            yt = yn.terms.items()
-            for k1, c1 in xt.items():
-                c1 *= k
-                for k2, c2 in yt:
-                    t = k1 + k2
-                    acc[t] = get(t, 0) + c1 * c2
-        if any(reduce(or_, acc) & top for _, acc in groups):
-            raise ValueError(_OVERFLOW)
+                pden = _dmul(xn.den, yn.den)
+                # compared by value, not by hash
+                for d, ps in groups:
+                    if d is pden or d == pden:
+                        break
+                else:
+                    ps = []
+                    groups.append((pden, ps))
+                ps.append((k, xn, yn.terms, cd))
         if not groups:
             return RatCoeff.zero(vars)
-        return RatCoeff(reduce(add, [_new(vars, {t: c for t, c in acc.items() if c}, d)
-                                     for d, acc in groups]), den)
+        top = _layout(vars.arity, _PBITS)[3]
+        lifted: Dict[tuple, Dict[int, int]] = {}
+        for _, ps in groups:
+            for i, (k, xn, yt, cd) in enumerate(ps):
+                xt = xn.terms
+                lift = den and tuple((f, e - cd.get(f, 0)) for f, e in den.items() if e > cd.get(f, 0))
+                if lift:
+                    key = (id(xn), lift)
+                    if key not in lifted:
+                        for f, j in lift:
+                            xt = _product(xt, _factor_power(vars, f, j), top)
+                        lifted[key] = xt
+                    xt = lifted[key]
+                ps[i] = k, xt, yt
+        return RatCoeff(reduce(add, [_new(vars, _dot(ps, top), d) for d, ps in groups]), den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

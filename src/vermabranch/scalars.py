@@ -8,15 +8,18 @@ them, so the arithmetic path builds no ``fractions.Fraction``: rationals
 appear only at the boundary (``ParamScalar.const``, ``rational_value`` and
 ``render``).
 
-This module holds the one packed monomial layout of the package (Monagan and
-Pearce, CASC 2007).  A monomial is one int of 16-bit fields, highest first:
-the total degree, then one exponent per symbol of ``SYMBOLS``.  Integer order
-is thus the graded-lexicographic order, and a monomial product is one integer
-addition.  Every exponent and degree stays below 2^15, so two fields never
-carry into their neighbour; a product that reaches 2^15 in a field raises
-ValueError.  :mod:`~vermabranch.polyring` puts its geometric fields above
-these, so a parameter monomial is the low ``_PBITS`` of a geometric one, and
-both layers multiply with :func:`_product` and divide with :func:`_divide`.
+This module holds the one packed monomial layout of the package and its
+kernel (Monagan and Pearce, CASC 2007).  A monomial is one int of 16-bit
+fields, highest first: the total degree, then one exponent per variable.
+:func:`_layout` places n variables above a given bit: the symbols of
+``SYMBOLS`` take ``_layout(3)``, and the geometric variables of
+:mod:`~vermabranch.polyring` take ``_layout(n, _PBITS)``, so a parameter
+monomial is the low ``_PBITS`` of a geometric one.  Integer order is thus the
+graded-lexicographic order, and a monomial product is one integer addition.
+Every exponent and degree stays below 2^15, so two fields never carry into
+their neighbour; a product that reaches 2^15 in a field raises ValueError.
+Both layers pack with :func:`_pack`, add with :func:`_add`, multiply with
+:func:`_product` and :func:`_dot`, and divide with :func:`_divide`.
 
 Canonical form: numerator and denominator have no common factor, the
 denominator has a positive leading coefficient, and the integer content of
@@ -33,10 +36,10 @@ with rational coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 from operator import mul, or_
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -47,41 +50,81 @@ SYMBOLS = ("a", "l", "m")
 _W = 16                                  # bits per packed field
 _FIELD = (1 << _W) - 1
 _LIMIT = 1 << (_W - 1)                   # every exponent stays below this
-_DSHIFT = _W * len(SYMBOLS)              # the total-degree field
-_PBITS = _DSHIFT + _W                    # the parameter fields, degree included
-_PMASK = (1 << _PBITS) - 1
-_SHIFTS = tuple(_W * i for i in reversed(range(len(SYMBOLS))))
-_UNITS = tuple(1 << s | 1 << _DSHIFT for s in _SHIFTS)
-_PTOP = sum(1 << (s + _W - 1) for s in _SHIFTS + (_DSHIFT,))
 _OVERFLOW = f"exponent of {_LIMIT} or more in a polynomial"
 
 
-def _pack(e: Sequence[int]) -> int:
-    """The packed monomial with exponent e[i] of SYMBOLS[i]."""
+@lru_cache(maxsize=None)
+def _layout(n: int, base: int = 0) -> Tuple[Tuple[int, ...], Tuple[int, ...], int, int]:
+    """For n variables packed above bit base: the shift of each one's field,
+    the key of each one's unit monomial, the shift of their degree field, and
+    the mask of the top bit of every field from bit 0 up to theirs."""
+    shifts = tuple(base + _W * i for i in reversed(range(n)))
+    dshift = base + _W * n
+    units = tuple(1 << s | 1 << dshift for s in shifts)
+    top = sum(1 << s for s in range(_W - 1, dshift + _W, _W))
+    return shifts, units, dshift, top
+
+
+_SHIFTS, _UNITS, _DSHIFT, _PTOP = _layout(len(SYMBOLS))
+_PBITS = _DSHIFT + _W                    # the parameter fields, degree included
+_PMASK = (1 << _PBITS) - 1
+
+
+def _pack(e: Sequence[int], base: int = 0) -> int:
+    """The key of the exponents e packed above bit base."""
+    if min(e) < 0:
+        raise ValueError("negative exponent")
     if sum(e) >= _LIMIT:
         raise ValueError(_OVERFLOW)
-    return sum(x * u for x, u in zip(e, _UNITS))
+    return sum(x * u for x, u in zip(e, _layout(len(e), base)[1]))
 
 
-def _exponents(k: int) -> Tuple[int, ...]:
-    """The exponent of each symbol in the packed monomial k."""
-    return tuple(k >> s & _FIELD for s in _SHIFTS)
+def _unpack(k: int, n: int, base: int = 0) -> Tuple[int, ...]:
+    """The n exponents packed above bit base in the key k."""
+    return tuple(k >> s & _FIELD for s in _layout(n, base)[0])
 
 
-def _product(a: Dict[int, int], b: Dict[int, int], top: int) -> Dict[int, int]:
-    """The product of two packed polynomials, with every key tested against
-    ``top``, the mask of the top bit of each of their fields."""
+def _add(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """The sum of two packed polynomials."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
+def _dot(products: Iterable[Tuple[int, Dict[int, int], Dict[int, int]]],
+         top: int) -> Dict[int, int]:
+    """The sum of m*a*b over the triples (m, a, b) of an int m and packed
+    polynomials a, b, with every key tested against ``top``, the mask of the
+    top bit of each of their fields."""
     out: Dict[int, int] = {}
     get = out.get
-    b = b.items()
-    for k1, c1 in a.items():
-        for k2, c2 in b:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
+    for m, a, b in products:
+        b = b.items()
+        for k1, c1 in a.items():
+            c1 *= m
+            for k2, c2 in b:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
     out = {k: c for k, c in out.items() if c}
     if out and reduce(or_, out) & top:
         raise ValueError(_OVERFLOW)
     return out
+
+
+def _product(a: Dict[int, int], b: Dict[int, int], top: int) -> Dict[int, int]:
+    """The product of two packed polynomials, as :func:`_dot`; a constant
+    factor scales the other, which a factor 1 returns as it is."""
+    if len(b) == 1 and 0 in b:
+        a, b = b, a
+    if len(a) == 1 and 0 in a:
+        c = a[0]
+        return b if c == 1 else {k: c * v for k, v in b.items()}
+    return _dot(((1, a, b),), top)
 
 
 def _divide(rem: Dict[int, int], div: List[Tuple[int, int]], top: int) -> Optional[Dict[int, int]]:
@@ -146,27 +189,14 @@ class ParamPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return ParamPoly(out)
+        return ParamPoly(_add(self.terms, other.terms))
 
     def __neg__(self) -> "ParamPoly":
         return ParamPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        a, b = self.terms, other.terms
-        if len(b) == 1 and 0 in b:
-            p, c = self, b[0]
-        elif len(a) == 1 and 0 in a:
-            p, c = other, a[0]
-        else:
-            return ParamPoly(_product(a, b, _PTOP))
-        return p if c == 1 else ParamPoly({e: c * v for e, v in p.terms.items()})
+        t = _product(self.terms, other.terms, _PTOP)
+        return self if t is self.terms else other if t is other.terms else ParamPoly(t)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ParamPoly) and self.terms == other.terms
@@ -197,7 +227,7 @@ class ParamPoly:
         for k in sorted(self.terms, reverse=True):
             c = self.terms[k] if div == 1 else Fraction(self.terms[k], div)
             mono = "*".join(SYMBOLS[i] + (f"^{x}" if x > 1 else "")
-                            for i, x in enumerate(_exponents(k)) if x)
+                            for i, x in enumerate(_unpack(k, len(SYMBOLS))) if x)
             ac = abs(c)
             if mono:
                 body = mono if ac == 1 else f"{ac}*{mono}"
@@ -379,8 +409,6 @@ class ParamScalar:
         if not other.num.terms:
             return self
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1.is_constant() and d2.is_constant():
-            return ParamScalar(n1 * d2 + n2 * d1, d1 * d2)
         # both sides are reduced, so a common factor of the sum's two sides
         # divides g = gcd(d1, d2) (Knuth, TAOCP 2, 4.5.1)
         g = d1 if d1 == d2 else _gcd(d1, d2)
@@ -404,8 +432,6 @@ class ParamScalar:
     def __mul__(self, other) -> "ParamScalar":
         other = ParamScalar.coerce(other)
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if d1.is_constant() and d2.is_constant():
-            return ParamScalar(n1 * n2, d1 * d2)
         # both sides are reduced, so only n1, d2 and n2, d1 can share a factor
         if not d2.is_constant():
             n1, d2 = _cancel(n1, d2)
@@ -476,7 +502,7 @@ def _substitute_scalar(p: ParamPoly, bindings: Mapping[str, "ParamScalar | Param
             tables[-1].append(tables[-1][-1] * base)
     out = ParamScalar.const(0)
     for k, c in p.terms.items():
-        out = out + reduce(mul, (t[x] for t, x in zip(tables, _exponents(k)) if x),
+        out = out + reduce(mul, (t[x] for t, x in zip(tables, _unpack(k, len(SYMBOLS))) if x),
                            ParamScalar.const(c))
     return out
 

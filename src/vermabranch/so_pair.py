@@ -347,11 +347,11 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     p = op_P(ctx)
     for l in range(max_degree + 1):
         tag = f"n={ctx.n},l={l}"
-        g_l = t_model_poly(fs[l])
-        image = gegenbauer_tilde_lower_op(l).apply(g_l)
+        lower = gegenbauer_tilde_lower_op(l)
+        image = lower.apply(t_model_poly(fs[l]))
         pv = p.apply(fs[l])
         # unnormalized family: the ladder constant (l+2a-1)
-        t_img = gegenbauer_tilde_lower_op(l).apply(tilde_gegenbauer(ctx, l))
+        t_img = lower.apply(tilde_gegenbauer(ctx, l))
         if l == 0:
             bundle.check(f"tmodel.f-square.{tag}", anchor,
                          image.is_zero() and pv.is_zero())

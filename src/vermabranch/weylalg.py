@@ -90,10 +90,6 @@ class DiffOp:
         return DiffOp(vars)
 
     @staticmethod
-    def identity(vars: VarSet) -> "DiffOp":
-        return DiffOp.scalar(vars, 1)
-
-    @staticmethod
     def scalar(vars: VarSet, c) -> "DiffOp":
         e0 = (0,) * vars.arity
         return DiffOp(vars, {e0: RatCoeff(GeoPoly.const(vars, c))})

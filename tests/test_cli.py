@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,24 @@ def test_degenerate_weight_is_precondition_error(args):
 def test_collinear_low_eigenvalues_pass(n, lam):
     # lam = (3-n)/4, where the [P, Q] eigenvalues at l = 0, 1, 2 are collinear
     assert main(["verify-so", "--n", n, "--max-degree", "3", f"--lambda={lam}"]) == 0
+
+
+def test_weight_sweep_exits_0_or_2(capsys):
+    # every subcommand at weights k/4: a run passes or rejects its input,
+    # and never fails a check or raises; the grid holds lambda = (3-n)/4,
+    # lambda, mu in N0 and the normalization poles of both families
+    quarters = [Fraction(k, 4) for k in range(-8, 9)]
+    pairs = [(lam, mu) for lam in quarters[4:13] for mu in quarters[4:13]]
+    runs = [["verify-so", "--n", str(n), "--max-degree", "3", f"--lambda={lam}"]
+            for n in range(2, 7) for lam in quarters]
+    runs += [["verify-diag", "--max-degree", "3", f"--lambda={lam}", f"--mu={mu}"]
+             for lam, mu in pairs]
+    runs += [["branch-report", "--N", str(lam + mu), f"--lambda={lam}", f"--mu={mu}"]
+             for lam, mu in pairs if (lam + mu).denominator == 1 and lam + mu >= 0]
+    assert len(runs) == 181
+    codes = {" ".join(args): main(args) for args in runs}
+    capsys.readouterr()
+    assert {args: rc for args, rc in codes.items() if rc not in (0, 2)} == {}
 
 
 def test_negative_degree_is_usage_error():

@@ -16,7 +16,7 @@ from vermabranch.orthopoly import (GegenbauerSpec, JacobiSpec,
                                    jacobi_derivative, jacobi_norm_closed_form,
                                    jacobi_ode_op, jacobi_recursion_coeffs,
                                    jacobi_via_2f1, orthogonality_integral,
-                                   pochhammer, rising_factorial)
+                                   rising_factorial)
 from vermabranch.polyring import GeoPoly, gegen_tilde_convert, x_var
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
 
@@ -25,7 +25,6 @@ def test_factorial_helpers():
     assert rising_factorial(3, 0) == ParamScalar.const(1)
     assert rising_factorial(3, 3) == ParamScalar.const(60)
     assert falling_factorial(3, 3) == ParamScalar.const(6)
-    assert pochhammer(2, 2) == ParamScalar.const(12)  # (3)(4)
     assert gen_binomial(Fraction(1, 2), 2) == ParamScalar.const(Fraction(-1, 8))
     assert gen_binomial(3, 5).is_zero()  # vanishing continuation
 

@@ -10,7 +10,8 @@ from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors,
                                   dehomogenize, gegen_tilde_convert,
                                   homogenize, quadratic_sum, t_var, x_var,
                                   xi_eta_vars, xi_vars, xy_vars)
-from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamPoly, ParamScalar, _pack
+from vermabranch.scalars import (_PBITS, _PTOP, ALPHA, LAMBDA, MU, ParamPoly, ParamScalar,
+                                 _dot, _layout, _pack, _product, _unpack)
 from vermabranch.weylalg import DiffOp
 
 
@@ -52,8 +53,8 @@ def test_exact_divide():
 
 def test_curated_factors_per_kind():
     assert set(curated_factors(xi_vars(4))) == {"xn", "q1", "q"}
-    assert set(curated_factors(xi_eta_vars())) == {"eta"}
-    assert set(curated_factors(t_var())) == {"t"}
+    assert curated_factors(xi_eta_vars()) == {}
+    assert curated_factors(t_var()) == {}
     assert curated_factors(x_var()) == {}
 
 
@@ -85,12 +86,12 @@ def test_ratcoeff_addition_common_denominator():
 
 
 def test_ratcoeff_quotient_rule():
-    # d/dt (1/t) = -1/t^2
-    tv = t_var()
-    one = GeoPoly.const(tv, 1)
-    r = RatCoeff(one, {"t": 1})
-    d = r.derive(0)
-    assert d == RatCoeff(-one, {"t": 2})
+    # d/dx2 (1/x2) = -1/x2^2, x2 = xn at n = 2
+    vs = xi_vars(2)
+    one = GeoPoly.const(vs, 1)
+    r = RatCoeff(one, {"xn": 1})
+    d = r.derive(1)
+    assert d == RatCoeff(-one, {"xn": 2})
 
 
 def test_ratcoeff_equality_compares_reduced_forms():
@@ -319,6 +320,51 @@ def test_exact_divide_needs_constant_coefficients():
     assert (x3 * x3).exact_divide(x3.scale(Fraction(2, 3))) == x3.scale(Fraction(3, 2))
 
 
+@pytest.mark.parametrize("n, base", [(3, 0), (1, _PBITS), (2, _PBITS), (4, _PBITS)])
+def test_pack_and_unpack_round_trip(n, base):
+    rng = random.Random(n + base)
+    shifts, units, dshift, top = _layout(n, base)
+    for _ in range(50):
+        e = tuple(rng.randint(0, 2 ** 15 // n - 1) for _ in range(n))
+        k = _pack(e, base)
+        assert _unpack(k, n, base) == e
+        assert k >> dshift == sum(e) and not k & ((1 << base) - 1) and not k & top
+        assert k == sum(x * u for x, u in zip(e, units))
+
+
+def test_pack_rejects_a_negative_exponent():
+    for e in [(0, -1, 0), (-1, 2, 0)]:
+        with pytest.raises(ValueError, match="negative exponent"):
+            _pack(e)
+    with pytest.raises(ValueError, match="negative exponent"):
+        _pack((2, -1), _PBITS)
+
+
+def test_dot_is_the_sum_of_products():
+    rng = random.Random(13)
+    vs = xi_vars(2)
+    top = _layout(vs.arity, _PBITS)[3]
+    polys = [_rand_pair(rng, vs)[0].terms for _ in range(6)] + [{0: 3}, {0: 1}]
+    for _ in range(20):
+        triples = [(rng.choice([-2, -1, 1, 3]), rng.choice(polys), rng.choice(polys))
+                   for _ in range(rng.randint(1, 4))]
+        want = {}
+        for m, a, b in triples:
+            for k, c in _product(a, b, top).items():
+                want[k] = want.get(k, 0) + m * c
+        assert _dot(triples, top) == {k: c for k, c in want.items() if c}
+    a = polys[0]
+    assert _dot([(1, a, {0: 1}), (-1, {0: 1}, a)], top) == {}
+    assert _product(a, {0: 1}, top) is a and _product({0: 1}, a, top) is a
+
+
+def test_geometric_top_mask_covers_the_parameter_fields():
+    for n in range(1, 6):
+        shifts, _, dshift, top = _layout(n, _PBITS)
+        assert top & _PTOP == _PTOP
+        assert top == _PTOP | sum(1 << (s + 15) for s in shifts + (dshift,))
+
+
 # A test-only reference: the earlier per-coefficient GeoPoly arithmetic, one
 # ParamScalar per geometric monomial.  The kernel must render exactly what it
 # renders.  It orders monomials by its own graded-lexicographic key.
@@ -430,7 +476,7 @@ _VARSETS = [xi_vars(2), xi_vars(3), xi_vars(4), xi_eta_vars(), t_var()]
 @pytest.mark.parametrize("vs", _VARSETS, ids=lambda vs: f"{vs.kind}{vs.arity}")
 def test_kernel_matches_per_coefficient_reference(vs):
     rng = random.Random(8)
-    divisors = list(curated_factors(vs).values())
+    divisors = list(curated_factors(vs).values()) or [GeoPoly.var(vs, vs.names[-1])]
     divisors.append(GeoPoly(vs, {(1,) + (0,) * (vs.arity - 1): 2,
                                  (0,) * vs.arity: Fraction(-1, 3)}))
     for _ in range(40):

@@ -21,14 +21,14 @@ D2 = DiffOp.partial(VS, "x2")
 
 def test_canonical_commutation():
     # [d_1, x1] = 1, [d_1, x2] = 0
-    assert D1.commutator(DiffOp.mult(X1)) == DiffOp.identity(VS)
+    assert D1.commutator(DiffOp.mult(X1)) == DiffOp.scalar(VS, 1)
     assert D1.commutator(DiffOp.mult(X2)).is_zero()
 
 
 def test_normal_ordering_moves_coefficients_left():
     # d_1 o x1 = x1 d_1 + 1
     op = D1 @ DiffOp.mult(X1)
-    assert op == DiffOp.mult(X1) @ D1 + DiffOp.identity(VS)
+    assert op == DiffOp.mult(X1) @ D1 + DiffOp.scalar(VS, 1)
 
 
 def test_higher_leibniz():

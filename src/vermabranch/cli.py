@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .cli_report import RunConfig, run_suite
-from .orthopoly import GegenbauerSpec, JacobiSpec, gegenbauer, jacobi
+from .orthopoly import gegenbauer, jacobi
 from .properties import run_all as run_property_suites
 from .report import FAIL, ReportBundle, render_json
 from .scalars import ALPHA, LAMBDA, MU
@@ -129,10 +129,10 @@ def _emit(bundle: ReportBundle, config: RunConfig, json_path: str | None) -> int
 
 def _ortho_tables(max_degree: int) -> int:
     for l in range(max_degree + 1):
-        c = gegenbauer(GegenbauerSpec(l, ALPHA))
+        c = gegenbauer(l, ALPHA)
         print(f"C_{l} = {c.render()}")
     for l in range(max_degree + 1):
-        p = jacobi(JacobiSpec(l, -LAMBDA - 1, MU + LAMBDA - (2 * l - 1)))
+        p = jacobi(l, -LAMBDA - 1, MU + LAMBDA - (2 * l - 1))
         print(f"P_{l} = {p.render()}")
     return 0
 

@@ -83,7 +83,7 @@ def so_suite(config: RunConfig) -> ReportBundle:
     d = config.max_degree
     bundle = ReportBundle()
     bundle.extend(so_pair.singular_family_check(ctx, d))
-    bundle.extend(so_pair.verify_sl2(ctx, d).bundle)
+    bundle.extend(so_pair.verify_sl2(ctx, d))
     bundle.extend(so_pair.casimir_check(ctx, d))
     bundle.extend(so_pair.pq_membership_check(ctx, d))
     bundle.extend(so_pair.t_model_check(ctx, d))
@@ -115,9 +115,9 @@ def branch_suite(config: RunConfig) -> ReportBundle:
             raise ValueError(
                 f"lambda + mu = {config.lam + config.mu} does not match N = {config.N}")
         ctx = diag_pair.DiagContext.at(config.lam, config.mu)
-        bundle.extend(diag_pair.decomposition_report(ctx, config.cutoff).bundle)
+        bundle.extend(diag_pair.decomposition_report(ctx, config.cutoff))
     else:
-        bundle.extend(diag_pair.grothendieck_check(config.N, config.cutoff).bundle)
+        bundle.extend(diag_pair.grothendieck_check(config.N, config.cutoff))
     bundle.extend(diag_pair.involution_check(config.cutoff))
     bundle.extend(diag_pair.character_check(config.cutoff))
     return bundle

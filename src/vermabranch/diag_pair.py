@@ -10,9 +10,9 @@ verbatim for the i-free versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .orthopoly import jacobi_recursion_coeffs
 from .polyring import (GeoPoly, dehomogenize, homogenize, per_context, t_var,
@@ -45,58 +45,47 @@ class DiagContext:
 def op_X_fourier(ctx: DiagContext) -> DiffOp:
     """-lam d_xi + xi d_xi^2 - mu d_eta + eta d_eta^2 on C[xi, eta]."""
     vs = xi_eta_vars()
-    dxi = DiffOp.partial(vs, "xi")
-    deta = DiffOp.partial(vs, "eta")
-    return (dxi.scale(-ctx.lam) + DiffOp.mult(GeoPoly.var(vs, "xi")) @ dxi @ dxi
-            + deta.scale(-ctx.mu) + DiffOp.mult(GeoPoly.var(vs, "eta")) @ deta @ deta)
+    return DiffOp(vs, {(1, 0): -ctx.lam, (2, 0): GeoPoly.var(vs, "xi"),
+                       (0, 1): -ctx.mu, (0, 2): GeoPoly.var(vs, "eta")})
 
 
 def op_F_fourier(ctx: DiagContext) -> DiffOp:
-    """Same as op_X_fourier with the second summand's sign flipped."""
+    """-lam d_xi + xi d_xi^2 + mu d_eta - eta d_eta^2: op_X_fourier with the
+    second summand's sign flipped."""
     vs = xi_eta_vars()
-    dxi = DiffOp.partial(vs, "xi")
-    deta = DiffOp.partial(vs, "eta")
-    return (dxi.scale(-ctx.lam) + DiffOp.mult(GeoPoly.var(vs, "xi")) @ dxi @ dxi
-            + deta.scale(ctx.mu) - DiffOp.mult(GeoPoly.var(vs, "eta")) @ deta @ deta)
+    return DiffOp(vs, {(1, 0): -ctx.lam, (2, 0): GeoPoly.var(vs, "xi"),
+                       (0, 1): ctx.mu, (0, 2): -GeoPoly.var(vs, "eta")})
 
 
 def op_X_function(ctx: DiagContext) -> DiffOp:
     """lam x + x^2 d_x + mu y + y^2 d_y on C[x, y]."""
     vs = xy_vars()
-    x = GeoPoly.var(vs, "x")
-    y = GeoPoly.var(vs, "y")
-    return (DiffOp.mult(x.scale(ctx.lam)) + DiffOp.mult(x * x) @ DiffOp.partial(vs, "x")
-            + DiffOp.mult(y.scale(ctx.mu)) + DiffOp.mult(y * y) @ DiffOp.partial(vs, "y"))
+    return DiffOp(vs, {(0, 0): GeoPoly(vs, {(1, 0): ctx.lam, (0, 1): ctx.mu}),
+                       (1, 0): GeoPoly.var(vs, "x", 2), (0, 1): GeoPoly.var(vs, "y", 2)})
 
 
 def op_F_function(ctx: DiagContext) -> DiffOp:
+    """lam x + x^2 d_x - mu y - y^2 d_y on C[x, y]."""
     vs = xy_vars()
-    x = GeoPoly.var(vs, "x")
-    y = GeoPoly.var(vs, "y")
-    return (DiffOp.mult(x.scale(ctx.lam)) + DiffOp.mult(x * x) @ DiffOp.partial(vs, "x")
-            - DiffOp.mult(y.scale(ctx.mu)) - DiffOp.mult(y * y) @ DiffOp.partial(vs, "y"))
+    return DiffOp(vs, {(0, 0): GeoPoly(vs, {(1, 0): ctx.lam, (0, 1): -ctx.mu}),
+                       (1, 0): GeoPoly.var(vs, "x", 2), (0, 1): -GeoPoly.var(vs, "y", 2)})
 
 
 def op_X_t(ctx: DiagContext, l: int) -> DiffOp:
     """t(t+1) d^2 + (t(mu-2(l-1)) - lam) d + l(l-1-mu) at homogeneity l."""
     tv = t_var()
-    t = GeoPoly.var(tv, "t")
-    one = GeoPoly.const(tv, 1)
-    d = DiffOp.partial(tv, "t")
-    lin = t.scale(ctx.mu - 2 * (l - 1)) - one.scale(ctx.lam)
-    return (DiffOp.mult(t * (t + one)) @ d @ d + DiffOp.mult(lin) @ d
-            + DiffOp.scalar(tv, (ParamScalar.const(l - 1) - ctx.mu) * l))
+    return DiffOp(tv, {(2,): GeoPoly(tv, {(2,): 1, (1,): 1}),
+                       (1,): GeoPoly(tv, {(1,): ctx.mu - 2 * (l - 1), (0,): -ctx.lam}),
+                       (0,): (ParamScalar.const(l - 1) - ctx.mu) * l})
 
 
 def op_F_t(ctx: DiagContext, l: int) -> DiffOp:
     """-t(t-1) d^2 + (t(2l-mu-2) - lam) d + l(mu-l+1) at homogeneity l."""
     tv = t_var()
-    t = GeoPoly.var(tv, "t")
-    one = GeoPoly.const(tv, 1)
-    d = DiffOp.partial(tv, "t")
-    lin = t.scale(ParamScalar.const(2 * l - 2) - ctx.mu) - one.scale(ctx.lam)
-    return (DiffOp.mult(-(t * (t - one))) @ d @ d + DiffOp.mult(lin) @ d
-            + DiffOp.scalar(tv, (ctx.mu - (l - 1)) * l))
+    return DiffOp(tv, {(2,): GeoPoly(tv, {(2,): -1, (1,): 1}),
+                       (1,): GeoPoly(tv, {(1,): ParamScalar.const(2 * l - 2) - ctx.mu,
+                                          (0,): -ctx.lam}),
+                       (0,): (ctx.mu - (l - 1)) * l})
 
 
 # -- singular vectors --------------------------------------------------------
@@ -280,29 +269,16 @@ def branching_sets(N: int, cutoff: int) -> BranchingSets:
     return BranchingSets(N, cutoff, lam_all, lam_s, iota_s, lam_r_def, displayed)
 
 
-@dataclass
-class DecompositionReport:
-    bundle: ReportBundle
-    verma_summands: List[int] = field(default_factory=list)
-    projective_summands: List[Tuple[int, int, int]] = field(default_factory=list)
-
-
-def grothendieck_check(N: int, cutoff: int) -> DecompositionReport:
+def grothendieck_check(N: int, cutoff: int) -> ReportBundle:
     """Multiset bookkeeping for the tensor-product decomposition at total
     weight N: the reducible summands indexed by the symmetric set contribute
     both of their composition factors, and together with the remaining
     irreducible summands these must exhaust {N - 2j} down to the cutoff."""
     bundle = ReportBundle()
     sets = branching_sets(N, cutoff)
-    rep = DecompositionReport(bundle)
-    rep.verma_summands = list(sets.lambda_r_definitional)
-    rep.projective_summands = [(nu, nu, IOTA(nu)) for nu in sets.lambda_s]
     lowest = N - 2 * cutoff
-    expanded: List[int] = [nu for nu in rep.verma_summands if nu >= lowest]
-    for (_, sub, quot) in rep.projective_summands:
-        for nu in (sub, quot):
-            if nu >= lowest:
-                expanded.append(nu)
+    expanded = [nu for nu in sets.lambda_r_definitional + sets.lambda_s + sets.iota_lambda_s
+                if nu >= lowest]
     expected = [N - 2 * j for j in range(cutoff + 1)]
     ok = sorted(expanded) == sorted(expected)
     bundle.check(f"branch.grothendieck.N={N},cutoff={cutoff}",
@@ -321,10 +297,10 @@ def grothendieck_check(N: int, cutoff: int) -> DecompositionReport:
         "Lambda_r definitional": sets.lambda_r_definitional,
         "Lambda_r displayed": sets.lambda_r_displayed,
     }
-    return rep
+    return bundle
 
 
-def decomposition_report(ctx: DiagContext, cutoff: int) -> DecompositionReport:
+def decomposition_report(ctx: DiagContext, cutoff: int) -> ReportBundle:
     """Theorem-style decomposition for lam + mu a nonnegative integer with
     lam, mu themselves non-integral; includes the Grothendieck-group
     multiset cross-check."""

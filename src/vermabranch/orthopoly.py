@@ -10,7 +10,6 @@ the hypergeometric representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -47,53 +46,43 @@ def gen_binomial(z, k: int) -> ParamScalar:
     return falling_factorial(z, k) / factorial(k)
 
 
-@dataclass(frozen=True)
-class GegenbauerSpec:
-    l: int
-    alpha: ParamScalar
-
-
-@dataclass(frozen=True)
-class JacobiSpec:
-    l: int
-    alpha: ParamScalar
-    beta: ParamScalar
-
-
-def gegenbauer(spec: GegenbauerSpec, method: str = "explicit") -> GeoPoly:
-    """C_l^alpha as a polynomial in x; C_{-1} := 0."""
-    l, alpha = spec.l, ParamScalar.coerce(spec.alpha)
-    xv = x_var()
+def gegenbauer(l: int, alpha) -> GeoPoly:
+    """C_l^alpha as a polynomial in x from the explicit sum; C_{-1} := 0."""
+    alpha, xv = ParamScalar.coerce(alpha), x_var()
     if l < 0:
         return GeoPoly.zero(xv)
-    if method == "recurrence":
-        c_prev = GeoPoly.const(xv, 1)                       # C_0
-        if l == 0:
-            return c_prev
-        x = GeoPoly.var(xv, "x")
-        c_cur = x.scale(alpha * 2)                          # C_1
-        for k in range(2, l + 1):
-            nxt = (x * c_cur).scale((alpha + (k - 1)) * 2) - c_prev.scale(alpha * 2 + (k - 2))
-            c_prev, c_cur = c_cur, nxt.scale(Fraction(1, k))
-        return c_cur
-    if method == "explicit":
-        # x^{l-2k} has (-1)^k (alpha)_{l-k} 2^{l-2k} / (k! (l-2k)!); k runs down
-        terms, rise = {}, rising_factorial(alpha, l - l // 2)
-        for k in range(l // 2, -1, -1):
-            terms[(l - 2 * k,)] = rise * Fraction((-1) ** k * 2 ** (l - 2 * k),
-                                                  factorial(k) * factorial(l - 2 * k))
-            if k:
-                rise = rise * (alpha + (l - k))
-        return GeoPoly(xv, terms)
-    raise ValueError(f"unknown method {method!r}")
+    # x^{l-2k} has (-1)^k (alpha)_{l-k} 2^{l-2k} / (k! (l-2k)!); k runs down
+    terms, rise = {}, rising_factorial(alpha, l - l // 2)
+    for k in range(l // 2, -1, -1):
+        terms[(l - 2 * k,)] = rise * Fraction((-1) ** k * 2 ** (l - 2 * k),
+                                              factorial(k) * factorial(l - 2 * k))
+        if k:
+            rise = rise * (alpha + (l - k))
+    return GeoPoly(xv, terms)
 
 
-def jacobi(spec: JacobiSpec) -> GeoPoly:
+def gegenbauer_recurrence(l: int, alpha) -> GeoPoly:
+    """C_l^alpha from the three-term recurrence, the reference for
+    :func:`gegenbauer`; C_{-1} := 0."""
+    alpha, xv = ParamScalar.coerce(alpha), x_var()
+    if l < 0:
+        return GeoPoly.zero(xv)
+    c_prev = GeoPoly.const(xv, 1)                       # C_0
+    if l == 0:
+        return c_prev
+    x = GeoPoly.var(xv, "x")
+    c_cur = x.scale(alpha * 2)                          # C_1
+    for k in range(2, l + 1):
+        nxt = (x * c_cur).scale((alpha + (k - 1)) * 2) - c_prev.scale(alpha * 2 + (k - 2))
+        c_prev, c_cur = c_cur, nxt.scale(Fraction(1, k))
+    return c_cur
+
+
+def jacobi(l: int, alpha, beta) -> GeoPoly:
     """P_l^(alpha,beta) via the binomial double sum; degree can drop under
     special parameter values."""
-    l = spec.l
-    alpha = ParamScalar.coerce(spec.alpha)
-    beta = ParamScalar.coerce(spec.beta)
+    alpha = ParamScalar.coerce(alpha)
+    beta = ParamScalar.coerce(beta)
     if l < 0:
         return GeoPoly.zero(x_var())
     xv = x_var()
@@ -126,16 +115,16 @@ def jacobi_recursion_coeffs(l: int, lam, mu) -> list:
     return coeffs
 
 
-def jacobi_derivative(spec: JacobiSpec, k: int) -> GeoPoly:
+def jacobi_derivative(l: int, alpha, beta, k: int) -> GeoPoly:
     """k-th derivative via the parameter-shift formula; zero once k > l."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    if k > spec.l:
+    if k > l:
         return GeoPoly.zero(x_var())
-    alpha = ParamScalar.coerce(spec.alpha)
-    beta = ParamScalar.coerce(spec.beta)
-    c = rising_factorial(alpha + beta + spec.l + 1, k) * Fraction(1, 2 ** k)
-    return jacobi(JacobiSpec(spec.l - k, alpha + k, beta + k)).scale(c)
+    alpha = ParamScalar.coerce(alpha)
+    beta = ParamScalar.coerce(beta)
+    c = rising_factorial(alpha + beta + l + 1, k) * Fraction(1, 2 ** k)
+    return jacobi(l - k, alpha + k, beta + k).scale(c)
 
 
 def hypergeom_2f1_terminating(a, b, c, arg: GeoPoly, terms: int) -> GeoPoly:
@@ -167,11 +156,10 @@ def gegenbauer_via_2f1(l: int, alpha) -> GeoPoly:
     return series.scale(rising_factorial(alpha * 2, l) / factorial(l))
 
 
-def jacobi_via_2f1(spec: JacobiSpec) -> GeoPoly:
+def jacobi_via_2f1(l: int, alpha, beta) -> GeoPoly:
     """binom(l+a, l) * 2F1(-l, 1+a+b+l; a+1; (1-x)/2)."""
-    alpha = ParamScalar.coerce(spec.alpha)
-    beta = ParamScalar.coerce(spec.beta)
-    l = spec.l
+    alpha = ParamScalar.coerce(alpha)
+    beta = ParamScalar.coerce(beta)
     xv = x_var()
     arg = (GeoPoly.const(xv, 1) - GeoPoly.var(xv, "x")).scale(Fraction(1, 2))
     series = hypergeom_2f1_terminating(ParamScalar.const(-l), alpha + beta + l + 1,
@@ -190,7 +178,7 @@ def orthogonality_integral(k: int, l: int, alpha: int, beta: int) -> Fraction:
     weight = (one - x) ** alpha * (one + x) ** beta
     a = ParamScalar.const(alpha)
     b = ParamScalar.const(beta)
-    prod = weight * jacobi(JacobiSpec(k, a, b)) * jacobi(JacobiSpec(l, a, b))
+    prod = weight * jacobi(k, a, b) * jacobi(l, a, b)
     total = Fraction(0)
     for e, c in prod.coefficients().items():
         j = e[0]
@@ -211,62 +199,41 @@ def jacobi_norm_closed_form(l: int, alpha: int, beta: int) -> Fraction:
 
 def gegenbauer_ode_op(l: int, alpha) -> DiffOp:
     """(1-x^2) d^2 - (2a+1) x d + l(l+2a), annihilating C_l^a."""
-    alpha = ParamScalar.coerce(alpha)
     xv = x_var()
-    one = GeoPoly.const(xv, 1)
-    x = GeoPoly.var(xv, "x")
-    d = DiffOp.partial(xv, "x")
-    return (DiffOp.mult(one - x * x) @ d @ d
-            - DiffOp.mult(x.scale(alpha * 2 + 1)) @ d
-            + DiffOp.scalar(xv, (alpha * 2 + l) * l))
+    return DiffOp(xv, {(2,): GeoPoly(xv, {(2,): -1, (0,): 1}),
+                       (1,): GeoPoly(xv, {(1,): -(alpha * 2 + 1)}),
+                       (0,): (alpha * 2 + l) * l})
 
 
 def jacobi_ode_op(l: int, alpha, beta) -> DiffOp:
     """(1-x^2) d^2 + (b-a-(a+b+2)x) d + l(l+a+b+1), annihilating P_l^(a,b)."""
-    alpha = ParamScalar.coerce(alpha)
-    beta = ParamScalar.coerce(beta)
     xv = x_var()
-    one = GeoPoly.const(xv, 1)
-    x = GeoPoly.var(xv, "x")
-    d = DiffOp.partial(xv, "x")
-    lin = GeoPoly.const(xv, beta - alpha) - x.scale(alpha + beta + 2)
-    return (DiffOp.mult(one - x * x) @ d @ d
-            + DiffOp.mult(lin) @ d
-            + DiffOp.scalar(xv, (alpha + beta + l + 1) * l))
+    return DiffOp(xv, {(2,): GeoPoly(xv, {(2,): -1, (0,): 1}),
+                       (1,): GeoPoly(xv, {(1,): -(alpha + beta + 2), (0,): beta - alpha}),
+                       (0,): (alpha + beta + l + 1) * l})
 
 
 def gegenbauer_lower_op(l: int) -> DiffOp:
     """(1-x^2) d + l x, sending C_l to (l+2a-1) C_{l-1}."""
     xv = x_var()
-    one = GeoPoly.const(xv, 1)
-    x = GeoPoly.var(xv, "x")
-    return DiffOp.mult(one - x * x) @ DiffOp.partial(xv, "x") + DiffOp.mult(x.scale(l))
+    return DiffOp(xv, {(1,): GeoPoly(xv, {(2,): -1, (0,): 1}), (0,): GeoPoly(xv, {(1,): l})})
 
 
 def gegenbauer_raise_op(l: int, alpha) -> DiffOp:
     """(1-x^2) d - (l+2a) x, sending C_l to -(l+1) C_{l+1}."""
-    alpha = ParamScalar.coerce(alpha)
     xv = x_var()
-    one = GeoPoly.const(xv, 1)
-    x = GeoPoly.var(xv, "x")
-    return (DiffOp.mult(one - x * x) @ DiffOp.partial(xv, "x")
-            - DiffOp.mult(x.scale(alpha * 2 + l)))
+    return DiffOp(xv, {(1,): GeoPoly(xv, {(2,): -1, (0,): 1}),
+                       (0,): GeoPoly(xv, {(1,): -(alpha * 2 + l)})})
 
 
 def gegenbauer_tilde_lower_op(l: int) -> DiffOp:
     """-2(t+1) d_t + l on the t-line."""
     tv = t_var()
-    t = GeoPoly.var(tv, "t")
-    one = GeoPoly.const(tv, 1)
-    return DiffOp.mult((t + one).scale(-2)) @ DiffOp.partial(tv, "t") + DiffOp.scalar(tv, l)
+    return DiffOp(tv, {(1,): GeoPoly(tv, {(1,): -2, (0,): -2}), (0,): l})
 
 
 def gegenbauer_tilde_raise_op(l: int, alpha) -> DiffOp:
     """2t(t+1) d_t - l t - 2(l+a) on the t-line."""
-    alpha = ParamScalar.coerce(alpha)
     tv = t_var()
-    t = GeoPoly.var(tv, "t")
-    one = GeoPoly.const(tv, 1)
-    return (DiffOp.mult((t * (t + one)).scale(2)) @ DiffOp.partial(tv, "t")
-            - DiffOp.mult(t.scale(l))
-            - DiffOp.scalar(tv, (alpha + l) * 2))
+    return DiffOp(tv, {(1,): GeoPoly(tv, {(2,): 2, (1,): 2}),
+                       (0,): GeoPoly(tv, {(1,): -l, (0,): -(alpha + l) * 2})})

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from .orthopoly import GegenbauerSpec, gegenbauer, gegenbauer_tilde_lower_op
+from .orthopoly import gegenbauer, gegenbauer_tilde_lower_op
 from .polyring import (GeoPoly, RatCoeff, VarSet, curated_factors,
                        gegen_tilde_convert, per_context, t_var, xi_vars)
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
@@ -64,7 +64,7 @@ def tilde_gegenbauer(ctx: SoPairContext, l: int) -> GeoPoly:
     """The converted Gegenbauer polynomial x^{-l} C_l^alpha(x) in t (x^2 = -1/t),
     built directly at the spectral parameter alpha = -lam-(n-1)/2: the t^k
     coefficient is (-1)^k times the x^{l-2k} coefficient of C_l^alpha."""
-    return gegen_tilde_convert(gegenbauer(GegenbauerSpec(l, ctx.alpha)), l)
+    return gegen_tilde_convert(gegenbauer(l, ctx.alpha), l)
 
 
 def _top_normalization(l: int) -> Fraction:
@@ -136,18 +136,14 @@ def op_Q(ctx: SoPairContext) -> DiffOp:
 
 @per_context
 def ladder_ops(ctx: SoPairContext, l: int) -> Tuple[DiffOp, DiffOp, DiffOp]:
-    """(e, f, h) at degree l; f carries the curated localized coefficients."""
-    vs = ctx.vars
-    alpha = ctx.alpha
-    xn = ctx.xn()
-    q = ctx.q_full()
-    e_op = -(DiffOp.mult(q) @ DiffOp.partial(vs, ctx.n - 1)) \
-        - DiffOp.mult(xn.scale(alpha * 2 + l))
-    inner = (DiffOp.mult_rat(RatCoeff(q, {"q1": 1}))
-             @ (DiffOp.mult(xn) @ DiffOp.partial(vs, ctx.n - 1) - DiffOp.scalar(vs, l))
-             + DiffOp.scalar(vs, l))
-    f_op = DiffOp.mult_rat(RatCoeff(GeoPoly.const(vs, 1), {"xn": 1})) @ inner
-    h_op = DiffOp.scalar(vs, (alpha + l) * 2)
+    """(e, f, h) at degree l: e = -q d_n - (2a+l) xn and the localized
+    f = (q/q1) d_n - l xn/q1, which is (1/xn)((q/q1)(xn d_n - l) + l) since
+    q = q1 + xn^2."""
+    vs, n, xn, q = ctx.vars, ctx.n, ctx.xn(), ctx.q_full()
+    dn, e0 = (0,) * (n - 1) + (1,), (0,) * n
+    e_op = DiffOp(vs, {dn: -q, e0: xn.scale(-(ctx.alpha * 2 + l))})
+    f_op = DiffOp(vs, {dn: RatCoeff(q, {"q1": 1}), e0: RatCoeff(xn.scale(-l), {"q1": 1})})
+    h_op = DiffOp.scalar(vs, (ctx.alpha + l) * 2)
     return e_op, f_op, h_op
 
 
@@ -186,20 +182,11 @@ def expected_ladder_constants(ctx: SoPairContext, l: int) -> Tuple[ParamScalar, 
     return ParamScalar.const(-1), ParamScalar.const(l)
 
 
-@dataclass
-class LadderReport:
-    bundle: ReportBundle
-    e_constants: Dict[int, str]
-    f_constants: Dict[int, str]
-
-
-def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
+def verify_sl2(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     """Check the ladder structure degree by degree by exact application."""
     bundle = ReportBundle()
     anchor = "so-pair:sl2-ladder"
     fs = [singular_vector_F(ctx, l) for l in range(max_degree + 2)]
-    e_consts: Dict[int, str] = {}
-    f_consts: Dict[int, str] = {}
     for l in range(max_degree + 1):
         h_l = ladder_ops(ctx, l)[2]
         tag = f"n={ctx.n},l={l}"
@@ -209,7 +196,6 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
         exp_e, exp_f = expected_ladder_constants(ctx, l)
         bundle.check(f"sl2.raise.{tag}", anchor, ce is not None and ce == exp_e, witness=ev)
         if ce is not None:
-            e_consts[l] = ce.render()
             bundle.check(f"sl2.raise-nonzero.{tag}", "so-pair:verma-structure",
                          not ce.is_zero(), witness=ce)
 
@@ -221,8 +207,6 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
         elif fv.is_polynomial():
             cf = proportionality(fv.as_poly(), fs[l - 1])
             bundle.check(f"sl2.lower.{tag}", anchor, cf is not None and cf == exp_f, witness=fv)
-            if cf is not None:
-                f_consts[l] = cf.render()
 
         # bracket on the weight vector: (f(l+1) e(l) - e(l-1) f(l)) F_l = -h(l) F_l
         bra = up if down is None else up - RatCoeff(down)
@@ -236,32 +220,28 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> LadderReport:
                      fs[l].is_homogeneous() and fs[l].degree() == l)
 
         # product of consecutive constants: (ef - fe) eigenvalue on F_l
-        if l in e_consts:
+        if ce is not None:
             c_up = exp_e * expected_ladder_constants(ctx, l + 1)[1]
             c_down = ParamScalar.const(0)
             if l > 0:
                 c_down = exp_f * expected_ladder_constants(ctx, l - 1)[0]
             bundle.check(f"sl2.weight-consistency.{tag}", "so-pair:ladder-diagram",
                          c_up - c_down == -(ctx.alpha + l) * 2, witness=c_up - c_down)
-    return LadderReport(bundle, e_consts, f_consts)
+    return bundle
 
 
 def casimir_closed_form(ctx: SoPairContext, l: int) -> DiffOp:
-    """The displayed closed form of the Casimir at degree l (with the
-    Euler-squared tail)."""
-    vs = ctx.vars
-    alpha = ctx.alpha
-    xn = ctx.xn()
-    q = ctx.q_full()
-    q1 = ctx.q_prime()
-    dn = DiffOp.partial(vs, ctx.n - 1)
-    term1 = DiffOp.mult_rat(RatCoeff(q * q, {"q1": 1})).scale(-2) @ dn @ dn
-    term2 = DiffOp.mult_rat(RatCoeff(q * xn, {"q1": 1})).scale((alpha * 2 + 1) * -2) @ dn
+    """The displayed closed form of the Casimir at degree l,
+    -2 (q^2 d_n^2 + (2a+1) q xn d_n + a q1 - (2a+l) l xn^2) / q1 + 2 (E+a)^2."""
+    vs, n, alpha = ctx.vars, ctx.n, ctx.alpha
+    xn, q, q1 = ctx.xn(), ctx.q_full(), ctx.q_prime()
     mid = q1.scale(alpha) - (xn * xn).scale((alpha * 2 + l) * l)
-    term3 = DiffOp.mult_rat(RatCoeff(mid, {"q1": 1})).scale(-2)
+    d = (0,) * (n - 1)
+    localized = DiffOp(vs, {d + (2,): RatCoeff((q * q).scale(-2), {"q1": 1}),
+                            d + (1,): RatCoeff((q * xn).scale((alpha * 2 + 1) * -2), {"q1": 1}),
+                            d + (0,): RatCoeff(mid.scale(-2), {"q1": 1})})
     euler_shift = DiffOp.euler(vs) + DiffOp.scalar(vs, alpha)
-    term4 = (euler_shift @ euler_shift).scale(2)
-    return term1 + term2 + term3 + term4
+    return localized + (euler_shift @ euler_shift).scale(2)
 
 
 def casimir_composed(ctx: SoPairContext, l: int) -> DiffOp:

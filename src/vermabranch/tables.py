@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .diag_pair import (DiagContext, lowering_constant, op_F_fourier,
                         singular_vector_Ptilde)
-from .orthopoly import GegenbauerSpec, gegenbauer
+from .orthopoly import gegenbauer
 from .polyring import gegen_tilde_convert
 from .scalars import ALPHA
 from .so_pair import SoPairContext, op_Q, proportionality, singular_vector_F
@@ -22,10 +22,10 @@ def f_vector_table(n: int, max_degree: int) -> str:
 def gegenbauer_table(max_degree: int) -> str:
     lines = []
     for l in range(max_degree + 1):
-        c = gegenbauer(GegenbauerSpec(l, ALPHA))
+        c = gegenbauer(l, ALPHA)
         lines.append(f"C_{l} = {c.render()}")
     for l in range(max_degree + 1):
-        ct = gegen_tilde_convert(gegenbauer(GegenbauerSpec(l, ALPHA)), l)
+        ct = gegen_tilde_convert(gegenbauer(l, ALPHA), l)
         lines.append(f"C~_{l} = {ct.render()}")
     return "\n".join(lines) + "\n"
 

@@ -2,8 +2,13 @@
 
 A :class:`DiffOp` is a finite sum of terms ``coefficient * D^e`` where the
 coefficient is a :class:`~vermabranch.polyring.RatCoeff` and ``D^e`` a
-derivative monomial.  All coefficients stand to the left of all derivatives;
-composition re-establishes that normal form via the Leibniz rule
+derivative monomial.  An operator is written as its normal-form terms,
+``DiffOp(vars, {e: c, ...})``, the one constructor, which checks and coerces
+them; results of the algebra skip that check.  Composition is used only for
+operators the paper states as compositions.
+
+All coefficients stand to the left of all derivatives; composition
+re-establishes that normal form via the Leibniz rule
 
     D^a (c g) = sum_{k <= a} binom(a, k) (D^k c) (D^{a-k} g),
 
@@ -70,18 +75,41 @@ class _Derivatives(dict):
         return d
 
 
+def _op(vars: VarSet, terms: Dict[DerivMono, RatCoeff]) -> "DiffOp":
+    """The operator of RatCoeff ``terms`` in vars, zero coefficients dropped.
+    Every internal result is built here, not by the constructor."""
+    op = DiffOp.__new__(DiffOp)
+    op.vars, op.terms = vars, {e: c for e, c in terms.items() if c.num.terms}
+    return op
+
+
+def _unit(vars: VarSet, i: int, order: int = 1) -> DerivMono:
+    """The derivative monomial d_i^order in vars."""
+    return tuple(order if j == i else 0 for j in range(vars.arity))
+
+
 class DiffOp:
     """Element of the localized Weyl algebra in normal form."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: VarSet, terms: Dict[DerivMono, RatCoeff] | None = None):
+    def __init__(self, vars: VarSet, terms: Dict[DerivMono, object] | None = None):
+        """The operator sum c * D^e over ``terms``: e a tuple of arity(vars)
+        nonnegative ints, c a RatCoeff or GeoPoly in vars or a Q(a, l, m)
+        scalar (int, Fraction or ParamScalar).  Zero coefficients are dropped."""
         clean: Dict[DerivMono, RatCoeff] = {}
         for e, c in (terms or {}).items():
-            if not c.is_zero():
+            if len(e) != vars.arity:
+                raise ValueError("derivative exponent arity mismatch")
+            if min(e, default=0) < 0:
+                raise ValueError("negative derivative exponent")
+            if not isinstance(c, RatCoeff):
+                c = RatCoeff(c if isinstance(c, GeoPoly) else GeoPoly.const(vars, c))
+            if c.vars is not vars and c.vars != vars:
+                raise ValueError(f"coefficient variable-set mismatch: {c.vars} vs {vars}")
+            if c.num.terms:
                 clean[tuple(e)] = c
-        self.vars = vars
-        self.terms = clean
+        self.vars, self.terms = vars, clean
 
     # -- constructors -----------------------------------------------------
 
@@ -91,43 +119,28 @@ class DiffOp:
 
     @staticmethod
     def scalar(vars: VarSet, c) -> "DiffOp":
-        e0 = (0,) * vars.arity
-        return DiffOp(vars, {e0: RatCoeff(GeoPoly.const(vars, c))})
+        return DiffOp(vars, {(0,) * vars.arity: c})
 
     @staticmethod
-    def mult(p: GeoPoly) -> "DiffOp":
-        e0 = (0,) * p.vars.arity
-        return DiffOp(p.vars, {e0: RatCoeff(p)})
-
-    @staticmethod
-    def mult_rat(c: RatCoeff) -> "DiffOp":
-        e0 = (0,) * c.vars.arity
-        return DiffOp(c.vars, {e0: c})
+    def mult(c: GeoPoly | RatCoeff) -> "DiffOp":
+        """Multiplication by a polynomial or a localized coefficient."""
+        return DiffOp(c.vars, {(0,) * c.vars.arity: c})
 
     @staticmethod
     def partial(vars: VarSet, var: str | int, order: int = 1) -> "DiffOp":
         i = var if isinstance(var, int) else vars.index(var)
-        e = [0] * vars.arity
-        e[i] = order
-        return DiffOp(vars, {tuple(e): RatCoeff(GeoPoly.const(vars, 1))})
+        return DiffOp(vars, {_unit(vars, i, order): 1})
 
     @staticmethod
     def euler(vars: VarSet) -> "DiffOp":
         """sum_i x_i d/dx_i"""
-        out = DiffOp.zero(vars)
-        for i, name in enumerate(vars.names):
-            e = [0] * vars.arity
-            e[i] = 1
-            out = out + DiffOp(vars, {tuple(e): RatCoeff(GeoPoly.var(vars, name))})
-        return out
+        return DiffOp(vars, {_unit(vars, i): GeoPoly.var(vars, name)
+                             for i, name in enumerate(vars.names)})
 
     @staticmethod
     def laplacian(vars: VarSet) -> "DiffOp":
         """sum_i d^2/dx_i^2"""
-        out = DiffOp.zero(vars)
-        for i in range(vars.arity):
-            out = out + DiffOp.partial(vars, i, 2)
-        return out
+        return DiffOp(vars, {_unit(vars, i, 2): 1 for i in range(vars.arity)})
 
     # -- algebra ----------------------------------------------------------
 
@@ -141,16 +154,16 @@ class DiffOp:
         for e, c in other.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return DiffOp(self.vars, out)
+        return _op(self.vars, out)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp(self.vars, {e: -c for e, c in self.terms.items()})
+        return _op(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
 
     def scale(self, c) -> "DiffOp":
-        return DiffOp(self.vars, {e: v.scale(c) for e, v in self.terms.items()})
+        return _op(self.vars, {e: v.scale(c) for e, v in self.terms.items()})
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product self o other."""
@@ -167,7 +180,7 @@ class DiffOp:
 
     def _sum(self, products: Dict[DerivMono, list]) -> "DiffOp":
         s = RatCoeff.sum_of_products
-        return DiffOp(self.vars, {e: s(self.vars, t) for e, t in products.items()})
+        return _op(self.vars, {e: s(self.vars, t) for e, t in products.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):

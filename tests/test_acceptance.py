@@ -10,8 +10,8 @@ from pathlib import Path
 from vermabranch import diag_pair, so_pair
 from vermabranch.cli import main as cli_main
 from vermabranch.cli_report import RunConfig, hilbert_check, run_suite
-from vermabranch.orthopoly import (GegenbauerSpec, JacobiSpec, gegenbauer,
-                                   gegenbauer_ode_op, jacobi,
+from vermabranch.orthopoly import (gegenbauer, gegenbauer_ode_op,
+                                   gegenbauer_recurrence, jacobi,
                                    jacobi_derivative, jacobi_norm_closed_form,
                                    jacobi_ode_op, orthogonality_integral,
                                    rising_factorial)
@@ -37,7 +37,7 @@ def test_criterion_01_golden_vectors():
 
 
 def test_criterion_02_sl2_suite():
-    ok = all(so_pair.verify_sl2(so_pair.SoPairContext.formal(n), 10).bundle.ok()
+    ok = all(so_pair.verify_sl2(so_pair.SoPairContext.formal(n), 10).ok()
              for n in range(2, 7))
     conclude(2, "sl(2) ladder relations, formal weight, n=2..6, l<=10", ok)
 
@@ -65,23 +65,20 @@ def test_criterion_05_annihilation():
 
 
 def test_criterion_06_orthopoly_suite():
-    ok = all(gegenbauer(GegenbauerSpec(l, ALPHA), method="explicit")
-             == gegenbauer(GegenbauerSpec(l, ALPHA), method="recurrence")
-             for l in range(13))
+    ok = all(gegenbauer(l, ALPHA) == gegenbauer_recurrence(l, ALPHA) for l in range(13))
     ok = ok and all(gegenbauer_ode_op(l, ALPHA).apply(
-        gegenbauer(GegenbauerSpec(l, ALPHA))).is_zero() for l in range(13))
+        gegenbauer(l, ALPHA)).is_zero() for l in range(13))
     ok = ok and all(jacobi_ode_op(l, LAMBDA, MU).apply(
-        jacobi(JacobiSpec(l, LAMBDA, MU))).is_zero() for l in range(11))
-    spec = JacobiSpec(6, LAMBDA, MU)
-    p = jacobi(spec)
+        jacobi(l, LAMBDA, MU)).is_zero() for l in range(11))
+    p = jacobi(6, LAMBDA, MU)
     for k in range(4):
-        ok = ok and jacobi_derivative(spec, k) == p
+        ok = ok and jacobi_derivative(6, LAMBDA, MU, k) == p
         p = p.derive("x")
     from fractions import Fraction
     half = Fraction(1, 2)
     ok = ok and all(
-        gegenbauer(GegenbauerSpec(l, ALPHA))
-        == jacobi(JacobiSpec(l, ALPHA - half, ALPHA - half)).scale(
+        gegenbauer(l, ALPHA)
+        == jacobi(l, ALPHA - half, ALPHA - half).scale(
             rising_factorial(ALPHA * 2, l) / rising_factorial(ALPHA + half, l))
         for l in range(11))
     for alpha in range(4):
@@ -110,8 +107,8 @@ def test_criterion_07_nonclosure():
 def test_criterion_08_branching_characters():
     ok = all(hilbert_check(n, 20).status == "pass" for n in range(2, 7))
     for N in range(7):
-        rep = diag_pair.grothendieck_check(N, 10)
-        statuses = {r.check_id: r.status for r in rep.bundle.records}
+        bundle = diag_pair.grothendieck_check(N, 10)
+        statuses = {r.check_id: r.status for r in bundle.records}
         ok = ok and statuses[f"branch.grothendieck.N={N},cutoff=10"] == "pass"
         ok = ok and statuses[f"branch.lambda-r-diff.N={N}"] == DISCREPANCY
     conclude(8, "character identity n<=6, J<=20; Grothendieck multiset N<=6 "

@@ -11,15 +11,17 @@ from vermabranch.diag_pair import (DiagContext, annihilation_check,
                                    grothendieck_check, involution_check,
                                    jacobi_t_polynomial, lowering_constant,
                                    model_transport_check, op_F_fourier,
-                                   op_F_function, op_X_fourier, op_X_function,
+                                   op_F_function, op_F_t, op_X_fourier,
+                                   op_X_function, op_X_t,
                                    recursion_crosscheck,
                                    singular_vector_Ptilde,
                                    t_annihilation_check,
                                    top_coefficient_check, verify_lowering)
-from vermabranch.orthopoly import JacobiSpec, jacobi
-from vermabranch.polyring import GeoPoly, t_var, x_var, xi_eta_vars
+from vermabranch.orthopoly import jacobi
+from vermabranch.polyring import GeoPoly, t_var, x_var, xi_eta_vars, xy_vars
 from vermabranch.report import DISCREPANCY
-from vermabranch.scalars import LAMBDA, MU
+from vermabranch.scalars import LAMBDA, MU, ParamScalar
+from vermabranch.weylalg import DiffOp
 
 CTX = DiagContext.formal()
 
@@ -107,8 +109,8 @@ def test_affine_substitution_helper():
 def test_closed_form_matches_jacobi_double_sum(l):
     # the terms a^l_i = binom(l, i) (i-lam)_{l-i} (mu-l+1)_i / l! against
     # the binomial double sum of P_l^(-lam-1, mu+lam-2l+1), formally
-    spec = JacobiSpec(l, -LAMBDA - 1, MU + LAMBDA - (2 * l - 1))
-    assert jacobi_t_polynomial(DiagContext.formal(), l) == _at_2t_plus_1(jacobi(spec))
+    p = jacobi(l, -LAMBDA - 1, MU + LAMBDA - (2 * l - 1))
+    assert jacobi_t_polynomial(DiagContext.formal(), l) == _at_2t_plus_1(p)
 
 
 def test_involution():
@@ -140,8 +142,8 @@ def test_branching_sets_even():
 def test_grothendieck_multiset():
     for N in range(7):
         for cutoff in (4, 10):
-            rep = grothendieck_check(N, cutoff)
-            by_id = {r.check_id: r.status for r in rep.bundle.records}
+            bundle = grothendieck_check(N, cutoff)
+            by_id = {r.check_id: r.status for r in bundle.records}
             assert by_id[f"branch.grothendieck.N={N},cutoff={cutoff}"] == "pass"
             assert by_id[f"branch.lambda-r-diff.N={N}"] == DISCREPANCY
 
@@ -149,9 +151,10 @@ def test_grothendieck_multiset():
 def test_decomposition_report():
     ctx = DiagContext.at(Fraction(1, 2), Fraction(5, 2))
     rep = decomposition_report(ctx, 8)
-    assert rep.bundle.ok()
-    assert rep.projective_summands == [(3, 3, -5), (1, 1, -3)]
-    assert rep.verma_summands[0] == -1
+    assert rep.ok()
+    sets = rep.data["branch.sets.N=3"]
+    assert sets["Lambda_s"] == [3, 1] and sets["iota(Lambda_s)"] == [-5, -3]
+    assert sets["Lambda_r definitional"][0] == -1
 
 
 def test_decomposition_preconditions():
@@ -165,3 +168,53 @@ def test_decomposition_preconditions():
 
 def test_suite_bundles_pass():
     assert annihilation_check(CTX, 6).ok()
+
+
+# -- each operator literal against its composed form --------------------------
+# The operators are written as their normal-form terms; the references below
+# compose the same displayed formulas from multiplication, derivative and
+# scalar operators.
+
+def _ref_fourier(ctx, sign):
+    vs = xi_eta_vars()
+    dxi, deta = DiffOp.partial(vs, "xi"), DiffOp.partial(vs, "eta")
+    eta_part = deta.scale(-ctx.mu) + DiffOp.mult(GeoPoly.var(vs, "eta")) @ deta @ deta
+    return (dxi.scale(-ctx.lam) + DiffOp.mult(GeoPoly.var(vs, "xi")) @ dxi @ dxi
+            + eta_part.scale(sign))
+
+
+def _ref_function(ctx, sign):
+    vs = xy_vars()
+    x, y = GeoPoly.var(vs, "x"), GeoPoly.var(vs, "y")
+    y_part = DiffOp.mult(y.scale(ctx.mu)) + DiffOp.mult(y * y) @ DiffOp.partial(vs, "y")
+    return (DiffOp.mult(x.scale(ctx.lam)) + DiffOp.mult(x * x) @ DiffOp.partial(vs, "x")
+            + y_part.scale(sign))
+
+
+def _ref_X_t(ctx, l):
+    tv = t_var()
+    t, one, d = GeoPoly.var(tv, "t"), GeoPoly.const(tv, 1), DiffOp.partial(tv, "t")
+    lin = t.scale(ctx.mu - 2 * (l - 1)) - one.scale(ctx.lam)
+    return (DiffOp.mult(t * (t + one)) @ d @ d + DiffOp.mult(lin) @ d
+            + DiffOp.scalar(tv, (ParamScalar.const(l - 1) - ctx.mu) * l))
+
+
+def _ref_F_t(ctx, l):
+    tv = t_var()
+    t, one, d = GeoPoly.var(tv, "t"), GeoPoly.const(tv, 1), DiffOp.partial(tv, "t")
+    lin = t.scale(ParamScalar.const(2 * l - 2) - ctx.mu) - one.scale(ctx.lam)
+    return (DiffOp.mult(-(t * (t - one))) @ d @ d + DiffOp.mult(lin) @ d
+            + DiffOp.scalar(tv, (ctx.mu - (l - 1)) * l))
+
+
+@pytest.mark.parametrize("ctx", [CTX, DiagContext.at(Fraction(1, 3), Fraction(2, 5))],
+                         ids=["formal", "at-1/3-2/5"])
+def test_operator_literals_match_composed_forms(ctx):
+    pairs = [(op_X_fourier(ctx), _ref_fourier(ctx, 1)),
+             (op_F_fourier(ctx), _ref_fourier(ctx, -1)),
+             (op_X_function(ctx), _ref_function(ctx, 1)),
+             (op_F_function(ctx), _ref_function(ctx, -1))]
+    for l in range(7):
+        pairs += [(op_X_t(ctx, l), _ref_X_t(ctx, l)), (op_F_t(ctx, l), _ref_F_t(ctx, l))]
+    for op, ref in pairs:
+        assert op == ref and op.render() == ref.render()

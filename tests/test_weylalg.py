@@ -1,6 +1,7 @@
 """Normal ordering, composition, and the action of differential operators."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -52,7 +53,7 @@ def test_laplacian():
 
 
 def test_apply_demands_polynomial_result():
-    inv = DiffOp.mult_rat(RatCoeff(GeoPoly.const(VS, 1), {"xn": 1}))
+    inv = DiffOp.mult(RatCoeff(GeoPoly.const(VS, 1), {"xn": 1}))
     with pytest.raises(ValueError):
         inv.apply(X1)
     # but x2/x2 divides out
@@ -179,3 +180,43 @@ def test_products_past_the_exponent_limit_are_rejected():
         DiffOp.mult(half) @ DiffOp.mult(half)
     with pytest.raises(ValueError):
         DiffOp.mult(half).apply_rat(half)
+
+
+# -- the checked constructor ---------------------------------------------------
+
+def test_constructor_rejects_malformed_terms():
+    # a coefficient over another variable set, a negative exponent, and
+    # exponents of the wrong arity
+    with pytest.raises(ValueError, match="variable-set"):
+        DiffOp(VS, {(1, 0): RatCoeff(GeoPoly.var(t_var(), "t"))})
+    for e in ((-1, 0), (0, 1, 1), (1,)):
+        with pytest.raises(ValueError):
+            DiffOp(VS, {e: 1})
+
+
+@pytest.mark.parametrize("c", [3, Fraction(-2, 3), LAMBDA, LAMBDA / (LAMBDA + 1)])
+def test_scalar_coefficients_coerce(c):
+    op = DiffOp(VS, {(0, 0): c, (1, 0): c})
+    assert op.terms == {(0, 0): RatCoeff(GeoPoly.const(VS, c)),
+                        (1, 0): RatCoeff(GeoPoly.const(VS, c))}
+    assert op == DiffOp.scalar(VS, c) + D1.scale(c)
+
+
+def test_polynomial_and_localized_coefficients():
+    inv = RatCoeff(GeoPoly.const(VS, 1), {"xn": 1})
+    op = DiffOp(VS, {(0, 0): X1, (0, 1): inv})
+    assert op.terms == {(0, 0): RatCoeff(X1), (0, 1): inv}
+    assert op == DiffOp.mult(X1) + DiffOp.mult(inv) @ D2
+
+
+def test_zero_coefficients_are_dropped():
+    op = DiffOp(VS, {(1, 0): 0, (0, 1): GeoPoly.zero(VS), (0, 0): RatCoeff.zero(VS),
+                     (2, 0): 1})
+    assert list(op.terms) == [(2, 0)] and op == D1 @ D1
+
+
+def test_algebra_results_skip_the_constructor(monkeypatch):
+    a, b = D1 @ DiffOp.mult(X1 * X2), DiffOp.mult(X2) @ D2
+    monkeypatch.setattr(DiffOp, "__init__", lambda *args: pytest.fail("checked"))
+    for op in (a + b, -a, a - b, a.scale(LAMBDA), a @ b, a.commutator(b)):
+        assert not op.is_zero()

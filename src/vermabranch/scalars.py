@@ -19,7 +19,10 @@ graded-lexicographic order, and a monomial product is one integer addition.
 Every exponent and degree stays below 2^15, so two fields never carry into
 their neighbour; a product that reaches 2^15 in a field raises ValueError.
 Both layers pack with :func:`_pack`, add with :func:`_add`, multiply with
-:func:`_product` and :func:`_dot`, and divide with :func:`_divide`.
+:func:`_product` and :func:`_dot`, and divide with :func:`_divide`.  The
+operator algebra of :mod:`~vermabranch.weylalg` runs a second
+multiply-accumulate loop, the packed Leibniz rule, on the same keys, and
+tests its sums with :func:`_checked` as :func:`_dot` does.
 
 Canonical form: numerator and denominator have no common factor, the
 denominator has a positive leading coefficient, and the integer content of
@@ -110,6 +113,12 @@ def _dot(products: Iterable[Tuple[int, Dict[int, int], Dict[int, int]]],
             for k2, c2 in b:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
+    return _checked(out, top)
+
+
+def _checked(out: Dict[int, int], top: int) -> Dict[int, int]:
+    """The accumulated packed sum out without its zero terms, every key
+    tested against ``top`` as in :func:`_dot`."""
     out = {k: c for k, c in out.items() if c}
     if out and reduce(or_, out) & top:
         raise ValueError(_OVERFLOW)

@@ -27,8 +27,8 @@ from .weylalg import DiffOp, proportionality
 @dataclass(frozen=True)
 class SoPairContext:
     """Dimension n >= 2 and the inducing character (formal by default).
-    ``_memo`` and ``alpha``, not fields, keep what is built from this context
-    (see :func:`~vermabranch.polyring.per_context`)."""
+    ``_memo``, ``vars`` and ``alpha``, not fields, keep what is built from
+    this context (see :func:`~vermabranch.polyring.per_context`)."""
 
     n: int
     lam: ParamScalar
@@ -41,7 +41,7 @@ class SoPairContext:
     def at(n: int, lam) -> "SoPairContext":
         return SoPairContext(n, ParamScalar.coerce(lam))
 
-    @property
+    @cached_property
     def vars(self) -> VarSet:
         return xi_vars(self.n)
 
@@ -240,8 +240,14 @@ def casimir_closed_form(ctx: SoPairContext, l: int) -> DiffOp:
     localized = DiffOp(vs, {d + (2,): RatCoeff((q * q).scale(-2), {"q1": 1}),
                             d + (1,): RatCoeff((q * xn).scale((alpha * 2 + 1) * -2), {"q1": 1}),
                             d + (0,): RatCoeff(mid.scale(-2), {"q1": 1})})
-    euler_shift = DiffOp.euler(vs) + DiffOp.scalar(vs, alpha)
-    return localized + (euler_shift @ euler_shift).scale(2)
+    return localized + _euler_shift_square(ctx)
+
+
+@per_context
+def _euler_shift_square(ctx: SoPairContext) -> DiffOp:
+    """2 (E+a)^2, the degree-free tail of the Casimir's closed form."""
+    euler_shift = DiffOp.euler(ctx.vars) + DiffOp.scalar(ctx.vars, ctx.alpha)
+    return (euler_shift @ euler_shift).scale(2)
 
 
 def casimir_composed(ctx: SoPairContext, l: int) -> DiffOp:

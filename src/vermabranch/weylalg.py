@@ -13,22 +13,32 @@ re-establishes that normal form via the Leibniz rule
     D^a (c g) = sum_{k <= a} binom(a, k) (D^k c) (D^{a-k} g),
 
 which works verbatim for localized coefficients since RatCoeff knows its own
-quotient-rule derivative.  ``compose``, ``commutator`` and ``apply_rat``
-collect every product ``binom * c * D^k g`` under the derivative monomial it
-lands on, both orders of a commutator with opposite signs, and build each
-output coefficient by one :meth:`RatCoeff.sum_of_products`: one packed sum
-and one reduction against the curated denominator per coefficient.
+quotient-rule derivative.  ``compose``, ``commutator`` and ``apply_rat`` add
+every product ``binom * c * D^k g`` under the derivative monomial it lands
+on, both orders of a commutator with opposite signs into the same sums, on
+one of two paths that the input alone picks:
+
+- packed, when every coefficient of both operands (of the operator, for
+  ``apply_rat``) is a polynomial over the parameter denominator 1: one loop
+  over packed integer terms, where ``D^k`` of a term ``c x^g`` is
+  ``prod_i (g_i)_{k_i} c x^(g-k)`` with g read from the fields of its key
+  (:func:`~vermabranch.scalars._layout`).  Each output coefficient is built
+  once, after the overflow test;
+- generic, for any curated denominator or a parameter denominator other
+  than 1: ``D^k c`` is read from one derivative table per coefficient, and
+  each output coefficient is one :meth:`RatCoeff.sum_of_products`, one
+  packed sum and one reduction against the curated denominator.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 from operator import add, sub
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .polyring import GeoPoly, RatCoeff, VarSet
-from .scalars import ParamScalar
+from .polyring import GeoPoly, RatCoeff, VarSet, _new, _rat
+from .scalars import _FIELD, _ONE, _PBITS, _checked, _layout, ParamPoly, ParamScalar
 
 DerivMono = Tuple[int, ...]
 
@@ -56,6 +66,61 @@ def _leibniz(a: "DiffOp", b: "DiffOp", sign: int,
                 if not dc.is_zero():
                     out.setdefault(tuple(map(sub, ab, k)), []).append((sign * binomial, ca, dc))
     return out
+
+
+Packed = List[Tuple[DerivMono, Dict[int, int]]]
+
+
+def _packed(op: "DiffOp") -> Optional[Packed]:
+    """The (e, packed terms) of each coefficient of op, or None unless every
+    one is a polynomial over the parameter denominator 1."""
+    out = []
+    for e, c in op.terms.items():
+        if c.den or c.num.den.terms != _ONE.terms:
+            return None
+        out.append((e, c.num.terms))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lowerings(e: DerivMono, whole: bool) -> Tuple[tuple, ...]:
+    """(k, binomial, fields, drop) for each k <= e, or for k = e alone if
+    whole: fields holds the packed field shift and order of each variable
+    that k differentiates, and drop is the key D^k subtracts from a monomial."""
+    shifts, units = _layout(len(e), _PBITS)[:2]
+    return tuple((k, binomial, tuple((s, ki) for s, ki in zip(shifts, k) if ki),
+                  sum(ki * u for ki, u in zip(k, units)))
+                 for k, binomial in (((e, 1),) if whole else _iter_sub(e)))
+
+
+def _packed_leibniz(a: Packed, b: Packed, sign: int, whole: bool,
+                    out: Dict[DerivMono, Dict[int, int]]) -> Dict[DerivMono, Dict[int, int]]:
+    """Add sign * binomial * c1 * D^k(c2 g) for every left term c1 g of a
+    coefficient at ea, right term c2 g of a coefficient at eb, and k <= ea
+    (k = ea alone if whole) into out[ea + eb - k].  D^k of a monomial with
+    exponents g is prod_i (g_i)_{k_i} times the monomial with g - k."""
+    for ea, t1 in a:
+        t1, subs = t1.items(), _lowerings(ea, whole)
+        for eb, t2 in b:
+            t2, ab = t2.items(), tuple(map(add, ea, eb))
+            for k, binomial, fields, drop in subs:
+                acc = out.setdefault(tuple(map(sub, ab, k)), {})
+                get, m = acc.get, sign * binomial
+                for k2, c in t2:
+                    c *= m
+                    for s, ki in fields:
+                        c *= perm(k2 >> s & _FIELD, ki)
+                    if c:
+                        k2 -= drop
+                        for k1, c1 in t1:
+                            key = k1 + k2
+                            acc[key] = get(key, 0) + c1 * c
+    return out
+
+
+def _poly(vs: VarSet, t: Dict[int, int], den: ParamPoly = _ONE) -> RatCoeff:
+    """The polynomial coefficient of accumulated packed terms t over den."""
+    return _rat(_new(vs, _checked(t, _layout(vs.arity, _PBITS)[3]), den), {})
 
 
 class _Derivatives(dict):
@@ -168,7 +233,10 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product self o other."""
         self._check(other)
-        return self._sum(_leibniz(self, other, 1, {}))
+        pa, pb = _packed(self), _packed(other)
+        if pa is None or pb is None:
+            return self._sum(_leibniz(self, other, 1, {}))
+        return self._packed_sum(_packed_leibniz(pa, pb, 1, False, {}))
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other)
@@ -176,11 +244,18 @@ class DiffOp:
     def commutator(self, other: "DiffOp") -> "DiffOp":
         """self o other - other o self, both orders summed per coefficient."""
         self._check(other)
-        return self._sum(_leibniz(other, self, -1, _leibniz(self, other, 1, {})))
+        pa, pb = _packed(self), _packed(other)
+        if pa is None or pb is None:
+            return self._sum(_leibniz(other, self, -1, _leibniz(self, other, 1, {})))
+        return self._packed_sum(
+            _packed_leibniz(pb, pa, -1, False, _packed_leibniz(pa, pb, 1, False, {})))
 
     def _sum(self, products: Dict[DerivMono, list]) -> "DiffOp":
         s = RatCoeff.sum_of_products
         return _op(self.vars, {e: s(self.vars, t) for e, t in products.items()})
+
+    def _packed_sum(self, products: Dict[DerivMono, Dict[int, int]]) -> "DiffOp":
+        return _op(self.vars, {e: _poly(self.vars, t) for e, t in products.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
@@ -200,11 +275,16 @@ class DiffOp:
     def apply_rat(self, p: GeoPoly) -> RatCoeff:
         """Exact action on a polynomial; the result may keep a curated
         denominator when a localized coefficient fails to divide out."""
-        if self.vars != p.vars:
+        vs = self.vars
+        if vs != p.vars:
             raise ValueError("variable-set mismatch")
-        dp = _Derivatives(p)
-        return RatCoeff.sum_of_products(
-            self.vars, [(1, c, RatCoeff(dp[e])) for e, c in self.terms.items()])
+        pa = _packed(self)
+        if pa is None:
+            dp = _Derivatives(p)
+            return RatCoeff.sum_of_products(
+                vs, [(1, c, RatCoeff(dp[e])) for e, c in self.terms.items()])
+        e0 = (0,) * vs.arity
+        return _poly(vs, _packed_leibniz(pa, [(e0, p.terms)], 1, True, {}).get(e0, {}), p.den)
 
     def apply(self, p: GeoPoly) -> GeoPoly:
         """Action on a polynomial, demanding a polynomial result."""

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from vermabranch import weylalg
 from vermabranch.polyring import GeoPoly, RatCoeff, quadratic_sum, t_var, xi_vars
 from vermabranch.properties import (apply_compose, associativity,
                                     field_axioms, jacobi_identity,
                                     normal_order_confluence)
-from vermabranch.scalars import LAMBDA, ParamScalar
+from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
 from vermabranch.so_pair import SoPairContext, ladder_ops, op_P, op_Q
-from vermabranch.weylalg import DiffOp, _iter_sub, proportionality
+from vermabranch.weylalg import (DiffOp, _Derivatives, _iter_sub, _leibniz,
+                                 proportionality)
 
 VS = xi_vars(2)
 X1 = GeoPoly.var(VS, "x1")
@@ -173,13 +175,114 @@ def test_random_localized_products_match_reference():
         _assert_matches_reference(a, b, probe)
 
 
-def test_products_past_the_exponent_limit_are_rejected():
-    # t^(2^14) * t^(2^14) reaches 2^15 in the t field
-    half = GeoPoly.var(t_var(), "t", 2 ** 14)
-    with pytest.raises(ValueError):
-        DiffOp.mult(half) @ DiffOp.mult(half)
-    with pytest.raises(ValueError):
-        DiffOp.mult(half).apply_rat(half)
+# -- the packed path -----------------------------------------------------------
+# compose, commutator and apply_rat run the Leibniz rule on packed integer
+# terms when every operator coefficient is a polynomial over the parameter
+# denominator 1, and through _leibniz, _Derivatives and
+# RatCoeff.sum_of_products otherwise.  The generic path is the oracle.
+
+def _generic_compose(a: DiffOp, b: DiffOp) -> DiffOp:
+    return a._sum(_leibniz(a, b, 1, {}))
+
+
+def _generic_commutator(a: DiffOp, b: DiffOp) -> DiffOp:
+    return a._sum(_leibniz(b, a, -1, _leibniz(a, b, 1, {})))
+
+
+def _generic_apply_rat(op: DiffOp, p: GeoPoly) -> RatCoeff:
+    dp = _Derivatives(p)
+    return RatCoeff.sum_of_products(
+        op.vars, [(1, c, RatCoeff(dp[e])) for e, c in op.terms.items()])
+
+
+def _assert_same(x, y):
+    assert x == y and x.render() == y.render()
+
+
+def _rand_param_poly(rng: random.Random, vs, max_deg: int = 2) -> GeoPoly:
+    """Up to four terms with coefficients in Z[a, l, m]."""
+    cs = (1, -3, 7, ALPHA, LAMBDA * 2 - 1, ALPHA * MU + LAMBDA, MU * MU - 5)
+    return GeoPoly(vs, {tuple(rng.randint(0, max_deg) for _ in range(vs.arity)):
+                        rng.choice(cs) for _ in range(rng.randint(1, 4))})
+
+
+def _rand_poly_op(rng: random.Random, vs) -> DiffOp:
+    return DiffOp(vs, {tuple(rng.randint(0, 2) for _ in range(vs.arity)):
+                       _rand_param_poly(rng, vs) for _ in range(rng.randint(1, 3))})
+
+
+def _no_generic_path(monkeypatch):
+    monkeypatch.setattr(RatCoeff, "sum_of_products",
+                        lambda *args: pytest.fail("generic path"))
+
+
+def _no_packed_path(monkeypatch):
+    monkeypatch.setattr(weylalg, "_packed_leibniz",
+                        lambda *args: pytest.fail("packed path"))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_products_match_the_generic_path(n, monkeypatch):
+    rng = random.Random(100 + n)
+    vs = xi_vars(n)
+    cases = []
+    for _ in range(40):
+        a, b = _rand_poly_op(rng, vs), _rand_poly_op(rng, vs)
+        p = _rand_param_poly(rng, vs, max_deg=3)
+        # the same polynomial over a parameter denominator
+        p_over = p.scale(ParamScalar.const(1) / (LAMBDA * 3 + ALPHA))
+        cases.append((a, b, p, p_over, _generic_compose(a, b),
+                      _generic_commutator(a, b), _generic_apply_rat(a, p),
+                      _generic_apply_rat(a, p_over)))
+    _no_generic_path(monkeypatch)
+    for a, b, p, p_over, ab, bracket, ap, ap_over in cases:
+        assert p_over.den.terms != {0: 1}
+        _assert_same(a @ b, ab)
+        _assert_same(a.commutator(b), bracket)
+        _assert_same(a.apply_rat(p), ap)
+        _assert_same(a.apply_rat(p_over), ap_over)
+    assert any(not bracket.is_zero() for *_, bracket, _, _ in cases)
+
+
+def test_localized_and_fractional_operands_take_the_generic_path(monkeypatch):
+    # the ladder's f has a q1 denominator, half a parameter denominator 2
+    ctx = SoPairContext.formal(3)
+    vs = ctx.vars
+    f = ladder_ops(ctx, 2)[1]
+    half = DiffOp(vs, {(1, 0, 0): GeoPoly.var(vs, "x3").scale(Fraction(1, 2)),
+                       (0, 0, 0): LAMBDA})
+    poly = DiffOp(vs, {(0, 1, 1): quadratic_sum(vs, 3), (0, 0, 1): MU})
+    probe = quadratic_sum(vs, 2) * ctx.xn() ** 2
+    assert f.terms[(0, 0, 1)].den == {"q1": 1}
+    assert half.terms[(1, 0, 0)].num.den.terms == {0: 2}
+    cases = [(a, x, y) for a in (f, half) for x, y in ((a, poly), (poly, a), (a, a))]
+    want = [(_generic_compose(x, y), _generic_commutator(x, y), _generic_apply_rat(a, probe))
+            for a, x, y in cases]
+    _no_packed_path(monkeypatch)
+    for (a, x, y), (xy, bracket, ap) in zip(cases, want):
+        _assert_same(x @ y, xy)
+        _assert_same(x.commutator(y), bracket)
+        _assert_same(a.apply_rat(probe), ap)
+    # the unchanged generic results agree with the plain reference fold
+    for a in (f, half):
+        _assert_matches_reference(a, poly, probe)
+
+
+def test_products_past_the_exponent_limit_are_rejected(monkeypatch):
+    # half * half reaches 2^15 in the t field or in the l field, as a product
+    # of coefficients or through a derivative: half d/dt (t half) = half^2 + ...
+    vs = t_var()
+    _no_generic_path(monkeypatch)
+    for half in (GeoPoly.var(vs, "t", 2 ** 14), GeoPoly.const(vs, LAMBDA) ** 2 ** 14):
+        mult, op = DiffOp.mult(half), DiffOp(vs, {(1,): half})
+        big = half * GeoPoly.var(vs, "t")
+        for product in (lambda: mult @ mult, lambda: mult.apply_rat(half), lambda: op @ op,
+                        lambda: op.commutator(DiffOp.mult(big)), lambda: op.apply_rat(big)):
+            with pytest.raises(ValueError, match="exponent of 32768"):
+                product()
+    # just below the limit the packed path runs
+    below = DiffOp(vs, {(1,): GeoPoly.var(vs, "t", 2 ** 14 - 1)})
+    assert (below @ below).order() == 2
 
 
 # -- the checked constructor ---------------------------------------------------

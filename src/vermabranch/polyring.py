@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials in the geometric variables, and their
-localization at the curated denominator set.
+localization at q1 = x1^2 + ... + x_{n-1}^2, the one denominator of the
+operator algebra.
 
 Variable sets are small and fixed by the two scenarios: ``x1..xn`` for the
 orthogonal pair, ``xi, eta`` for the diagonal pair, and the one-variable lines
@@ -19,18 +20,20 @@ files.  The one constructor ``GeoPoly(vars, terms)`` checks and coerces its
 terms, and :meth:`GeoPoly.relabel` moves a value between models.  Only the
 read-only view (``coefficients``, ``coefficient``, ``leading``) builds
 per-monomial ParamScalars, in the canonical form of :mod:`scalars`.
+
+A :class:`RatCoeff` is ``num / q1^k`` with a GeoPoly ``num`` and an int k,
+q1 divided out of ``num`` as often as it goes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, wraps
 from math import gcd
-from operator import add
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Tuple
 
-from .scalars import (_FIELD, _ONE, _PBITS, _PMASK, _add, _divide, _dot, _gcd,
+from .scalars import (_FIELD, _ONE, _PBITS, _PMASK, _add, _divide, _gcd,
                       _layout, _normalize, _pack, _product, _unpack, ParamPoly,
                       ParamScalar)
 
@@ -239,9 +242,9 @@ class GeoPoly:
     def exact_divide(self, divisor: "GeoPoly") -> Optional["GeoPoly"]:
         """Quotient self/divisor when the division is exact, else None.
 
-        The divisor must have rational constant coefficients, as every
-        curated factor has.  By Gauss's lemma, division by its primitive part
-        runs in integers and fails at the first inexact step.
+        The divisor must have rational constant coefficients, as q1 has.
+        By Gauss's lemma, division by its primitive part runs in integers and
+        fails at the first inexact step.
         """
         self._check(divisor)
         dt = divisor.terms
@@ -314,7 +317,7 @@ def _is_simple(s: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# curated denominator factors and the localized coefficient ring
+# the shared quadratics and the coefficient ring localized at q1
 # ---------------------------------------------------------------------------
 
 def quadratic_sum(vars: VarSet, upto: int) -> GeoPoly:
@@ -327,8 +330,8 @@ _CURATED: Dict[VarSet, Mapping[str, GeoPoly]] = {}
 
 
 def curated_factors(vars: VarSet) -> Mapping[str, GeoPoly]:
-    """The only polynomials ever allowed in denominators, per variable set:
-    xn, q1 and q on the xi variables, none on the others.
+    """The polynomials xn, q1 and q of the xi variables, none on the others.
+    q1 is the one denominator a RatCoeff allows.
 
     Built on first use of each variable set and shared read-only after that.
     """
@@ -365,53 +368,40 @@ def per_context(build):
 
 
 @lru_cache(maxsize=None)
-def _factor_power(vars: VarSet, key: str, e: int) -> Dict[int, int]:
-    """The packed terms of curated factor ``key`` to the power e; every
-    curated factor has integer coefficients, over the denominator 1."""
-    return (curated_factors(vars)[key] ** e).terms
+def _q1_power(vars: VarSet, e: int) -> GeoPoly:
+    """q1^e, which lifts a numerator over q1^k to one over q1^(k+e)."""
+    return curated_factors(vars)["q1"] ** e
 
 
-def _rat(num: GeoPoly, den: Dict[str, int]) -> "RatCoeff":
-    """num/den for a num that no factor of den divides: no trial division."""
+def _rat(num: GeoPoly, k: int = 0) -> "RatCoeff":
+    """num/q1^k for a num that q1 does not divide: no trial division."""
     r = RatCoeff.__new__(RatCoeff)
-    r.num, r.den = num, den if num.terms else {}
+    r.num, r.k = num, k if num.terms else 0
     return r
 
 
 class RatCoeff:
-    """Quotient of a GeoPoly by a product of curated factors.
+    """Quotient num/q1^k of a GeoPoly by a power of q1 = x1^2 + ... + x_{n-1}^2.
 
-    The denominator is kept factored as a multiset over the curated keys;
-    construction divides each factor out of the numerator as often as it
-    goes, so a RatCoeff with an empty denominator *is* a polynomial.  The
-    factors of a variable set are pairwise coprime, so a value has one
-    (num, den) form.
+    q1 is the one denominator of the operator algebra, and only xi variable
+    sets allow k > 0.  Construction divides q1 out of the numerator as often
+    as it goes, so k is the least power of q1 that clears the value's
+    denominator, a RatCoeff with k = 0 *is* a polynomial, and a value has one
+    (num, k) form, also where q1 is not irreducible (x1^2 at n = 2).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "k")
 
-    def __init__(self, num: GeoPoly, den: Mapping[str, int] | None = None):
-        if not den:
-            self.num, self.den = num, {}
-            return
-        allowed = curated_factors(num.vars)
-        d: Dict[str, int] = {}
-        for k, e in den.items():
-            if k not in allowed:
-                raise ValueError(f"{k!r} is not a curated denominator factor for {num.vars.kind}")
-            if e < 0:
-                raise ValueError("negative denominator exponent")
-            if e:
-                d[k] = d.get(k, 0) + e
-        if not num.terms:
-            d = {}
-        # divide each factor out of the numerator as often as it goes
-        for k in list(d):
-            while d[k] and (q := num.exact_divide(allowed[k])) is not None:
-                num, d[k] = q, d[k] - 1
-            if not d[k]:
-                del d[k]
-        self.num, self.den = num, d
+    def __init__(self, num: GeoPoly, k: int = 0):
+        if k:
+            if not isinstance(k, int) or k < 0:
+                raise ValueError(f"the power of q1 must be a nonnegative int, not {k!r}")
+            if num.vars.kind != "xi":
+                raise ValueError(f"q1 is not a denominator for {num.vars.kind}")
+            q1 = curated_factors(num.vars)["q1"]
+            while k and (q := num.exact_divide(q1)) is not None:
+                num, k = q, k - 1
+        self.num, self.k = num, k
 
     @property
     def vars(self) -> VarSet:
@@ -421,123 +411,57 @@ class RatCoeff:
     def zero(vars: VarSet) -> "RatCoeff":
         return RatCoeff(GeoPoly.zero(vars))
 
-    @staticmethod
-    def sum_of_products(vars: VarSet, triples) -> "RatCoeff":
-        """sum k*x*y over ``triples`` (k, x, y), k an int and x, y RatCoeffs
-        in vars, reduced against the denominator once.
-
-        Each x.num is lifted to the common curated denominator, the largest
-        exponent of each factor, and the products go into one packed sum per
-        Z[a, l, m] denominator, as heap-based sparse division accumulates
-        before it normalizes (Monagan and Pearce, J. Symb. Comput. 46, 2011).
-        """
-        groups, den = [], {}  # (Z[a, l, m] denominator, its products)
-        for k, x, y in triples:
-            xn, yn = x.num, y.num
-            if k and xn.terms and yn.terms:
-                cd = x.den
-                if y.den:
-                    cd = {f: cd.get(f, 0) + y.den.get(f, 0) for f in {**cd, **y.den}}
-                for f, e in cd.items():
-                    den[f] = max(den.get(f, 0), e)
-                pden = _dmul(xn.den, yn.den)
-                # compared by value, not by hash
-                for d, ps in groups:
-                    if d is pden or d == pden:
-                        break
-                else:
-                    ps = []
-                    groups.append((pden, ps))
-                ps.append((k, xn, yn.terms, cd))
-        if not groups:
-            return RatCoeff.zero(vars)
-        top = _layout(vars.arity, _PBITS)[3]
-        lifted: Dict[tuple, Dict[int, int]] = {}
-        for _, ps in groups:
-            for i, (k, xn, yt, cd) in enumerate(ps):
-                xt = xn.terms
-                lift = den and tuple((f, e - cd.get(f, 0)) for f, e in den.items() if e > cd.get(f, 0))
-                if lift:
-                    key = (id(xn), lift)
-                    if key not in lifted:
-                        for f, j in lift:
-                            xt = _product(xt, _factor_power(vars, f, j), top)
-                        lifted[key] = xt
-                    xt = lifted[key]
-                ps[i] = k, xt, yt
-        return RatCoeff(reduce(add, [_new(vars, _dot(ps, top), d) for d, ps in groups]), den)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return not self.den
+        return not self.k
 
     def as_poly(self) -> GeoPoly:
-        if self.den:
-            raise ValueError(f"not a polynomial: denominator {self.den} remains on {self.num.render()}")
+        if self.k:
+            raise ValueError(f"not a polynomial: q1^{self.k} remains under {self.num.render()}")
         return self.num
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "RatCoeff") -> "RatCoeff":
+    def _check(self, other: "RatCoeff"):
         if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("variable-set mismatch")
-        if not self.den and not other.den:
-            return RatCoeff(self.num + other.num)
-        one = _rat(GeoPoly.const(self.vars, 1), {})
-        return RatCoeff.sum_of_products(self.vars, [(1, self, one), (1, other, one)])
+
+    def __add__(self, other: "RatCoeff") -> "RatCoeff":
+        self._check(other)
+        a, b, k = self.num, other.num, self.k
+        if k < other.k:
+            a, k = a * _q1_power(self.vars, other.k - k), other.k
+        elif other.k < k:
+            b = b * _q1_power(self.vars, k - other.k)
+        return RatCoeff(a + b, k)
 
     def __neg__(self) -> "RatCoeff":
-        return _rat(-self.num, self.den)
+        return _rat(-self.num, self.k)
 
     def __sub__(self, other: "RatCoeff") -> "RatCoeff":
         return self + (-other)
 
     def __mul__(self, other: "RatCoeff") -> "RatCoeff":
-        if self.vars is not other.vars and self.vars != other.vars:
-            raise ValueError("variable-set mismatch")
-        den = dict(self.den)
-        for k, e in other.den.items():
-            den[k] = den.get(k, 0) + e
-        return RatCoeff(self.num * other.num, den)
+        self._check(other)
+        return RatCoeff(self.num * other.num, self.k + other.k)
 
     def scale(self, c) -> "RatCoeff":
-        # a factor with constant coefficients divides num iff it divides any
+        # q1 has constant coefficients, so it divides num iff it divides any
         # nonzero multiple of num over Q(a, l, m)
-        return _rat(self.num.scale(c), self.den)
-
-    def derive(self, var: str | int) -> "RatCoeff":
-        """d/dvar by the quotient rule over the factored denominator:
-        num'/den - sum_k e_k (num/den) (f_k'/f_k)."""
-        i = var if isinstance(var, int) else self.vars.index(var)
-        if not self.den:
-            return _rat(self.num.derive(i), {})
-        vs = self.vars
-        facs = curated_factors(vs)
-        triples = [(1, _rat(self.num.derive(i), {}), _rat(GeoPoly.const(vs, 1), self.den))]
-        for k, e in self.den.items():
-            dfk = facs[k].derive(i)
-            # f_k' is nonzero and of lower degree than f_k
-            if not dfk.is_zero():
-                triples.append((-e, self, _rat(dfk, {k: 1})))
-        return RatCoeff.sum_of_products(vs, triples)
+        return _rat(self.num.scale(c), self.k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatCoeff):
             return NotImplemented
-        # both sides are reduced against their denominators, so equal values
-        # have equal denominators and equal numerators
-        return self.den == other.den and self.num == other.num
+        # both sides are reduced, so equal values have equal forms
+        return self.k == other.k and self.num == other.num
 
     def render(self) -> str:
-        if not self.den:
+        if not self.k:
             return self.num.render()
-        facs = " * ".join(
-            f"{k}" + (f"^{e}" if e > 1 else "")
-            for k, e in sorted(self.den.items())
-        )
-        return f"({self.num.render()}) / [{facs}]"
+        return f"({self.num.render()}) / [q1" + (f"^{self.k}]" if self.k > 1 else "]")
 
     def __repr__(self):
         return f"RatCoeff({self.render()})"

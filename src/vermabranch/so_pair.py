@@ -142,7 +142,7 @@ def ladder_ops(ctx: SoPairContext, l: int) -> Tuple[DiffOp, DiffOp, DiffOp]:
     vs, n, xn, q = ctx.vars, ctx.n, ctx.xn(), ctx.q_full()
     dn, e0 = (0,) * (n - 1) + (1,), (0,) * n
     e_op = DiffOp(vs, {dn: -q, e0: xn.scale(-(ctx.alpha * 2 + l))})
-    f_op = DiffOp(vs, {dn: RatCoeff(q, {"q1": 1}), e0: RatCoeff(xn.scale(-l), {"q1": 1})})
+    f_op = DiffOp(vs, {dn: RatCoeff(q, 1), e0: RatCoeff(xn.scale(-l), 1)})
     h_op = DiffOp.scalar(vs, (ctx.alpha + l) * 2)
     return e_op, f_op, h_op
 
@@ -237,9 +237,9 @@ def casimir_closed_form(ctx: SoPairContext, l: int) -> DiffOp:
     xn, q, q1 = ctx.xn(), ctx.q_full(), ctx.q_prime()
     mid = q1.scale(alpha) - (xn * xn).scale((alpha * 2 + l) * l)
     d = (0,) * (n - 1)
-    localized = DiffOp(vs, {d + (2,): RatCoeff((q * q).scale(-2), {"q1": 1}),
-                            d + (1,): RatCoeff((q * xn).scale((alpha * 2 + 1) * -2), {"q1": 1}),
-                            d + (0,): RatCoeff(mid.scale(-2), {"q1": 1})})
+    localized = DiffOp(vs, {d + (2,): RatCoeff((q * q).scale(-2), 1),
+                            d + (1,): RatCoeff((q * xn).scale((alpha * 2 + 1) * -2), 1),
+                            d + (0,): RatCoeff(mid.scale(-2), 1)})
     return localized + _euler_shift_square(ctx)
 
 

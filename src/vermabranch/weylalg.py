@@ -1,33 +1,40 @@
-"""Normal-ordered differential operators with localized coefficients.
+"""Normal-ordered differential operators with coefficients over a power of q1.
 
 A :class:`DiffOp` is a finite sum of terms ``coefficient * D^e`` where the
-coefficient is a :class:`~vermabranch.polyring.RatCoeff` and ``D^e`` a
-derivative monomial.  An operator is written as its normal-form terms,
-``DiffOp(vars, {e: c, ...})``, the one constructor, which checks and coerces
-them; results of the algebra skip that check.  Composition is used only for
-operators the paper states as compositions.
+coefficient is a :class:`~vermabranch.polyring.RatCoeff` ``num / q1^k`` and
+``D^e`` a derivative monomial.  An operator is written as its normal-form
+terms, ``DiffOp(vars, {e: c, ...})``, the one constructor, which checks and
+coerces them; results of the algebra skip that check.  Composition is used
+only for operators the paper states as compositions.
 
 All coefficients stand to the left of all derivatives; composition
 re-establishes that normal form via the Leibniz rule
 
-    D^a (c g) = sum_{k <= a} binom(a, k) (D^k c) (D^{a-k} g),
+    D^a (c g) = sum_{k <= a} binom(a, k) (D^k c) (D^{a-k} g).
 
-which works verbatim for localized coefficients since RatCoeff knows its own
-quotient-rule derivative.  ``compose``, ``commutator`` and ``apply_rat`` add
-every product ``binom * c * D^k g`` under the derivative monomial it lands
-on, both orders of a commutator with opposite signs into the same sums, on
-one of two paths that the input alone picks:
+``compose``, ``commutator`` and ``apply_rat`` run it for every operand in one
+loop over packed integer terms:
 
-- packed, when every coefficient of both operands (of the operator, for
-  ``apply_rat``) is a polynomial over the parameter denominator 1: one loop
-  over packed integer terms, where ``D^k`` of a term ``c x^g`` is
-  ``prod_i (g_i)_{k_i} c x^(g-k)`` with g read from the fields of its key
-  (:func:`~vermabranch.scalars._layout`).  Each output coefficient is built
-  once, after the overflow test;
-- generic, for any curated denominator or a parameter denominator other
-  than 1: ``D^k c`` is read from one derivative table per coefficient, and
-  each output coefficient is one :meth:`RatCoeff.sum_of_products`, one
-  packed sum and one reduction against the curated denominator.
+- each operand's numerators are lifted to one shared Z[a, l, m] denominator,
+  the lcm of its coefficients' as in ``GeoPoly.__init__``, so the loop
+  multiplies integers and a result's parameter denominator is the product of
+  its operands';
+- a right coefficient n/q1^j is differentiated as
+
+      D^k (n q1^-j) = sum_{m <= k} binom(k, m) D^(k-m) n R_{m,j} / q1^(j+|m|),
+
+  with R_{m,j} = q1^(j+|m|) D^m q1^-j a polynomial cached per (vars, m, j),
+  zero where m differentiates xn and, for j = 0, everywhere but at m = 0.
+  The left term c becomes c R_{m,j} and binom(a, k) binom(k, m) the
+  multinomial binom(a, m) binom(a-m, k-m);
+- D^k of a term ``c x^g`` is ``prod_i (g_i)_{k_i} c x^(g-k)``, with g read
+  from the fields of its key (:func:`~vermabranch.scalars._layout`).
+
+Products are added per output derivative monomial and q1 exponent, both
+orders of a commutator with opposite signs into the same sums.  Each output
+coefficient is lifted to its largest q1 exponent and built once, after the
+overflow test, with one trial-division pass; a derivative monomial whose
+products all vanish gets none.
 """
 
 from __future__ import annotations
@@ -35,12 +42,16 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, perm
 from operator import add, sub
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .polyring import GeoPoly, RatCoeff, VarSet, _new, _rat
-from .scalars import _FIELD, _ONE, _PBITS, _checked, _layout, ParamPoly, ParamScalar
+from .polyring import (GeoPoly, RatCoeff, VarSet, _dmul, _lcm, _new, _q1_power, _rat,
+                       curated_factors)
+from .scalars import (_FIELD, _ONE, _PBITS, _W, _add, _checked, _layout, _product,
+                      ParamPoly, ParamScalar)
 
 DerivMono = Tuple[int, ...]
+Lifted = List[Tuple[DerivMono, Dict[int, int], int]]
+Sums = Dict[DerivMono, Dict[int, int]]
 
 
 @lru_cache(maxsize=None)
@@ -53,33 +64,55 @@ def _iter_sub(e: DerivMono) -> Tuple[Tuple[DerivMono, int], ...]:
                  for tail, c in _iter_sub(e[1:]) for k in range(head + 1))
 
 
-def _leibniz(a: "DiffOp", b: "DiffOp", sign: int,
-             out: Dict[DerivMono, list]) -> Dict[DerivMono, list]:
-    """Append the triple (sign * binomial, ca, D^k cb) of every Leibniz
-    product of a o b to out[e], e the product's derivative monomial."""
-    derivs = [(eb, _Derivatives(cb)) for eb, cb in b.terms.items()]
-    for ea, ca in a.terms.items():
-        for eb, dcb in derivs:
-            ab = tuple(map(add, ea, eb))
-            for k, binomial in _iter_sub(ea):
-                dc = dcb[k]
-                if not dc.is_zero():
-                    out.setdefault(tuple(map(sub, ab, k)), []).append((sign * binomial, ca, dc))
-    return out
+@lru_cache(maxsize=None)
+def _frame(n: int) -> Tuple[int, int]:
+    """The top-bit mask of the packed fields of n geometric variables
+    (:func:`_layout`), and the shift of the q1 exponent field just above
+    their degree field: the q1 exponent of a product of terms is the sum of
+    its factors', as for every other field."""
+    _, _, dshift, top = _layout(n, _PBITS)
+    return top, dshift + _W
 
 
-Packed = List[Tuple[DerivMono, Dict[int, int]]]
-
-
-def _packed(op: "DiffOp") -> Optional[Packed]:
-    """The (e, packed terms) of each coefficient of op, or None unless every
-    one is a polynomial over the parameter denominator 1."""
-    out = []
+def _lifted(op: "DiffOp") -> Tuple[ParamPoly, Lifted]:
+    """The lcm D of the parameter denominators of op's coefficients, and for
+    each coefficient num/q1^k the (e, packed numerator over D, k), with k in
+    the q1 exponent field of every key."""
+    one, out, plain = _ONE.terms, [], True
     for e, c in op.terms.items():
-        if c.den or c.num.den.terms != _ONE.terms:
-            return None
-        out.append((e, c.num.terms))
-    return out
+        num = c.num
+        plain = plain and not c.k and num.den.terms == one
+        out.append((e, num.terms, c.k))
+    if plain:
+        return _ONE, out
+    den = _ONE
+    for c in op.terms.values():
+        d = c.num.den
+        if d.terms != one and d != den:
+            den = d if den is _ONE else _lcm(den, d)[0]
+    top, shift = _frame(op.vars.arity)
+    for i, (e, t, k) in enumerate(out):
+        d = op.terms[e].num.den
+        if d.terms != den.terms:
+            t = _product(t, (den if d.terms == one else den.exact_divide(d)).terms, top)
+        if k:
+            t = {key + (k << shift): v for key, v in t.items()}
+        out[i] = e, t, k
+    return den, out
+
+
+@lru_cache(maxsize=None)
+def _r(vars: VarSet, m: DerivMono, j: int) -> GeoPoly:
+    """R_{m,j} = q1^(j+|m|) D^m q1^-j, one derive at a time by the quotient
+    rule D_i (r / q1^s) = (q1 D_i r - s r D_i q1) / q1^(s+1)."""
+    if not any(m):
+        return GeoPoly.const(vars, 1)
+    if not j or m[-1]:
+        return GeoPoly.zero(vars)
+    i = max(i for i, mi in enumerate(m) if mi)
+    prev = m[:i] + (m[i] - 1,) + m[i + 1:]
+    r, q1 = _r(vars, prev, j), curated_factors(vars)["q1"]
+    return q1 * r.derive(i) - (r * q1.derive(i)).scale(j + sum(prev))
 
 
 @lru_cache(maxsize=None)
@@ -93,51 +126,76 @@ def _lowerings(e: DerivMono, whole: bool) -> Tuple[tuple, ...]:
                  for k, binomial in (((e, 1),) if whole else _iter_sub(e)))
 
 
-def _packed_leibniz(a: Packed, b: Packed, sign: int, whole: bool,
-                    out: Dict[DerivMono, Dict[int, int]]) -> Dict[DerivMono, Dict[int, int]]:
-    """Add sign * binomial * c1 * D^k(c2 g) for every left term c1 g of a
-    coefficient at ea, right term c2 g of a coefficient at eb, and k <= ea
-    (k = ea alone if whole) into out[ea + eb - k].  D^k of a monomial with
-    exponents g is prod_i (g_i)_{k_i} times the monomial with g - k."""
-    for ea, t1 in a:
-        t1, subs = t1.items(), _lowerings(ea, whole)
-        for eb, t2 in b:
-            t2, ab = t2.items(), tuple(map(add, ea, eb))
-            for k, binomial, fields, drop in subs:
-                acc = out.setdefault(tuple(map(sub, ab, k)), {})
-                get, m = acc.get, sign * binomial
-                for k2, c in t2:
-                    c *= m
-                    for s, ki in fields:
-                        c *= perm(k2 >> s & _FIELD, ki)
-                    if c:
-                        k2 -= drop
-                        for k1, c1 in t1:
-                            key = k1 + k2
-                            acc[key] = get(key, 0) + c1 * c
+def _lefts(vs: VarSet, ea: DerivMono, t1: Dict[int, int], j: int,
+           whole: bool) -> List[tuple]:
+    """(ea - m, terms of binom(ea, m) t1 R_{m,j} / q1^|m|, lowerings of
+    ea - m) for each m <= ea with R_{m,j} nonzero, for a j > 0."""
+    (top, shift), out = _frame(vs.arity), []
+    for m, binomial in _iter_sub(ea):
+        r = _r(vs, m, j).terms
+        if r:
+            rest, dm = tuple(map(sub, ea, m)), sum(m) << shift
+            left = {k + dm: binomial * c for k, c in _product(t1, r, top).items()}
+            out.append((rest, left.items(), _lowerings(rest, whole)))
     return out
 
 
-def _poly(vs: VarSet, t: Dict[int, int], den: ParamPoly = _ONE) -> RatCoeff:
-    """The polynomial coefficient of accumulated packed terms t over den."""
-    return _rat(_new(vs, _checked(t, _layout(vs.arity, _PBITS)[3]), den), {})
+def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
+                  out: Sums) -> Sums:
+    """Add sign * binom(ea, m) binom(ea - m, k) * c1 R_{m,j} * D^k(c2 g) into
+    out[ea + eb - m - k] for every left term c1 g of a coefficient at ea,
+    right term c2 g of a coefficient over q1^j at eb, m <= ea with R_{m,j}
+    nonzero (m = 0 alone if j = 0) and k <= ea - m (k = ea alone if whole).
+    D^k of a monomial with exponents g is prod_i (g_i)_{k_i} times the
+    monomial with g - k, and q1 exponents add in their field of the keys."""
+    for ea, t1, _ in a:
+        lefts = {}
+        plain = ((ea, t1.items(), _lowerings(ea, whole)),)
+        for eb, t2, j in b:
+            ms = plain
+            if j:
+                ms = lefts.get(j) or lefts.setdefault(j, _lefts(vs, ea, t1, j, whole))
+            t2 = t2.items()
+            for rest, left, subs in ms:
+                ab = tuple(map(add, rest, eb))
+                for k, binomial, fields, drop in subs:
+                    acc = out.setdefault(tuple(map(sub, ab, k)), {})
+                    get, m = acc.get, sign * binomial
+                    for k2, c in t2:
+                        c *= m
+                        for s, ki in fields:
+                            c *= perm(k2 >> s & _FIELD, ki)
+                        if c:
+                            k2 -= drop
+                            for k1, c1 in left:
+                                key = k1 + k2
+                                acc[key] = get(key, 0) + c1 * c
+    return out
 
 
-class _Derivatives(dict):
-    """``D^k x`` for one coefficient or polynomial ``x``, filled on demand and
-    dropped with the call that builds it.  ``D^k x`` is one more derive of
-    ``D^(k - e_i) x``, i the last variable in k, so each entry takes the chain
-    of derives, first variable first, that differentiating x directly takes.
-    A zero stays zero."""
-
-    def __init__(self, x):
-        super().__init__({(0,) * x.vars.arity: x})
-
-    def __missing__(self, k: DerivMono):
-        i = max(j for j, kj in enumerate(k) if kj)
-        prev = self[k[:i] + (k[i] - 1,) + k[i + 1:]]
-        d = self[k] = prev if prev.is_zero() else prev.derive(i)
-        return d
+def _coefficients(vs: VarSet, sums: Sums, den: ParamPoly) -> Dict[DerivMono, RatCoeff]:
+    """The coefficient num/q1^k over den of each derivative monomial of the
+    sums, k the largest q1 exponent left in its sum, to which every other
+    term is lifted.  A monomial whose sum vanishes gets no coefficient."""
+    (top, shift), coeffs = _frame(vs.arity), {}
+    for e, t in sums.items():
+        t = _checked(t, top)
+        if not t:
+            continue
+        k = max(t) >> shift
+        if k:
+            groups: Dict[int, Dict[int, int]] = {}
+            for key, c in t.items():
+                s = key >> shift
+                groups.setdefault(s, {})[key - (s << shift)] = c
+            t = {}
+            for s, g in groups.items():
+                t = _add(t, g if s == k else _product(g, _q1_power(vs, k - s).terms, top))
+            if not t:
+                continue
+        num = _new(vs, t, den)
+        coeffs[e] = RatCoeff(num, k) if k else _rat(num)
+    return coeffs
 
 
 def _op(vars: VarSet, terms: Dict[DerivMono, RatCoeff]) -> "DiffOp":
@@ -233,10 +291,9 @@ class DiffOp:
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product self o other."""
         self._check(other)
-        pa, pb = _packed(self), _packed(other)
-        if pa is None or pb is None:
-            return self._sum(_leibniz(self, other, 1, {}))
-        return self._packed_sum(_packed_leibniz(pa, pb, 1, False, {}))
+        (da, a), (db, b) = _lifted(self), _lifted(other)
+        vs = self.vars
+        return _op(vs, _coefficients(vs, _leibniz_sums(vs, a, b, 1, False, {}), _dmul(da, db)))
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other)
@@ -244,18 +301,10 @@ class DiffOp:
     def commutator(self, other: "DiffOp") -> "DiffOp":
         """self o other - other o self, both orders summed per coefficient."""
         self._check(other)
-        pa, pb = _packed(self), _packed(other)
-        if pa is None or pb is None:
-            return self._sum(_leibniz(other, self, -1, _leibniz(self, other, 1, {})))
-        return self._packed_sum(
-            _packed_leibniz(pb, pa, -1, False, _packed_leibniz(pa, pb, 1, False, {})))
-
-    def _sum(self, products: Dict[DerivMono, list]) -> "DiffOp":
-        s = RatCoeff.sum_of_products
-        return _op(self.vars, {e: s(self.vars, t) for e, t in products.items()})
-
-    def _packed_sum(self, products: Dict[DerivMono, Dict[int, int]]) -> "DiffOp":
-        return _op(self.vars, {e: _poly(self.vars, t) for e, t in products.items()})
+        (da, a), (db, b) = _lifted(self), _lifted(other)
+        vs = self.vars
+        sums = _leibniz_sums(vs, b, a, -1, False, _leibniz_sums(vs, a, b, 1, False, {}))
+        return _op(vs, _coefficients(vs, sums, _dmul(da, db)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
@@ -273,18 +322,15 @@ class DiffOp:
     # -- action -----------------------------------------------------------
 
     def apply_rat(self, p: GeoPoly) -> RatCoeff:
-        """Exact action on a polynomial; the result may keep a curated
-        denominator when a localized coefficient fails to divide out."""
+        """Exact action on a polynomial; the result keeps a power of q1 when
+        a localized coefficient fails to divide out."""
         vs = self.vars
         if vs != p.vars:
             raise ValueError("variable-set mismatch")
-        pa = _packed(self)
-        if pa is None:
-            dp = _Derivatives(p)
-            return RatCoeff.sum_of_products(
-                vs, [(1, c, RatCoeff(dp[e])) for e, c in self.terms.items()])
+        den, a = _lifted(self)
         e0 = (0,) * vs.arity
-        return _poly(vs, _packed_leibniz(pa, [(e0, p.terms)], 1, True, {}).get(e0, {}), p.den)
+        sums = _leibniz_sums(vs, a, [(e0, p.terms, 0)], 1, True, {})
+        return _coefficients(vs, sums, _dmul(den, p.den)).get(e0) or RatCoeff.zero(vs)
 
     def apply(self, p: GeoPoly) -> GeoPoly:
         """Action on a polynomial, demanding a polynomial result."""

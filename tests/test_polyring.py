@@ -1,4 +1,4 @@
-"""Sparse geometric polynomials, curated-denominator coefficients, and the
+"""Sparse geometric polynomials, coefficients over a power of q1, and the
 homogenization helpers."""
 
 import random
@@ -62,7 +62,7 @@ def test_ratcoeff_autoreduces():
     vs = xi_vars(3)
     q1 = quadratic_sum(vs, 2)
     x3 = GeoPoly.var(vs, "x3")
-    r = RatCoeff(q1 * x3, {"q1": 1})
+    r = RatCoeff(q1 * x3, 1)
     assert r.is_polynomial()
     assert r.as_poly() == x3
 
@@ -70,7 +70,7 @@ def test_ratcoeff_autoreduces():
 def test_ratcoeff_keeps_irreducible_denominator():
     vs = xi_vars(3)
     x3 = GeoPoly.var(vs, "x3")
-    r = RatCoeff(x3, {"q1": 1})
+    r = RatCoeff(x3, 1)
     assert not r.is_polynomial()
     with pytest.raises(ValueError):
         r.as_poly()
@@ -80,38 +80,41 @@ def test_ratcoeff_addition_common_denominator():
     vs = xi_vars(3)
     q1 = quadratic_sum(vs, 2)
     x3 = GeoPoly.var(vs, "x3")
-    a = RatCoeff(x3, {"q1": 1})
-    b = RatCoeff(q1 - x3, {"q1": 1})
+    a = RatCoeff(x3, 1)
+    b = RatCoeff(q1 - x3, 1)
     assert (a + b).as_poly() == GeoPoly.const(vs, 1)
 
 
 def test_ratcoeff_quotient_rule():
-    # d/dx2 (1/x2) = -1/x2^2, x2 = xn at n = 2
+    # d/dx1 o (1/q1) = (1/q1) d/dx1 - 2 x1/q1^2, q1 = x1^2 at n = 2, also
+    # over a parameter denominator
     vs = xi_vars(2)
-    one = GeoPoly.const(vs, 1)
-    r = RatCoeff(one, {"xn": 1})
-    d = r.derive(1)
-    assert d == RatCoeff(-one, {"xn": 2})
+    one, x1 = GeoPoly.const(vs, 1), GeoPoly.var(vs, "x1")
+    for c in (1, LAMBDA / (LAMBDA + 1)):
+        inv = RatCoeff(one.scale(c), 1)
+        op = DiffOp.partial(vs, "x1") @ DiffOp.mult(inv)
+        assert op.terms == {(1, 0): inv, (0, 0): RatCoeff(x1.scale(c * -2), 2)}
+        assert op.terms[(0, 0)].render() == f"({x1.scale(c * -2).render()}) / [q1^2]"
 
 
 def test_ratcoeff_equality_compares_reduced_forms():
-    # at n = 2 the factors are q1 = x1^2, xn = x2 and q = x1^2 + x2^2
+    # at n = 2, q1 = x1^2
     vs = xi_vars(2)
-    x1 = GeoPoly.var(vs, "x1")
-    a, b = RatCoeff(x1, {"q1": 1}), RatCoeff(x1 ** 3, {"q1": 2})
-    assert a.den == b.den == {"q1": 1}
+    x1, x2 = GeoPoly.var(vs, "x1"), GeoPoly.var(vs, "x2")
+    a, b = RatCoeff(x1, 1), RatCoeff(x1 ** 3, 2)
+    assert a.k == b.k == 1 and a.num == b.num == x1
     assert a == b and b == a
-    c = RatCoeff(x1, {"q1": 2})
+    c = RatCoeff(x1, 2)
     assert a != c and c != a
-    assert a != RatCoeff(x1.scale(2), {"q1": 1})
-    assert RatCoeff(x1 * x1, {"q": 1}) != RatCoeff(x1 * x1, {"xn": 1})
+    assert a != RatCoeff(x1.scale(2), 1)
+    assert RatCoeff(x1 * x1 * x2, 1) == RatCoeff(x2) and RatCoeff(x2, 1) != RatCoeff(x2)
 
 
 def test_ratcoeff_scalar_multiples_skip_trial_division(monkeypatch):
-    # a nonzero multiple of a numerator that no factor divides stays so
+    # a nonzero multiple of a numerator that q1 does not divide stays so
     vs = xi_vars(3)
     x3 = GeoPoly.var(vs, "x3")
-    r = RatCoeff(x3.scale(LAMBDA) + GeoPoly.const(vs, 1), {"q1": 2, "xn": 1})
+    r = RatCoeff(x3.scale(LAMBDA) + GeoPoly.const(vs, 1), 2)
     calls = []
     divide = GeoPoly.exact_divide
     monkeypatch.setattr(GeoPoly, "exact_divide",
@@ -119,54 +122,49 @@ def test_ratcoeff_scalar_multiples_skip_trial_division(monkeypatch):
     neg, tripled = -r, r.scale(3)
     assert calls == []
     monkeypatch.undo()
-    assert neg.den == tripled.den == r.den
-    assert neg == RatCoeff(-r.num, r.den)
-    assert tripled == RatCoeff(r.num.scale(3), r.den)
-    assert (neg + r).is_zero() and r.scale(0).is_zero()
+    assert neg.k == tripled.k == r.k == 2
+    assert neg == RatCoeff(-r.num, r.k)
+    assert tripled == RatCoeff(r.num.scale(3), r.k)
+    assert (neg + r).is_zero() and r.scale(0).is_zero() and r.scale(0).k == 0
 
 
-def _over(vs, p, den, common):
-    """p / prod f^den as a polynomial over prod f^common, by GeoPoly products."""
-    facs = curated_factors(vs)
-    for f, e in common.items():
-        p = p * facs[f] ** (e - den.get(f, 0))
-    return p
-
-
-def test_sum_of_products_matches_cross_multiplication():
-    # coefficients over distinct Z[a, l, m] denominators and curated factors,
-    # checked over one common denominator with GeoPoly arithmetic alone
+def test_sums_and_products_over_mixed_q1_powers_match_cross_multiplication():
+    # coefficients over distinct Z[a, l, m] denominators and powers of q1,
+    # added and multiplied as RatCoeffs and checked over q1^4 with GeoPoly
+    # arithmetic alone
     vs = xi_vars(3)
     x1, x3 = GeoPoly.var(vs, "x1"), GeoPoly.var(vs, "x3")
     q1 = quadratic_sum(vs, 2)
-    xs = [RatCoeff(x1.scale(1 / (LAMBDA + 1)), {"q1": 1}),
-          RatCoeff(x3.scale(Fraction(2, 3)) + q1, {"xn": 2}),
-          RatCoeff(x1 * x3 + GeoPoly.const(vs, 1 / (LAMBDA + 2)), {"q": 1, "q1": 1}),
+    xs = [RatCoeff(x1.scale(1 / (LAMBDA + 1)), 1),
+          RatCoeff(x3.scale(Fraction(2, 3)) + q1, 2),
+          RatCoeff(x1 * x3 + GeoPoly.const(vs, 1 / (LAMBDA + 2)), 2),
           RatCoeff(q1.scale(MU))]
-    triples = [(k, a, b) for k, (a, b) in zip((1, -2, 3, 5, -1, 4),
-                                               ((xs[0], xs[1]), (xs[1], xs[2]), (xs[2], xs[3]),
-                                                (xs[3], xs[0]), (xs[0], xs[2]), (xs[3], xs[3])))]
-    common = {"xn": 2, "q1": 2, "q": 2}
-    want = GeoPoly.zero(vs)
-    for k, a, b in triples:
-        den = {f: a.den.get(f, 0) + b.den.get(f, 0) for f in common}
-        want = want + _over(vs, (a.num * b.num).scale(k), den, common)
-    got = RatCoeff.sum_of_products(vs, triples)
-    assert _over(vs, got.num, got.den, common) == want
-    # reduced: no factor of its denominator divides its numerator
-    assert got.den and all(got.num.exact_divide(curated_factors(vs)[f]) is None for f in got.den)
-    # a sum that cancels, and an empty one
-    back = [(-k, a, b) for k, a, b in triples]
-    assert RatCoeff.sum_of_products(vs, triples + back).is_zero()
-    assert RatCoeff.sum_of_products(vs, []).is_zero()
-    # (x3/q1) * (q1/xn) divides out to 1
-    one = RatCoeff.sum_of_products(vs, [(1, RatCoeff(x3, {"q1": 1}), RatCoeff(q1, {"xn": 1}))])
-    assert one.is_polynomial() and one.as_poly() == GeoPoly.const(vs, 1)
+    products = [(k, a, b) for k, (a, b) in zip((1, -2, 3, 5, -1, 4),
+                                                ((xs[0], xs[1]), (xs[1], xs[2]), (xs[2], xs[3]),
+                                                 (xs[3], xs[0]), (xs[0], xs[2]), (xs[3], xs[3])))]
+    got, want = RatCoeff.zero(vs), GeoPoly.zero(vs)
+    for k, a, b in products:
+        got = got + (a * b).scale(k)
+        want = want + (a.num * b.num * q1 ** (4 - a.k - b.k)).scale(k)
+    assert got.num * q1 ** (4 - got.k) == want
+    # reduced: q1 does not divide the numerator
+    assert got.k and got.num.exact_divide(q1) is None
+    # a sum that cancels, and (x3/q1) * q1, which divides out to x3
+    back = RatCoeff.zero(vs)
+    for k, a, b in products:
+        back = back - (a * b).scale(k)
+    assert (got + back).is_zero() and (got + back).k == 0
+    one = RatCoeff(x3, 1) * RatCoeff(q1)
+    assert one.is_polynomial() and one.as_poly() == x3
 
 
 def test_rejects_non_curated_denominator():
-    with pytest.raises(ValueError):
-        RatCoeff(GeoPoly.const(xi_vars(2), 1), {"bogus": 1})
+    # q1 is the one denominator: a nonnegative int power of it, on xi only
+    for vs, k in ((xi_vars(2), -1), (xi_vars(2), {"q1": 1}), (xi_vars(2), 1.0),
+                  (t_var(), 1), (xi_eta_vars(), 2)):
+        with pytest.raises(ValueError):
+            RatCoeff(GeoPoly.const(vs, 1), k)
+    assert RatCoeff(GeoPoly.const(t_var(), 1), 0).is_polynomial()
 
 
 def test_homogenize_roundtrip():

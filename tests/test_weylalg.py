@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from vermabranch import weylalg
-from vermabranch.polyring import GeoPoly, RatCoeff, quadratic_sum, t_var, xi_vars
+from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors, quadratic_sum, t_var,
+                                  xi_vars)
 from vermabranch.properties import (apply_compose, associativity,
                                     field_axioms, jacobi_identity,
                                     normal_order_confluence)
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
-from vermabranch.so_pair import SoPairContext, ladder_ops, op_P, op_Q
-from vermabranch.weylalg import (DiffOp, _Derivatives, _iter_sub, _leibniz,
-                                 proportionality)
+from vermabranch.so_pair import (SoPairContext, casimir_closed_form, ladder_ops, op_P,
+                                  op_Q)
+from vermabranch.weylalg import DiffOp, _iter_sub, proportionality
 
 VS = xi_vars(2)
 X1 = GeoPoly.var(VS, "x1")
@@ -55,11 +55,12 @@ def test_laplacian():
 
 
 def test_apply_demands_polynomial_result():
-    inv = DiffOp.mult(RatCoeff(GeoPoly.const(VS, 1), {"xn": 1}))
+    # at n = 2, q1 = x1^2
+    inv = DiffOp.mult(RatCoeff(GeoPoly.const(VS, 1), 1))
     with pytest.raises(ValueError):
         inv.apply(X1)
-    # but x2/x2 divides out
-    assert inv.apply(X2 * X1) == X1
+    # but x1^2 x2 / q1 divides out
+    assert inv.apply(X1 * X1 * X2) == X2
 
 
 def test_order():
@@ -90,11 +91,19 @@ def test_randomized_property_suites_small():
 
 
 # -- reference fold ----------------------------------------------------------
-# compose, commutator and apply_rat read each D^k of a coefficient from one
-# table per call and build each output coefficient by one sum of products.
-# The plain fold below re-derives D^k for every (ea, k), forms every product
-# with RatCoeff.__mul__ and adds it through DiffOp.__add__; the two must agree
-# term for term, down to the rendered form of every coefficient.
+# compose, commutator and apply_rat run one packed Leibniz loop.  The plain
+# fold below re-derives D^k for every (ea, k) by the quotient rule, forms
+# every product with RatCoeff.__mul__ and adds it through DiffOp.__add__; the
+# two must agree term for term, down to the rendered form of every
+# coefficient.
+
+def _ref_derive(c: RatCoeff, i: int) -> RatCoeff:
+    """d/dx_i (n / q1^k) = (q1 n' - k n q1') / q1^(k+1)."""
+    if not c.k:
+        return RatCoeff(c.num.derive(i))
+    q1 = curated_factors(c.vars)["q1"]
+    return RatCoeff(q1 * c.num.derive(i) - (c.num * q1.derive(i)).scale(c.k), c.k + 1)
+
 
 def _ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
     out = DiffOp.zero(a.vars)
@@ -104,7 +113,7 @@ def _ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
                 dc = cb
                 for i, ki in enumerate(k):
                     for _ in range(ki):
-                        dc = dc.derive(i)
+                        dc = _ref_derive(dc, i)
                     if dc.is_zero():
                         break
                 if dc.is_zero():
@@ -151,49 +160,33 @@ def test_op_q_products_match_reference(n):
     _assert_matches_reference(p_op, q, probe)
 
 
-def _rand_localized_op(rng: random.Random, vs) -> DiffOp:
-    """A sum of one or two terms whose coefficients carry xn, q1 and q
-    denominators, so compose runs the quotient rule through its table."""
+_LOCAL_COEFFS = (1, -2, 3, LAMBDA, LAMBDA + 1, Fraction(1, 2), LAMBDA / (LAMBDA + 1))
+
+
+def _rand_localized_op(rng: random.Random, vs, max_order: int = 1) -> DiffOp:
+    """A sum of one or two terms over q1^0..q1^2, with coefficients over
+    parameter denominators, so compose runs through R_{m,j} and both lifts."""
     out = DiffOp.zero(vs)
     for _ in range(rng.randint(1, 2)):
         num = GeoPoly(vs, {
-            tuple(rng.randint(0, 2) for _ in range(vs.arity)):
-                rng.choice((1, -2, 3, LAMBDA, LAMBDA + 1))
+            tuple(rng.randint(0, 2) for _ in range(vs.arity)): rng.choice(_LOCAL_COEFFS)
             for _ in range(rng.randint(1, 3))})
-        den = {k: rng.randint(1, 2) for k in ("xn", "q1", "q") if rng.random() < 0.5}
-        e = tuple(rng.randint(0, 1) for _ in range(vs.arity))
-        out = out + DiffOp(vs, {e: RatCoeff(num, den)})
+        e = tuple(rng.randint(0, max_order) for _ in range(vs.arity))
+        out = out + DiffOp(vs, {e: RatCoeff(num, rng.randint(0, 2))})
     return out
 
 
 def test_random_localized_products_match_reference():
     rng = random.Random(11)
     vs = xi_vars(3)
-    ops = [_rand_localized_op(rng, vs) for _ in range(50)]
+    # second derivatives reach the multinomial binom(ea, m) > 1
+    ops = [_rand_localized_op(rng, vs, max_order=2) for _ in range(50)]
     probe = quadratic_sum(vs, 3) * GeoPoly.var(vs, "x1") * GeoPoly.var(vs, "x3")
     for a, b in zip(ops, ops[1:] + ops[:1]):
         _assert_matches_reference(a, b, probe)
 
 
-# -- the packed path -----------------------------------------------------------
-# compose, commutator and apply_rat run the Leibniz rule on packed integer
-# terms when every operator coefficient is a polynomial over the parameter
-# denominator 1, and through _leibniz, _Derivatives and
-# RatCoeff.sum_of_products otherwise.  The generic path is the oracle.
-
-def _generic_compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a._sum(_leibniz(a, b, 1, {}))
-
-
-def _generic_commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a._sum(_leibniz(b, a, -1, _leibniz(a, b, 1, {})))
-
-
-def _generic_apply_rat(op: DiffOp, p: GeoPoly) -> RatCoeff:
-    dp = _Derivatives(p)
-    return RatCoeff.sum_of_products(
-        op.vars, [(1, c, RatCoeff(dp[e])) for e, c in op.terms.items()])
-
+# -- polynomial and fractional operands --------------------------------------
 
 def _assert_same(x, y):
     assert x == y and x.render() == y.render()
@@ -211,41 +204,25 @@ def _rand_poly_op(rng: random.Random, vs) -> DiffOp:
                        _rand_param_poly(rng, vs) for _ in range(rng.randint(1, 3))})
 
 
-def _no_generic_path(monkeypatch):
-    monkeypatch.setattr(RatCoeff, "sum_of_products",
-                        lambda *args: pytest.fail("generic path"))
-
-
-def _no_packed_path(monkeypatch):
-    monkeypatch.setattr(weylalg, "_packed_leibniz",
-                        lambda *args: pytest.fail("packed path"))
-
-
 @pytest.mark.parametrize("n", [2, 3])
-def test_packed_products_match_the_generic_path(n, monkeypatch):
+def test_polynomial_products_match_the_reference_fold(n):
     rng = random.Random(100 + n)
     vs = xi_vars(n)
-    cases = []
     for _ in range(40):
         a, b = _rand_poly_op(rng, vs), _rand_poly_op(rng, vs)
         p = _rand_param_poly(rng, vs, max_deg=3)
         # the same polynomial over a parameter denominator
         p_over = p.scale(ParamScalar.const(1) / (LAMBDA * 3 + ALPHA))
-        cases.append((a, b, p, p_over, _generic_compose(a, b),
-                      _generic_commutator(a, b), _generic_apply_rat(a, p),
-                      _generic_apply_rat(a, p_over)))
-    _no_generic_path(monkeypatch)
-    for a, b, p, p_over, ab, bracket, ap, ap_over in cases:
         assert p_over.den.terms != {0: 1}
-        _assert_same(a @ b, ab)
-        _assert_same(a.commutator(b), bracket)
-        _assert_same(a.apply_rat(p), ap)
-        _assert_same(a.apply_rat(p_over), ap_over)
-    assert any(not bracket.is_zero() for *_, bracket, _, _ in cases)
+        _assert_same(a @ b, _ref_compose(a, b))
+        _assert_same(a.commutator(b), _ref_compose(a, b) - _ref_compose(b, a))
+        _assert_same(a.apply_rat(p), _ref_apply_rat(a, p))
+        _assert_same(a.apply_rat(p_over), _ref_apply_rat(a, p_over))
 
 
-def test_localized_and_fractional_operands_take_the_generic_path(monkeypatch):
-    # the ladder's f has a q1 denominator, half a parameter denominator 2
+def test_localized_and_fractional_products_match_the_reference_fold():
+    # the ladder's f has a q1 denominator, half the parameter denominators
+    # 2 and 1 on its two coefficients
     ctx = SoPairContext.formal(3)
     vs = ctx.vars
     f = ladder_ops(ctx, 2)[1]
@@ -253,26 +230,19 @@ def test_localized_and_fractional_operands_take_the_generic_path(monkeypatch):
                        (0, 0, 0): LAMBDA})
     poly = DiffOp(vs, {(0, 1, 1): quadratic_sum(vs, 3), (0, 0, 1): MU})
     probe = quadratic_sum(vs, 2) * ctx.xn() ** 2
-    assert f.terms[(0, 0, 1)].den == {"q1": 1}
+    assert f.terms[(0, 0, 1)].k == 1
     assert half.terms[(1, 0, 0)].num.den.terms == {0: 2}
-    cases = [(a, x, y) for a in (f, half) for x, y in ((a, poly), (poly, a), (a, a))]
-    want = [(_generic_compose(x, y), _generic_commutator(x, y), _generic_apply_rat(a, probe))
-            for a, x, y in cases]
-    _no_packed_path(monkeypatch)
-    for (a, x, y), (xy, bracket, ap) in zip(cases, want):
-        _assert_same(x @ y, xy)
-        _assert_same(x.commutator(y), bracket)
-        _assert_same(a.apply_rat(probe), ap)
-    # the unchanged generic results agree with the plain reference fold
     for a in (f, half):
-        _assert_matches_reference(a, poly, probe)
+        for x, y in ((a, poly), (poly, a), (a, a), (f, half), (half, f)):
+            _assert_same(x @ y, _ref_compose(x, y))
+            _assert_same(x.commutator(y), _ref_compose(x, y) - _ref_compose(y, x))
+        _assert_same(a.apply_rat(probe), _ref_apply_rat(a, probe))
 
 
-def test_products_past_the_exponent_limit_are_rejected(monkeypatch):
+def test_products_past_the_exponent_limit_are_rejected():
     # half * half reaches 2^15 in the t field or in the l field, as a product
     # of coefficients or through a derivative: half d/dt (t half) = half^2 + ...
     vs = t_var()
-    _no_generic_path(monkeypatch)
     for half in (GeoPoly.var(vs, "t", 2 ** 14), GeoPoly.const(vs, LAMBDA) ** 2 ** 14):
         mult, op = DiffOp.mult(half), DiffOp(vs, {(1,): half})
         big = half * GeoPoly.var(vs, "t")
@@ -280,7 +250,7 @@ def test_products_past_the_exponent_limit_are_rejected(monkeypatch):
                         lambda: op.commutator(DiffOp.mult(big)), lambda: op.apply_rat(big)):
             with pytest.raises(ValueError, match="exponent of 32768"):
                 product()
-    # just below the limit the packed path runs
+    # just below the limit the product is built
     below = DiffOp(vs, {(1,): GeoPoly.var(vs, "t", 2 ** 14 - 1)})
     assert (below @ below).order() == 2
 
@@ -306,7 +276,7 @@ def test_scalar_coefficients_coerce(c):
 
 
 def test_polynomial_and_localized_coefficients():
-    inv = RatCoeff(GeoPoly.const(VS, 1), {"xn": 1})
+    inv = RatCoeff(GeoPoly.const(VS, 1), 1)
     op = DiffOp(VS, {(0, 0): X1, (0, 1): inv})
     assert op.terms == {(0, 0): RatCoeff(X1), (0, 1): inv}
     assert op == DiffOp.mult(X1) + DiffOp.mult(inv) @ D2
@@ -323,3 +293,49 @@ def test_algebra_results_skip_the_constructor(monkeypatch):
     monkeypatch.setattr(DiffOp, "__init__", lambda *args: pytest.fail("checked"))
     for op in (a + b, -a, a - b, a.scale(LAMBDA), a @ b, a.commutator(b)):
         assert not op.is_zero()
+
+
+# -- the algebra laws on localized operands ------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_localized_operators_satisfy_the_algebra_laws(n):
+    # q1 is x1^2 at n = 2, which is not irreducible, and x1^2 + x2^2 at n = 3
+    rng = random.Random(40 + n)
+    vs = xi_vars(n)
+    drawn = []
+    for _ in range(10):
+        a, b, c = (_rand_localized_op(rng, vs) for _ in range(3))
+        drawn += [a, b, c]
+        _assert_same((a @ b) @ c, a @ (b @ c))
+        jacobi = (a.commutator(b.commutator(c)) + b.commutator(c.commutator(a))
+                  + c.commutator(a.commutator(b)))
+        assert jacobi.is_zero()
+        assert a.commutator(a).is_zero()
+        _assert_same(a @ (b + c), a @ b + a @ c)
+        _assert_same((a + b) @ c, a @ c + b @ c)
+    coeffs = [x for op in drawn for x in op.terms.values()]
+    assert any(x.k == 2 for x in coeffs)
+    assert any(x.num.den.terms != {0: 1} for x in coeffs)
+
+
+# -- witness renders -------------------------------------------------------------
+# A failing sl2 or Casimir check prints these operators and coefficients.
+
+def test_witness_renders_are_pinned():
+    ctx = SoPairContext.formal(3)
+    f = ladder_ops(ctx, 2)[1]
+    assert f.render() == "((x1^2 + x2^2 + x3^2) / [q1]) D[x3] + ((-2*x3) / [q1])"
+    assert (f @ f).render() == (
+        "((x1^4 + 2*x1^2*x2^2 + 2*x1^2*x3^2 + x2^4 + 2*x2^2*x3^2 + x3^4) / [q1^2]) D[x3]^2"
+        " + ((-2*x1^2*x3 - 2*x2^2*x3 - 2*x3^3) / [q1^2]) D[x3]"
+        " + ((-2*x1^2 - 2*x2^2 + 2*x3^2) / [q1^2])")
+    assert casimir_closed_form(ctx, 2).render() == (
+        "(2*x1^2) D[x1]^2 + (4*x1*x2) D[x1]*D[x2] + (4*x1*x3) D[x1]*D[x3]"
+        " + (2*x2^2) D[x2]^2 + (4*x2*x3) D[x2]*D[x3]"
+        " + ((-2*x1^4 - 4*x1^2*x2^2 - 2*x1^2*x3^2 - 2*x2^4 - 2*x2^2*x3^2 - 2*x3^4) / [q1])"
+        " D[x3]^2 + ((-4*l - 2)*x1) D[x1] + ((-4*l - 2)*x2) D[x2]"
+        " + (((4*l + 2)*x3^3) / [q1]) D[x3]"
+        " + (((2*l^2 + 6*l + 4)*x1^2 + (2*l^2 + 6*l + 4)*x2^2 - 8*l*x3^2) / [q1])")
+    x3 = GeoPoly.var(ctx.vars, "x3")
+    assert RatCoeff(x3.scale(LAMBDA) + GeoPoly.const(ctx.vars, 1), 2).render() \
+        == "(l*x3 + 1) / [q1^2]"

@@ -21,6 +21,10 @@ terms, and :meth:`GeoPoly.relabel` moves a value between models.  Only the
 read-only view (``coefficients``, ``coefficient``, ``leading``) builds
 per-monomial ParamScalars, in the canonical form of :mod:`scalars`.
 
+The constructor, ``+`` and the operator products of :mod:`~vermabranch.weylalg`
+put numerators over the lcm of their parameter denominators in one routine,
+:func:`_over_common`.
+
 A :class:`RatCoeff` is ``num / q1^k`` with a GeoPoly ``num`` and an int k,
 q1 divided out of ``num`` as often as it goes.
 """
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import gcd
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .scalars import (_FIELD, _ONE, _PBITS, _PMASK, _add, _divide, _gcd,
                       _layout, _normalize, _pack, _product, _unpack, ParamPoly,
@@ -75,11 +79,20 @@ def x_var() -> VarSet:
     return VarSet("x", ("x",))
 
 
-def _lcm(d1: ParamPoly, d2: ParamPoly) -> Tuple[ParamPoly, ParamPoly, ParamPoly]:
-    """A common multiple D of two denominators, with D/d1 and D/d2."""
-    g = _gcd(d1, d2)
-    m1, m2 = d2.exact_divide(g), d1.exact_divide(g)
-    return d1 * m1, m1, m2
+def _over_common(vars: VarSet, nums: List[Dict[int, int]],
+                 dens: List[ParamPoly]) -> Tuple[ParamPoly, List[Dict[int, int]]]:
+    """The lcm D of the parameter denominators dens, and each packed numerator
+    of nums lifted to D, so that nums[i]/dens[i] is lifted[i]/D.  Where every
+    denominator equals the first, as in nearly every call, it returns at once
+    with nums itself."""
+    d0 = dens[0] if dens else _ONE
+    if dens.count(d0) == len(dens):
+        return d0, nums
+    den, lift = _ONE, dict.fromkeys(dens)
+    for d in lift:
+        den = den * d.exact_divide(_gcd(den, d))
+    lift, top = {d: den.exact_divide(d).terms for d in lift}, _layout(vars.arity, _PBITS)[3]
+    return den, [_product(t, lift[d], top) for t, d in zip(nums, dens)]
 
 
 def _dmul(d1: ParamPoly, d2: ParamPoly) -> ParamPoly:
@@ -89,9 +102,9 @@ def _dmul(d1: ParamPoly, d2: ParamPoly) -> ParamPoly:
 def _new(vars: VarSet, terms: Dict[int, int], den: ParamPoly = _ONE) -> "GeoPoly":
     """The GeoPoly of packed nonzero terms over den, brought to kernel form.
     Every internal result is built here, not by the constructor."""
-    if not terms:
+    if not terms or den.terms == _ONE.terms:
         den = _ONE
-    elif den.terms != _ONE.terms:
+    else:
         terms, den = _normalize(terms, den)
     p = GeoPoly.__new__(GeoPoly)
     p.vars, p.terms, p.den = vars, terms, den
@@ -106,25 +119,19 @@ class GeoPoly:
 
     def __init__(self, vars: VarSet, terms: Mapping[Expts, object] | None = None):
         """The polynomial with coefficients ``terms``: int, Fraction, ParamPoly
-        or ParamScalar on exponent tuples of the arity of vars.  One pass:
-        every numerator is lifted to the lcm of the denominators."""
-        cs, lift, den = [], {}, _ONE
+        or ParamScalar on exponent tuples of the arity of vars, each numerator
+        lifted to the lcm of the denominators by :func:`_over_common`."""
+        gs, nums, dens = [], [], []
         for e, c in (terms or {}).items():
             if len(e) != vars.arity:
                 raise ValueError("exponent arity mismatch")
             g, c = _pack(e, _PBITS), ParamScalar.coerce(c)
             if c.num.terms:
-                cs.append((g, c))
-                if c.den is not _ONE and c.den not in lift:
-                    lift[c.den] = None
-                    den = _lcm(den, c.den)[0]
-        lift, out = {d: den.exact_divide(d) for d in lift}, {}
-        top = _layout(vars.arity, _PBITS)[3]
-        for g, c in cs:
-            t = {g + k: v for k, v in c.num.terms.items()}
-            m = den if c.den is _ONE else lift[c.den]
-            out.update(t if m is _ONE else _product(t, m.terms, top))
-        p = _new(vars, out, den)
+                gs.append(g)
+                nums.append(c.num.terms)
+                dens.append(c.den)
+        den, nums = _over_common(vars, nums, dens)
+        p = _new(vars, {g + k: v for g, t in zip(gs, nums) for k, v in t.items()}, den)
         self.vars, self.terms, self.den = vars, p.terms, p.den
 
     # -- constructors -----------------------------------------------------
@@ -188,11 +195,7 @@ class GeoPoly:
             return self
         if not self.terms:
             return other
-        a, b, den = self.terms, other.terms, self.den
-        if other.den != den:
-            top = _layout(self.vars.arity, _PBITS)[3]
-            den, ma, mb = _lcm(den, other.den)
-            a, b = _product(a, ma.terms, top), _product(b, mb.terms, top)
+        den, (a, b) = _over_common(self.vars, [self.terms, other.terms], [self.den, other.den])
         return _new(self.vars, _add(a, b), den)
 
     def __neg__(self) -> "GeoPoly":

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .polyring import GeoPoly, RatCoeff, xi_vars
+from .polyring import GeoPoly, xi_vars
 from .report import ReportBundle
 from .scalars import ParamScalar
 from .weylalg import DiffOp
@@ -15,7 +15,7 @@ from .weylalg import DiffOp
 _SYMBOLS = ("l", "m")
 
 
-def _rand_scalar(rng: random.Random, depth: int = 2) -> ParamScalar:
+def _rand_scalar(rng: random.Random) -> ParamScalar:
     """A random element of the parameter field: small polynomials in the
     formal weights over small rationals, occasionally divided."""
     def poly() -> ParamScalar:
@@ -26,7 +26,7 @@ def _rand_scalar(rng: random.Random, depth: int = 2) -> ParamScalar:
         return out
 
     num = poly()
-    if depth > 0 and rng.random() < 0.3:
+    if rng.random() < 0.3:
         den = poly()
         if not den.is_zero():
             return num / den
@@ -42,11 +42,12 @@ def _rand_poly(rng: random.Random, vars, max_terms: int = 3, max_deg: int = 2) -
 
 
 def _rand_op(rng: random.Random, vars, max_terms: int = 2) -> DiffOp:
-    out = DiffOp.zero(vars)
+    terms = {}
     for _ in range(rng.randint(1, max_terms)):
         e = tuple(rng.randint(0, 2) for _ in range(vars.arity))
-        out = out + DiffOp(vars, {e: RatCoeff(_rand_poly(rng, vars))})
-    return out
+        p = _rand_poly(rng, vars)
+        terms[e] = terms[e] + p if e in terms else p
+    return DiffOp(vars, terms)
 
 
 def _run(stem: str, anchor: str, seed: int, cases: int, case) -> ReportBundle:

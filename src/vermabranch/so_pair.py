@@ -163,6 +163,14 @@ def ladder_images(ctx: SoPairContext, l: int
     return ev, fv, up, down
 
 
+@per_context
+def p_image(ctx: SoPairContext, l: int) -> Tuple[GeoPoly, ParamScalar | None]:
+    """(P F_l, c) with P F_l = c F_{l-1}, read by both checks that P lowers:
+    c is None where P F_l is no multiple of F_{l-1}, and at l = 0."""
+    pv = op_P(ctx).apply(singular_vector_F(ctx, l))
+    return pv, proportionality(pv, singular_vector_F(ctx, l - 1)) if l else None
+
+
 def e_euler_form(ctx: SoPairContext) -> DiffOp:
     """The raising operator with the degree index promoted to the Euler
     operator: -(sum xi^2) d_n - (E - 1 + 2a) xn."""
@@ -290,15 +298,13 @@ def pq_membership_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     t-model transport of the P constants."""
     bundle = ReportBundle()
     fs = [singular_vector_F(ctx, l) for l in range(max_degree + 2)]
-    p = op_P(ctx)
     q = op_Q(ctx)
     for l in range(max_degree + 1):
         tag = f"n={ctx.n},l={l}"
-        pv = p.apply(fs[l])
+        pv, c = p_image(ctx, l)
         if l == 0:
             bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", pv.is_zero(), witness=pv)
         else:
-            c = proportionality(pv, fs[l - 1])
             bundle.check(f"pq.lower.{tag}", "so-pair:lowering-operator", c is not None, witness=pv)
             if c is not None:
                 bundle.data[f"pq.lower-constant.{tag}"] = c.render()
@@ -330,12 +336,11 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     bundle = ReportBundle()
     anchor = "so-pair:t-model"
     fs = [singular_vector_F(ctx, l) for l in range(max_degree + 1)]
-    p = op_P(ctx)
     for l in range(max_degree + 1):
         tag = f"n={ctx.n},l={l}"
         lower = gegenbauer_tilde_lower_op(l)
         image = lower.apply(t_model_poly(fs[l]))
-        pv = p.apply(fs[l])
+        pv, c_xi = p_image(ctx, l)
         # unnormalized family: the ladder constant (l+2a-1)
         t_img = lower.apply(tilde_gegenbauer(ctx, l))
         if l == 0:
@@ -351,7 +356,6 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
         exp_f = expected_ladder_constants(ctx, l)[1]
         bundle.check(f"tmodel.f-square.{tag}", anchor,
                      c_t is not None and c_t == exp_f, witness=c_t)
-        c_xi = proportionality(pv, fs[l - 1])
         bundle.check(f"tmodel.p-membership.{tag}", "so-pair:lowering-operator",
                      c_xi is not None, witness=pv)
         if c_t is not None and c_xi is not None and not c_t.is_zero():

@@ -16,9 +16,9 @@ re-establishes that normal form via the Leibniz rule
 loop over packed integer terms:
 
 - each operand's numerators are lifted to one shared Z[a, l, m] denominator,
-  the lcm of its coefficients' as in ``GeoPoly.__init__``, so the loop
-  multiplies integers and a result's parameter denominator is the product of
-  its operands';
+  the lcm of its coefficients', by :func:`~vermabranch.polyring._over_common`,
+  so the loop multiplies integers and a result's parameter denominator is the
+  product of its operands';
 - a right coefficient n/q1^j is differentiated as
 
       D^k (n q1^-j) = sum_{m <= k} binom(k, m) D^(k-m) n R_{m,j} / q1^(j+|m|),
@@ -44,9 +44,9 @@ from math import comb, perm
 from operator import add, sub
 from typing import Dict, List, Tuple
 
-from .polyring import (GeoPoly, RatCoeff, VarSet, _dmul, _lcm, _new, _q1_power, _rat,
-                       curated_factors)
-from .scalars import (_FIELD, _ONE, _PBITS, _W, _add, _checked, _layout, _product,
+from .polyring import (GeoPoly, RatCoeff, VarSet, _dmul, _new, _over_common, _q1_power,
+                       _rat, curated_factors)
+from .scalars import (_FIELD, _PBITS, _W, _add, _checked, _layout, _product,
                       ParamPoly, ParamScalar)
 
 DerivMono = Tuple[int, ...]
@@ -78,26 +78,17 @@ def _lifted(op: "DiffOp") -> Tuple[ParamPoly, Lifted]:
     """The lcm D of the parameter denominators of op's coefficients, and for
     each coefficient num/q1^k the (e, packed numerator over D, k), with k in
     the q1 exponent field of every key."""
-    one, out, plain = _ONE.terms, [], True
+    nums, dens, out = [], [], []
     for e, c in op.terms.items():
-        num = c.num
-        plain = plain and not c.k and num.den.terms == one
-        out.append((e, num.terms, c.k))
-    if plain:
-        return _ONE, out
-    den = _ONE
-    for c in op.terms.values():
-        d = c.num.den
-        if d.terms != one and d != den:
-            den = d if den is _ONE else _lcm(den, d)[0]
-    top, shift = _frame(op.vars.arity)
-    for i, (e, t, k) in enumerate(out):
-        d = op.terms[e].num.den
-        if d.terms != den.terms:
-            t = _product(t, (den if d.terms == one else den.exact_divide(d)).terms, top)
+        t, k = c.num.terms, c.k
         if k:
-            t = {key + (k << shift): v for key, v in t.items()}
-        out[i] = e, t, k
+            t = {key + (k << _frame(op.vars.arity)[1]): v for key, v in t.items()}
+        nums.append(t)
+        dens.append(c.num.den)
+        out.append((e, t, k))
+    den, lifted = _over_common(op.vars, nums, dens)
+    if lifted is not nums:
+        out = [(e, t, k) for (e, _, k), t in zip(out, lifted)]
     return den, out
 
 

@@ -15,11 +15,13 @@ from vermabranch.diag_pair import (DiagContext, jacobi_t_polynomial,
 from vermabranch.polyring import (curated_factors, per_context, quadratic_sum,
                                   xi_vars)
 from vermabranch.so_pair import (SoPairContext, ladder_images, ladder_ops,
-                                 lowering_direction_op, op_P, op_Q,
-                                 singular_vector_F, tilde_gegenbauer)
+                                 lowering_direction_op, op_P, op_Q, p_image,
+                                 pq_membership_check, singular_vector_F,
+                                 t_model_check, tilde_gegenbauer)
+from vermabranch.weylalg import proportionality
 
 SO_BUILDS = [(lowering_direction_op, (1,)), (op_Q, ()), (ladder_images, (0,)),
-             (ladder_images, (3,)), (tilde_gegenbauer, (3,))]
+             (ladder_images, (3,)), (tilde_gegenbauer, (3,)), (p_image, (2,))]
 
 
 def test_curated_factors_shared_per_varset():
@@ -77,6 +79,28 @@ def test_ladder_images_match_direct_application():
     assert up == ladder_ops(ctx, 3)[1].apply_rat(ev)
     assert down == e_dn.apply(f_l.apply(f))
     assert ladder_images(ctx, 0)[3] is None
+
+
+def test_p_image_matches_direct_application():
+    ctx = SoPairContext.formal(3)
+    pv, c = p_image(ctx, 2)
+    assert pv == op_P(ctx).apply(singular_vector_F(ctx, 2))
+    f1 = singular_vector_F(ctx, 1)
+    assert c == proportionality(pv, f1) and pv == f1.scale(c)
+    pv0, c0 = p_image(ctx, 0)
+    assert pv0.is_zero() and c0 is None
+
+
+def test_both_lowering_checks_read_one_p_image(monkeypatch):
+    # pq.lower and tmodel.p-membership state one claim: P F_l is applied
+    # once per context and degree
+    ctx, applied = SoPairContext.formal(3), []
+    p = op_P(ctx)
+    apply = type(p).apply
+    monkeypatch.setattr(type(p), "apply", lambda op, f: applied.append(op is p) or apply(op, f))
+    pq_membership_check(ctx, 3)
+    t_model_check(ctx, 3)
+    assert applied.count(True) == 4
 
 
 def test_jacobi_built_once_per_context():

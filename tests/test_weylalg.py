@@ -222,18 +222,27 @@ def test_polynomial_products_match_the_reference_fold(n):
 
 def test_localized_and_fractional_products_match_the_reference_fold():
     # the ladder's f has a q1 denominator, half the parameter denominators
-    # 2 and 1 on its two coefficients
+    # 2 and 1 on its two coefficients, and nested the parameter denominators
+    # l+1, (l+1)(m-1), l+1 again (under q1) and 2, which its operands share
+    # only after the dedup and the nesting of their lcm
     ctx = SoPairContext.formal(3)
     vs = ctx.vars
+    x1, x2, x3 = (GeoPoly.var(vs, name) for name in vs.names)
     f = ladder_ops(ctx, 2)[1]
-    half = DiffOp(vs, {(1, 0, 0): GeoPoly.var(vs, "x3").scale(Fraction(1, 2)),
-                       (0, 0, 0): LAMBDA})
+    half = DiffOp(vs, {(1, 0, 0): x3.scale(Fraction(1, 2)), (0, 0, 0): LAMBDA})
+    nested = DiffOp(vs, {(1, 0, 0): x2.scale(1 / (LAMBDA + 1)),
+                         (0, 1, 0): (x1 + x3).scale(MU / ((LAMBDA + 1) * (MU - 1))),
+                         (0, 0, 1): RatCoeff(x3.scale(LAMBDA / (LAMBDA + 1)), 1),
+                         (0, 0, 0): Fraction(3, 2)})
     poly = DiffOp(vs, {(0, 1, 1): quadratic_sum(vs, 3), (0, 0, 1): MU})
     probe = quadratic_sum(vs, 2) * ctx.xn() ** 2
     assert f.terms[(0, 0, 1)].k == 1
     assert half.terms[(1, 0, 0)].num.den.terms == {0: 2}
-    for a in (f, half):
-        for x, y in ((a, poly), (poly, a), (a, a), (f, half), (half, f)):
+    dens = [c.num.den for c in nested.terms.values()]
+    assert dens[0] == dens[2] != dens[1] and dens[3].terms == {0: 2}
+    assert dens[1].exact_divide(dens[0]) is not None
+    for a in (f, half, nested):
+        for x, y in ((a, poly), (poly, a), (a, a), (a, f), (f, a), (a, half), (half, a)):
             _assert_same(x @ y, _ref_compose(x, y))
             _assert_same(x.commutator(y), _ref_compose(x, y) - _ref_compose(y, x))
         _assert_same(a.apply_rat(probe), _ref_apply_rat(a, probe))

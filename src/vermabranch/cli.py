@@ -8,6 +8,7 @@ errors, degenerate weights included.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -28,18 +29,24 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _degree(text: str) -> int:
-    d = int(text)
-    if d < 0:
-        raise argparse.ArgumentTypeError(f"degree must be nonnegative: {d}")
-    return d
+def _at_least(lo: int, name: str, message: str):
+    """The argparse type ``name`` of the ints >= lo: it rejects a smaller one
+    as ``message: value``, and argparse's error for a non-int names it."""
+    def parse(text: str) -> int:
+        k = int(text)
+        if k < lo:
+            raise argparse.ArgumentTypeError(f"{message}: {k}")
+        return k
+    parse.__name__ = name
+    return parse
 
 
-def _cases(text: str) -> int:
-    k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"cases must be at least 1: {k}")
-    return k
+_degree = _at_least(0, "_degree", "degree must be nonnegative")
+_cases = _at_least(1, "_cases", "cases must be at least 1")
+
+# the RunConfig scenario of each scenario subcommand
+_SCENARIOS = {"verify-so": "so_pair", "verify-diag": "diag_pair",
+              "branch-report": "branch", "all": "all"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,16 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--lambda", dest="lam", type=_rational, default=None,
                     metavar="RATIONAL|formal",
                     help="inducing weight; omit or pass 'formal' for the symbolic one")
-    so.add_argument("--json", metavar="PATH", help="write the JSON report here")
-    so.add_argument("--seed", type=int, default=0)
 
     diag = sub.add_parser("verify-diag", help="diagonal-pair scenario checks")
     diag.add_argument("--max-degree", type=_degree, default=4)
     diag.add_argument("--lambda", dest="lam", type=_rational, default=None,
                       metavar="RATIONAL|formal")
     diag.add_argument("--mu", type=_rational, default=None, metavar="RATIONAL|formal")
-    diag.add_argument("--json", metavar="PATH")
-    diag.add_argument("--seed", type=int, default=0)
 
     br = sub.add_parser("branch-report", help="tensor-product branching bookkeeping")
     br.add_argument("--N", type=int, required=True, help="total weight lambda + mu")
@@ -72,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     br.add_argument("--lambda", dest="lam", type=_rational, default=None,
                     metavar="RATIONAL")
     br.add_argument("--mu", type=_rational, default=None, metavar="RATIONAL")
-    br.add_argument("--json", metavar="PATH")
-    br.add_argument("--seed", type=int, default=0)
 
     ortho = sub.add_parser("ortho-tables",
                            help="print the Gegenbauer and Jacobi tables")
@@ -86,9 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     allp.add_argument("--cutoff", type=int, default=8)
     allp.add_argument("--cases", type=_cases, default=25,
                       help="cases per randomized property suite")
-    allp.add_argument("--json", metavar="PATH")
-    allp.add_argument("--seed", type=int, default=0)
 
+    # after each subcommand's own options, so that its usage line lists them last
+    for sp in (so, diag, br, allp):
+        sp.add_argument("--json", metavar="PATH", help="write the JSON report here")
+        sp.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -138,38 +141,25 @@ def _ortho_tables(max_degree: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.command == "ortho-tables":
+        return _ortho_tables(args.max_degree)
     try:
-        _probe_writable(getattr(args, "json", None))
+        _probe_writable(args.json)
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
     try:
-        if args.command == "verify-so":
-            config = RunConfig("so_pair", n=args.n, max_degree=args.max_degree,
-                               lam=args.lam, seed=args.seed)
-            return _emit(run_suite(config), config, args.json)
-        if args.command == "verify-diag":
-            config = RunConfig("diag_pair", max_degree=args.max_degree,
-                               lam=args.lam, mu=args.mu, seed=args.seed)
-            return _emit(run_suite(config), config, args.json)
-        if args.command == "branch-report":
-            config = RunConfig("branch", N=args.N, cutoff=args.cutoff,
-                               lam=args.lam, mu=args.mu, seed=args.seed)
-            return _emit(run_suite(config), config, args.json)
-        if args.command == "ortho-tables":
-            return _ortho_tables(args.max_degree)
+        config = RunConfig(_SCENARIOS[args.command],
+                           **{k: v for k, v in vars(args).items() if k in fields})
+        bundle = run_suite(config)
         if args.command == "all":
-            config = RunConfig("all", n=args.n, max_degree=args.max_degree,
-                               N=args.N, cutoff=args.cutoff, seed=args.seed)
-            bundle = run_suite(config)
             bundle.extend(run_property_suites(args.seed, args.cases))
-            return _emit(bundle, config, args.json)
+        return _emit(bundle, config, args.json)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

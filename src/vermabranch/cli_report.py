@@ -47,6 +47,9 @@ class RunConfig:
             raise ValueError("max_degree must be >= 1")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
+        # only the orthogonal pair reads lambda without mu
+        if self.scenario != "so_pair" and (self.lam is None) != (self.mu is None):
+            raise ValueError("lambda and mu must be given together")
 
     def to_dict(self) -> Dict:
         return {
@@ -67,10 +70,8 @@ def _so_context(config: RunConfig) -> so_pair.SoPairContext:
 
 
 def _diag_context(config: RunConfig) -> diag_pair.DiagContext:
-    if config.lam is None and config.mu is None:
+    if config.lam is None:
         return diag_pair.DiagContext.formal()
-    if config.lam is None or config.mu is None:
-        raise ValueError("lambda and mu must be given together")
     for name, v in (("lambda", config.lam), ("mu", config.mu)):
         if v.denominator == 1 and v >= 0:
             raise ValueError(
@@ -108,9 +109,7 @@ def diag_suite(config: RunConfig) -> ReportBundle:
 
 def branch_suite(config: RunConfig) -> ReportBundle:
     bundle = ReportBundle()
-    if config.lam is not None or config.mu is not None:
-        if config.lam is None or config.mu is None:
-            raise ValueError("lambda and mu must be given together")
+    if config.lam is not None:
         if config.lam + config.mu != config.N:
             raise ValueError(
                 f"lambda + mu = {config.lam + config.mu} does not match N = {config.N}")

@@ -28,11 +28,8 @@ def rising_factorial(z, k: int) -> ParamScalar:
 
 
 def falling_factorial(z, k: int) -> ParamScalar:
-    z = ParamScalar.coerce(z)
-    out = ParamScalar.const(1)
-    for i in range(k):
-        out = out * (z - i)
-    return out
+    """z (z-1) ... (z-k+1) = (z-k+1)_k; empty product for k = 0."""
+    return rising_factorial(ParamScalar.coerce(z) - (k - 1), k)
 
 
 def gen_binomial(z, k: int) -> ParamScalar:

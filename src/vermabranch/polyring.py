@@ -38,8 +38,8 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .scalars import (_FIELD, _ONE, _PBITS, _PMASK, _add, _divide, _gcd,
-                      _layout, _normalize, _pack, _product, _unpack, ParamPoly,
-                      ParamScalar)
+                      _layout, _monomial, _normalize, _pack, _product,
+                      _signed_sum, _unpack, ParamPoly, ParamScalar)
 
 Expts = Tuple[int, ...]
 
@@ -285,38 +285,20 @@ class GeoPoly:
     # -- rendering --------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for e, c in self.coefficients().items():
-            mono = "*".join(self.vars.names[i] + (f"^{x}" if x > 1 else "")
-                            for i, x in enumerate(e) if x)
+            mono = _monomial(self.vars.names, e)
             cs = c.render()
-            if mono:
-                if cs == "1":
-                    body = mono
-                elif cs == "-1":
-                    body = f"-{mono}"
-                elif _is_simple(cs):
-                    body = f"{cs}*{mono}"
-                else:
-                    body = f"({cs})*{mono}"
+            if " " in cs or "/" in cs:
+                cs = f"({cs})"
+            if mono and cs in ("1", "-1"):
+                parts.append(mono if cs == "1" else f"-{mono}")
             else:
-                body = cs if _is_simple(cs) else f"({cs})"
-            if not parts:
-                parts.append(body)
-            elif body.startswith("-"):
-                parts.append("- " + body[1:])
-            else:
-                parts.append("+ " + body)
-        return " ".join(parts)
+                parts.append(f"{cs}*{mono}" if mono else cs)
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"GeoPoly({self.render()})"
-
-
-def _is_simple(s: str) -> bool:
-    return " " not in s and "/" not in s
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +446,7 @@ class RatCoeff:
     def render(self) -> str:
         if not self.k:
             return self.num.render()
-        return f"({self.num.render()}) / [q1" + (f"^{self.k}]" if self.k > 1 else "]")
+        return f"({self.num.render()}) / [{_monomial(('q1',), (self.k,))}]"
 
     def __repr__(self):
         return f"RatCoeff({self.render()})"

@@ -34,6 +34,9 @@ division.  A value thus has one form, and equality and hashing compare forms.
 ``render`` divides both sides by the content of the denominator and so prints
 a primitive denominator with positive leading coefficient over a numerator
 with rational coefficients.
+
+Every render writes its monomials with :func:`_monomial` and joins its signed
+terms with :func:`_signed_sum`; each keeps its own coefficient rule.
 """
 
 from __future__ import annotations
@@ -85,6 +88,20 @@ def _pack(e: Sequence[int], base: int = 0) -> int:
 def _unpack(k: int, n: int, base: int = 0) -> Tuple[int, ...]:
     """The n exponents packed above bit base in the key k."""
     return tuple(k >> s & _FIELD for s in _layout(n, base)[0])
+
+
+def _monomial(names: Sequence[str], exps: Sequence[int], form: str = "{}") -> str:
+    """The factors ``form(name)^e`` of the nonzero exponents joined by ``*``,
+    exponent 1 left bare; "" for no factor."""
+    return "*".join(form.format(s) + (f"^{x}" if x > 1 else "")
+                    for s, x in zip(names, exps) if x)
+
+
+def _signed_sum(parts: List[str]) -> str:
+    """The terms as ``t1 + t2 - t3``: the first as it is, a later one as
+    ``+ t``, or as ``- t[1:]`` where it starts with a minus; "0" for none."""
+    signed = [f"- {t[1:]}" if t[0] == "-" else f"+ {t}" for t in parts[1:]]
+    return " ".join(parts[:1] + signed) or "0"
 
 
 def _add(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
@@ -230,23 +247,15 @@ class ParamPoly:
 
     def render(self, div: int = 1) -> str:
         """The polynomial with every coefficient divided by ``div``."""
-        if not self.terms:
-            return "0"
         parts = []
         for k in sorted(self.terms, reverse=True):
             c = self.terms[k] if div == 1 else Fraction(self.terms[k], div)
-            mono = "*".join(SYMBOLS[i] + (f"^{x}" if x > 1 else "")
-                            for i, x in enumerate(_unpack(k, len(SYMBOLS))) if x)
-            ac = abs(c)
-            if mono:
-                body = mono if ac == 1 else f"{ac}*{mono}"
+            mono = _monomial(SYMBOLS, _unpack(k, len(SYMBOLS)))
+            if mono and abs(c) == 1:
+                parts.append(mono if c > 0 else f"-{mono}")
             else:
-                body = str(ac)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+                parts.append(f"{c}*{mono}" if mono else str(c))
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"ParamPoly({self.render()})"

@@ -46,8 +46,8 @@ from typing import Dict, List, Tuple
 
 from .polyring import (GeoPoly, RatCoeff, VarSet, _dmul, _new, _over_common, _q1_power,
                        _rat, curated_factors)
-from .scalars import (_FIELD, _PBITS, _W, _add, _checked, _layout, _product,
-                      ParamPoly, ParamScalar)
+from .scalars import (_FIELD, _PBITS, _W, _add, _checked, _layout, _monomial,
+                      _product, ParamPoly, ParamScalar)
 
 DerivMono = Tuple[int, ...]
 Lifted = List[Tuple[DerivMono, Dict[int, int], int]]
@@ -330,22 +330,15 @@ class DiffOp:
     # -- rendering --------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[e]
-            dmono = "*".join(
-                f"D[{self.vars.names[i]}]" + (f"^{e[i]}" if e[i] > 1 else "")
-                for i in range(len(e))
-                if e[i]
-            )
-            cs = c.render()
-            if dmono:
-                parts.append(f"({cs}) {dmono}" if cs != "1" else dmono)
+            dmono = _monomial(self.vars.names, e, "D[{}]")
+            cs = self.terms[e].render()
+            if dmono and cs == "1":
+                parts.append(dmono)
             else:
-                parts.append(f"({cs})")
-        return " + ".join(parts)
+                parts.append(f"({cs}) {dmono}" if dmono else f"({cs})")
+        return " + ".join(parts) or "0"
 
     def __repr__(self):
         return f"DiffOp({self.render()})"

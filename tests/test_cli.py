@@ -93,6 +93,27 @@ def test_branch_report_with_rational_weights(tmp_path):
     assert sets["Lambda_r definitional"] != sets["Lambda_r displayed"]
 
 
+_DEFAULT_CONFIG = {"N": 3, "cutoff": 8, "lambda": "formal", "max-degree": 4,
+                   "mu": "formal", "n": 3}
+
+
+@pytest.mark.parametrize("args, seed, config", [
+    (["verify-so", "--lambda=1/3"], 0, {"scenario": "so_pair", "lambda": "1/3"}),
+    (["verify-diag", "--lambda=1/3", "--mu=2/5"], 0,
+     {"scenario": "diag_pair", "lambda": "1/3", "mu": "2/5"}),
+    (["branch-report", "--N", "3"], 0, {"scenario": "branch"}),
+    (["branch-report", "--N", "3", "--lambda", "1/2", "--mu", "5/2"], 0,
+     {"scenario": "branch", "lambda": "1/2", "mu": "5/2"}),
+    (["all", "--cases", "1", "--seed", "4"], 4, {"scenario": "all"}),
+])
+def test_report_meta_records_the_run_config(capsys, args, seed, config):
+    # each subcommand's options reach the report's meta block, defaults filled in
+    assert main([*args, "--json", "-"]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert meta["seed"] == seed
+    assert meta["config"] == {**_DEFAULT_CONFIG, **config}
+
+
 def test_branch_report_weight_mismatch():
     rc = main(["branch-report", "--N", "4", "--lambda", "1/2", "--mu", "5/2"])
     assert rc == 2

@@ -348,3 +348,17 @@ def test_witness_renders_are_pinned():
     x3 = GeoPoly.var(ctx.vars, "x3")
     assert RatCoeff(x3.scale(LAMBDA) + GeoPoly.const(ctx.vars, 1), 2).render() \
         == "(l*x3 + 1) / [q1^2]"
+    assert RatCoeff(x3, 1).render() == "(x3) / [q1]"
+    # every branch of the shared term formatter: a leading -1, a later
+    # parenthesized rational-function coefficient, a later minus, a bare
+    # monomial and a parenthesized constant term
+    g = GeoPoly(VS, {(2, 0): -1, (1, 1): LAMBDA / (MU + 1), (1, 0): -2, (0, 1): 1,
+                     (0, 0): LAMBDA + 2})
+    assert g.render() == "-x1^2 + ((l)/(m + 1))*x1*x2 - 2*x1 + x2 + (l + 2)"
+    num = (ALPHA * MU * -4 + LAMBDA * LAMBDA * 6 - LAMBDA * 4 + MU * 4 - 5).num
+    assert num.render() == "-4*a*m + 6*l^2 - 4*l + 4*m - 5"
+    assert num.render(4) == "-a*m + 3/2*l^2 - l + m - 5/4"
+    op = DiffOp(VS, {(1, 0): 1, (0, 2): X1.scale(LAMBDA), (0, 0): -2})
+    assert op.render() == "(l*x1) D[x2]^2 + D[x1] + (-2)"
+    assert [z.render() for z in (GeoPoly.zero(VS), DiffOp.zero(VS), ParamScalar.const(0))] \
+        == ["0", "0", "0"]

@@ -14,10 +14,9 @@ import sys
 from fractions import Fraction
 
 from .cli_report import RunConfig, run_suite
-from .orthopoly import gegenbauer, jacobi
 from .properties import run_all as run_property_suites
 from .report import FAIL, ReportBundle, render_json
-from .scalars import ALPHA, LAMBDA, MU
+from .tables import ortho_table
 
 
 def _rational(text: str):
@@ -130,20 +129,11 @@ def _emit(bundle: ReportBundle, config: RunConfig, json_path: str | None) -> int
     return 0 if bundle.ok() else 1
 
 
-def _ortho_tables(max_degree: int) -> int:
-    for l in range(max_degree + 1):
-        c = gegenbauer(l, ALPHA)
-        print(f"C_{l} = {c.render()}")
-    for l in range(max_degree + 1):
-        p = jacobi(l, -LAMBDA - 1, MU + LAMBDA - (2 * l - 1))
-        print(f"P_{l} = {p.render()}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "ortho-tables":
-        return _ortho_tables(args.max_degree)
+        sys.stdout.write(ortho_table(args.max_degree))
+        return 0
     try:
         _probe_writable(args.json)
     except OSError as exc:

@@ -236,9 +236,6 @@ IOTA = lambda nu: -nu - 2
 
 @dataclass
 class BranchingSets:
-    N: int
-    cutoff: int
-    lambda_all: List[int]
     lambda_s: List[int]
     iota_lambda_s: List[int]
     lambda_r_definitional: List[int]
@@ -266,7 +263,7 @@ def branching_sets(N: int, cutoff: int) -> BranchingSets:
     displayed = [nu for nu in range(-N, lowest - 1, -2)]
     if N % 2 == 0:
         displayed = [-1] + displayed
-    return BranchingSets(N, cutoff, lam_all, lam_s, iota_s, lam_r_def, displayed)
+    return BranchingSets(lam_s, iota_s, lam_r_def, displayed)
 
 
 def grothendieck_check(N: int, cutoff: int) -> ReportBundle:

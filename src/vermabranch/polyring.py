@@ -95,10 +95,6 @@ def _over_common(vars: VarSet, nums: List[Dict[int, int]],
     return den, [_product(t, lift[d], top) for t, d in zip(nums, dens)]
 
 
-def _dmul(d1: ParamPoly, d2: ParamPoly) -> ParamPoly:
-    return d2 if d1 is _ONE else d1 if d2 is _ONE else d1 * d2
-
-
 def _new(vars: VarSet, terms: Dict[int, int], den: ParamPoly = _ONE) -> "GeoPoly":
     """The GeoPoly of packed nonzero terms over den, brought to kernel form.
     Every internal result is built here, not by the constructor."""
@@ -207,7 +203,7 @@ class GeoPoly:
     def __mul__(self, other: "GeoPoly") -> "GeoPoly":
         self._check(other)
         top = _layout(self.vars.arity, _PBITS)[3]
-        return _new(self.vars, _product(self.terms, other.terms, top), _dmul(self.den, other.den))
+        return _new(self.vars, _product(self.terms, other.terms, top), self.den * other.den)
 
     def __pow__(self, k: int) -> "GeoPoly":
         if k < 0:
@@ -219,7 +215,7 @@ class GeoPoly:
 
     def scale(self, c) -> "GeoPoly":
         c, top = ParamScalar.coerce(c), _layout(self.vars.arity, _PBITS)[3]
-        return _new(self.vars, _product(self.terms, c.num.terms, top), _dmul(self.den, c.den))
+        return _new(self.vars, _product(self.terms, c.num.terms, top), self.den * c.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeoPoly) or self.vars != other.vars:

@@ -19,10 +19,10 @@ graded-lexicographic order, and a monomial product is one integer addition.
 Every exponent and degree stays below 2^15, so two fields never carry into
 their neighbour; a product that reaches 2^15 in a field raises ValueError.
 Both layers pack with :func:`_pack`, add with :func:`_add`, multiply with
-:func:`_product` and :func:`_dot`, and divide with :func:`_divide`.  The
-operator algebra of :mod:`~vermabranch.weylalg` runs a second
-multiply-accumulate loop, the packed Leibniz rule, on the same keys, and
-tests its sums with :func:`_checked` as :func:`_dot` does.
+:func:`_product` and divide with :func:`_divide`.  The operator algebra of
+:mod:`~vermabranch.weylalg` runs a second multiply-accumulate loop, the
+packed Leibniz rule, on the same keys, and tests its sums with
+:func:`_checked` as :func:`_product` does.
 
 Canonical form: numerator and denominator have no common factor, the
 denominator has a positive leading coefficient, and the integer content of
@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 from operator import mul, or_
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -116,26 +116,9 @@ def _add(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def _dot(products: Iterable[Tuple[int, Dict[int, int], Dict[int, int]]],
-         top: int) -> Dict[int, int]:
-    """The sum of m*a*b over the triples (m, a, b) of an int m and packed
-    polynomials a, b, with every key tested against ``top``, the mask of the
-    top bit of each of their fields."""
-    out: Dict[int, int] = {}
-    get = out.get
-    for m, a, b in products:
-        b = b.items()
-        for k1, c1 in a.items():
-            c1 *= m
-            for k2, c2 in b:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-    return _checked(out, top)
-
-
 def _checked(out: Dict[int, int], top: int) -> Dict[int, int]:
     """The accumulated packed sum out without its zero terms, every key
-    tested against ``top`` as in :func:`_dot`."""
+    tested against ``top``, the mask of the top bit of each of its fields."""
     out = {k: c for k, c in out.items() if c}
     if out and reduce(or_, out) & top:
         raise ValueError(_OVERFLOW)
@@ -143,14 +126,21 @@ def _checked(out: Dict[int, int], top: int) -> Dict[int, int]:
 
 
 def _product(a: Dict[int, int], b: Dict[int, int], top: int) -> Dict[int, int]:
-    """The product of two packed polynomials, as :func:`_dot`; a constant
-    factor scales the other, which a factor 1 returns as it is."""
+    """The product of two packed polynomials, tested by :func:`_checked`; a
+    constant factor scales the other, which a factor 1 returns as it is."""
     if len(b) == 1 and 0 in b:
         a, b = b, a
     if len(a) == 1 and 0 in a:
         c = a[0]
         return b if c == 1 else {k: c * v for k, v in b.items()}
-    return _dot(((1, a, b),), top)
+    out: Dict[int, int] = {}
+    get = out.get
+    b = b.items()
+    for k1, c1 in a.items():
+        for k2, c2 in b:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return _checked(out, top)
 
 
 def _divide(rem: Dict[int, int], div: List[Tuple[int, int]], top: int) -> Optional[Dict[int, int]]:

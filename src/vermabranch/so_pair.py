@@ -77,7 +77,11 @@ def _top_normalization(l: int) -> Fraction:
 @per_context
 def singular_vector_F(ctx: SoPairContext, l: int) -> GeoPoly:
     """Normalized degree-l singular vector: the coefficient of
-    xn^{l-2k} (sum' xi^2)^k at k = floor(l/2) equals l!/(2^k k!)."""
+    xn^{l-2k} (sum' xi^2)^k at k = floor(l/2) equals l!/(2^k k!).
+
+    Raises ZeroDivisionError exactly where alpha = -lam-(n-1)/2 is one of
+    0, -1, ..., 1 - ceil(l/2): the zeros of (alpha)_{ceil(l/2)}, the only
+    parameter factor of the top coefficient of C_l^alpha read here."""
     if l < 0:
         raise ValueError("degree must be nonnegative")
     tilde = tilde_gegenbauer(ctx, l)
@@ -363,8 +367,9 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     return bundle
 
 
-def _pq_commutator_display(ctx: SoPairContext) -> DiffOp:
-    """Transcription of the displayed right-hand side of [P, Q]."""
+def _displayed_commutators(ctx: SoPairContext) -> Tuple[DiffOp, DiffOp]:
+    """Transcriptions of the displayed right-hand sides of [P, Q] and of
+    [e-Euler-form, P]."""
     vs = ctx.vars
     lam = ctx.lam
     n = ctx.n
@@ -386,26 +391,12 @@ def _pq_commutator_display(ctx: SoPairContext) -> DiffOp:
     t4 = ((s(lam + 1) - e).scale(-2)) @ DiffOp.mult(q1 + xn * xn) @ dn @ dn
     t5 = -(lam_m_e @ ((lam_m_e + s(2)) @ (s(lam * 2 + (n + 1)) - e.scale(2))
                       - (s(lam * 4 + (n + 3)) - e.scale(4))))
-    return t1 + t2 + t3 + t4 + t5
-
-
-def _e_p_commutator_display(ctx: SoPairContext) -> DiffOp:
-    """Transcription of the displayed [e-Euler-form, P] right-hand side."""
-    vs = ctx.vars
-    lam = ctx.lam
-    n = ctx.n
-    e = DiffOp.euler(vs)
-    xn = ctx.xn()
-    q1 = ctx.q_prime()
-    dn = DiffOp.partial(vs, ctx.n - 1)
-    lap = DiffOp.laplacian(vs)
-    s = lambda c: DiffOp.scalar(vs, c)
-    alpha = ctx.alpha
-    return (DiffOp.mult(q1.scale(Fraction(-1, 2))) @ lap
-            - DiffOp.mult(q1) @ dn @ dn
-            + DiffOp.mult((xn * xn).scale(Fraction(1, 2))) @ lap
-            + (s(lam + n) + e) @ DiffOp.mult(xn) @ dn
-            + (e + s(alpha * 2)) @ (s(lam) - e))
+    ep = (DiffOp.mult(q1.scale(Fraction(-1, 2))) @ lap
+          - DiffOp.mult(q1) @ dn @ dn
+          + DiffOp.mult((xn * xn).scale(Fraction(1, 2))) @ lap
+          + (s(lam + n) + e) @ DiffOp.mult(xn) @ dn
+          + (e + s(ctx.alpha * 2)) @ (s(lam) - e))
+    return t1 + t2 + t3 + t4 + t5, ep
 
 
 def verify_nonclosure(ctx: SoPairContext) -> ReportBundle:
@@ -453,17 +444,13 @@ def verify_nonclosure(ctx: SoPairContext) -> ReportBundle:
     bundle.check(f"nonclosure.ep-order.n={ctx.n}", "so-pair:ep-commutator",
                  ep.order() == 2, witness=ep)
 
-    for name, computed, displayed in (
-            ("pq", pq, _pq_commutator_display(ctx)),
-            ("ep", ep, _e_p_commutator_display(ctx))):
+    for name, computed, displayed in zip(("pq", "ep"), (pq, ep), _displayed_commutators(ctx)):
         diff = computed - displayed
-        status = "agrees" if diff.is_zero() else f"residual: {diff.render()}"
-        bundle.data[f"nonclosure.display-diff.{name}.n={ctx.n}"] = status
-        bundle.add(VerificationRecord(
-            f"nonclosure.display-diff.{name}.n={ctx.n}",
-            "so-pair:displayed-commutators",
-            "pass" if diff.is_zero() else DISCREPANCY,
-            None if diff.is_zero() else diff.render()))
+        residual = None if diff.is_zero() else diff.render()
+        key = f"nonclosure.display-diff.{name}.n={ctx.n}"
+        bundle.data[key] = "agrees" if residual is None else f"residual: {residual}"
+        bundle.add(VerificationRecord(key, "so-pair:displayed-commutators",
+                                      "pass" if residual is None else DISCREPANCY, residual))
     return bundle
 
 

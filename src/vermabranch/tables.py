@@ -1,15 +1,17 @@
 """Stable text renderings of the small examples: the normalized singular
 vectors, the Gegenbauer and Jacobi tables, the raising-operator actions and
-the lowering actions.  These are what the golden files freeze."""
+the lowering actions.  These are what the golden files freeze, and
+:func:`ortho_table` is what ``vermabranch ortho-tables`` prints."""
 
 from __future__ import annotations
 
 from .diag_pair import (DiagContext, lowering_constant, op_F_fourier,
                         singular_vector_Ptilde)
-from .orthopoly import gegenbauer
+from .orthopoly import gegenbauer, jacobi
 from .polyring import gegen_tilde_convert
-from .scalars import ALPHA
-from .so_pair import SoPairContext, op_Q, proportionality, singular_vector_F
+from .scalars import ALPHA, LAMBDA, MU
+from .so_pair import SoPairContext, op_Q, singular_vector_F
+from .weylalg import proportionality
 
 
 def f_vector_table(n: int, max_degree: int) -> str:
@@ -19,14 +21,23 @@ def f_vector_table(n: int, max_degree: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _gegenbauer_lines(max_degree: int) -> list:
+    return [f"C_{l} = {gegenbauer(l, ALPHA).render()}" for l in range(max_degree + 1)]
+
+
 def gegenbauer_table(max_degree: int) -> str:
-    lines = []
-    for l in range(max_degree + 1):
-        c = gegenbauer(l, ALPHA)
-        lines.append(f"C_{l} = {c.render()}")
+    lines = _gegenbauer_lines(max_degree)
     for l in range(max_degree + 1):
         ct = gegen_tilde_convert(gegenbauer(l, ALPHA), l)
         lines.append(f"C~_{l} = {ct.render()}")
+    return "\n".join(lines) + "\n"
+
+
+def ortho_table(max_degree: int) -> str:
+    lines = _gegenbauer_lines(max_degree)
+    for l in range(max_degree + 1):
+        p = jacobi(l, -LAMBDA - 1, MU + LAMBDA - (2 * l - 1))
+        lines.append(f"P_{l} = {p.render()}")
     return "\n".join(lines) + "\n"
 
 

@@ -44,7 +44,7 @@ from math import comb, perm
 from operator import add, sub
 from typing import Dict, List, Tuple
 
-from .polyring import (GeoPoly, RatCoeff, VarSet, _dmul, _new, _over_common, _q1_power,
+from .polyring import (GeoPoly, RatCoeff, VarSet, _new, _over_common, _q1_power,
                        _rat, curated_factors)
 from .scalars import (_FIELD, _PBITS, _W, _add, _checked, _layout, _monomial,
                       _product, ParamPoly, ParamScalar)
@@ -117,17 +117,17 @@ def _lowerings(e: DerivMono, whole: bool) -> Tuple[tuple, ...]:
                  for k, binomial in (((e, 1),) if whole else _iter_sub(e)))
 
 
-def _lefts(vs: VarSet, ea: DerivMono, t1: Dict[int, int], j: int,
-           whole: bool) -> List[tuple]:
+def _lefts(vs: VarSet, ea: DerivMono, t1: Dict[int, int], j: int) -> List[tuple]:
     """(ea - m, terms of binom(ea, m) t1 R_{m,j} / q1^|m|, lowerings of
-    ea - m) for each m <= ea with R_{m,j} nonzero, for a j > 0."""
+    ea - m) for each m <= ea with R_{m,j} nonzero, for a j > 0: never in
+    apply_rat, whose right operand is a polynomial."""
     (top, shift), out = _frame(vs.arity), []
     for m, binomial in _iter_sub(ea):
         r = _r(vs, m, j).terms
         if r:
             rest, dm = tuple(map(sub, ea, m)), sum(m) << shift
             left = {k + dm: binomial * c for k, c in _product(t1, r, top).items()}
-            out.append((rest, left.items(), _lowerings(rest, whole)))
+            out.append((rest, left.items(), _lowerings(rest, False)))
     return out
 
 
@@ -145,7 +145,7 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
         for eb, t2, j in b:
             ms = plain
             if j:
-                ms = lefts.get(j) or lefts.setdefault(j, _lefts(vs, ea, t1, j, whole))
+                ms = lefts.get(j) or lefts.setdefault(j, _lefts(vs, ea, t1, j))
             t2 = t2.items()
             for rest, left, subs in ms:
                 ab = tuple(map(add, rest, eb))
@@ -284,7 +284,7 @@ class DiffOp:
         self._check(other)
         (da, a), (db, b) = _lifted(self), _lifted(other)
         vs = self.vars
-        return _op(vs, _coefficients(vs, _leibniz_sums(vs, a, b, 1, False, {}), _dmul(da, db)))
+        return _op(vs, _coefficients(vs, _leibniz_sums(vs, a, b, 1, False, {}), da * db))
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other)
@@ -295,7 +295,7 @@ class DiffOp:
         (da, a), (db, b) = _lifted(self), _lifted(other)
         vs = self.vars
         sums = _leibniz_sums(vs, b, a, -1, False, _leibniz_sums(vs, a, b, 1, False, {}))
-        return _op(vs, _coefficients(vs, sums, _dmul(da, db)))
+        return _op(vs, _coefficients(vs, sums, da * db))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
@@ -321,7 +321,7 @@ class DiffOp:
         den, a = _lifted(self)
         e0 = (0,) * vs.arity
         sums = _leibniz_sums(vs, a, [(e0, p.terms, 0)], 1, True, {})
-        return _coefficients(vs, sums, _dmul(den, p.den)).get(e0) or RatCoeff.zero(vs)
+        return _coefficients(vs, sums, den * p.den).get(e0) or RatCoeff.zero(vs)
 
     def apply(self, p: GeoPoly) -> GeoPoly:
         """Action on a polynomial, demanding a polynomial result."""

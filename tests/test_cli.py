@@ -150,19 +150,27 @@ def test_collinear_low_eigenvalues_pass(n, lam):
 def test_weight_sweep_exits_0_or_2(capsys):
     # every subcommand at weights k/4: a run passes or rejects its input,
     # and never fails a check or raises; the grid holds lambda = (3-n)/4,
-    # lambda, mu in N0 and the normalization poles of both families
+    # lambda, mu in N0 and the normalization poles of both families.  A run
+    # rejects its weights exactly where they are degenerate: at max-degree 3
+    # verify-so normalizes F_l for l <= 4, which divides by zero iff
+    # lambda + (n-1)/2 is 0 or 1; the diagonal pair iff lambda or mu is in N0
     quarters = [Fraction(k, 4) for k in range(-8, 9)]
     pairs = [(lam, mu) for lam in quarters[4:13] for mu in quarters[4:13]]
-    runs = [["verify-so", "--n", str(n), "--max-degree", "3", f"--lambda={lam}"]
+    natural = lambda x: x.denominator == 1 and x >= 0
+    runs = [(["verify-so", "--n", str(n), "--max-degree", "3", f"--lambda={lam}"],
+             2 if lam + Fraction(n - 1, 2) in (0, 1) else 0)
             for n in range(2, 7) for lam in quarters]
-    runs += [["verify-diag", "--max-degree", "3", f"--lambda={lam}", f"--mu={mu}"]
+    runs += [(["verify-diag", "--max-degree", "3", f"--lambda={lam}", f"--mu={mu}"],
+              2 if natural(lam) or natural(mu) else 0)
              for lam, mu in pairs]
-    runs += [["branch-report", "--N", str(lam + mu), f"--lambda={lam}", f"--mu={mu}"]
+    runs += [(["branch-report", "--N", str(lam + mu), f"--lambda={lam}", f"--mu={mu}"],
+              2 if natural(lam) or natural(mu) else 0)
              for lam, mu in pairs if (lam + mu).denominator == 1 and lam + mu >= 0]
     assert len(runs) == 181
-    codes = {" ".join(args): main(args) for args in runs}
+    codes = {" ".join(args): (main(args), want) for args, want in runs}
     capsys.readouterr()
-    assert {args: rc for args, rc in codes.items() if rc not in (0, 2)} == {}
+    assert {args: (rc, want) for args, (rc, want) in codes.items() if rc != want} == {}
+    assert sum(want == 2 for _, want in runs) == 9 + 32 + 6
 
 
 def test_negative_degree_is_usage_error():
@@ -257,12 +265,25 @@ def test_bundle_extend_rejects_data_key_collision():
     assert a.data["new"] == 2 and [r.check_id for r in a.records] == ["c.check"]
 
 
+_JACOBI_LINES = [
+    "P_0 = 1",
+    "P_1 = (1/2*m)*x + (-l - 1/2*m)",
+    "P_2 = (1/8*m^2 - 1/8*m)*x^2 + (-1/2*l*m - 1/4*m^2 + 1/2*l + 3/4*m - 1/2)*x"
+    " + (1/2*l^2 + 1/2*l*m + 1/8*m^2 - l - 5/8*m + 1/2)",
+    "P_3 = (1/48*m^3 - 1/16*m^2 + 1/24*m)*x^3 + (-1/8*l*m^2 - 1/16*m^3 + 3/8*l*m"
+    " + 7/16*m^2 - 1/4*l - 7/8*m + 1/2)*x^2 + (1/4*l^2*m + 1/4*l*m^2 + 1/16*m^3"
+    " - 1/2*l^2 - 3/2*l*m - 11/16*m^2 + 2*l + 17/8*m - 2)*x + (-1/6*l^3 - 1/4*l^2*m"
+    " - 1/8*l*m^2 - 1/48*m^3 + l^2 + 9/8*l*m + 5/16*m^2 - 25/12*l - 31/24*m + 3/2)",
+]
+
+
 def test_ortho_tables_output(capsys):
-    rc = main(["ortho-tables", "--max-degree", "2"])
+    # the C_l lines are the first half of the Gegenbauer golden, and the P_l
+    # lines the Jacobi polynomials P_l^(-lam-1, mu+lam-2l+1) as first frozen
+    rc = main(["ortho-tables", "--max-degree", "3"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "C_2 = (2*a^2 + 2*a)*x^2 - a" in out
-    assert out.count("P_") == 3
+    gegenbauer_lines = (GOLDEN_DIR / "gegenbauer.txt").read_text().splitlines()[:4]
+    assert capsys.readouterr().out == "\n".join(gegenbauer_lines + _JACOBI_LINES) + "\n"
 
 
 def test_text_output_summary(capsys):

@@ -11,7 +11,7 @@ from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors,
                                   homogenize, quadratic_sum, t_var, x_var,
                                   xi_eta_vars, xi_vars, xy_vars)
 from vermabranch.scalars import (_PBITS, _PTOP, ALPHA, LAMBDA, MU, ParamPoly, ParamScalar,
-                                 _dot, _layout, _pack, _product, _unpack)
+                                 _layout, _pack, _product, _unpack)
 from vermabranch.weylalg import DiffOp
 
 
@@ -338,21 +338,19 @@ def test_pack_rejects_a_negative_exponent():
         _pack((2, -1), _PBITS)
 
 
-def test_dot_is_the_sum_of_products():
+def test_product_is_the_sum_of_term_products():
     rng = random.Random(13)
     vs = xi_vars(2)
     top = _layout(vs.arity, _PBITS)[3]
     polys = [_rand_pair(rng, vs)[0].terms for _ in range(6)] + [{0: 3}, {0: 1}]
     for _ in range(20):
-        triples = [(rng.choice([-2, -1, 1, 3]), rng.choice(polys), rng.choice(polys))
-                   for _ in range(rng.randint(1, 4))]
+        a, b = rng.choice(polys), rng.choice(polys)
         want = {}
-        for m, a, b in triples:
-            for k, c in _product(a, b, top).items():
-                want[k] = want.get(k, 0) + m * c
-        assert _dot(triples, top) == {k: c for k, c in want.items() if c}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                want[k1 + k2] = want.get(k1 + k2, 0) + c1 * c2
+        assert _product(a, b, top) == {k: c for k, c in want.items() if c}
     a = polys[0]
-    assert _dot([(1, a, {0: 1}), (-1, {0: 1}, a)], top) == {}
     assert _product(a, {0: 1}, top) is a and _product({0: 1}, a, top) is a
 
 

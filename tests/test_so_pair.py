@@ -192,6 +192,25 @@ def test_nonclosure_eigenvalues_cubic():
     assert eig[2] == "-2*l^3 + 16*l^2 - 14*l"
 
 
+def test_singular_vector_raises_exactly_at_the_documented_weights():
+    # the normalization divides by (alpha)_{ceil(l/2)}, alpha = -lam-(n-1)/2
+    cases = []
+    for n in range(2, 7):
+        for k in range(-16, 17):
+            ctx = SoPairContext.at(n, Fraction(k, 4))
+            alpha = -Fraction(k, 4) - Fraction(n - 1, 2)
+            for l in range(7):
+                expected = alpha.denominator == 1 and 1 - (l + 1) // 2 <= alpha <= 0
+                try:
+                    singular_vector_F(ctx, l)
+                    raised = False
+                except ZeroDivisionError:
+                    raised = True
+                cases.append((n, k, l, raised, expected))
+    assert len(cases) == 1155 and sum(c[4] for c in cases) == 60
+    assert [c for c in cases if c[3] != c[4]] == []
+
+
 def test_family_check():
     assert singular_family_check(CTX3, 6).ok()
 

@@ -368,7 +368,9 @@ class RatCoeff:
     sets allow k > 0.  Construction divides q1 out of the numerator as often
     as it goes, so k is the least power of q1 that clears the value's
     denominator, a RatCoeff with k = 0 *is* a polynomial, and a value has one
-    (num, k) form, also where q1 is not irreducible (x1^2 at n = 2).
+    (num, k) form, also where q1 is not irreducible (x1^2 at n = 2).  Only a
+    sum over equal powers of q1 is trial-divided: q1 divides no reduced
+    numerator, so a sum over two different powers is reduced as it stands.
     """
 
     __slots__ = ("num", "k")
@@ -412,11 +414,14 @@ class RatCoeff:
     def __add__(self, other: "RatCoeff") -> "RatCoeff":
         self._check(other)
         a, b, k = self.num, other.num, self.k
+        if k == other.k:
+            return RatCoeff(a + b, k)
         if k < other.k:
             a, k = a * _q1_power(self.vars, other.k - k), other.k
-        elif other.k < k:
+        else:
             b = b * _q1_power(self.vars, k - other.k)
-        return RatCoeff(a + b, k)
+        # q1 divides the lifted numerator but not the other, reduced one
+        return _rat(a + b, k)
 
     def __neg__(self) -> "RatCoeff":
         return _rat(-self.num, self.k)

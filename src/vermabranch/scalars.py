@@ -43,8 +43,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul, or_
+from operator import mul, neg, or_
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -148,12 +149,18 @@ def _divide(rem: Dict[int, int], div: List[Tuple[int, int]], top: int) -> Option
     division is exact, else None; consumes rem.
 
     A leading monomial of rem that the divisor's does not divide leaves a
-    borrow in the top bit of some field of the difference of their keys.
+    borrow in the top bit of some field of the difference of their keys.  Each
+    leading key is popped from a heap of negated keys (Monagan and Pearce,
+    J. Symb. Comput. 46, 2011), skipped if it has cancelled meanwhile.
     """
     de, dc = max(div)
     quot: Dict[int, int] = {}
-    while rem:
-        e = max(rem)
+    heap = list(map(neg, rem))
+    heapify(heap)
+    while heap:
+        e = -heappop(heap)
+        if e not in rem:
+            continue
         q = e - de
         if q & top:
             return None
@@ -165,6 +172,8 @@ def _divide(rem: Dict[int, int], div: List[Tuple[int, int]], top: int) -> Option
             t = q + k
             s = rem.get(t, 0) - c * v
             if s:
+                if t not in rem:
+                    heappush(heap, -t)
                 rem[t] = s
             else:
                 del rem[t]

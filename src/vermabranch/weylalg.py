@@ -17,8 +17,8 @@ loop over packed integer terms:
 
 - each operand's numerators are lifted to one shared Z[a, l, m] denominator,
   the lcm of its coefficients', by :func:`~vermabranch.polyring._over_common`,
-  so the loop multiplies integers and a result's parameter denominator is the
-  product of its operands';
+  once per operand (:func:`_lifted`), so the loop multiplies integers and a
+  result's parameter denominator is the product of its operands';
 - a right coefficient n/q1^j is differentiated as
 
       D^k (n q1^-j) = sum_{m <= k} binom(k, m) D^(k-m) n R_{m,j} / q1^(j+|m|),
@@ -30,28 +30,33 @@ loop over packed integer terms:
 - D^k of a term ``c x^g`` is ``prod_i (g_i)_{k_i} c x^(g-k)``, with g read
   from the fields of its key (:func:`~vermabranch.scalars._layout`).
 
-Products are added per output derivative monomial and q1 exponent, both
-orders of a commutator with opposite signs into the same sums.  Each output
-coefficient is lifted to its largest q1 exponent and built once, after the
-overflow test, with one trial-division pass; a derivative monomial whose
-products all vanish gets none.
+Products are added per packed output derivative monomial and q1 exponent,
+both orders of a commutator with opposite signs into the same sums.  Each
+output coefficient sheds q1 from the top down (:func:`_shed_q1`) and is built
+once; a derivative monomial whose products all vanish gets none.  Derivative
+monomials are packed by :func:`~vermabranch.scalars._pack` and follow its
+2^15 rule: an operand or a product whose derivative exponent or degree
+reaches 2^15 raises ValueError.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb, perm
-from operator import add, sub
+from functools import lru_cache, reduce
+from math import perm
+from operator import or_
 from typing import Dict, List, Tuple
 
 from .polyring import (GeoPoly, RatCoeff, VarSet, _new, _over_common, _q1_power,
                        _rat, curated_factors)
-from .scalars import (_FIELD, _PBITS, _W, _add, _checked, _layout, _monomial,
-                      _product, ParamPoly, ParamScalar)
+from .scalars import (_FIELD, _OVERFLOW, _PBITS, _W, _add, _checked, _divide,
+                      _layout, _monomial, _pack, _product, _unpack, ParamPoly,
+                      ParamScalar)
 
 DerivMono = Tuple[int, ...]
-Lifted = List[Tuple[DerivMono, Dict[int, int], int]]
-Sums = Dict[DerivMono, Dict[int, int]]
+Lifted = List[Tuple[int, Dict[int, int], int]]
+Sums = Dict[int, Dict[int, int]]
+# an operator has few distinct derivative monomials, so each is packed once
+_dpack, _dunpack = lru_cache(maxsize=None)(_pack), lru_cache(maxsize=None)(_unpack)
 
 
 @lru_cache(maxsize=None)
@@ -59,9 +64,10 @@ def _iter_sub(e: DerivMono) -> Tuple[Tuple[DerivMono, int], ...]:
     """All k with 0 <= k <= e componentwise, with the product of binomials."""
     if not e:
         return (((), 1),)
-    head = e[0]
-    return tuple(((k,) + tail, comb(head, k) * c)
-                 for tail, c in _iter_sub(e[1:]) for k in range(head + 1))
+    head, row = e[0], [1]
+    for k in range(head):
+        row.append(row[-1] * (head - k) // (k + 1))
+    return tuple(((k,) + tail, b * c) for tail, c in _iter_sub(e[1:]) for k, b in enumerate(row))
 
 
 @lru_cache(maxsize=None)
@@ -76,20 +82,23 @@ def _frame(n: int) -> Tuple[int, int]:
 
 def _lifted(op: "DiffOp") -> Tuple[ParamPoly, Lifted]:
     """The lcm D of the parameter denominators of op's coefficients, and for
-    each coefficient num/q1^k the (e, packed numerator over D, k), with k in
-    the q1 exponent field of every key."""
-    nums, dens, out = [], [], []
-    for e, c in op.terms.items():
-        t, k = c.num.terms, c.k
-        if k:
-            t = {key + (k << _frame(op.vars.arity)[1]): v for key, v in t.items()}
-        nums.append(t)
-        dens.append(c.num.den)
-        out.append((e, t, k))
-    den, lifted = _over_common(op.vars, nums, dens)
-    if lifted is not nums:
-        out = [(e, t, k) for (e, _, k), t in zip(out, lifted)]
-    return den, out
+    each coefficient num/q1^k at D^e the (packed e, packed numerator over D,
+    k), with k in the q1 exponent field of every key; kept in op.lift."""
+    if op.lift is None:
+        nums, dens, out = [], [], []
+        shift = _frame(op.vars.arity)[1]
+        for e, c in op.terms.items():
+            t, k = c.num.terms, c.k
+            if k:
+                t = {key + (k << shift): v for key, v in t.items()}
+            nums.append(t)
+            dens.append(c.num.den)
+            out.append((_dpack(e), t, k))
+        den, lifted = _over_common(op.vars, nums, dens)
+        if lifted is not nums:
+            out = [(e, t, k) for (e, _, k), t in zip(out, lifted)]
+        op.lift = den, out
+    return op.lift
 
 
 @lru_cache(maxsize=None)
@@ -107,27 +116,29 @@ def _r(vars: VarSet, m: DerivMono, j: int) -> GeoPoly:
 
 
 @lru_cache(maxsize=None)
-def _lowerings(e: DerivMono, whole: bool) -> Tuple[tuple, ...]:
+def _lowerings(e: int, n: int, whole: bool) -> Tuple[tuple, ...]:
     """(k, binomial, fields, drop) for each k <= e, or for k = e alone if
-    whole: fields holds the packed field shift and order of each variable
-    that k differentiates, and drop is the key D^k subtracts from a monomial."""
-    shifts, units = _layout(len(e), _PBITS)[:2]
-    return tuple((k, binomial, tuple((s, ki) for s, ki in zip(shifts, k) if ki),
+    whole, e and k packed derivative monomials in n variables: fields holds
+    the packed field shift and order of each variable that k differentiates,
+    and drop is the key D^k subtracts from a monomial."""
+    shifts, units = _layout(n, _PBITS)[:2]
+    e = _unpack(e, n)
+    return tuple((_pack(k), binomial, tuple((s, ki) for s, ki in zip(shifts, k) if ki),
                   sum(ki * u for ki, u in zip(k, units)))
                  for k, binomial in (((e, 1),) if whole else _iter_sub(e)))
 
 
-def _lefts(vs: VarSet, ea: DerivMono, t1: Dict[int, int], j: int) -> List[tuple]:
+def _lefts(vs: VarSet, ea: int, t1: Dict[int, int], j: int) -> List[tuple]:
     """(ea - m, terms of binom(ea, m) t1 R_{m,j} / q1^|m|, lowerings of
     ea - m) for each m <= ea with R_{m,j} nonzero, for a j > 0: never in
     apply_rat, whose right operand is a polynomial."""
-    (top, shift), out = _frame(vs.arity), []
-    for m, binomial in _iter_sub(ea):
+    (top, shift), n, out = _frame(vs.arity), vs.arity, []
+    for m, binomial in _iter_sub(_dunpack(ea, n)):
         r = _r(vs, m, j).terms
         if r:
-            rest, dm = tuple(map(sub, ea, m)), sum(m) << shift
+            rest, dm = ea - _dpack(m), sum(m) << shift
             left = {k + dm: binomial * c for k, c in _product(t1, r, top).items()}
-            out.append((rest, left.items(), _lowerings(rest, False)))
+            out.append((rest, left.items(), _lowerings(rest, n, False)))
     return out
 
 
@@ -138,19 +149,21 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
     right term c2 g of a coefficient over q1^j at eb, m <= ea with R_{m,j}
     nonzero (m = 0 alone if j = 0) and k <= ea - m (k = ea alone if whole).
     D^k of a monomial with exponents g is prod_i (g_i)_{k_i} times the
-    monomial with g - k, and q1 exponents add in their field of the keys."""
+    monomial with g - k, and q1 exponents add in their field of the keys.
+    Each field of the packed ea and eb is below 2^15, so ea + eb never carries."""
+    n = vs.arity
     for ea, t1, _ in a:
         lefts = {}
-        plain = ((ea, t1.items(), _lowerings(ea, whole)),)
+        plain = ((ea, t1.items(), _lowerings(ea, n, whole)),)
         for eb, t2, j in b:
             ms = plain
             if j:
                 ms = lefts.get(j) or lefts.setdefault(j, _lefts(vs, ea, t1, j))
             t2 = t2.items()
             for rest, left, subs in ms:
-                ab = tuple(map(add, rest, eb))
+                ab = rest + eb
                 for k, binomial, fields, drop in subs:
-                    acc = out.setdefault(tuple(map(sub, ab, k)), {})
+                    acc = out.setdefault(ab - k, {})
                     get, m = acc.get, sign * binomial
                     for k2, c in t2:
                         c *= m
@@ -164,28 +177,41 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
     return out
 
 
+def _shed_q1(vs: VarSet, t: Dict[int, int], k: int) -> Tuple[Dict[int, int], int]:
+    """The reduced num/q1^k of the terms t, each over the power of q1 in its
+    q1 field, k the largest: while q1 divides the terms over the top power,
+    their quotient joins those one power below; the rest is lifted to q1^k."""
+    top, shift = _frame(vs.arity)
+    groups: Dict[int, Dict[int, int]] = {}
+    for key, c in t.items():
+        s = key >> shift
+        groups.setdefault(s, {})[key - (s << shift)] = c
+    q1 = list(curated_factors(vs)["q1"].terms.items())
+    while k and (q := _divide(dict(groups[k]), q1, top)) is not None:
+        del groups[k]
+        groups[k - 1] = _add(groups.get(k - 1, {}), q)
+        k = max((s for s, g in groups.items() if g), default=0)
+    t = groups.pop(k, {})
+    for s, g in groups.items():
+        if g:
+            t = _add(t, _product(g, _q1_power(vs, k - s).terms, top))
+    return t, k
+
+
 def _coefficients(vs: VarSet, sums: Sums, den: ParamPoly) -> Dict[DerivMono, RatCoeff]:
-    """The coefficient num/q1^k over den of each derivative monomial of the
-    sums, k the largest q1 exponent left in its sum, to which every other
-    term is lifted.  A monomial whose sum vanishes gets no coefficient."""
-    (top, shift), coeffs = _frame(vs.arity), {}
+    """The reduced coefficient num/q1^k over den of each derivative monomial
+    of the sums; a monomial whose sum vanishes gets none."""
+    n = vs.arity
+    (top, shift), coeffs = _frame(n), {}
+    if reduce(or_, sums, 0) & _layout(n)[3]:
+        raise ValueError(_OVERFLOW)
     for e, t in sums.items():
         t = _checked(t, top)
-        if not t:
-            continue
-        k = max(t) >> shift
+        k = max(t, default=0) >> shift
         if k:
-            groups: Dict[int, Dict[int, int]] = {}
-            for key, c in t.items():
-                s = key >> shift
-                groups.setdefault(s, {})[key - (s << shift)] = c
-            t = {}
-            for s, g in groups.items():
-                t = _add(t, g if s == k else _product(g, _q1_power(vs, k - s).terms, top))
-            if not t:
-                continue
-        num = _new(vs, t, den)
-        coeffs[e] = RatCoeff(num, k) if k else _rat(num)
+            t, k = _shed_q1(vs, t, k)
+        if t:
+            coeffs[_dunpack(e, n)] = _rat(_new(vs, t, den), k)
     return coeffs
 
 
@@ -193,7 +219,7 @@ def _op(vars: VarSet, terms: Dict[DerivMono, RatCoeff]) -> "DiffOp":
     """The operator of RatCoeff ``terms`` in vars, zero coefficients dropped.
     Every internal result is built here, not by the constructor."""
     op = DiffOp.__new__(DiffOp)
-    op.vars, op.terms = vars, {e: c for e, c in terms.items() if c.num.terms}
+    op.vars, op.terms, op.lift = vars, {e: c for e, c in terms.items() if c.num.terms}, None
     return op
 
 
@@ -203,9 +229,10 @@ def _unit(vars: VarSet, i: int, order: int = 1) -> DerivMono:
 
 
 class DiffOp:
-    """Element of the localized Weyl algebra in normal form."""
+    """Element of the localized Weyl algebra in normal form.  ``lift`` keeps
+    the operand form of the products (:func:`_lifted`), built on first use."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "lift")
 
     def __init__(self, vars: VarSet, terms: Dict[DerivMono, object] | None = None):
         """The operator sum c * D^e over ``terms``: e a tuple of arity(vars)
@@ -223,7 +250,7 @@ class DiffOp:
                 raise ValueError(f"coefficient variable-set mismatch: {c.vars} vs {vars}")
             if c.num.terms:
                 clean[tuple(e)] = c
-        self.vars, self.terms = vars, clean
+        self.vars, self.terms, self.lift = vars, clean, None
 
     # -- constructors -----------------------------------------------------
 
@@ -319,9 +346,8 @@ class DiffOp:
         if vs != p.vars:
             raise ValueError("variable-set mismatch")
         den, a = _lifted(self)
-        e0 = (0,) * vs.arity
-        sums = _leibniz_sums(vs, a, [(e0, p.terms, 0)], 1, True, {})
-        return _coefficients(vs, sums, den * p.den).get(e0) or RatCoeff.zero(vs)
+        sums = _leibniz_sums(vs, a, [(0, p.terms, 0)], 1, True, {})
+        return _coefficients(vs, sums, den * p.den).get((0,) * vs.arity) or RatCoeff.zero(vs)
 
     def apply(self, p: GeoPoly) -> GeoPoly:
         """Action on a polynomial, demanding a polynomial result."""

@@ -115,17 +115,27 @@ def test_ratcoeff_scalar_multiples_skip_trial_division(monkeypatch):
     vs = xi_vars(3)
     x3 = GeoPoly.var(vs, "x3")
     r = RatCoeff(x3.scale(LAMBDA) + GeoPoly.const(vs, 1), 2)
+    s = RatCoeff(GeoPoly.var(vs, "x1") + x3.scale(MU), 1)
     calls = []
     divide = GeoPoly.exact_divide
     monkeypatch.setattr(GeoPoly, "exact_divide",
                         lambda self, d: calls.append(d) or divide(self, d))
     neg, tripled = -r, r.scale(3)
+    # over two different powers of q1 the sum needs no trial division either:
+    # q1 divides the lifted numerator but not the other, reduced one
+    sums = r + s, s + r
     assert calls == []
     monkeypatch.undo()
     assert neg.k == tripled.k == r.k == 2
     assert neg == RatCoeff(-r.num, r.k)
     assert tripled == RatCoeff(r.num.scale(3), r.k)
     assert (neg + r).is_zero() and r.scale(0).is_zero() and r.scale(0).k == 0
+    q1 = quadratic_sum(vs, 2)
+    want = RatCoeff(r.num + s.num * q1, 2)
+    assert want.k == 2 and all(x == want for x in sums)
+    # over equal powers the sum is still trial-divided and reduced
+    third = RatCoeff(x3 * q1 - r.num, 2)
+    assert third.k == 2 and r + third == RatCoeff(x3, 1) and (r + third).k == 1
 
 
 def test_sums_and_products_over_mixed_q1_powers_match_cross_multiplication():
@@ -489,11 +499,27 @@ def test_kernel_matches_per_coefficient_reference(vs):
         assert a * b == b * a and (a + b) - b == a
         for f in divisors:
             rf = _RefGeo(vs, f.coefficients())
-            for num, rnum in ((a * f, ra * rf), (a, ra), (a * b * f, ra * rb * rf)):
+            # in a*f*f remainder keys cancel and are then created again
+            for num, rnum in ((a * f, ra * rf), (a, ra), (a * b * f, ra * rb * rf),
+                              (a * f * f, ra * rf * rf), (a * f * f + b, ra * rf * rf + rb)):
                 got, want = num.exact_divide(f), rnum.exact_divide(rf)
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert got.render() == want.render()
+    # fixed dividends that surely cancel a remainder key and create it again
+    x, one = GeoPoly.var(vs, vs.names[0]), GeoPoly.const(vs, 1)
+    if vs.arity > 1:
+        y = GeoPoly.var(vs, vs.names[1])
+        f, a = x * y + (x + y).scale(2), x - one
+    else:
+        f, a = x * x - x - one, x
+    rf = _RefGeo(vs, f.coefficients())
+    for num in (a * f * f, a * f * f + one):
+        got, want = num.exact_divide(f), _RefGeo(vs, num.coefficients()).exact_divide(rf)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.render() == want.render()
+    assert (a * f * f).exact_divide(f) == a * f and (a * f * f + one).exact_divide(f) is None
 
 
 # -- relabelling monomials between models --------------------------------------

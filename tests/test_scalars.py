@@ -83,6 +83,12 @@ def test_exact_division_of_parameter_polynomials():
     assert (l * m + l).exact_divide(m + one) == l
     assert (a * a * l + -(m * m * l)).exact_divide(a + m) == a * l + -(m * l)
     assert (l * l + one).exact_divide(l + one) is None
+    # dividing f^2 (l - 1) by f cancels the remainder key l^2 m at one step
+    # and creates it again at a later one; plus 1, the division fails
+    two = ParamPoly.const(2)
+    f = l * m + two * l + two * m
+    assert (f * f * (l + -one)).exact_divide(f) == f * (l + -one)
+    assert (f * f * (l + -one) + one).exact_divide(f) is None
 
 
 def test_parameter_degree_stays_below_the_field_limit():

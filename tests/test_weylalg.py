@@ -246,6 +246,24 @@ def test_localized_and_fractional_products_match_the_reference_fold():
             _assert_same(x @ y, _ref_compose(x, y))
             _assert_same(x.commutator(y), _ref_compose(x, y) - _ref_compose(y, x))
         _assert_same(a.apply_rat(probe), _ref_apply_rat(a, probe))
+    # a coefficient with terms over q1^2, q1 and 1: q1 divides the terms over
+    # q1^2 (lam x3^2 q1) but not those over q1 once the quotient joins them
+    # (2 x1 x3 + lam x3^2), so the result keeps one power of q1
+    q1 = quadratic_sum(vs, 2)
+    steps = DiffOp(vs, {(0, 0, 0): RatCoeff(x3.scale(LAMBDA), 2),
+                        (1, 0, 0): RatCoeff(GeoPoly.const(vs, 1), 1), (0, 1, 0): MU})
+    p = q1 * x3
+    assert (x3 * p).scale(LAMBDA).exact_divide(q1) is not None
+    assert ((x1 * x3).scale(2) + (x3 * x3).scale(LAMBDA)).exact_divide(q1) is None
+    product, ref = steps @ DiffOp.mult(p), _ref_compose(steps, DiffOp.mult(p))
+    _assert_same(product, ref)
+    got, want = product.terms[(0, 0, 0)], ref.terms[(0, 0, 0)]
+    assert got.k == 1 and (got.num, got.k) == (want.num, want.k)
+    got, want = steps.apply_rat(p), _ref_apply_rat(steps, p)
+    assert got.k == 1 and (got.num, got.k) == (want.num, want.k)
+    # on p q1 both divisions are exact, and the result is a polynomial
+    got, want = steps.apply_rat(p * q1), _ref_apply_rat(steps, p * q1)
+    assert got.k == 0 and (got.num, got.k) == (want.num, want.k)
 
 
 def test_products_past_the_exponent_limit_are_rejected():
@@ -262,6 +280,25 @@ def test_products_past_the_exponent_limit_are_rejected():
     # just below the limit the product is built
     below = DiffOp(vs, {(1,): GeoPoly.var(vs, "t", 2 ** 14 - 1)})
     assert (below @ below).order() == 2
+    # derivative monomials are packed the same way: D^(2^14-1) squared is
+    # built, while an operand or a product whose derivative exponent or degree
+    # reaches 2^15 raises instead of carrying into a neighbouring field
+    d = DiffOp.partial(vs, "t", 2 ** 14 - 1)
+    assert (d @ d).order() == 2 ** 15 - 2
+    assert (d @ d).terms == {(2 ** 15 - 2,): RatCoeff(GeoPoly.const(vs, 1))}
+    assert (d @ DiffOp.mult(GeoPoly.var(vs, "t"))).terms.keys() == {(2 ** 14 - 1,), (2 ** 14 - 2,)}
+    for op in (DiffOp.partial(vs, "t", 2 ** 15), DiffOp.partial(VS, "x2", 2 ** 15),
+               DiffOp(VS, {(2 ** 14, 2 ** 14): 1})):
+        one = GeoPoly.const(op.vars, 1)
+        for product in (lambda: op @ op, lambda: op.commutator(op), lambda: op.apply_rat(one)):
+            with pytest.raises(ValueError, match="exponent of 32768"):
+                product()
+    high = DiffOp.partial(VS, "x2", 2 ** 15 - 1)
+    for low in (D2, D1):  # the x2 field, then the degree field, reaches 2^15
+        with pytest.raises(ValueError, match="exponent of 32768"):
+            low @ high
+    assert (D1 @ DiffOp.partial(VS, "x2", 2 ** 15 - 2)).terms == {
+        (1, 2 ** 15 - 2): RatCoeff(GeoPoly.const(VS, 1))}
 
 
 # -- the checked constructor ---------------------------------------------------

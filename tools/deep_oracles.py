@@ -13,7 +13,10 @@ this directory.  At the formal weights (lambda, mu and alpha symbolic):
   ``min(max_degree, 8)``): the t-model Jacobi polynomials against their
   hypergeometric operator;
 - the Gegenbauer polynomials C_l^alpha for l <= 40 from the explicit sum,
-  the three-term recurrence and the 2F1 series, which must be equal.
+  the three-term recurrence and the 2F1 series, which must be equal;
+- the whole ``verify-so`` suite (``cli_report.so_suite``) at n = 5 and 6 to
+  degree 14, where operator products run on many variables (Tier-1 runs its
+  ladder and Casimir checks there to degree 10, the benchmark stops at n = 4).
 
 The tool prints the number of records and the time of each oracle, and each
 failure, and exits 1 if there was any.  It is not part of Tier-1.
@@ -27,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from vermabranch import diag_pair  # noqa: E402
+from vermabranch import cli_report, diag_pair  # noqa: E402
 from vermabranch.orthopoly import (gegenbauer, gegenbauer_recurrence,  # noqa: E402
                                    gegenbauer_via_2f1)
 from vermabranch.report import ReportBundle  # noqa: E402
@@ -36,6 +39,8 @@ from vermabranch.scalars import ALPHA  # noqa: E402
 TRANSPORT_DEGREE = 30
 T_ANNIHILATION_DEGREE = 40
 GEGENBAUER_DEGREE = 40
+SO_DIMENSIONS = (5, 6)
+SO_DEGREE = 14
 
 
 def gegenbauer_check(max_degree: int) -> ReportBundle:
@@ -58,6 +63,10 @@ def main() -> int:
          lambda: diag_pair.t_annihilation_check(ctx, T_ANNIHILATION_DEGREE)),
         (f"gegenbauer sum = recurrence = 2F1 to degree {GEGENBAUER_DEGREE}",
          lambda: gegenbauer_check(GEGENBAUER_DEGREE)),
+    ] + [
+        (f"so_suite at n = {n} to degree {SO_DEGREE}",
+         lambda n=n: cli_report.so_suite(cli_report.RunConfig("so_pair", n=n, max_degree=SO_DEGREE)))
+        for n in SO_DIMENSIONS
     ]
     n_fail = 0
     for name, run in oracles:

@@ -26,7 +26,8 @@ put numerators over the lcm of their parameter denominators in one routine,
 :func:`_over_common`.
 
 A :class:`RatCoeff` is ``num / q1^k`` with a GeoPoly ``num`` and an int k,
-q1 divided out of ``num`` as often as it goes.
+q1 divided out of ``num`` as often as it goes by :func:`_shed_q1`, the one
+code that divides by q1, which the operator products of weylalg run too.
 """
 
 from __future__ import annotations
@@ -354,6 +355,24 @@ def _q1_power(vars: VarSet, e: int) -> GeoPoly:
     return curated_factors(vars)["q1"] ** e
 
 
+def _shed_q1(vars: VarSet, groups: Dict[int, Dict[int, int]],
+             k: int) -> Tuple[Dict[int, int], int]:
+    """The reduced num/q1^k of packed numerator groups keyed by their power
+    of q1, k the largest: while q1 divides the top group, its quotient joins
+    the group one power below; the rest is lifted to q1^k."""
+    top = _layout(vars.arity, _PBITS)[3]
+    q1 = list(_q1_power(vars, 1).terms.items())
+    while k and (q := _divide(dict(groups[k]), q1, top)) is not None:
+        del groups[k]
+        groups[k - 1] = _add(groups.get(k - 1, {}), q)
+        k = max((s for s, g in groups.items() if g), default=0)
+    t = groups.pop(k, {})
+    for s, g in groups.items():
+        if g:
+            t = _add(t, _product(g, _q1_power(vars, k - s).terms, top))
+    return t, k
+
+
 def _rat(num: GeoPoly, k: int = 0) -> "RatCoeff":
     """num/q1^k for a num that q1 does not divide: no trial division."""
     r = RatCoeff.__new__(RatCoeff)
@@ -365,11 +384,11 @@ class RatCoeff:
     """Quotient num/q1^k of a GeoPoly by a power of q1 = x1^2 + ... + x_{n-1}^2.
 
     q1 is the one denominator of the operator algebra, and only xi variable
-    sets allow k > 0.  Construction divides q1 out of the numerator as often
-    as it goes, so k is the least power of q1 that clears the value's
-    denominator, a RatCoeff with k = 0 *is* a polynomial, and a value has one
-    (num, k) form, also where q1 is not irreducible (x1^2 at n = 2).  Only a
-    sum over equal powers of q1 is trial-divided: q1 divides no reduced
+    sets allow k > 0.  Construction sheds q1 from the numerator as often as
+    it goes (:func:`_shed_q1`), so k is the least power of q1 that clears the
+    value's denominator, a RatCoeff with k = 0 *is* a polynomial, and a value
+    has one (num, k) form, also where q1 is not irreducible (x1^2 at n = 2).
+    Only a sum over equal powers of q1 is trial-divided: q1 divides no reduced
     numerator, so a sum over two different powers is reduced as it stands.
     """
 
@@ -381,9 +400,9 @@ class RatCoeff:
                 raise ValueError(f"the power of q1 must be a nonnegative int, not {k!r}")
             if num.vars.kind != "xi":
                 raise ValueError(f"q1 is not a denominator for {num.vars.kind}")
-            q1 = curated_factors(num.vars)["q1"]
-            while k and (q := num.exact_divide(q1)) is not None:
-                num, k = q, k - 1
+            t, s = _shed_q1(num.vars, {k: num.terms}, k)
+            if s < k:
+                num, k = _new(num.vars, t, num.den), s
         self.num, self.k = num, k
 
     @property

@@ -32,8 +32,9 @@ loop over packed integer terms:
 
 Products are added per packed output derivative monomial and q1 exponent,
 both orders of a commutator with opposite signs into the same sums.  Each
-output coefficient sheds q1 from the top down (:func:`_shed_q1`) and is built
-once; a derivative monomial whose products all vanish gets none.  Derivative
+output coefficient is built once, after shedding q1 from the top down in
+:func:`~vermabranch.polyring._shed_q1` if its q1 exponent is nonzero; a
+derivative monomial whose products all vanish gets none.  Derivative
 monomials are packed by :func:`~vermabranch.scalars._pack` and follow its
 2^15 rule: an operand or a product whose derivative exponent or degree
 reaches 2^15 raises ValueError.
@@ -46,11 +47,10 @@ from math import perm
 from operator import or_
 from typing import Dict, List, Tuple
 
-from .polyring import (GeoPoly, RatCoeff, VarSet, _new, _over_common, _q1_power,
-                       _rat, curated_factors)
-from .scalars import (_FIELD, _OVERFLOW, _PBITS, _W, _add, _checked, _divide,
-                      _layout, _monomial, _pack, _product, _unpack, ParamPoly,
-                      ParamScalar)
+from .polyring import (GeoPoly, RatCoeff, VarSet, _new, _over_common, _rat,
+                       _shed_q1, curated_factors)
+from .scalars import (_FIELD, _OVERFLOW, _PBITS, _W, _checked, _layout,
+                      _monomial, _pack, _product, _unpack, ParamPoly, ParamScalar)
 
 DerivMono = Tuple[int, ...]
 Lifted = List[Tuple[int, Dict[int, int], int]]
@@ -177,27 +177,6 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
     return out
 
 
-def _shed_q1(vs: VarSet, t: Dict[int, int], k: int) -> Tuple[Dict[int, int], int]:
-    """The reduced num/q1^k of the terms t, each over the power of q1 in its
-    q1 field, k the largest: while q1 divides the terms over the top power,
-    their quotient joins those one power below; the rest is lifted to q1^k."""
-    top, shift = _frame(vs.arity)
-    groups: Dict[int, Dict[int, int]] = {}
-    for key, c in t.items():
-        s = key >> shift
-        groups.setdefault(s, {})[key - (s << shift)] = c
-    q1 = list(curated_factors(vs)["q1"].terms.items())
-    while k and (q := _divide(dict(groups[k]), q1, top)) is not None:
-        del groups[k]
-        groups[k - 1] = _add(groups.get(k - 1, {}), q)
-        k = max((s for s, g in groups.items() if g), default=0)
-    t = groups.pop(k, {})
-    for s, g in groups.items():
-        if g:
-            t = _add(t, _product(g, _q1_power(vs, k - s).terms, top))
-    return t, k
-
-
 def _coefficients(vs: VarSet, sums: Sums, den: ParamPoly) -> Dict[DerivMono, RatCoeff]:
     """The reduced coefficient num/q1^k over den of each derivative monomial
     of the sums; a monomial whose sum vanishes gets none."""
@@ -207,9 +186,11 @@ def _coefficients(vs: VarSet, sums: Sums, den: ParamPoly) -> Dict[DerivMono, Rat
         raise ValueError(_OVERFLOW)
     for e, t in sums.items():
         t = _checked(t, top)
-        k = max(t, default=0) >> shift
-        if k:
-            t, k = _shed_q1(vs, t, k)
+        if k := max(t, default=0) >> shift:
+            groups: Dict[int, Dict[int, int]] = {}
+            for key, c in t.items():
+                groups.setdefault(s := key >> shift, {})[key - (s << shift)] = c
+            t, k = _shed_q1(vs, groups, k)
         if t:
             coeffs[_dunpack(e, n)] = _rat(_new(vs, t, den), k)
     return coeffs

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from vermabranch import polyring
 from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors,
                                   dehomogenize, gegen_tilde_convert,
                                   homogenize, quadratic_sum, t_var, x_var,
@@ -113,29 +114,64 @@ def test_ratcoeff_equality_compares_reduced_forms():
 def test_ratcoeff_scalar_multiples_skip_trial_division(monkeypatch):
     # a nonzero multiple of a numerator that q1 does not divide stays so
     vs = xi_vars(3)
-    x3 = GeoPoly.var(vs, "x3")
+    x3, q1 = GeoPoly.var(vs, "x3"), quadratic_sum(vs, 2)
     r = RatCoeff(x3.scale(LAMBDA) + GeoPoly.const(vs, 1), 2)
     s = RatCoeff(GeoPoly.var(vs, "x1") + x3.scale(MU), 1)
+    third = RatCoeff(x3 * q1 - r.num, 2)
+    # every trial division by q1 is a _divide call in polyring._shed_q1
     calls = []
-    divide = GeoPoly.exact_divide
-    monkeypatch.setattr(GeoPoly, "exact_divide",
-                        lambda self, d: calls.append(d) or divide(self, d))
+    divide = polyring._divide
+    monkeypatch.setattr(polyring, "_divide", lambda *args: calls.append(args) or divide(*args))
     neg, tripled = -r, r.scale(3)
     # over two different powers of q1 the sum needs no trial division either:
     # q1 divides the lifted numerator but not the other, reduced one
     sums = r + s, s + r
     assert calls == []
+    # over equal powers the sum is still trial-divided and reduced
+    total = r + third
+    assert len(calls) == 2
     monkeypatch.undo()
     assert neg.k == tripled.k == r.k == 2
     assert neg == RatCoeff(-r.num, r.k)
     assert tripled == RatCoeff(r.num.scale(3), r.k)
     assert (neg + r).is_zero() and r.scale(0).is_zero() and r.scale(0).k == 0
-    q1 = quadratic_sum(vs, 2)
     want = RatCoeff(r.num + s.num * q1, 2)
     assert want.k == 2 and all(x == want for x in sums)
-    # over equal powers the sum is still trial-divided and reduced
-    third = RatCoeff(x3 * q1 - r.num, 2)
-    assert third.k == 2 and r + third == RatCoeff(x3, 1) and (r + third).k == 1
+    assert third.k == 2 and total == RatCoeff(x3, 1) and total.k == 1
+
+
+def _reduce_by_exact_divide(num, k):
+    """The earlier RatCoeff reduction, a test-only reference: q1 divided out
+    of num by GeoPoly.exact_divide, one power at a time."""
+    q1 = curated_factors(num.vars)["q1"]
+    while k and (q := num.exact_divide(q1)) is not None:
+        num, k = q, k - 1
+    return num.render(), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ratcoeff_reduction_matches_trial_division_reference(n):
+    rng = random.Random(30 + n)
+    vs = xi_vars(n)
+    q1 = quadratic_sum(vs, n - 1)
+    over = (MU - 1) / (LAMBDA * 2 - 3)
+    outcomes = set()
+    for _ in range(30):
+        a = _rand_pair(rng, vs)[0] * q1 ** rng.randint(0, 3)
+        b = a.scale(over)
+        assert not b.den.is_constant()
+        for num in (a, b):
+            for k in range(1, 5):
+                r = RatCoeff(num, k)
+                assert (r.num.render(), r.k) == _reduce_by_exact_divide(num, k)
+                outcomes.add((r.k == 0, r.k == k))
+    # some values shed every power of q1, some a few and some none
+    assert outcomes == {(True, False), (False, False), (False, True)}
+    # at n = 2, q1 = x1^2 is not irreducible, and x1^3 q1 = x1^5 sheds two powers
+    x1 = GeoPoly.var(vs, "x1")
+    assert RatCoeff(x1 ** 3 * q1, 3).k == (1 if n == 2 else 2)
+    zero = RatCoeff(GeoPoly.zero(vs), 2)
+    assert (zero.num.render(), zero.k) == _reduce_by_exact_divide(GeoPoly.zero(vs), 2) == ("0", 0)
 
 
 def test_sums_and_products_over_mixed_q1_powers_match_cross_multiplication():
@@ -175,6 +211,35 @@ def test_rejects_non_curated_denominator():
         with pytest.raises(ValueError):
             RatCoeff(GeoPoly.const(vs, 1), k)
     assert RatCoeff(GeoPoly.const(t_var(), 1), 0).is_polynomial()
+
+
+@pytest.mark.parametrize("other", [xi_vars(4), t_var(), xi_eta_vars()],
+                         ids=lambda vs: f"{vs.kind}{vs.arity}")
+def test_mixing_variable_sets_raises_value_error(other):
+    vs = xi_vars(3)
+    x3, y = GeoPoly.var(vs, "x3"), GeoPoly.var(other, other.names[-1])
+    for f in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a.exact_divide(b)):
+        for a, b in ((x3, y), (y, x3)):
+            with pytest.raises(ValueError, match="variable-set mismatch"):
+                f(a, b)
+    # a RatCoeff over q1 is an xi value; the other operand may have k = 0
+    ks = (0, 1) if other.kind == "xi" else (0,)
+    for r, s in [(RatCoeff(x3, k), RatCoeff(y, j)) for k in (0, 1) for j in ks]:
+        for f in (lambda a, b: a + b, lambda a, b: a * b):
+            for a, b in ((r, s), (s, r)):
+                with pytest.raises(ValueError, match="variable-set mismatch"):
+                    f(a, b)
+    a, b = DiffOp.mult(RatCoeff(x3, 1)) @ DiffOp.partial(vs, 0), DiffOp.partial(other, 0)
+    for f in (lambda a, b: a + b, lambda a, b: a @ b, lambda a, b: a.commutator(b)):
+        for x, z in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="variable-set mismatch"):
+                f(x, z)
+    for op, p in ((a, y), (b, x3)):
+        with pytest.raises(ValueError, match="variable-set mismatch"):
+            op.apply_rat(p)
+    for c in (y, RatCoeff(y)):
+        with pytest.raises(ValueError, match="variable-set mismatch"):
+            DiffOp(vs, {(1, 0, 0): c})
 
 
 def test_homogenize_roundtrip():

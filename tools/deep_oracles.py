@@ -16,16 +16,24 @@ this directory.  At the formal weights (lambda, mu and alpha symbolic):
   the three-term recurrence and the 2F1 series, which must be equal;
 - the whole ``verify-so`` suite (``cli_report.so_suite``) at n = 5 and 6 to
   degree 14, where operator products run on many variables (Tier-1 runs its
-  ladder and Casimir checks there to degree 10, the benchmark stops at n = 4).
+  ladder and Casimir checks there to degree 10, the benchmark stops at n = 4);
+- associativity ``(a@b)@c == a@(b@c)`` and the Jacobi identity on seeded
+  operators at n = 3, 4 and 5, with coefficients over q1^j, j <= 2, and
+  derivatives in every variable.  These reach the general localized products
+  that no scenario does: an R_{m,j} with m != 0, and a coefficient whose
+  lower q1 groups are lifted after the top one sheds q1.
 
-The tool prints the number of records and the time of each oracle, and each
-failure, and exits 1 if there was any.  It is not part of Tier-1.
+The tool prints the number of records (for the seeded operators, two per
+case) and the time of each oracle, and each failure, and exits 1 if there was
+any.  It is not part of Tier-1.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -33,14 +41,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from vermabranch import cli_report, diag_pair  # noqa: E402
 from vermabranch.orthopoly import (gegenbauer, gegenbauer_recurrence,  # noqa: E402
                                    gegenbauer_via_2f1)
+from vermabranch.polyring import GeoPoly, RatCoeff, xi_vars  # noqa: E402
 from vermabranch.report import ReportBundle  # noqa: E402
-from vermabranch.scalars import ALPHA  # noqa: E402
+from vermabranch.scalars import ALPHA, LAMBDA  # noqa: E402
+from vermabranch.weylalg import DiffOp  # noqa: E402
 
 TRANSPORT_DEGREE = 30
 T_ANNIHILATION_DEGREE = 40
 GEGENBAUER_DEGREE = 40
 SO_DIMENSIONS = (5, 6)
 SO_DEGREE = 14
+LOCALIZED_DIMENSIONS = (3, 4, 5)
+LOCALIZED_CASES = 40
+LOCALIZED_COEFFS = (1, -2, 3, LAMBDA, LAMBDA + 1, Fraction(1, 2), LAMBDA / (LAMBDA + 1))
 
 
 def gegenbauer_check(max_degree: int) -> ReportBundle:
@@ -51,6 +64,41 @@ def gegenbauer_check(max_degree: int) -> ReportBundle:
                             ("2f1", gegenbauer_via_2f1(l, ALPHA))):
             bundle.check(f"gegenbauer.sum={name}.l={l}", "orthopoly:gegenbauer",
                          c == other, witness=lambda: (c - other).render())
+    return bundle
+
+
+def _exponents(rng: random.Random, n: int, order: int) -> tuple:
+    """Exponents of up to ``order`` variables drawn with repetition."""
+    e = [0] * n
+    for _ in range(rng.randint(0, order)):
+        e[rng.randrange(n)] += 1
+    return tuple(e)
+
+
+def _localized_op(rng: random.Random, vs) -> DiffOp:
+    """One or two terms num/q1^j D^e: num of degree <= 2 with coefficients
+    over parameter denominators, j <= 2 and e of order <= 3."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        num = GeoPoly(vs, {_exponents(rng, vs.arity, 2): rng.choice(LOCALIZED_COEFFS)
+                           for _ in range(rng.randint(1, 3))})
+        terms[_exponents(rng, vs.arity, 3)] = RatCoeff(num, rng.randint(0, 2))
+    return DiffOp(vs, terms)
+
+
+def localized_laws(n: int, cases: int) -> ReportBundle:
+    """Associativity and the Jacobi identity on ``cases`` seeded triples of
+    operators in n variables."""
+    rng, vs, bundle = random.Random(n), xi_vars(n), ReportBundle()
+    for i in range(cases):
+        a, b, c = (_localized_op(rng, vs) for _ in range(3))
+        jacobi = (a.commutator(b.commutator(c)) + b.commutator(c.commutator(a))
+                  + c.commutator(a.commutator(b)))
+        witness = lambda: f"{a.render()} ; {b.render()} ; {c.render()}"  # noqa: E731
+        bundle.check(f"localized.associativity.n={n}.case={i}", "engine:normal-ordering",
+                     (a @ b) @ c == a @ (b @ c), witness=witness)
+        bundle.check(f"localized.jacobi.n={n}.case={i}", "engine:normal-ordering",
+                     jacobi.is_zero(), witness=witness)
     return bundle
 
 
@@ -67,6 +115,10 @@ def main() -> int:
         (f"so_suite at n = {n} to degree {SO_DEGREE}",
          lambda n=n: cli_report.so_suite(cli_report.RunConfig("so_pair", n=n, max_degree=SO_DEGREE)))
         for n in SO_DIMENSIONS
+    ] + [
+        (f"associativity and Jacobi on {LOCALIZED_CASES} localized cases at n = {n}",
+         lambda n=n: localized_laws(n, LOCALIZED_CASES))
+        for n in LOCALIZED_DIMENSIONS
     ]
     n_fail = 0
     for name, run in oracles:

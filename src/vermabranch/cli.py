@@ -14,9 +14,10 @@ import sys
 from fractions import Fraction
 
 from .cli_report import RunConfig, run_suite
+from .orthopoly import gegenbauer, jacobi
 from .properties import run_all as run_property_suites
 from .report import FAIL, ReportBundle, render_json
-from .tables import ortho_table
+from .scalars import ALPHA, LAMBDA, MU
 
 
 def _rational(text: str):
@@ -46,6 +47,22 @@ _cases = _at_least(1, "_cases", "cases must be at least 1")
 # the RunConfig scenario of each scenario subcommand
 _SCENARIOS = {"verify-so": "so_pair", "verify-diag": "diag_pair",
               "branch-report": "branch", "all": "all"}
+
+
+def gegenbauer_lines(max_degree: int) -> list:
+    """The lines ``C_l = ...`` for l <= max_degree, which open both the
+    ``ortho-tables`` output and the Gegenbauer golden table."""
+    return [f"C_{l} = {gegenbauer(l, ALPHA).render()}" for l in range(max_degree + 1)]
+
+
+def ortho_table(max_degree: int) -> str:
+    """What ``vermabranch ortho-tables`` prints: the C_l lines, then the
+    Jacobi polynomials P_l^(-lambda-1, mu+lambda-2l+1)."""
+    lines = gegenbauer_lines(max_degree)
+    for l in range(max_degree + 1):
+        p = jacobi(l, -LAMBDA - 1, MU + LAMBDA - (2 * l - 1))
+        lines.append(f"P_{l} = {p.render()}")
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,0 +1,213 @@
+"""Test-side oracles: independent reference constructions for the library's
+orthogonal polynomials (three-term recurrence, terminating 2F1 series, ODEs,
+ladder operators, derivative formula, exact orthogonality), and the builders
+of the golden text tables ``goldens/*.txt``, keyed by file in ``GOLDEN_TABLES``.
+
+Tests import it by name, as pytest puts ``tests/`` on the path;
+``tools/deep_oracles.py`` imports it by path.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from vermabranch.cli import gegenbauer_lines
+from vermabranch.diag_pair import (DiagContext, lowering_constant, op_F_fourier,
+                                   singular_vector_Ptilde)
+from vermabranch.orthopoly import gegenbauer, gen_binomial, jacobi, rising_factorial
+from vermabranch.polyring import GeoPoly, gegen_tilde_convert, t_var, x_var
+from vermabranch.scalars import ALPHA, ParamScalar
+from vermabranch.so_pair import SoPairContext, op_Q, singular_vector_F
+from vermabranch.weylalg import DiffOp, proportionality
+
+
+def gegenbauer_recurrence(l: int, alpha) -> GeoPoly:
+    """C_l^alpha from the three-term recurrence, the reference for
+    :func:`gegenbauer`; C_{-1} := 0."""
+    alpha, xv = ParamScalar.coerce(alpha), x_var()
+    if l < 0:
+        return GeoPoly.zero(xv)
+    c_prev = GeoPoly.const(xv, 1)                       # C_0
+    if l == 0:
+        return c_prev
+    x = GeoPoly.var(xv, "x")
+    c_cur = x.scale(alpha * 2)                          # C_1
+    for k in range(2, l + 1):
+        nxt = (x * c_cur).scale((alpha + (k - 1)) * 2) - c_prev.scale(alpha * 2 + (k - 2))
+        c_prev, c_cur = c_cur, nxt.scale(Fraction(1, k))
+    return c_cur
+
+
+def jacobi_derivative(l: int, alpha, beta, k: int) -> GeoPoly:
+    """k-th derivative via the parameter-shift formula; zero once k > l."""
+    if k < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if k > l:
+        return GeoPoly.zero(x_var())
+    alpha = ParamScalar.coerce(alpha)
+    beta = ParamScalar.coerce(beta)
+    c = rising_factorial(alpha + beta + l + 1, k) * Fraction(1, 2 ** k)
+    return jacobi(l - k, alpha + k, beta + k).scale(c)
+
+
+def hypergeom_2f1_terminating(a, b, c, arg: GeoPoly, terms: int) -> GeoPoly:
+    """Truncated 2F1(a, b; c; arg) with rising factorials; with a = -l the
+    series terminates by itself after l+1 terms."""
+    a = ParamScalar.coerce(a)
+    b = ParamScalar.coerce(b)
+    c = ParamScalar.coerce(c)
+    out = GeoPoly.zero(arg.vars)
+    power = GeoPoly.const(arg.vars, 1)
+    for m in range(terms + 1):
+        cm = rising_factorial(c, m)
+        if cm.is_zero():
+            raise ZeroDivisionError(f"lower parameter hits a nonpositive integer at term {m}")
+        coeff = rising_factorial(a, m) * rising_factorial(b, m) / (cm * factorial(m))
+        if not coeff.is_zero():
+            out = out + power.scale(coeff)
+        power = power * arg
+    return out
+
+
+def gegenbauer_via_2f1(l: int, alpha) -> GeoPoly:
+    """(2a)_l / l! * 2F1(-l, 2a+l; a+1/2; (1-x)/2)."""
+    alpha = ParamScalar.coerce(alpha)
+    xv = x_var()
+    arg = (GeoPoly.const(xv, 1) - GeoPoly.var(xv, "x")).scale(Fraction(1, 2))
+    series = hypergeom_2f1_terminating(ParamScalar.const(-l), alpha * 2 + l,
+                                       alpha + Fraction(1, 2), arg, l)
+    return series.scale(rising_factorial(alpha * 2, l) / factorial(l))
+
+
+def jacobi_via_2f1(l: int, alpha, beta) -> GeoPoly:
+    """binom(l+a, l) * 2F1(-l, 1+a+b+l; a+1; (1-x)/2)."""
+    alpha = ParamScalar.coerce(alpha)
+    beta = ParamScalar.coerce(beta)
+    xv = x_var()
+    arg = (GeoPoly.const(xv, 1) - GeoPoly.var(xv, "x")).scale(Fraction(1, 2))
+    series = hypergeom_2f1_terminating(ParamScalar.const(-l), alpha + beta + l + 1,
+                                       alpha + 1, arg, l)
+    return series.scale(gen_binomial(alpha + l, l))
+
+
+def orthogonality_integral(k: int, l: int, alpha: int, beta: int) -> Fraction:
+    """Exact integral of (1-x)^a (1+x)^b P_k P_l over [-1, 1] for integer
+    nonnegative weights."""
+    if alpha < 0 or beta < 0 or not isinstance(alpha, int) or not isinstance(beta, int):
+        raise ValueError("only nonnegative integer weight parameters are supported")
+    xv = x_var()
+    one = GeoPoly.const(xv, 1)
+    x = GeoPoly.var(xv, "x")
+    weight = (one - x) ** alpha * (one + x) ** beta
+    a = ParamScalar.const(alpha)
+    b = ParamScalar.const(beta)
+    prod = weight * jacobi(k, a, b) * jacobi(l, a, b)
+    total = Fraction(0)
+    for e, c in prod.coefficients().items():
+        j = e[0]
+        if j % 2 == 0:
+            total += c.rational_value() * Fraction(2, j + 1)
+    return total
+
+
+def jacobi_norm_closed_form(l: int, alpha: int, beta: int) -> Fraction:
+    """Right-hand side of the orthogonality relation at k = l, with the
+    Gamma quotients expanded into factorials."""
+    return (Fraction(2 ** (alpha + beta + 1), 2 * l + alpha + beta + 1)
+            * Fraction(factorial(l + alpha) * factorial(l + beta),
+                       factorial(l + alpha + beta) * factorial(l)))
+
+
+# -- operators on the x-line and the t-line ----------------------------------
+
+def gegenbauer_ode_op(l: int, alpha) -> DiffOp:
+    """(1-x^2) d^2 - (2a+1) x d + l(l+2a), annihilating C_l^a."""
+    xv = x_var()
+    return DiffOp(xv, {(2,): GeoPoly(xv, {(2,): -1, (0,): 1}),
+                       (1,): GeoPoly(xv, {(1,): -(alpha * 2 + 1)}),
+                       (0,): (alpha * 2 + l) * l})
+
+
+def jacobi_ode_op(l: int, alpha, beta) -> DiffOp:
+    """(1-x^2) d^2 + (b-a-(a+b+2)x) d + l(l+a+b+1), annihilating P_l^(a,b)."""
+    xv = x_var()
+    return DiffOp(xv, {(2,): GeoPoly(xv, {(2,): -1, (0,): 1}),
+                       (1,): GeoPoly(xv, {(1,): -(alpha + beta + 2), (0,): beta - alpha}),
+                       (0,): (alpha + beta + l + 1) * l})
+
+
+def gegenbauer_lower_op(l: int) -> DiffOp:
+    """(1-x^2) d + l x, sending C_l to (l+2a-1) C_{l-1}."""
+    xv = x_var()
+    return DiffOp(xv, {(1,): GeoPoly(xv, {(2,): -1, (0,): 1}), (0,): GeoPoly(xv, {(1,): l})})
+
+
+def gegenbauer_raise_op(l: int, alpha) -> DiffOp:
+    """(1-x^2) d - (l+2a) x, sending C_l to -(l+1) C_{l+1}."""
+    xv = x_var()
+    return DiffOp(xv, {(1,): GeoPoly(xv, {(2,): -1, (0,): 1}),
+                       (0,): GeoPoly(xv, {(1,): -(alpha * 2 + l)})})
+
+
+def gegenbauer_tilde_raise_op(l: int, alpha) -> DiffOp:
+    """2t(t+1) d_t - l t - 2(l+a) on the t-line."""
+    tv = t_var()
+    return DiffOp(tv, {(1,): GeoPoly(tv, {(2,): 2, (1,): 2}),
+                       (0,): GeoPoly(tv, {(1,): -l, (0,): -(alpha + l) * 2})})
+
+
+# -- golden tables ------------------------------------------------------------
+
+def f_vector_table(n: int, max_degree: int) -> str:
+    ctx = SoPairContext.formal(n)
+    lines = [f"F_{l} = {singular_vector_F(ctx, l).render()}"
+             for l in range(max_degree + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def gegenbauer_table(max_degree: int) -> str:
+    lines = gegenbauer_lines(max_degree)
+    for l in range(max_degree + 1):
+        ct = gegen_tilde_convert(gegenbauer(l, ALPHA), l)
+        lines.append(f"C~_{l} = {ct.render()}")
+    return "\n".join(lines) + "\n"
+
+
+def q_action_table(n: int, max_degree: int) -> str:
+    ctx = SoPairContext.formal(n)
+    q = op_Q(ctx)
+    lines = []
+    for l in range(max_degree + 1):
+        src = singular_vector_F(ctx, l)
+        img = q.apply(src)
+        c = proportionality(img, singular_vector_F(ctx, l + 1))
+        lines.append(f"Q(F_{l}) = ({c.render()}) * F_{l + 1}")
+        lines.append(f"       = {img.render()}")
+    return "\n".join(lines) + "\n"
+
+
+def jacobi_table(max_degree: int) -> str:
+    ctx = DiagContext.formal()
+    lines = [f"P~_{l} = {singular_vector_Ptilde(ctx, l).render()}"
+             for l in range(max_degree + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def lowering_table(max_degree: int) -> str:
+    ctx = DiagContext.formal()
+    f_hat = op_F_fourier(ctx)
+    lines = []
+    for l in range(1, max_degree + 1):
+        img = f_hat.apply(singular_vector_Ptilde(ctx, l))
+        c = lowering_constant(ctx, l)
+        lines.append(f"F(P~_{l}) = ({c.render()}) * P~_{l - 1}")
+        lines.append(f"        = {img.render()}")
+    return "\n".join(lines) + "\n"
+
+
+GOLDEN_TABLES = {
+    "f_vectors.txt": lambda: f_vector_table(3, 4),
+    "gegenbauer.txt": lambda: gegenbauer_table(3),
+    "q_actions.txt": lambda: q_action_table(3, 3),
+    "jacobi.txt": lambda: jacobi_table(3),
+    "lowering.txt": lambda: lowering_table(3),
+}

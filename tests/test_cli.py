@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import GOLDEN_TABLES
 from vermabranch.cli import build_parser, main
 from vermabranch.report import ReportBundle
-from vermabranch.tables import GOLDEN_TABLES
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "goldens"
@@ -215,6 +215,20 @@ def test_writable_json_path_probe_leaves_report_unchanged(tmp_path):
     assert path.read_bytes() == first
     assert first == run_cli("verify-so", "--n", "2", "--max-degree", "2",
                             "--json", "-").stdout.encode()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["verify-so", "--max-degree", "0"], "max_degree must be >= 1"),
+    (["verify-diag", "--lambda", "1/3"], "lambda and mu must be given together"),
+    (["branch-report", "--N", "3", "--cutoff", "0"], "cutoff must be >= 1"),
+    (["branch-report", "--N", "-1"], "need N >= 0 and cutoff >= 1"),
+    (["all", "--N", "-1"], "need N >= 0 and cutoff >= 1"),
+])
+def test_precondition_exits(capsys, args, message):
+    # each rejects its input before any check: exit 2, one error line, no report
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])

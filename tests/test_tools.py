@@ -1,0 +1,28 @@
+"""The scripts under tools/ load: their imports of ``src/`` and of
+``tests/oracles.py`` resolve.  Neither runs its ``main`` on import."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(f"tool_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, entry", [("deep_oracles", "main"), ("weight_grid", "main_grid")])
+def test_tool_loads_by_path(name, entry):
+    assert callable(getattr(load_tool(name), entry))
+
+
+def test_tools_build_their_runs():
+    # the grid the tool predicts, and its Gegenbauer oracle at a low degree
+    assert len(load_tool("weight_grid").grid_runs()) == 1407
+    bundle = load_tool("deep_oracles").gegenbauer_check(3)
+    assert len(bundle.records) == 8 and bundle.ok()

@@ -4,7 +4,8 @@ caps, and count what they find.
     python3 tools/deep_oracles.py
 
 Run from anywhere; it imports ``vermabranch`` from the ``src/`` next to
-this directory.  At the formal weights (lambda, mu and alpha symbolic):
+this directory and the reference constructions from ``tests/oracles.py``.
+At the formal weights (lambda, mu and alpha symbolic):
 
 - ``diag_pair.model_transport_check`` to degree 30 (``verify-diag`` caps it
   at ``min(max_degree, 5)``): the dehomogenized Fourier action against the
@@ -36,11 +37,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from oracles import gegenbauer_recurrence, gegenbauer_via_2f1  # noqa: E402
 from vermabranch import cli_report, diag_pair  # noqa: E402
-from vermabranch.orthopoly import (gegenbauer, gegenbauer_recurrence,  # noqa: E402
-                                   gegenbauer_via_2f1)
+from vermabranch.orthopoly import gegenbauer  # noqa: E402
 from vermabranch.polyring import GeoPoly, RatCoeff, xi_vars  # noqa: E402
 from vermabranch.report import ReportBundle  # noqa: E402
 from vermabranch.scalars import ALPHA, LAMBDA  # noqa: E402

@@ -58,6 +58,14 @@ class VarSet:
         return self.names.index(name)
 
 
+def _same_vars(a: VarSet, b: VarSet) -> VarSet:
+    """a, if b is the same variable set; the one check that raises on a
+    mismatch, for the arithmetic here and the operators of weylalg."""
+    if a is b or a == b:
+        return a
+    raise ValueError(f"variable-set mismatch: {a} vs {b}")
+
+
 def xi_vars(n: int) -> VarSet:
     if n < 2:
         raise ValueError("the orthogonal-pair scenario needs n >= 2")
@@ -180,14 +188,10 @@ class GeoPoly:
         e = _unpack(max(self.terms), self.vars.arity, _PBITS)
         return e, self.coefficient(e)
 
-    def _check(self, other: "GeoPoly"):
-        if self.vars is not other.vars and self.vars != other.vars:
-            raise ValueError(f"variable-set mismatch: {self.vars} vs {other.vars}")
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "GeoPoly") -> "GeoPoly":
-        self._check(other)
+        _same_vars(self.vars, other.vars)
         if not other.terms:
             return self
         if not self.terms:
@@ -202,7 +206,7 @@ class GeoPoly:
         return self + (-other)
 
     def __mul__(self, other: "GeoPoly") -> "GeoPoly":
-        self._check(other)
+        _same_vars(self.vars, other.vars)
         top = _layout(self.vars.arity, _PBITS)[3]
         return _new(self.vars, _product(self.terms, other.terms, top), self.den * other.den)
 
@@ -246,7 +250,7 @@ class GeoPoly:
         By Gauss's lemma, division by its primitive part runs in integers and
         fails at the first inexact step.
         """
-        self._check(divisor)
+        _same_vars(self.vars, divisor.vars)
         dt = divisor.terms
         if not dt:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -426,12 +430,8 @@ class RatCoeff:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other: "RatCoeff"):
-        if self.vars is not other.vars and self.vars != other.vars:
-            raise ValueError("variable-set mismatch")
-
     def __add__(self, other: "RatCoeff") -> "RatCoeff":
-        self._check(other)
+        _same_vars(self.vars, other.vars)
         a, b, k = self.num, other.num, self.k
         if k == other.k:
             return RatCoeff(a + b, k)
@@ -449,7 +449,7 @@ class RatCoeff:
         return self + (-other)
 
     def __mul__(self, other: "RatCoeff") -> "RatCoeff":
-        self._check(other)
+        _same_vars(self.vars, other.vars)
         return RatCoeff(self.num * other.num, self.k + other.k)
 
     def scale(self, c) -> "RatCoeff":

@@ -156,14 +156,14 @@ def ladder_images(ctx: SoPairContext, l: int
                   ) -> Tuple[GeoPoly, RatCoeff, RatCoeff, GeoPoly | None]:
     """(e(l) F_l, f(l) F_l, f(l+1) e(l) F_l, e(l-1) f(l) F_l): the raise and
     lower images and the two legs of the bracket and of the Casimir.  The last
-    is None at l = 0, where the lowering leg is dropped; elsewhere a
-    non-polynomial f-image raises."""
+    is None at l = 0, where the lowering leg is dropped, and where f(l) F_l
+    is no polynomial, which :func:`verify_sl2` records as a failed check."""
     e_l, f_l, _ = ladder_ops(ctx, l)
     f = singular_vector_F(ctx, l)
     ev = e_l.apply(f)
     fv = f_l.apply_rat(f)
     up = ladder_ops(ctx, l + 1)[1].apply_rat(ev)
-    down = ladder_ops(ctx, l - 1)[0].apply(fv.as_poly()) if l > 0 else None
+    down = ladder_ops(ctx, l - 1)[0].apply(fv.num) if l and fv.is_polynomial() else None
     return ev, fv, up, down
 
 

@@ -27,6 +27,8 @@ loop over packed integer terms:
   zero where m differentiates xn and, for j = 0, everywhere but at m = 0.
   The left term c becomes c R_{m,j} and binom(a, k) binom(k, m) the
   multinomial binom(a, m) binom(a-m, k-m);
+- every sub-monomial k <= e of a packed derivative monomial, m and k alike,
+  comes with its binomial from one cached table, :func:`_lowerings`;
 - D^k of a term ``c x^g`` is ``prod_i (g_i)_{k_i} c x^(g-k)``, with g read
   from the fields of its key (:func:`~vermabranch.scalars._layout`).
 
@@ -48,7 +50,7 @@ from operator import or_
 from typing import Dict, List, Tuple
 
 from .polyring import (GeoPoly, RatCoeff, VarSet, _new, _over_common, _rat,
-                       _shed_q1, curated_factors)
+                       _same_vars, _shed_q1, curated_factors)
 from .scalars import (_FIELD, _OVERFLOW, _PBITS, _W, _checked, _layout,
                       _monomial, _pack, _product, _unpack, ParamPoly, ParamScalar)
 
@@ -57,17 +59,6 @@ Lifted = List[Tuple[int, Dict[int, int], int]]
 Sums = Dict[int, Dict[int, int]]
 # an operator has few distinct derivative monomials, so each is packed once
 _dpack, _dunpack = lru_cache(maxsize=None)(_pack), lru_cache(maxsize=None)(_unpack)
-
-
-@lru_cache(maxsize=None)
-def _iter_sub(e: DerivMono) -> Tuple[Tuple[DerivMono, int], ...]:
-    """All k with 0 <= k <= e componentwise, with the product of binomials."""
-    if not e:
-        return (((), 1),)
-    head, row = e[0], [1]
-    for k in range(head):
-        row.append(row[-1] * (head - k) // (k + 1))
-    return tuple(((k,) + tail, b * c) for tail, c in _iter_sub(e[1:]) for k, b in enumerate(row))
 
 
 @lru_cache(maxsize=None)
@@ -102,43 +93,51 @@ def _lifted(op: "DiffOp") -> Tuple[ParamPoly, Lifted]:
 
 
 @lru_cache(maxsize=None)
-def _r(vars: VarSet, m: DerivMono, j: int) -> GeoPoly:
-    """R_{m,j} = q1^(j+|m|) D^m q1^-j, one derive at a time by the quotient
-    rule D_i (r / q1^s) = (q1 D_i r - s r D_i q1) / q1^(s+1)."""
-    if not any(m):
+def _r(vars: VarSet, m: int, j: int) -> GeoPoly:
+    """R_{m,j} = q1^(j+|m|) D^m q1^-j for the packed derivative monomial m,
+    one derive at a time by the quotient rule
+    D_i (r / q1^s) = (q1 D_i r - s r D_i q1) / q1^(s+1)."""
+    if not m:
         return GeoPoly.const(vars, 1)
-    if not j or m[-1]:
+    n = vars.arity
+    e = _dunpack(m, n)
+    if not j or e[-1]:
         return GeoPoly.zero(vars)
-    i = max(i for i, mi in enumerate(m) if mi)
-    prev = m[:i] + (m[i] - 1,) + m[i + 1:]
+    i = max(i for i, mi in enumerate(e) if mi)
+    prev = m - _layout(n)[1][i]
     r, q1 = _r(vars, prev, j), curated_factors(vars)["q1"]
-    return q1 * r.derive(i) - (r * q1.derive(i)).scale(j + sum(prev))
+    return q1 * r.derive(i) - (r * q1.derive(i)).scale(j + (prev >> _W * n))
 
 
 @lru_cache(maxsize=None)
-def _lowerings(e: int, n: int, whole: bool) -> Tuple[tuple, ...]:
-    """(k, binomial, fields, drop) for each k <= e, or for k = e alone if
-    whole, e and k packed derivative monomials in n variables: fields holds
-    the packed field shift and order of each variable that k differentiates,
-    and drop is the key D^k subtracts from a monomial."""
-    shifts, units = _layout(n, _PBITS)[:2]
-    e = _unpack(e, n)
+def _lowerings(e: int, n: int) -> Tuple[tuple, ...]:
+    """(k, binomial, fields, drop) for each k <= e componentwise, k = e last,
+    e and k packed derivative monomials in n variables: binomial is
+    prod_i binom(e_i, k_i), fields holds the packed field shift and order of
+    each variable that k differentiates, and drop is the key D^k subtracts
+    from a monomial.  The one table of the sub-monomials of e."""
+    rows = [((), 1)]
+    for ei in reversed(_unpack(e, n)):
+        row = [1]
+        for k in range(ei):
+            row.append(row[-1] * (ei - k) // (k + 1))
+        rows = [((k,) + tail, b * c) for tail, c in rows for k, b in enumerate(row)]
+    shifts = _layout(n, _PBITS)[0]
     return tuple((_pack(k), binomial, tuple((s, ki) for s, ki in zip(shifts, k) if ki),
-                  sum(ki * u for ki, u in zip(k, units)))
-                 for k, binomial in (((e, 1),) if whole else _iter_sub(e)))
+                  _pack(k, _PBITS)) for k, binomial in rows)
 
 
 def _lefts(vs: VarSet, ea: int, t1: Dict[int, int], j: int) -> List[tuple]:
     """(ea - m, terms of binom(ea, m) t1 R_{m,j} / q1^|m|, lowerings of
-    ea - m) for each m <= ea with R_{m,j} nonzero, for a j > 0: never in
-    apply_rat, whose right operand is a polynomial."""
+    ea - m) for each m <= ea of :func:`_lowerings` with R_{m,j} nonzero, for
+    a j > 0: never in apply_rat, whose right operand is a polynomial."""
     (top, shift), n, out = _frame(vs.arity), vs.arity, []
-    for m, binomial in _iter_sub(_dunpack(ea, n)):
+    for m, binomial, _, _ in _lowerings(ea, n):
         r = _r(vs, m, j).terms
         if r:
-            rest, dm = ea - _dpack(m), sum(m) << shift
+            rest, dm = ea - m, (m >> _W * n) << shift
             left = {k + dm: binomial * c for k, c in _product(t1, r, top).items()}
-            out.append((rest, left.items(), _lowerings(rest, n, False)))
+            out.append((rest, left.items(), _lowerings(rest, n)))
     return out
 
 
@@ -147,14 +146,16 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
     """Add sign * binom(ea, m) binom(ea - m, k) * c1 R_{m,j} * D^k(c2 g) into
     out[ea + eb - m - k] for every left term c1 g of a coefficient at ea,
     right term c2 g of a coefficient over q1^j at eb, m <= ea with R_{m,j}
-    nonzero (m = 0 alone if j = 0) and k <= ea - m (k = ea alone if whole).
+    nonzero (m = 0 alone if j = 0) and k <= ea - m, each k of the table of
+    :func:`_lowerings` (its last entry, k = ea, alone if whole).
     D^k of a monomial with exponents g is prod_i (g_i)_{k_i} times the
     monomial with g - k, and q1 exponents add in their field of the keys.
     Each field of the packed ea and eb is below 2^15, so ea + eb never carries."""
     n = vs.arity
     for ea, t1, _ in a:
         lefts = {}
-        plain = ((ea, t1.items(), _lowerings(ea, n, whole)),)
+        ks = _lowerings(ea, n)
+        plain = ((ea, t1.items(), ks[-1:] if whole else ks),)
         for eb, t2, j in b:
             ms = plain
             if j:
@@ -227,8 +228,7 @@ class DiffOp:
                 raise ValueError("negative derivative exponent")
             if not isinstance(c, RatCoeff):
                 c = RatCoeff(c if isinstance(c, GeoPoly) else GeoPoly.const(vars, c))
-            if c.vars is not vars and c.vars != vars:
-                raise ValueError(f"coefficient variable-set mismatch: {c.vars} vs {vars}")
+            _same_vars(c.vars, vars)
             if c.num.terms:
                 clean[tuple(e)] = c
         self.vars, self.terms, self.lift = vars, clean, None
@@ -266,12 +266,8 @@ class DiffOp:
 
     # -- algebra ----------------------------------------------------------
 
-    def _check(self, other: "DiffOp"):
-        if self.vars != other.vars:
-            raise ValueError("variable-set mismatch")
-
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
+        _same_vars(self.vars, other.vars)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
@@ -289,9 +285,8 @@ class DiffOp:
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product self o other."""
-        self._check(other)
+        vs = _same_vars(self.vars, other.vars)
         (da, a), (db, b) = _lifted(self), _lifted(other)
-        vs = self.vars
         return _op(vs, _coefficients(vs, _leibniz_sums(vs, a, b, 1, False, {}), da * db))
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
@@ -299,9 +294,8 @@ class DiffOp:
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         """self o other - other o self, both orders summed per coefficient."""
-        self._check(other)
+        vs = _same_vars(self.vars, other.vars)
         (da, a), (db, b) = _lifted(self), _lifted(other)
-        vs = self.vars
         sums = _leibniz_sums(vs, b, a, -1, False, _leibniz_sums(vs, a, b, 1, False, {}))
         return _op(vs, _coefficients(vs, sums, da * db))
 
@@ -323,9 +317,7 @@ class DiffOp:
     def apply_rat(self, p: GeoPoly) -> RatCoeff:
         """Exact action on a polynomial; the result keeps a power of q1 when
         a localized coefficient fails to divide out."""
-        vs = self.vars
-        if vs != p.vars:
-            raise ValueError("variable-set mismatch")
+        vs = _same_vars(self.vars, p.vars)
         den, a = _lifted(self)
         sums = _leibniz_sums(vs, a, [(0, p.terms, 0)], 1, True, {})
         return _coefficients(vs, sums, den * p.den).get((0,) * vs.arity) or RatCoeff.zero(vs)

@@ -12,7 +12,9 @@ import pytest
 
 from oracles import GOLDEN_TABLES
 from vermabranch.cli import build_parser, main
+from vermabranch.polyring import RatCoeff
 from vermabranch.report import ReportBundle
+from vermabranch.weylalg import DiffOp
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "goldens"
@@ -139,6 +141,25 @@ def test_degenerate_weight_is_precondition_error(args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: normalization divisor vanishes")
+
+
+def test_non_polynomial_lowering_is_a_failed_check(monkeypatch, capsys):
+    # f(2) with a stray xn/q1 term: its image of F_2 keeps q1, which is a
+    # failed check (exit 1, with a report), not a precondition error
+    import vermabranch.so_pair as so_pair
+    real = so_pair.ladder_ops
+
+    def broken(ctx, l):
+        e, f, h = real(ctx, l)
+        return e, f + DiffOp.mult(RatCoeff(ctx.xn(), 1)) if l == 2 else f, h
+    monkeypatch.setattr(so_pair, "ladder_ops", broken)
+    assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    failed = {r["check-id"] for r in json.loads(out)["records"] if r["status"] == "fail"}
+    assert failed == {"sl2.lower-polynomial.n=3,l=2",
+                      *(f"{c}.n=3,l={l}" for l in (1, 2) for c in
+                        ("sl2.bracket", "casimir.scalar", "casimir.dirac-square"))}
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("n, lam", [("2", "1/4"), ("4", "-1/4"), ("5", "-1/2"), ("6", "-3/4")])

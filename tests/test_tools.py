@@ -1,5 +1,5 @@
 """The scripts under tools/ load: their imports of ``src/`` and of
-``tests/oracles.py`` resolve.  Neither runs its ``main`` on import."""
+``tests/oracles.py`` resolve.  None runs its ``main`` on import."""
 
 import importlib.util
 from pathlib import Path
@@ -16,7 +16,8 @@ def load_tool(name):
     return module
 
 
-@pytest.mark.parametrize("name, entry", [("deep_oracles", "main"), ("weight_grid", "main_grid")])
+@pytest.mark.parametrize("name, entry", [("deep_oracles", "main"), ("weight_grid", "main_grid"),
+                                         ("compare_outputs", "main")])
 def test_tool_loads_by_path(name, entry):
     assert callable(getattr(load_tool(name), entry))
 
@@ -26,3 +27,15 @@ def test_tools_build_their_runs():
     assert len(load_tool("weight_grid").grid_runs()) == 1407
     bundle = load_tool("deep_oracles").gegenbauer_check(3)
     assert len(bundle.records) == 8 and bundle.ok()
+
+
+def test_compare_outputs_finds_only_real_differences(tmp_path):
+    # this tree against itself matches; against a stand-in cli, stdout differs
+    tool = load_tool("compare_outputs")
+    src = TOOLS.parent / "src"
+    assert tool.compare(src, src, [["ortho-tables"]]) == [(["ortho-tables"], [])]
+    fake = tmp_path / "vermabranch"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("print('C_0 = 1')\n")
+    assert tool.compare(src, tmp_path, [["ortho-tables"]]) == [(["ortho-tables"], ["stdout"])]

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -13,7 +15,7 @@ from vermabranch.properties import (apply_compose, associativity,
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
 from vermabranch.so_pair import (SoPairContext, casimir_closed_form, ladder_ops, op_P,
                                   op_Q)
-from vermabranch.weylalg import DiffOp, _iter_sub, proportionality
+from vermabranch.weylalg import DiffOp, proportionality
 
 VS = xi_vars(2)
 X1 = GeoPoly.var(VS, "x1")
@@ -92,7 +94,8 @@ def test_randomized_property_suites_small():
 
 # -- reference fold ----------------------------------------------------------
 # compose, commutator and apply_rat run one packed Leibniz loop.  The plain
-# fold below re-derives D^k for every (ea, k) by the quotient rule, forms
+# fold below enumerates k <= ea and its binomials itself, not from the
+# library's table, re-derives D^k for every (ea, k) by the quotient rule, forms
 # every product with RatCoeff.__mul__ and adds it through DiffOp.__add__; the
 # two must agree term for term, down to the rendered form of every
 # coefficient.
@@ -109,7 +112,8 @@ def _ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
     out = DiffOp.zero(a.vars)
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
-            for k, binomial in _iter_sub(ea):
+            for k in product(*(range(x + 1) for x in ea)):
+                binomial = prod(comb(x, ki) for x, ki in zip(ea, k))
                 dc = cb
                 for i, ki in enumerate(k):
                     for _ in range(ki):

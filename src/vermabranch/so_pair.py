@@ -153,17 +153,16 @@ def ladder_ops(ctx: SoPairContext, l: int) -> Tuple[DiffOp, DiffOp, DiffOp]:
 
 @per_context
 def ladder_images(ctx: SoPairContext, l: int
-                  ) -> Tuple[GeoPoly, RatCoeff, RatCoeff, GeoPoly | None]:
+                  ) -> Tuple[GeoPoly, RatCoeff, RatCoeff, RatCoeff]:
     """(e(l) F_l, f(l) F_l, f(l+1) e(l) F_l, e(l-1) f(l) F_l): the raise and
     lower images and the two legs of the bracket and of the Casimir.  The last
-    is None at l = 0, where the lowering leg is dropped, and where f(l) F_l
-    is no polynomial, which :func:`verify_sl2` records as a failed check."""
+    is zero at l = 0 and keeps q1 where f(l) F_l does."""
     e_l, f_l, _ = ladder_ops(ctx, l)
     f = singular_vector_F(ctx, l)
     ev = e_l.apply(f)
     fv = f_l.apply_rat(f)
     up = ladder_ops(ctx, l + 1)[1].apply_rat(ev)
-    down = ladder_ops(ctx, l - 1)[0].apply(fv.num) if l and fv.is_polynomial() else None
+    down = ladder_ops(ctx, l - 1)[0].apply_rat(fv)
     return ev, fv, up, down
 
 
@@ -214,16 +213,15 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> ReportBundle:
         bundle.check(f"sl2.lower-polynomial.{tag}", "so-pair:localized-f",
                      fv.is_polynomial(), witness=fv)
         if l == 0:
-            bundle.check(f"sl2.lower.{tag}", anchor, fv.is_polynomial() and fv.num.is_zero(),
-                         witness=fv)
+            bundle.check(f"sl2.lower.{tag}", anchor, fv.is_zero(), witness=fv)
         elif fv.is_polynomial():
             cf = proportionality(fv.as_poly(), fs[l - 1])
             bundle.check(f"sl2.lower.{tag}", anchor, cf is not None and cf == exp_f, witness=fv)
 
         # bracket on the weight vector: (f(l+1) e(l) - e(l-1) f(l)) F_l = -h(l) F_l
-        bra = up if down is None else up - RatCoeff(down)
-        ok = bra.is_polynomial() and bra.as_poly() == fs[l].scale(-(ctx.alpha + l) * 2)
-        bundle.check(f"sl2.bracket.{tag}", anchor, ok, witness=bra)
+        bra = up - down
+        bundle.check(f"sl2.bracket.{tag}", anchor,
+                     bra == RatCoeff(fs[l].scale(-(ctx.alpha + l) * 2)), witness=bra)
 
         # h eigenvalue and weight-space dimension bookkeeping
         bundle.check(f"sl2.h-eigenvalue.{tag}", anchor,
@@ -263,15 +261,11 @@ def _euler_shift_square(ctx: SoPairContext) -> DiffOp:
 
 
 def casimir_composed(ctx: SoPairContext, l: int) -> DiffOp:
-    """f(l+1) e(l) + e(l-1) f(l) + (1/2) h(l)^2, with the l = 0 lowering leg
-    dropped (it annihilates the bottom weight)."""
+    """f(l+1) e(l) + e(l-1) f(l) + (1/2) h(l)^2; at l = 0 the leg e(-1) f(0)
+    annihilates the bottom weight F_0."""
     e_l, f_l, h_l = ladder_ops(ctx, l)
-    _, f_up, _ = ladder_ops(ctx, l + 1)
-    out = f_up @ e_l
-    if l >= 1:
-        e_dn, _, _ = ladder_ops(ctx, l - 1)
-        out = out + e_dn @ f_l
-    return out + (h_l @ h_l).scale(Fraction(1, 2))
+    f_up, e_dn = ladder_ops(ctx, l + 1)[1], ladder_ops(ctx, l - 1)[0]
+    return f_up @ e_l + e_dn @ f_l + (h_l @ h_l).scale(Fraction(1, 2))
 
 
 def casimir_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
@@ -281,19 +275,18 @@ def casimir_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     for l in range(max_degree + 1):
         f = singular_vector_F(ctx, l)
         tag = f"n={ctx.n},l={l}"
+        target = RatCoeff(f.scale(eig))
         comp = casimir_composed(ctx, l).apply_rat(f)
-        ok = comp.is_polynomial() and comp.as_poly() == f.scale(eig)
-        bundle.check(f"casimir.scalar.{tag}", anchor, ok, witness=comp)
+        bundle.check(f"casimir.scalar.{tag}", anchor, comp == target, witness=comp)
         closed = casimir_closed_form(ctx, l).apply_rat(f)
-        okc = closed.is_polynomial() and closed.as_poly() == f.scale(eig)
-        bundle.check(f"casimir.closed-form.{tag}", anchor, okc, witness=closed)
+        bundle.check(f"casimir.closed-form.{tag}", anchor, closed == target, witness=closed)
         # (ef + fe) F_l = (Cas - h^2/2) F_l: the computable shadow of the
         # relative Dirac square
         _, _, up, down = ladder_images(ctx, l)
-        effe = up if down is None else up + RatCoeff(down)
-        rhs = f.scale(eig - (ctx.alpha + l) * (ctx.alpha + l) * 2)
-        okd = effe.is_polynomial() and effe.as_poly() == rhs
-        bundle.check(f"casimir.dirac-square.{tag}", "dirac:relative-square", okd, witness=effe)
+        effe = up + down
+        rhs = RatCoeff(f.scale(eig - (ctx.alpha + l) * (ctx.alpha + l) * 2))
+        bundle.check(f"casimir.dirac-square.{tag}", "dirac:relative-square", effe == rhs,
+                     witness=effe)
     return bundle
 
 

@@ -130,7 +130,7 @@ def _lowerings(e: int, n: int) -> Tuple[tuple, ...]:
 def _lefts(vs: VarSet, ea: int, t1: Dict[int, int], j: int) -> List[tuple]:
     """(ea - m, terms of binom(ea, m) t1 R_{m,j} / q1^|m|, lowerings of
     ea - m) for each m <= ea of :func:`_lowerings` with R_{m,j} nonzero, for
-    a j > 0: never in apply_rat, whose right operand is a polynomial."""
+    a right coefficient over q1^j, j > 0: an operand's or apply_rat's input."""
     (top, shift), n, out = _frame(vs.arity), vs.arity, []
     for m, binomial, _, _ in _lowerings(ea, n):
         r = _r(vs, m, j).terms
@@ -147,15 +147,14 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
     out[ea + eb - m - k] for every left term c1 g of a coefficient at ea,
     right term c2 g of a coefficient over q1^j at eb, m <= ea with R_{m,j}
     nonzero (m = 0 alone if j = 0) and k <= ea - m, each k of the table of
-    :func:`_lowerings` (its last entry, k = ea, alone if whole).
+    :func:`_lowerings` (its last entry, k = ea - m, alone if whole).
     D^k of a monomial with exponents g is prod_i (g_i)_{k_i} times the
     monomial with g - k, and q1 exponents add in their field of the keys.
     Each field of the packed ea and eb is below 2^15, so ea + eb never carries."""
     n = vs.arity
     for ea, t1, _ in a:
         lefts = {}
-        ks = _lowerings(ea, n)
-        plain = ((ea, t1.items(), ks[-1:] if whole else ks),)
+        plain = ((ea, t1.items(), _lowerings(ea, n)),)
         for eb, t2, j in b:
             ms = plain
             if j:
@@ -163,7 +162,7 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
             t2 = t2.items()
             for rest, left, subs in ms:
                 ab = rest + eb
-                for k, binomial, fields, drop in subs:
+                for k, binomial, fields, drop in subs[-1:] if whole else subs:
                     acc = out.setdefault(ab - k, {})
                     get, m = acc.get, sign * binomial
                     for k2, c in t2:
@@ -314,12 +313,15 @@ class DiffOp:
 
     # -- action -----------------------------------------------------------
 
-    def apply_rat(self, p: GeoPoly) -> RatCoeff:
-        """Exact action on a polynomial; the result keeps a power of q1 when
-        a localized coefficient fails to divide out."""
+    def apply_rat(self, p: GeoPoly | RatCoeff) -> RatCoeff:
+        """Exact action on a polynomial or a localized coefficient num/q1^j,
+        which enters as one right coefficient over q1^j, written as by
+        :func:`_lifted`; the result keeps a power of q1 where one remains."""
         vs = _same_vars(self.vars, p.vars)
         den, a = _lifted(self)
-        sums = _leibniz_sums(vs, a, [(0, p.terms, 0)], 1, True, {})
+        p, j = (p.num, p.k) if isinstance(p, RatCoeff) else (p, 0)
+        t = {key + (j << _frame(vs.arity)[1]): c for key, c in p.terms.items()} if j else p.terms
+        sums = _leibniz_sums(vs, a, [(0, t, j)], 1, True, {})
         return _coefficients(vs, sums, den * p.den).get((0,) * vs.arity) or RatCoeff.zero(vs)
 
     def apply(self, p: GeoPoly) -> GeoPoly:

@@ -162,6 +162,29 @@ def test_non_polynomial_lowering_is_a_failed_check(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_failed_bracket_witness_holds_both_legs(monkeypatch, capsys):
+    # the same stray term in f(2): the lowering leg e(1) f(2) F_2 keeps q1,
+    # and the bracket and the Dirac square at l = 2 fail on both legs,
+    # f(3) e(2) F_2 -/+ e(1) f(2) F_2, not on the raising leg alone
+    import vermabranch.so_pair as so_pair
+    real = so_pair.ladder_ops
+
+    def broken(ctx, l):
+        e, f, h = real(ctx, l)
+        return e, f + DiffOp.mult(RatCoeff(ctx.xn(), 1)) if l == 2 else f, h
+    monkeypatch.setattr(so_pair, "ladder_ops", broken)
+    assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    witness = {r["check-id"]: r.get("witness") for r in records}
+    ctx = so_pair.SoPairContext.formal(3)
+    f2 = so_pair.singular_vector_F(ctx, 2)
+    (e2, f2_op, _), f3, e1 = broken(ctx, 2), broken(ctx, 3)[1], broken(ctx, 1)[0]
+    up, down = f3.apply_rat(e2.apply(f2)), e1.apply_rat(f2_op.apply_rat(f2))
+    assert not down.is_polynomial()
+    assert witness["sl2.bracket.n=3,l=2"] == (up - down).render()
+    assert witness["casimir.dirac-square.n=3,l=2"] == (up + down).render()
+
+
 @pytest.mark.parametrize("n, lam", [("2", "1/4"), ("4", "-1/4"), ("5", "-1/2"), ("6", "-3/4")])
 def test_collinear_low_eigenvalues_pass(n, lam):
     # lam = (3-n)/4, where the [P, Q] eigenvalues at l = 0, 1, 2 are collinear

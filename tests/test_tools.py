@@ -25,8 +25,12 @@ def test_tool_loads_by_path(name, entry):
 def test_tools_build_their_runs():
     # the grid the tool predicts, and its Gegenbauer oracle at a low degree
     assert len(load_tool("weight_grid").grid_runs()) == 1407
-    bundle = load_tool("deep_oracles").gegenbauer_check(3)
+    deep = load_tool("deep_oracles")
+    bundle = deep.gegenbauer_check(3)
     assert len(bundle.records) == 8 and bundle.ok()
+    # the action on localized coefficients, on a few seeded cases
+    bundle = deep.localized_action(3, 4)
+    assert len(bundle.records) == 4 and bundle.ok()
 
 
 def test_compare_outputs_finds_only_real_differences(tmp_path):

@@ -127,15 +127,15 @@ def _ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
     return out
 
 
-def _ref_apply_rat(op: DiffOp, p: GeoPoly) -> RatCoeff:
+def _ref_apply_rat(op: DiffOp, p: GeoPoly | RatCoeff) -> RatCoeff:
     out = RatCoeff.zero(op.vars)
     for e, c in op.terms.items():
-        dp = p
+        dp = p if isinstance(p, RatCoeff) else RatCoeff(p)
         for i, ei in enumerate(e):
             for _ in range(ei):
-                dp = dp.derive(i)
+                dp = _ref_derive(dp, i)
         if not dp.is_zero():
-            out = out + c * RatCoeff(dp)
+            out = out + c * dp
     return out
 
 
@@ -188,6 +188,27 @@ def test_random_localized_products_match_reference():
     probe = quadratic_sum(vs, 3) * GeoPoly.var(vs, "x1") * GeoPoly.var(vs, "x3")
     for a, b in zip(ops, ops[1:] + ops[:1]):
         _assert_matches_reference(a, b, probe)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_apply_rat_acts_on_localized_coefficients(n):
+    # a(c) is the D^0 coefficient of a o c applied to 1, and the reference
+    # fold, for c over q1^j, j <= 2; operators that differentiate x1 run
+    # R_{m,j} with m != 0, and at j = 0 the call matches the GeoPoly one
+    rng = random.Random(60 + n)
+    vs = xi_vars(n)
+    one, ks, m_nonzero = GeoPoly.const(vs, 1), set(), 0
+    for _ in range(30):
+        a = _rand_localized_op(rng, vs, max_order=2)
+        c = next(iter(_rand_localized_op(rng, vs).terms.values()))
+        got = a.apply_rat(c)
+        _assert_same(got, (a @ DiffOp.mult(c)).apply_rat(one))
+        _assert_same(got, _ref_apply_rat(a, c))
+        if not c.k:
+            _assert_same(got, a.apply_rat(c.num))
+        ks.add(c.k)
+        m_nonzero += c.k > 0 and any(e[0] for e in a.terms)
+    assert ks == {0, 1, 2} and m_nonzero
 
 
 # -- polynomial and fractional operands --------------------------------------

@@ -22,11 +22,14 @@ At the formal weights (lambda, mu and alpha symbolic):
   operators at n = 3, 4 and 5, with coefficients over q1^j, j <= 2, and
   derivatives in every variable.  These reach the general localized products
   that no scenario does: an R_{m,j} with m != 0, and a coefficient whose
-  lower q1 groups are lifted after the top one sheds q1.
+  lower q1 groups are lifted after the top one sheds q1;
+- the action on a localized coefficient, ``a.apply_rat(c) ==
+  (a @ DiffOp.mult(c)).apply_rat(1)``, on operators a drawn as above and
+  coefficients c over q1^j, j <= 2, at n = 3, 4 and 5.
 
 The tool prints the number of records (for the seeded operators, two per
-case) and the time of each oracle, and each failure, and exits 1 if there was
-any.  It is not part of Tier-1.
+case for the laws and one for the action) and the time of each oracle, and
+each failure, and exits 1 if there was any.  It is not part of Tier-1.
 """
 
 from __future__ import annotations
@@ -104,6 +107,19 @@ def localized_laws(n: int, cases: int) -> ReportBundle:
     return bundle
 
 
+def localized_action(n: int, cases: int) -> ReportBundle:
+    """The action of a seeded operator on a seeded coefficient c against the
+    D^0 coefficient of its product with c, on ``cases`` pairs in n variables."""
+    rng, vs, bundle = random.Random(n), xi_vars(n), ReportBundle()
+    one = GeoPoly.const(vs, 1)
+    for i in range(cases):
+        a, c = _localized_op(rng, vs), next(iter(_localized_op(rng, vs).terms.values()))
+        got, want = a.apply_rat(c), (a @ DiffOp.mult(c)).apply_rat(one)
+        bundle.check(f"localized.apply.n={n}.case={i}", "engine:normal-ordering", got == want,
+                     witness=lambda: f"{a.render()} ; {c.render()}")
+    return bundle
+
+
 def main() -> int:
     ctx = diag_pair.DiagContext.formal()
     oracles = [
@@ -120,6 +136,10 @@ def main() -> int:
     ] + [
         (f"associativity and Jacobi on {LOCALIZED_CASES} localized cases at n = {n}",
          lambda n=n: localized_laws(n, LOCALIZED_CASES))
+        for n in LOCALIZED_DIMENSIONS
+    ] + [
+        (f"apply_rat on {LOCALIZED_CASES} localized coefficients at n = {n}",
+         lambda n=n: localized_action(n, LOCALIZED_CASES))
         for n in LOCALIZED_DIMENSIONS
     ]
     n_fail = 0

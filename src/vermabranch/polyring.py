@@ -16,10 +16,11 @@ for the total geometric degree and g_1..g_n sit above the parameter fields,
 whose bits are a ParamPoly key, so both layers share one kernel and its 2^15
 bound.  Integer order is graded-lexicographic in the geometric part, the last
 variable least significant, which keeps rendered output stable for the golden
-files.  The one constructor ``GeoPoly(vars, terms)`` checks and coerces its
-terms, and :meth:`GeoPoly.relabel` moves a value between models.  Only the
-read-only view (``coefficients``, ``coefficient``, ``leading``) builds
-per-monomial ParamScalars, in the canonical form of :mod:`scalars`.
+files.  The one constructor ``GeoPoly(vars, terms)`` checks its terms and
+coerces each coefficient but an exact int, and :meth:`GeoPoly.relabel`
+moves a value between models.  Only the read-only view (``coefficients``,
+``coefficient``, ``leading``) builds per-monomial ParamScalars, in the
+canonical form of :mod:`scalars`.
 
 The constructor, ``+`` and the operator products of :mod:`~vermabranch.weylalg`
 put numerators over the lcm of their parameter denominators in one routine,
@@ -125,16 +126,23 @@ class GeoPoly:
     def __init__(self, vars: VarSet, terms: Mapping[Expts, object] | None = None):
         """The polynomial with coefficients ``terms``: int, Fraction, ParamPoly
         or ParamScalar on exponent tuples of the arity of vars, each numerator
-        lifted to the lcm of the denominators by :func:`_over_common`."""
+        lifted to the lcm of the denominators by :func:`_over_common`.  An
+        exact int (not a bool) is its own numerator over 1, packed without
+        :meth:`ParamScalar.coerce`."""
         gs, nums, dens = [], [], []
         for e, c in (terms or {}).items():
             if len(e) != vars.arity:
                 raise ValueError("exponent arity mismatch")
-            g, c = _pack(e, _PBITS), ParamScalar.coerce(c)
-            if c.num.terms:
+            g = _pack(e, _PBITS)
+            if type(c) is int:
+                num, den = {0: c} if c else {}, _ONE
+            else:
+                c = ParamScalar.coerce(c)
+                num, den = c.num.terms, c.den
+            if num:
                 gs.append(g)
-                nums.append(c.num.terms)
-                dens.append(c.den)
+                nums.append(num)
+                dens.append(den)
         den, nums = _over_common(vars, nums, dens)
         p = _new(vars, {g + k: v for g, t in zip(gs, nums) for k, v in t.items()}, den)
         self.vars, self.terms, self.den = vars, p.terms, p.den

@@ -117,13 +117,15 @@ def _add(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def _checked(out: Dict[int, int], top: int) -> Dict[int, int]:
-    """The accumulated packed sum out without its zero terms, every key
-    tested against ``top``, the mask of the top bit of each of its fields."""
+def _checked(out: Dict[int, int], top: int) -> Tuple[Dict[int, int], int]:
+    """The accumulated packed sum out without its zero terms, and the OR of
+    their keys, tested against ``top``, the mask of the top bit of each of
+    its fields."""
     out = {k: c for k, c in out.items() if c}
-    if out and reduce(or_, out) & top:
+    bits = reduce(or_, out, 0)
+    if bits & top:
         raise ValueError(_OVERFLOW)
-    return out
+    return out, bits
 
 
 def _product(a: Dict[int, int], b: Dict[int, int], top: int) -> Dict[int, int]:
@@ -141,7 +143,7 @@ def _product(a: Dict[int, int], b: Dict[int, int], top: int) -> Dict[int, int]:
         for k2, c2 in b:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-    return _checked(out, top)
+    return _checked(out, top)[0]
 
 
 def _divide(rem: Dict[int, int], div: List[Tuple[int, int]], top: int) -> Optional[Dict[int, int]]:

@@ -28,15 +28,19 @@ loop over packed integer terms:
   The left term c becomes c R_{m,j} and binom(a, k) binom(k, m) the
   multinomial binom(a, m) binom(a-m, k-m);
 - every sub-monomial k <= e of a packed derivative monomial, m and k alike,
-  comes with its binomial from one cached table, :func:`_lowerings`;
-- D^k of a term ``c x^g`` is ``prod_i (g_i)_{k_i} c x^(g-k)``, with g read
-  from the fields of its key (:func:`~vermabranch.scalars._layout`).
+  comes with its binomial from one cached table, :func:`_lowerings`; an
+  action, which needs only k = e, builds that one row;
+- D^k of a term ``c x^g`` is ``prod_i (g_i)_{k_i} c x^(g-k)``, with g - k
+  the key less the packed k: a borrow in the top bit of a field
+  (:func:`~vermabranch.scalars._layout`) means some g_i < k_i, and the term
+  is dropped before any falling factorial is taken.
 
 Products are added per packed output derivative monomial and q1 exponent,
 both orders of a commutator with opposite signs into the same sums.  Each
 output coefficient is built once, after shedding q1 from the top down in
-:func:`~vermabranch.polyring._shed_q1` if its q1 exponent is nonzero; a
-derivative monomial whose products all vanish gets none.  Derivative
+:func:`~vermabranch.polyring._shed_q1` if its q1 exponent is nonzero, which
+the OR of its keys, taken by the overflow test, shows at once; a derivative
+monomial whose products all vanish gets none.  Derivative
 monomials are packed by :func:`~vermabranch.scalars._pack` and follow its
 2^15 rule: an operand or a product whose derivative exponent or degree
 reaches 2^15 raises ValueError.
@@ -109,35 +113,45 @@ def _r(vars: VarSet, m: int, j: int) -> GeoPoly:
     return q1 * r.derive(i) - (r * q1.derive(i)).scale(j + (prev >> _W * n))
 
 
+def _row(k: DerivMono, binomial: int, n: int) -> tuple:
+    """The lowering (k, binomial, fields, drop) of the exponents k in n
+    variables: k packed as a derivative monomial, fields the packed field
+    shift and order of each variable that k differentiates, and drop the key
+    D^k subtracts from a monomial."""
+    shifts = _layout(n, _PBITS)[0]
+    return (_pack(k), binomial, tuple((s, ki) for s, ki in zip(shifts, k) if ki),
+            _pack(k, _PBITS))
+
+
 @lru_cache(maxsize=None)
-def _lowerings(e: int, n: int) -> Tuple[tuple, ...]:
-    """(k, binomial, fields, drop) for each k <= e componentwise, k = e last,
-    e and k packed derivative monomials in n variables: binomial is
-    prod_i binom(e_i, k_i), fields holds the packed field shift and order of
-    each variable that k differentiates, and drop is the key D^k subtracts
-    from a monomial.  The one table of the sub-monomials of e."""
+def _lowerings(e: int, n: int, whole: bool = False) -> Tuple[tuple, ...]:
+    """The :func:`_row` of each k <= e componentwise, k = e last, with
+    binomial prod_i binom(e_i, k_i), e a packed derivative monomial in n
+    variables: the one table of the sub-monomials of e.  If whole, the row
+    k = e alone, binomial 1, which is all an action uses, without the rest."""
+    if whole:
+        return (_row(_unpack(e, n), 1, n),)
     rows = [((), 1)]
     for ei in reversed(_unpack(e, n)):
         row = [1]
         for k in range(ei):
             row.append(row[-1] * (ei - k) // (k + 1))
         rows = [((k,) + tail, b * c) for tail, c in rows for k, b in enumerate(row)]
-    shifts = _layout(n, _PBITS)[0]
-    return tuple((_pack(k), binomial, tuple((s, ki) for s, ki in zip(shifts, k) if ki),
-                  _pack(k, _PBITS)) for k, binomial in rows)
+    return tuple(_row(k, binomial, n) for k, binomial in rows)
 
 
-def _lefts(vs: VarSet, ea: int, t1: Dict[int, int], j: int) -> List[tuple]:
+def _lefts(vs: VarSet, ea: int, t1: Dict[int, int], j: int, whole: bool) -> List[tuple]:
     """(ea - m, terms of binom(ea, m) t1 R_{m,j} / q1^|m|, lowerings of
-    ea - m) for each m <= ea of :func:`_lowerings` with R_{m,j} nonzero, for
-    a right coefficient over q1^j, j > 0: an operand's or apply_rat's input."""
+    ea - m, the last alone if whole) for each m <= ea of :func:`_lowerings`
+    with R_{m,j} nonzero, for a right coefficient over q1^j, j > 0: an
+    operand's or apply_rat's input."""
     (top, shift), n, out = _frame(vs.arity), vs.arity, []
     for m, binomial, _, _ in _lowerings(ea, n):
         r = _r(vs, m, j).terms
         if r:
             rest, dm = ea - m, (m >> _W * n) << shift
             left = {k + dm: binomial * c for k, c in _product(t1, r, top).items()}
-            out.append((rest, left.items(), _lowerings(rest, n)))
+            out.append((rest, left.items(), _lowerings(rest, n, whole)))
     return out
 
 
@@ -150,43 +164,52 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
     :func:`_lowerings` (its last entry, k = ea - m, alone if whole).
     D^k of a monomial with exponents g is prod_i (g_i)_{k_i} times the
     monomial with g - k, and q1 exponents add in their field of the keys.
+    The key of g - k is the right key less k's drop; where some g_i < k_i,
+    D^k kills the term, and the subtraction leaves a borrow in that field's
+    top bit (as in :func:`~vermabranch.scalars._divide`), so the term is
+    skipped before any falling factorial is taken.
     Each field of the packed ea and eb is below 2^15, so ea + eb never carries."""
     n = vs.arity
+    top = _frame(n)[0]
     for ea, t1, _ in a:
         lefts = {}
-        plain = ((ea, t1.items(), _lowerings(ea, n)),)
+        plain = ((ea, t1.items(), _lowerings(ea, n, whole)),)
         for eb, t2, j in b:
             ms = plain
             if j:
-                ms = lefts.get(j) or lefts.setdefault(j, _lefts(vs, ea, t1, j))
+                ms = lefts.get(j) or lefts.setdefault(j, _lefts(vs, ea, t1, j, whole))
             t2 = t2.items()
             for rest, left, subs in ms:
                 ab = rest + eb
-                for k, binomial, fields, drop in subs[-1:] if whole else subs:
+                for k, binomial, fields, drop in subs:
                     acc = out.setdefault(ab - k, {})
                     get, m = acc.get, sign * binomial
                     for k2, c in t2:
+                        k2 -= drop
+                        if k2 & top:
+                            continue
                         c *= m
                         for s, ki in fields:
-                            c *= perm(k2 >> s & _FIELD, ki)
-                        if c:
-                            k2 -= drop
-                            for k1, c1 in left:
-                                key = k1 + k2
-                                acc[key] = get(key, 0) + c1 * c
+                            c *= perm((k2 >> s & _FIELD) + ki, ki)
+                        for k1, c1 in left:
+                            key = k1 + k2
+                            acc[key] = get(key, 0) + c1 * c
     return out
 
 
 def _coefficients(vs: VarSet, sums: Sums, den: ParamPoly) -> Dict[DerivMono, RatCoeff]:
     """The reduced coefficient num/q1^k over den of each derivative monomial
-    of the sums; a monomial whose sum vanishes gets none."""
+    of the sums; a monomial whose sum vanishes gets none.  The OR of a sum's
+    keys, which :func:`~vermabranch.scalars._checked` tests for overflow,
+    has no bit in the q1 field where k = 0; only otherwise is k the q1
+    field of the largest key."""
     n = vs.arity
     (top, shift), coeffs = _frame(n), {}
     if reduce(or_, sums, 0) & _layout(n)[3]:
         raise ValueError(_OVERFLOW)
     for e, t in sums.items():
-        t = _checked(t, top)
-        if k := max(t, default=0) >> shift:
+        t, bits = _checked(t, top)
+        if k := bits >> shift and max(t) >> shift:
             groups: Dict[int, Dict[int, int]] = {}
             for key, c in t.items():
                 groups.setdefault(s := key >> shift, {})[key - (s << shift)] = c

@@ -1,20 +1,24 @@
 """Test-side oracles: independent reference constructions for the library's
 orthogonal polynomials (three-term recurrence, terminating 2F1 series, ODEs,
-ladder operators, derivative formula, exact orthogonality), and the builders
-of the golden text tables ``goldens/*.txt``, keyed by file in ``GOLDEN_TABLES``.
+ladder operators, derivative formula, exact orthogonality), the reference
+fold of the operator products (``ref_compose``, ``ref_apply_rat``), and the
+builders of the golden text tables ``goldens/*.txt``, keyed by file in
+``GOLDEN_TABLES``.
 
 Tests import it by name, as pytest puts ``tests/`` on the path;
 ``tools/deep_oracles.py`` imports it by path.
 """
 
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial, prod
 
 from vermabranch.cli import gegenbauer_lines
 from vermabranch.diag_pair import (DiagContext, lowering_constant, op_F_fourier,
                                    singular_vector_Ptilde)
 from vermabranch.orthopoly import gegenbauer, gen_binomial, jacobi, rising_factorial
-from vermabranch.polyring import GeoPoly, gegen_tilde_convert, t_var, x_var
+from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors, gegen_tilde_convert,
+                                  t_var, x_var)
 from vermabranch.scalars import ALPHA, ParamScalar
 from vermabranch.so_pair import SoPairContext, op_Q, singular_vector_F
 from vermabranch.weylalg import DiffOp, proportionality
@@ -156,6 +160,53 @@ def gegenbauer_tilde_raise_op(l: int, alpha) -> DiffOp:
 
 
 # -- golden tables ------------------------------------------------------------
+
+# -- the reference fold of the operator products ------------------------------
+# compose, commutator and apply_rat run one packed Leibniz loop.  The plain
+# fold below enumerates k <= ea and its binomials itself, not from the
+# library's table, re-derives D^k for every (ea, k) by the quotient rule, forms
+# every product with RatCoeff.__mul__ and adds it through DiffOp.__add__; the
+# two must agree term for term, down to the rendered form of every
+# coefficient.
+
+def ref_derive(c: RatCoeff, i: int) -> RatCoeff:
+    """d/dx_i (n / q1^k) = (q1 n' - k n q1') / q1^(k+1)."""
+    if not c.k:
+        return RatCoeff(c.num.derive(i))
+    q1 = curated_factors(c.vars)["q1"]
+    return RatCoeff(q1 * c.num.derive(i) - (c.num * q1.derive(i)).scale(c.k), c.k + 1)
+
+
+def ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
+    out = DiffOp.zero(a.vars)
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            for k in product(*(range(x + 1) for x in ea)):
+                binomial = prod(comb(x, ki) for x, ki in zip(ea, k))
+                dc = cb
+                for i, ki in enumerate(k):
+                    for _ in range(ki):
+                        dc = ref_derive(dc, i)
+                    if dc.is_zero():
+                        break
+                if dc.is_zero():
+                    continue
+                e = tuple(x - ki + y for x, ki, y in zip(ea, k, eb))
+                out = out + DiffOp(a.vars, {e: (ca * dc).scale(binomial)})
+    return out
+
+
+def ref_apply_rat(op: DiffOp, p: GeoPoly | RatCoeff) -> RatCoeff:
+    out = RatCoeff.zero(op.vars)
+    for e, c in op.terms.items():
+        dp = p if isinstance(p, RatCoeff) else RatCoeff(p)
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                dp = ref_derive(dp, i)
+        if not dp.is_zero():
+            out = out + c * dp
+    return out
+
 
 def f_vector_table(n: int, max_degree: int) -> str:
     ctx = SoPairContext.formal(n)

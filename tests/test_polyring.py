@@ -11,7 +11,7 @@ from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors,
                                   dehomogenize, gegen_tilde_convert,
                                   homogenize, quadratic_sum, t_var, x_var,
                                   xi_eta_vars, xi_vars, xy_vars)
-from vermabranch.scalars import (_PBITS, _PTOP, ALPHA, LAMBDA, MU, ParamPoly, ParamScalar,
+from vermabranch.scalars import (_ONE, _PBITS, _PTOP, ALPHA, LAMBDA, MU, ParamPoly, ParamScalar,
                                  _layout, _pack, _product, _unpack)
 from vermabranch.weylalg import DiffOp
 
@@ -330,6 +330,36 @@ def test_constructor_drops_zero_coefficients():
                      (1, 1): LAMBDA})
     assert p.coefficients() == {(1, 1): LAMBDA}
     assert GeoPoly(vs, {(2, 0): ParamScalar.const(0)}).is_zero()
+
+
+def test_int_coefficients_match_the_coerced_path(monkeypatch):
+    # an exact int is packed as its own numerator over 1; the value must be
+    # the one ParamScalar.const gives, down to terms, den and render, and a
+    # bool still takes the coerced path
+    vs = xi_vars(3)
+    big = 2 ** 64 + 7
+    cases = [
+        {(1, 0, 0): 3, (0, 2, 1): -5, (0, 0, 0): 0},
+        {(2, 0, 0): big, (0, 1, 0): -big * 3, (0, 0, 4): 1},
+        {(1, 1, 0): True, (0, 0, 1): False, (0, 0, 0): -1},
+        {(0, 0, 0): 0, (1, 0, 0): False},
+        {(1, 0, 0): 4, (0, 1, 0): Fraction(-2, 3), (0, 0, 1): 0, (0, 0, 0): big},
+        {(2, 0, 0): -6, (0, 1, 1): LAMBDA / (LAMBDA + 1), (0, 0, 2): MU * 2 - 1,
+         (1, 0, 1): Fraction(5, 4)},
+    ]
+    coerced = [GeoPoly(vs, {e: c if isinstance(c, ParamScalar) else ParamScalar.const(c)
+                            for e, c in terms.items()}) for terms in cases]
+    assert [p.den.terms != {0: 1} for p in coerced] == [False] * 4 + [True] * 2
+    got = [GeoPoly(vs, terms) for terms in cases]
+    for p, q, terms in zip(got, coerced, cases):
+        assert (p.terms, p.den, p.render()) == (q.terms, q.den, q.render())
+        if all(type(c) in (int, bool) for c in terms.values()):
+            assert p.den is _ONE
+    assert got[3].is_zero() and got[0].coefficients()[(0, 2, 1)] == ParamScalar.const(-5)
+    # ints and zeros alone never reach the coercion
+    monkeypatch.setattr(ParamScalar, "coerce", staticmethod(lambda v: pytest.fail("coerced")))
+    for terms, p in zip(cases[:2], got):
+        assert GeoPoly(vs, terms).terms == p.terms
 
 
 @pytest.mark.parametrize("wrap", [lambda p: p, RatCoeff, DiffOp.mult],

@@ -31,6 +31,9 @@ def test_tools_build_their_runs():
     # the action on localized coefficients, on a few seeded cases
     bundle = deep.localized_action(3, 4)
     assert len(bundle.records) == 4 and bundle.ok()
+    # the products against the reference fold, three records a case
+    bundle = deep.reference_products(5, 3)
+    assert len(bundle.records) == 9 and bundle.ok()
 
 
 def test_compare_outputs_finds_only_real_differences(tmp_path):

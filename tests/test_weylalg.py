@@ -2,13 +2,12 @@
 
 import random
 from fractions import Fraction
-from itertools import product
-from math import comb, prod
+from math import perm
 
 import pytest
 
-from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors, quadratic_sum, t_var,
-                                  xi_vars)
+from oracles import ref_apply_rat, ref_compose
+from vermabranch.polyring import GeoPoly, RatCoeff, quadratic_sum, t_var, xi_vars
 from vermabranch.properties import (apply_compose, associativity,
                                     field_axioms, jacobi_identity,
                                     normal_order_confluence)
@@ -92,58 +91,13 @@ def test_randomized_property_suites_small():
         assert bundle.ok(), suite.__name__
 
 
-# -- reference fold ----------------------------------------------------------
-# compose, commutator and apply_rat run one packed Leibniz loop.  The plain
-# fold below enumerates k <= ea and its binomials itself, not from the
-# library's table, re-derives D^k for every (ea, k) by the quotient rule, forms
-# every product with RatCoeff.__mul__ and adds it through DiffOp.__add__; the
-# two must agree term for term, down to the rendered form of every
-# coefficient.
-
-def _ref_derive(c: RatCoeff, i: int) -> RatCoeff:
-    """d/dx_i (n / q1^k) = (q1 n' - k n q1') / q1^(k+1)."""
-    if not c.k:
-        return RatCoeff(c.num.derive(i))
-    q1 = curated_factors(c.vars)["q1"]
-    return RatCoeff(q1 * c.num.derive(i) - (c.num * q1.derive(i)).scale(c.k), c.k + 1)
-
-
-def _ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    out = DiffOp.zero(a.vars)
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            for k in product(*(range(x + 1) for x in ea)):
-                binomial = prod(comb(x, ki) for x, ki in zip(ea, k))
-                dc = cb
-                for i, ki in enumerate(k):
-                    for _ in range(ki):
-                        dc = _ref_derive(dc, i)
-                    if dc.is_zero():
-                        break
-                if dc.is_zero():
-                    continue
-                e = tuple(x - ki + y for x, ki, y in zip(ea, k, eb))
-                out = out + DiffOp(a.vars, {e: (ca * dc).scale(binomial)})
-    return out
-
-
-def _ref_apply_rat(op: DiffOp, p: GeoPoly | RatCoeff) -> RatCoeff:
-    out = RatCoeff.zero(op.vars)
-    for e, c in op.terms.items():
-        dp = p if isinstance(p, RatCoeff) else RatCoeff(p)
-        for i, ei in enumerate(e):
-            for _ in range(ei):
-                dp = _ref_derive(dp, i)
-        if not dp.is_zero():
-            out = out + c * dp
-    return out
-
+# -- against the reference fold (tests/oracles.py) ------------------------------
 
 def _assert_matches_reference(a: DiffOp, b: DiffOp, p: GeoPoly):
-    assert a.compose(b).render() == _ref_compose(a, b).render()
-    assert a.commutator(b).render() == (_ref_compose(a, b) - _ref_compose(b, a)).render()
+    assert a.compose(b).render() == ref_compose(a, b).render()
+    assert a.commutator(b).render() == (ref_compose(a, b) - ref_compose(b, a)).render()
     assert a.commutator(a).is_zero()
-    assert a.apply_rat(p).render() == _ref_apply_rat(a, p).render()
+    assert a.apply_rat(p).render() == ref_apply_rat(a, p).render()
 
 
 @pytest.mark.parametrize("l", range(5))
@@ -203,7 +157,7 @@ def test_apply_rat_acts_on_localized_coefficients(n):
         c = next(iter(_rand_localized_op(rng, vs).terms.values()))
         got = a.apply_rat(c)
         _assert_same(got, (a @ DiffOp.mult(c)).apply_rat(one))
-        _assert_same(got, _ref_apply_rat(a, c))
+        _assert_same(got, ref_apply_rat(a, c))
         if not c.k:
             _assert_same(got, a.apply_rat(c.num))
         ks.add(c.k)
@@ -239,10 +193,10 @@ def test_polynomial_products_match_the_reference_fold(n):
         # the same polynomial over a parameter denominator
         p_over = p.scale(ParamScalar.const(1) / (LAMBDA * 3 + ALPHA))
         assert p_over.den.terms != {0: 1}
-        _assert_same(a @ b, _ref_compose(a, b))
-        _assert_same(a.commutator(b), _ref_compose(a, b) - _ref_compose(b, a))
-        _assert_same(a.apply_rat(p), _ref_apply_rat(a, p))
-        _assert_same(a.apply_rat(p_over), _ref_apply_rat(a, p_over))
+        _assert_same(a @ b, ref_compose(a, b))
+        _assert_same(a.commutator(b), ref_compose(a, b) - ref_compose(b, a))
+        _assert_same(a.apply_rat(p), ref_apply_rat(a, p))
+        _assert_same(a.apply_rat(p_over), ref_apply_rat(a, p_over))
 
 
 def test_localized_and_fractional_products_match_the_reference_fold():
@@ -268,9 +222,9 @@ def test_localized_and_fractional_products_match_the_reference_fold():
     assert dens[1].exact_divide(dens[0]) is not None
     for a in (f, half, nested):
         for x, y in ((a, poly), (poly, a), (a, a), (a, f), (f, a), (a, half), (half, a)):
-            _assert_same(x @ y, _ref_compose(x, y))
-            _assert_same(x.commutator(y), _ref_compose(x, y) - _ref_compose(y, x))
-        _assert_same(a.apply_rat(probe), _ref_apply_rat(a, probe))
+            _assert_same(x @ y, ref_compose(x, y))
+            _assert_same(x.commutator(y), ref_compose(x, y) - ref_compose(y, x))
+        _assert_same(a.apply_rat(probe), ref_apply_rat(a, probe))
     # a coefficient with terms over q1^2, q1 and 1: q1 divides the terms over
     # q1^2 (lam x3^2 q1) but not those over q1 once the quotient joins them
     # (2 x1 x3 + lam x3^2), so the result keeps one power of q1
@@ -280,14 +234,14 @@ def test_localized_and_fractional_products_match_the_reference_fold():
     p = q1 * x3
     assert (x3 * p).scale(LAMBDA).exact_divide(q1) is not None
     assert ((x1 * x3).scale(2) + (x3 * x3).scale(LAMBDA)).exact_divide(q1) is None
-    product, ref = steps @ DiffOp.mult(p), _ref_compose(steps, DiffOp.mult(p))
+    product, ref = steps @ DiffOp.mult(p), ref_compose(steps, DiffOp.mult(p))
     _assert_same(product, ref)
     got, want = product.terms[(0, 0, 0)], ref.terms[(0, 0, 0)]
     assert got.k == 1 and (got.num, got.k) == (want.num, want.k)
-    got, want = steps.apply_rat(p), _ref_apply_rat(steps, p)
+    got, want = steps.apply_rat(p), ref_apply_rat(steps, p)
     assert got.k == 1 and (got.num, got.k) == (want.num, want.k)
     # on p q1 both divisions are exact, and the result is a polynomial
-    got, want = steps.apply_rat(p * q1), _ref_apply_rat(steps, p * q1)
+    got, want = steps.apply_rat(p * q1), ref_apply_rat(steps, p * q1)
     assert got.k == 0 and (got.num, got.k) == (want.num, want.k)
 
 
@@ -324,6 +278,49 @@ def test_products_past_the_exponent_limit_are_rejected():
             low @ high
     assert (D1 @ DiffOp.partial(VS, "x2", 2 ** 15 - 2)).terms == {
         (1, 2 ** 15 - 2): RatCoeff(GeoPoly.const(VS, 1))}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_derivatives_vanish_by_the_borrow_at_the_field_edges(n):
+    # D^k x^g = (g)_k x^(g-k), and 0 where g_i = k_i - 1: the subtracted key
+    # borrows in one field's top bit.  With the missing degree made up in
+    # the variable just above the degree field equals |k|, so for the last
+    # variable xn's field alone borrows.  apply_rat takes the one row k of D^k, checked
+    # against the closed form up to 2^15 - 1; compose and an operand xn^g / q1,
+    # which sets the q1 field (q1 is free of xn), run every sub-monomial of k,
+    # so they take the small orders alone
+    vs = xi_vars(n)
+    for i, other in ((0, n - 1), (n - 1, n - 2)):
+        def mono(gi, go=0):
+            e = [0] * n
+            e[i], e[other] = gi, go
+            return tuple(e)
+        for ki in (1, 2, 7, 2 ** 14, 2 ** 15 - 1):
+            d, small = DiffOp(vs, {mono(ki): 1}), ki < 8
+            for gi in sorted({ki, min(ki + 3, 2 ** 15 - 1), 2 ** 15 - 1}):
+                # by value: a render of (2^15 - 1)! passes Python's digit limit
+                x, want = GeoPoly(vs, {mono(gi): 1}), GeoPoly(vs, {mono(gi - ki): perm(gi, ki)})
+                assert d.apply_rat(x) == RatCoeff(want)
+                if small:
+                    assert (d @ DiffOp.mult(x)).terms[(0,) * n] == RatCoeff(want)
+                    if i == n - 1:
+                        got = d.apply_rat(RatCoeff(x, 1))
+                        assert got.k == 1 and got == RatCoeff(want, 1)
+            for go in (0, 1):
+                x = GeoPoly(vs, {mono(ki - 1, go): 1})
+                assert x.degree() == ki - 1 + go
+                assert d.apply_rat(x).is_zero()
+                if small:
+                    assert (0,) * n not in (d @ DiffOp.mult(x)).terms
+                    if i == n - 1:
+                        assert d.apply_rat(RatCoeff(x, 1)).is_zero()
+    # k in the first and the last variable at once, one of them short
+    k = (2,) + (0,) * (n - 2) + (3,)
+    d = DiffOp(vs, {k: 1})
+    assert d.apply_rat(GeoPoly(vs, {(4,) + (0,) * (n - 2) + (3,): 1})) == RatCoeff(
+        GeoPoly(vs, {(2,) + (0,) * (n - 1): perm(4, 2) * perm(3, 3)}))
+    for g in ((1,) + (0,) * (n - 2) + (4,), (5,) + (0,) * (n - 2) + (2,)):
+        assert d.apply_rat(GeoPoly(vs, {g: 1})).is_zero()
 
 
 # -- the checked constructor ---------------------------------------------------

@@ -25,11 +25,17 @@ At the formal weights (lambda, mu and alpha symbolic):
   lower q1 groups are lifted after the top one sheds q1;
 - the action on a localized coefficient, ``a.apply_rat(c) ==
   (a @ DiffOp.mult(c)).apply_rat(1)``, on operators a drawn as above and
-  coefficients c over q1^j, j <= 2, at n = 3, 4 and 5.
+  coefficients c over q1^j, j <= 2, at n = 3, 4 and 5;
+- ``compose``, ``commutator`` and ``apply_rat`` against the reference fold
+  of ``tests/oracles.py``, term for term and render for render, on seeded
+  polynomial operators at n = 5 and 6 with derivatives of order up to 3 on
+  coefficients of degree up to 2, where most lowerings D^k vanish on the
+  right coefficient (Tier-1 compares them at n <= 4).
 
 The tool prints the number of records (for the seeded operators, two per
-case for the laws and one for the action) and the time of each oracle, and
-each failure, and exits 1 if there was any.  It is not part of Tier-1.
+case for the laws, one for the action and three for the reference fold) and
+the time of each oracle, one line each, and each failure, and exits 1 if
+there was any.  It is not part of Tier-1.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from oracles import gegenbauer_recurrence, gegenbauer_via_2f1  # noqa: E402
+from oracles import (gegenbauer_recurrence, gegenbauer_via_2f1, ref_apply_rat,  # noqa: E402
+                     ref_compose)
 from vermabranch import cli_report, diag_pair  # noqa: E402
 from vermabranch.orthopoly import gegenbauer  # noqa: E402
 from vermabranch.polyring import GeoPoly, RatCoeff, xi_vars  # noqa: E402
@@ -59,6 +66,8 @@ SO_DEGREE = 14
 LOCALIZED_DIMENSIONS = (3, 4, 5)
 LOCALIZED_CASES = 40
 LOCALIZED_COEFFS = (1, -2, 3, LAMBDA, LAMBDA + 1, Fraction(1, 2), LAMBDA / (LAMBDA + 1))
+REFERENCE_DIMENSIONS = (5, 6)
+REFERENCE_CASES = 40
 
 
 def gegenbauer_check(max_degree: int) -> ReportBundle:
@@ -120,6 +129,34 @@ def localized_action(n: int, cases: int) -> ReportBundle:
     return bundle
 
 
+def _poly(rng: random.Random, vs, degree: int) -> GeoPoly:
+    """One to four terms of degree <= ``degree``, coefficients as above."""
+    return GeoPoly(vs, {_exponents(rng, vs.arity, degree): rng.choice(LOCALIZED_COEFFS)
+                        for _ in range(rng.randint(1, 4))})
+
+
+def reference_products(n: int, cases: int) -> ReportBundle:
+    """compose, commutator and apply_rat against the reference fold on
+    ``cases`` seeded pairs of polynomial operators in n variables: one to
+    three terms c D^e, c of degree <= 2 and e of order <= 3, applied to a
+    polynomial of degree <= 3."""
+    rng, vs, bundle = random.Random(100 + n), xi_vars(n), ReportBundle()
+
+    def op() -> DiffOp:
+        return DiffOp(vs, {_exponents(rng, n, 3): _poly(rng, vs, 2)
+                           for _ in range(rng.randint(1, 3))})
+
+    for i in range(cases):
+        a, b, p = op(), op(), _poly(rng, vs, 3)
+        ab, ba = ref_compose(a, b), ref_compose(b, a)
+        witness = lambda: f"{a.render()} ; {b.render()} ; {p.render()}"  # noqa: E731
+        for name, got, want in (("compose", a @ b, ab), ("commutator", a.commutator(b), ab - ba),
+                                ("apply_rat", a.apply_rat(p), ref_apply_rat(a, p))):
+            bundle.check(f"reference.{name}.n={n}.case={i}", "engine:normal-ordering",
+                         got == want and got.render() == want.render(), witness=witness)
+    return bundle
+
+
 def main() -> int:
     ctx = diag_pair.DiagContext.formal()
     oracles = [
@@ -141,6 +178,11 @@ def main() -> int:
         (f"apply_rat on {LOCALIZED_CASES} localized coefficients at n = {n}",
          lambda n=n: localized_action(n, LOCALIZED_CASES))
         for n in LOCALIZED_DIMENSIONS
+    ] + [
+        (f"compose, commutator and apply_rat against the reference fold on "
+         f"{REFERENCE_CASES} polynomial cases at n = {n}",
+         lambda n=n: reference_products(n, REFERENCE_CASES))
+        for n in REFERENCE_DIMENSIONS
     ]
     n_fail = 0
     for name, run in oracles:

@@ -500,6 +500,20 @@ def dehomogenize(p: GeoPoly, l: int) -> GeoPoly:
     return p.relabel(t_var(), lambda e: ((e[0],), 1))
 
 
+def invariant_expand(vars: VarSet, g: GeoPoly) -> GeoPoly:
+    """The polynomial in the xi variables vars of a polynomial g in x, y of
+    the O(n-1)-invariant model: x^i y^k becomes xn^i q1^k.  q1 has integer
+    coefficients and no xn, so each packed term of g times each term of q1^k
+    lands on a key of its own."""
+    out, xn = {}, _layout(vars.arity, _PBITS)[1][-1]
+    for key, c in g.terms.items():
+        i, k = _unpack(key, 2, _PBITS)
+        base = (key & _PMASK) + i * xn
+        for m, d in _q1_power(vars, k).terms.items():
+            out[base + m] = c * d
+    return _new(vars, out, g.den)
+
+
 def gegen_tilde_convert(c: GeoPoly, l: int) -> GeoPoly:
     """Rewrite x^{-l} C(x), C of degree l with the parity of l, as a
     polynomial in t via x^2 = -1/t: the x^{l-2k} coefficient lands on (-t)^k.

@@ -47,8 +47,10 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul, neg, or_
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from zlib import crc32
 
 RationalLike = Union[int, Fraction]
+Packed = Dict[int, int]                  # packed monomial key -> nonzero int
 
 SYMBOLS = ("a", "l", "m")
 
@@ -98,6 +100,21 @@ def _monomial(names: Sequence[str], exps: Sequence[int], form: str = "{}") -> st
                     for s, x in zip(names, exps) if x)
 
 
+def _text(c: RationalLike) -> str:
+    """str(c), or where str() raises on a part of c past Python's int-to-str
+    digit limit, that part as its digit count and the CRC-32 of its hex form."""
+    try:
+        return str(c)
+    except ValueError:
+        if c.denominator != 1:
+            return f"{_text(c.numerator)}/{_text(c.denominator)}"
+        x = abs(c.numerator)
+        d = x.bit_length() * 3 // 10  # 3/10 < log10(2): at most the digit count
+        while x >= 10 ** d:
+            d += 1
+        return f"{'-' * (c < 0)}[{d} digits, crc32 {crc32(hex(x).encode()):08x}]"
+
+
 def _signed_sum(parts: List[str]) -> str:
     """The terms as ``t1 + t2 - t3``: the first as it is, a later one as
     ``+ t``, or as ``- t[1:]`` where it starts with a minus; "0" for none."""
@@ -105,7 +122,7 @@ def _signed_sum(parts: List[str]) -> str:
     return " ".join(parts[:1] + signed) or "0"
 
 
-def _add(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+def _add(a: Packed, b: Packed) -> Packed:
     """The sum of two packed polynomials."""
     out = dict(a)
     for k, c in b.items():
@@ -117,7 +134,7 @@ def _add(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def _checked(out: Dict[int, int], top: int) -> Tuple[Dict[int, int], int]:
+def _checked(out: Packed, top: int) -> Tuple[Packed, int]:
     """The accumulated packed sum out without its zero terms, and the OR of
     their keys, tested against ``top``, the mask of the top bit of each of
     its fields."""
@@ -128,7 +145,7 @@ def _checked(out: Dict[int, int], top: int) -> Tuple[Dict[int, int], int]:
     return out, bits
 
 
-def _product(a: Dict[int, int], b: Dict[int, int], top: int) -> Dict[int, int]:
+def _product(a: Packed, b: Packed, top: int) -> Packed:
     """The product of two packed polynomials, tested by :func:`_checked`; a
     constant factor scales the other, which a factor 1 returns as it is."""
     if len(b) == 1 and 0 in b:
@@ -136,7 +153,7 @@ def _product(a: Dict[int, int], b: Dict[int, int], top: int) -> Dict[int, int]:
     if len(a) == 1 and 0 in a:
         c = a[0]
         return b if c == 1 else {k: c * v for k, v in b.items()}
-    out: Dict[int, int] = {}
+    out: Packed = {}
     get = out.get
     b = b.items()
     for k1, c1 in a.items():
@@ -146,7 +163,7 @@ def _product(a: Dict[int, int], b: Dict[int, int], top: int) -> Dict[int, int]:
     return _checked(out, top)[0]
 
 
-def _divide(rem: Dict[int, int], div: List[Tuple[int, int]], top: int) -> Optional[Dict[int, int]]:
+def _divide(rem: Packed, div: List[Tuple[int, int]], top: int) -> Optional[Packed]:
     """The quotient of the packed polynomial rem by div in integers if the
     division is exact, else None; consumes rem.
 
@@ -156,7 +173,7 @@ def _divide(rem: Dict[int, int], div: List[Tuple[int, int]], top: int) -> Option
     J. Symb. Comput. 46, 2011), skipped if it has cancelled meanwhile.
     """
     de, dc = max(div)
-    quot: Dict[int, int] = {}
+    quot: Packed = {}
     heap = list(map(neg, rem))
     heapify(heap)
     while heap:
@@ -191,7 +208,7 @@ class ParamPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[int, int] | None = None):
+    def __init__(self, terms: Packed | None = None):
         self.terms = {} if terms is None else terms
 
     @staticmethod
@@ -200,9 +217,7 @@ class ParamPoly:
 
     @staticmethod
     def symbol(name: str) -> "ParamPoly":
-        e = [0] * len(SYMBOLS)
-        e[SYMBOLS.index(name)] = 1
-        return ParamPoly({_pack(e): 1})
+        return ParamPoly({_UNITS[SYMBOLS.index(name)]: 1})
 
     def is_constant(self) -> bool:
         t = self.terms
@@ -255,7 +270,7 @@ class ParamPoly:
             if mono and abs(c) == 1:
                 parts.append(mono if c > 0 else f"-{mono}")
             else:
-                parts.append(f"{c}*{mono}" if mono else str(c))
+                parts.append(f"{_text(c)}*{mono}" if mono else _text(c))
         return _signed_sum(parts)
 
     def __repr__(self):
@@ -274,7 +289,7 @@ def _degree(p: ParamPoly, i: int) -> int:
 def _content(p: ParamPoly, i: int, g: ParamPoly | None = None) -> ParamPoly:
     """The gcd of g and of the coefficients of p as a polynomial in symbol i."""
     s, u = _SHIFTS[i], _UNITS[i]
-    rows: Dict[int, Dict[int, int]] = {}
+    rows: Dict[int, Packed] = {}
     for k, c in p.terms.items():
         x = k >> s & _FIELD
         rows.setdefault(x, {})[k - x * u] = c
@@ -343,7 +358,7 @@ def _cancel(num: ParamPoly, den: ParamPoly) -> Tuple[ParamPoly, ParamPoly]:
     return num.exact_divide(g), den.exact_divide(g)
 
 
-def _normalize(num: Dict[int, int], den: ParamPoly) -> Tuple[Dict[int, int], ParamPoly]:
+def _normalize(num: Packed, den: ParamPoly) -> Tuple[Packed, ParamPoly]:
     """The packed terms num over den, both divided by their integer content
     together, with the sign that makes den's leading coefficient positive."""
     dt = den.terms

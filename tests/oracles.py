@@ -1,9 +1,11 @@
 """Test-side oracles: independent reference constructions for the library's
 orthogonal polynomials (three-term recurrence, terminating 2F1 series, ODEs,
 ladder operators, derivative formula, exact orthogonality), the reference
-fold of the operator products (``ref_compose``, ``ref_apply_rat``), and the
-builders of the golden text tables ``goldens/*.txt``, keyed by file in
-``GOLDEN_TABLES``.
+fold of the operator products (``ref_compose``, ``ref_apply_rat``), the
+xi-model oracle of the so-pair's ladder and Casimir in n variables over the
+ring localized at q1 (``xi_ladder_ops``, ``xi_ladder_images``,
+``casimir_composed``, ``casimir_closed_form``), and the builders of the
+golden text tables ``goldens/*.txt``, keyed by file in ``GOLDEN_TABLES``.
 
 Tests import it by name, as pytest puts ``tests/`` on the path;
 ``tools/deep_oracles.py`` imports it by path.
@@ -18,9 +20,10 @@ from vermabranch.diag_pair import (DiagContext, lowering_constant, op_F_fourier,
                                    singular_vector_Ptilde)
 from vermabranch.orthopoly import gegenbauer, gen_binomial, jacobi, rising_factorial
 from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors, gegen_tilde_convert,
-                                  t_var, x_var)
+                                  invariant_expand, per_context, t_var, x_var)
 from vermabranch.scalars import ALPHA, ParamScalar
-from vermabranch.so_pair import SoPairContext, op_Q, singular_vector_F
+from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_ops, model_ops, op_P,
+                                 op_Q, singular_vector_F)
 from vermabranch.weylalg import DiffOp, proportionality
 
 
@@ -157,6 +160,95 @@ def gegenbauer_tilde_raise_op(l: int, alpha) -> DiffOp:
     tv = t_var()
     return DiffOp(tv, {(1,): GeoPoly(tv, {(2,): 2, (1,): 2}),
                        (0,): GeoPoly(tv, {(1,): -l, (0,): -(alpha + l) * 2})})
+
+
+# -- the so-pair's ladder and Casimir in the xi-model ---------------------------
+# The library checks these in the two-variable invariant model, with the
+# lowering operator cleared by q1; here they act on the n Fourier variables,
+# f(l) over q1 as the paper displays it.
+
+@per_context
+def xi_ladder_ops(ctx: SoPairContext, l: int):
+    """(e, f, h) at degree l: e = -q d_n - (2a+l) xn and the localized
+    f = (q/q1) d_n - l xn/q1, which is (1/xn)((q/q1)(xn d_n - l) + l) since
+    q = q1 + xn^2."""
+    vs, n, xn, q = ctx.vars, ctx.n, ctx.xn(), ctx.q_full()
+    dn, e0 = (0,) * (n - 1) + (1,), (0,) * n
+    e_op = DiffOp(vs, {dn: -q, e0: xn.scale(-(ctx.alpha * 2 + l))})
+    f_op = DiffOp(vs, {dn: RatCoeff(q, 1), e0: RatCoeff(xn.scale(-l), 1)})
+    h_op = DiffOp.scalar(vs, (ctx.alpha + l) * 2)
+    return e_op, f_op, h_op
+
+
+@per_context
+def xi_ladder_images(ctx: SoPairContext, l: int):
+    """(e(l) F_l, f(l) F_l, f(l+1) e(l) F_l, e(l-1) f(l) F_l), the last three
+    over a power of q1 where one remains; the last is zero at l = 0."""
+    e_l, f_l, _ = xi_ladder_ops(ctx, l)
+    f = singular_vector_F(ctx, l)
+    ev = e_l.apply(f)
+    fv = f_l.apply_rat(f)
+    return ev, fv, xi_ladder_ops(ctx, l + 1)[1].apply_rat(ev), \
+        xi_ladder_ops(ctx, l - 1)[0].apply_rat(fv)
+
+
+def casimir_closed_form(ctx: SoPairContext, l: int) -> DiffOp:
+    """The displayed closed form of the Casimir at degree l,
+    -2 (q^2 d_n^2 + (2a+1) q xn d_n + a q1 - (2a+l) l xn^2) / q1 + 2 (E+a)^2."""
+    vs, n, alpha = ctx.vars, ctx.n, ctx.alpha
+    xn, q, q1 = ctx.xn(), ctx.q_full(), ctx.q_prime()
+    mid = q1.scale(alpha) - (xn * xn).scale((alpha * 2 + l) * l)
+    d = (0,) * (n - 1)
+    localized = DiffOp(vs, {d + (2,): RatCoeff((q * q).scale(-2), 1),
+                            d + (1,): RatCoeff((q * xn).scale((alpha * 2 + 1) * -2), 1),
+                            d + (0,): RatCoeff(mid.scale(-2), 1)})
+    return localized + _euler_shift_square(ctx)
+
+
+@per_context
+def _euler_shift_square(ctx: SoPairContext) -> DiffOp:
+    """2 (E+a)^2, the degree-free tail of the Casimir's closed form."""
+    euler_shift = DiffOp.euler(ctx.vars) + DiffOp.scalar(ctx.vars, ctx.alpha)
+    return (euler_shift @ euler_shift).scale(2)
+
+
+def casimir_composed(ctx: SoPairContext, l: int) -> DiffOp:
+    """f(l+1) e(l) + e(l-1) f(l) + (1/2) h(l)^2; at l = 0 the leg e(-1) f(0)
+    annihilates the bottom weight F_0."""
+    e_l, f_l, h_l = xi_ladder_ops(ctx, l)
+    f_up, e_dn = xi_ladder_ops(ctx, l + 1)[1], xi_ladder_ops(ctx, l - 1)[0]
+    return f_up @ e_l + e_dn @ f_l + (h_l @ h_l).scale(Fraction(1, 2))
+
+
+def model_operator_pairs(ctx: SoPairContext, degrees):
+    """(name, reduced operator, xi-model operator) for P, Q, E, the
+    Laplacian, and e, f~, h and both cleared Casimirs at each degree; f~ and
+    the Casimirs are q1 times their localized xi-model operator."""
+    vs, ops, q1 = ctx.vars, model_ops(ctx), DiffOp.mult(ctx.q_prime())
+    pairs = [("P", ops["P"], op_P(ctx)), ("Q", ops["Q"], op_Q(ctx)),
+             ("E", ops["E"], DiffOp.euler(vs)), ("laplacian", ops["lap"], DiffOp.laplacian(vs))]
+    for l in degrees:
+        (e, f, h), (e_xi, f_xi, h_xi) = ladder_ops(ctx, l), xi_ladder_ops(ctx, l)
+        composed, closed = casimir_ops(ctx, l)
+        pairs += [(f"e({l})", e, e_xi), (f"f~({l})", f, q1 @ f_xi), (f"h({l})", h, h_xi),
+                  (f"casimir({l})", composed, q1 @ casimir_composed(ctx, l)),
+                  (f"closed-form({l})", closed, q1 @ casimir_closed_form(ctx, l))]
+    return pairs
+
+
+def intertwining_failures(ctx: SoPairContext, weight: int, degrees):
+    """(operator, i, k) for each pair of :func:`model_operator_pairs` and each
+    model monomial x^i y^k of weight i + 2k <= weight where
+    expand(T_model x^i y^k) != T_xi expand(x^i y^k)."""
+    out = []
+    for name, t, t_xi in model_operator_pairs(ctx, degrees):
+        for k in range(weight // 2 + 1):
+            for i in range(weight - 2 * k + 1):
+                m = GeoPoly(XY, {(i, k): 1})
+                if invariant_expand(ctx.vars, t.apply(m)) \
+                        != t_xi.apply(invariant_expand(ctx.vars, m)):
+                    out.append((name, i, k))
+    return out
 
 
 # -- golden tables ------------------------------------------------------------

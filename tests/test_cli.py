@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import GOLDEN_TABLES
+from oracles import GOLDEN_TABLES, xi_ladder_ops
 from vermabranch.cli import build_parser, main
-from vermabranch.polyring import RatCoeff
+from vermabranch.polyring import GeoPoly, RatCoeff, t_var
 from vermabranch.report import ReportBundle
 from vermabranch.weylalg import DiffOp
 
@@ -143,16 +143,20 @@ def test_degenerate_weight_is_precondition_error(args):
     assert proc.stderr.startswith("error: normalization divisor vanishes")
 
 
+def _stray_x(ladder_ops):
+    """ladder_ops with a stray x in the cleared f~(2) = q1 f(2), the cleared
+    form of a stray xn/q1 in f(2)."""
+    def broken(ctx, l):
+        e, f, h = ladder_ops(ctx, l)
+        return e, f + DiffOp.mult(GeoPoly.var(f.vars, "x")) if l == 2 else f, h
+    return broken
+
+
 def test_non_polynomial_lowering_is_a_failed_check(monkeypatch, capsys):
     # f(2) with a stray xn/q1 term: its image of F_2 keeps q1, which is a
     # failed check (exit 1, with a report), not a precondition error
     import vermabranch.so_pair as so_pair
-    real = so_pair.ladder_ops
-
-    def broken(ctx, l):
-        e, f, h = real(ctx, l)
-        return e, f + DiffOp.mult(RatCoeff(ctx.xn(), 1)) if l == 2 else f, h
-    monkeypatch.setattr(so_pair, "ladder_ops", broken)
+    monkeypatch.setattr(so_pair, "ladder_ops", _stray_x(so_pair.ladder_ops))
     assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
     out, err = capsys.readouterr()
     failed = {r["check-id"] for r in json.loads(out)["records"] if r["status"] == "fail"}
@@ -165,24 +169,45 @@ def test_non_polynomial_lowering_is_a_failed_check(monkeypatch, capsys):
 def test_failed_bracket_witness_holds_both_legs(monkeypatch, capsys):
     # the same stray term in f(2): the lowering leg e(1) f(2) F_2 keeps q1,
     # and the bracket and the Dirac square at l = 2 fail on both legs,
-    # f(3) e(2) F_2 -/+ e(1) f(2) F_2, not on the raising leg alone
+    # f(3) e(2) F_2 -/+ e(1) f(2) F_2, not on the raising leg alone; the
+    # expected witnesses come from the xi-model oracle with the stray xn/q1
     import vermabranch.so_pair as so_pair
-    real = so_pair.ladder_ops
-
-    def broken(ctx, l):
-        e, f, h = real(ctx, l)
-        return e, f + DiffOp.mult(RatCoeff(ctx.xn(), 1)) if l == 2 else f, h
-    monkeypatch.setattr(so_pair, "ladder_ops", broken)
+    monkeypatch.setattr(so_pair, "ladder_ops", _stray_x(so_pair.ladder_ops))
     assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
     records = json.loads(capsys.readouterr().out)["records"]
     witness = {r["check-id"]: r.get("witness") for r in records}
     ctx = so_pair.SoPairContext.formal(3)
     f2 = so_pair.singular_vector_F(ctx, 2)
-    (e2, f2_op, _), f3, e1 = broken(ctx, 2), broken(ctx, 3)[1], broken(ctx, 1)[0]
+
+    def broken(l):
+        e, f, h = xi_ladder_ops(ctx, l)
+        return e, f + DiffOp.mult(RatCoeff(ctx.xn(), 1)) if l == 2 else f, h
+    (e2, f2_op, _), f3, e1 = broken(2), broken(3)[1], broken(1)[0]
     up, down = f3.apply_rat(e2.apply(f2)), e1.apply_rat(f2_op.apply_rat(f2))
     assert not down.is_polynomial()
     assert witness["sl2.bracket.n=3,l=2"] == (up - down).render()
     assert witness["casimir.dirac-square.n=3,l=2"] == (up + down).render()
+
+
+def test_failed_check_with_a_huge_coefficient_exits_1(monkeypatch, capsys):
+    # a witness coefficient past Python's 4,300-digit limit for str(int),
+    # here 2000!, renders as its digit count and a digest: the failed check
+    # still exits 1 with a report, not 2
+    import vermabranch.so_pair as so_pair
+    tv = t_var()
+    big = DiffOp.partial(tv, "t", 2000).apply_rat(GeoPoly.var(tv, "t", 2000))
+
+    def failing(ctx, max_degree):
+        bundle = ReportBundle()
+        bundle.check(f"casimir.scalar.n={ctx.n},l=0", "so-pair:casimir", False, witness=big)
+        return bundle
+    monkeypatch.setattr(so_pair, "casimir_check", failing)
+    assert main(["verify-so", "--n", "2", "--max-degree", "1", "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    failed = [r for r in json.loads(out)["records"] if r["status"] == "fail"]
+    assert failed == [{"check-id": "casimir.scalar.n=2,l=0", "anchor": "so-pair:casimir",
+                       "status": "fail", "witness": "([5736 digits, crc32 71f04888])"}]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("n, lam", [("2", "1/4"), ("4", "-1/4"), ("5", "-1/2"), ("6", "-3/4")])

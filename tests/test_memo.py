@@ -15,8 +15,8 @@ from vermabranch.diag_pair import (DiagContext, jacobi_t_polynomial,
 from vermabranch.polyring import (curated_factors, per_context, quadratic_sum,
                                   xi_vars)
 from vermabranch.so_pair import (SoPairContext, ladder_images, ladder_ops,
-                                 lowering_direction_op, op_P, op_Q, p_image,
-                                 pq_membership_check, singular_vector_F,
+                                 lowering_direction_op, model_ops, op_P, op_Q, p_image,
+                                 pq_membership_check, reduced_F, singular_vector_F,
                                  t_model_check, tilde_gegenbauer)
 from vermabranch.weylalg import proportionality
 
@@ -72,20 +72,20 @@ def test_op_P_is_the_memoized_last_direction():
 
 def test_ladder_images_match_direct_application():
     ctx = SoPairContext.formal(3)
-    f = singular_vector_F(ctx, 2)
+    f = reduced_F(ctx, 2)
     (e_l, f_l, _), (e_dn, _, _) = ladder_ops(ctx, 2), ladder_ops(ctx, 1)
     ev, fv, up, down = ladder_images(ctx, 2)
-    assert ev == e_l.apply(f) and fv == f_l.apply_rat(f)
-    assert up == ladder_ops(ctx, 3)[1].apply_rat(ev)
-    assert down == e_dn.apply_rat(fv)
+    assert ev == e_l.apply(f) and fv == f_l.apply(f)
+    assert up == ladder_ops(ctx, 3)[1].apply(ev)
+    assert down == e_dn.apply(fv)
     assert ladder_images(ctx, 0)[3].is_zero()
 
 
 def test_p_image_matches_direct_application():
     ctx = SoPairContext.formal(3)
     pv, c = p_image(ctx, 2)
-    assert pv == op_P(ctx).apply(singular_vector_F(ctx, 2))
-    f1 = singular_vector_F(ctx, 1)
+    assert pv == model_ops(ctx)["P"].apply(reduced_F(ctx, 2))
+    f1 = reduced_F(ctx, 1)
     assert c == proportionality(pv, f1) and pv == f1.scale(c)
     pv0, c0 = p_image(ctx, 0)
     assert pv0.is_zero() and c0 is None
@@ -95,7 +95,7 @@ def test_both_lowering_checks_read_one_p_image(monkeypatch):
     # pq.lower and tmodel.p-membership state one claim: P F_l is applied
     # once per context and degree
     ctx, applied = SoPairContext.formal(3), []
-    p = op_P(ctx)
+    p = model_ops(ctx)["P"]
     apply = type(p).apply
     monkeypatch.setattr(type(p), "apply", lambda op, f: applied.append(op is p) or apply(op, f))
     pq_membership_check(ctx, 3)

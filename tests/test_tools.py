@@ -34,6 +34,12 @@ def test_tools_build_their_runs():
     # the products against the reference fold, three records a case
     bundle = deep.reference_products(5, 3)
     assert len(bundle.records) == 9 and bundle.ok()
+    # the so-pair's invariant model against the xi-model oracle: one
+    # intertwining record, and eight model values a degree
+    bundle = deep.intertwining(3, 4, range(2))
+    assert len(bundle.records) == 1 and bundle.ok()
+    bundle = deep.model_records(3, 2)
+    assert len(bundle.records) == 24 and bundle.ok()
 
 
 def test_compare_outputs_finds_only_real_differences(tmp_path):

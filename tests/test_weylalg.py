@@ -6,14 +6,13 @@ from math import perm
 
 import pytest
 
-from oracles import ref_apply_rat, ref_compose
+from oracles import casimir_closed_form, ref_apply_rat, ref_compose, xi_ladder_ops
 from vermabranch.polyring import GeoPoly, RatCoeff, quadratic_sum, t_var, xi_vars
 from vermabranch.properties import (apply_compose, associativity,
                                     field_axioms, jacobi_identity,
                                     normal_order_confluence)
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
-from vermabranch.so_pair import (SoPairContext, casimir_closed_form, ladder_ops, op_P,
-                                  op_Q)
+from vermabranch.so_pair import SoPairContext, op_P, op_Q
 from vermabranch.weylalg import DiffOp, proportionality
 
 VS = xi_vars(2)
@@ -103,7 +102,7 @@ def _assert_matches_reference(a: DiffOp, b: DiffOp, p: GeoPoly):
 @pytest.mark.parametrize("l", range(5))
 def test_ladder_products_match_reference(l):
     ctx = SoPairContext.formal(3)
-    e, f, h = ladder_ops(ctx, l)
+    e, f, h = xi_ladder_ops(ctx, l)
     p = quadratic_sum(ctx.vars, 3) * ctx.xn() ** l
     for a, b in ((e, f), (f, e), (f, f), (h, e)):
         _assert_matches_reference(a, b, p)
@@ -207,7 +206,7 @@ def test_localized_and_fractional_products_match_the_reference_fold():
     ctx = SoPairContext.formal(3)
     vs = ctx.vars
     x1, x2, x3 = (GeoPoly.var(vs, name) for name in vs.names)
-    f = ladder_ops(ctx, 2)[1]
+    f = xi_ladder_ops(ctx, 2)[1]
     half = DiffOp(vs, {(1, 0, 0): x3.scale(Fraction(1, 2)), (0, 0, 0): LAMBDA})
     nested = DiffOp(vs, {(1, 0, 0): x2.scale(1 / (LAMBDA + 1)),
                          (0, 1, 0): (x1 + x3).scale(MU / ((LAMBDA + 1) * (MU - 1))),
@@ -389,9 +388,22 @@ def test_localized_operators_satisfy_the_algebra_laws(n):
 # -- witness renders -------------------------------------------------------------
 # A failing sl2 or Casimir check prints these operators and coefficients.
 
+def test_render_of_a_coefficient_past_the_int_to_str_limit():
+    # 2000! has 5,736 digits, past Python's 4,300-digit limit for str(int):
+    # it renders as its digit count and a digest of its hex form, and a
+    # Fraction part past the limit does too
+    tv = t_var()
+    big = DiffOp.partial(tv, "t", 2000).apply_rat(GeoPoly.var(tv, "t", 2000))
+    assert big.render() == "([5736 digits, crc32 71f04888])"
+    x = big.num.coefficient((0,)).num.constant_value()
+    half = GeoPoly(tv, {(1,): Fraction(1, 2 * x + 1), (0,): -x})
+    assert half.render() == ("(1/[5736 digits, crc32 6b7b30cc])*t"
+                             " + (-[5736 digits, crc32 71f04888])")
+
+
 def test_witness_renders_are_pinned():
     ctx = SoPairContext.formal(3)
-    f = ladder_ops(ctx, 2)[1]
+    f = xi_ladder_ops(ctx, 2)[1]
     assert f.render() == "((x1^2 + x2^2 + x3^2) / [q1]) D[x3] + ((-2*x3) / [q1])"
     assert (f @ f).render() == (
         "((x1^4 + 2*x1^2*x2^2 + 2*x1^2*x3^2 + x2^4 + 2*x2^2*x3^2 + x3^4) / [q1^2]) D[x3]^2"

@@ -32,6 +32,10 @@ RUNS = [
     *(["verify-so", "--n", str(n), "--json", "-"] for n in range(2, 7)),
     ["verify-so", "--n", "6", "--max-degree", "14", "--json", "-"],
     ["verify-so", "--n", "3", "--lambda", "1/3", "--json", "-"],
+    # specialized weights lam = (3-n)/4 at n >= 4, where the [P, Q]
+    # eigenvalues at l = 0, 1, 2 are collinear
+    *(["verify-so", "--n", str(n), f"--lambda={lam}", "--max-degree", "3", "--json", "-"]
+      for n, lam in ((4, "-1/4"), (5, "-1/2"), (6, "-3/4"))),
     ["verify-so", "--n", "2", "--max-degree", "45", "--json", "-"],
     ["verify-diag", "--json", "-"],
     ["verify-diag", "--lambda", "1/3", "--mu", "2/5", "--json", "-"],

@@ -30,7 +30,15 @@ At the formal weights (lambda, mu and alpha symbolic):
   of ``tests/oracles.py``, term for term and render for render, on seeded
   polynomial operators at n = 5 and 6 with derivatives of order up to 3 on
   coefficients of degree up to 2, where most lowerings D^k vanish on the
-  right coefficient (Tier-1 compares them at n <= 4).
+  right coefficient (Tier-1 compares them at n <= 4);
+- the so-pair's invariant model C[x, y] against the xi-model oracle of
+  ``tests/oracles.py``: each model operator (P, Q, E, the Laplacian, and
+  e, f~, h and both cleared Casimirs at l <= 5) intertwines the expansion
+  x -> xn, y -> q1 on every monomial x^i y^k with i + 2k <= 12 at n = 7
+  and 8 (Tier-1 stops at n = 6 and weight 8); and the values that the
+  ``pq.*``, ``sl2.*`` and ``casimir.*`` records read in the model, expanded,
+  equal the xi-model's at n = 5 and 6 for l <= 14: P F_l, Q F_l, the four
+  ladder images and both Casimir images, the cleared ones over q1.
 
 The tool prints the number of records (for the seeded operators, two per
 case for the laws, one for the action and three for the reference fold) and
@@ -49,11 +57,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from oracles import (gegenbauer_recurrence, gegenbauer_via_2f1, ref_apply_rat,  # noqa: E402
-                     ref_compose)
+from oracles import (casimir_closed_form, casimir_composed, gegenbauer_recurrence,  # noqa: E402
+                     gegenbauer_via_2f1, intertwining_failures, ref_apply_rat, ref_compose,
+                     xi_ladder_images)
 from vermabranch import cli_report, diag_pair  # noqa: E402
 from vermabranch.orthopoly import gegenbauer  # noqa: E402
-from vermabranch.polyring import GeoPoly, RatCoeff, xi_vars  # noqa: E402
+from vermabranch.polyring import GeoPoly, RatCoeff, invariant_expand, xi_vars  # noqa: E402
+from vermabranch.so_pair import (SoPairContext, casimir_ops, ladder_images,  # noqa: E402
+                                 model_ops, op_P, op_Q, p_image, reduced_F,
+                                 singular_vector_F)
 from vermabranch.report import ReportBundle  # noqa: E402
 from vermabranch.scalars import ALPHA, LAMBDA  # noqa: E402
 from vermabranch.weylalg import DiffOp  # noqa: E402
@@ -68,6 +80,11 @@ LOCALIZED_CASES = 40
 LOCALIZED_COEFFS = (1, -2, 3, LAMBDA, LAMBDA + 1, Fraction(1, 2), LAMBDA / (LAMBDA + 1))
 REFERENCE_DIMENSIONS = (5, 6)
 REFERENCE_CASES = 40
+INVARIANT_DIMENSIONS = (7, 8)
+INVARIANT_WEIGHT = 12
+INVARIANT_DEGREES = range(6)
+MODEL_DIMENSIONS = (5, 6)
+MODEL_DEGREE = 14
 
 
 def gegenbauer_check(max_degree: int) -> ReportBundle:
@@ -157,6 +174,36 @@ def reference_products(n: int, cases: int) -> ReportBundle:
     return bundle
 
 
+def intertwining(n: int, weight: int, degrees) -> ReportBundle:
+    """One record: every model operator intertwines the expansion on every
+    monomial x^i y^k with i + 2k <= weight, in n variables."""
+    bundle, bad = ReportBundle(), intertwining_failures(SoPairContext.formal(n), weight, degrees)
+    bundle.check(f"invariant.intertwining.n={n}", "so-pair:invariant-model", not bad,
+                 witness=lambda: ", ".join(f"{op} on x^{i} y^{k}" for op, i, k in bad))
+    return bundle
+
+
+def model_records(n: int, max_degree: int) -> ReportBundle:
+    """The expanded model values of the pq, sl2 and casimir records against
+    the xi-model oracle at l <= max_degree in n variables, one record each."""
+    ctx, bundle = SoPairContext.formal(n), ReportBundle()
+    names = ("P", "Q", "raise", "lower", "up", "down", "casimir", "closed-form")
+    for l in range(max_degree + 1):
+        f, f_xi = reduced_F(ctx, l), singular_vector_F(ctx, l)
+        model = [p_image(ctx, l)[0], model_ops(ctx)["Q"].apply(f), *ladder_images(ctx, l),
+                 *(op.apply(f) for op in casimir_ops(ctx, l))]
+        ev, *images = xi_ladder_images(ctx, l)
+        oracle = [op_P(ctx).apply_rat(f_xi), op_Q(ctx).apply_rat(f_xi), RatCoeff(ev), *images,
+                  casimir_composed(ctx, l).apply_rat(f_xi),
+                  casimir_closed_form(ctx, l).apply_rat(f_xi)]
+        for name, g, want in zip(names, model, oracle):
+            # the lower image, its legs and the Casimirs are cleared by q1
+            got = RatCoeff(invariant_expand(ctx.vars, g), int(name not in ("P", "Q", "raise")))
+            bundle.check(f"invariant.{name}.n={n},l={l}", "so-pair:invariant-model", got == want,
+                         witness=lambda: f"{got.render()} ; {want.render()}")
+    return bundle
+
+
 def main() -> int:
     ctx = diag_pair.DiagContext.formal()
     oracles = [
@@ -183,6 +230,14 @@ def main() -> int:
          f"{REFERENCE_CASES} polynomial cases at n = {n}",
          lambda n=n: reference_products(n, REFERENCE_CASES))
         for n in REFERENCE_DIMENSIONS
+    ] + [
+        (f"model operators intertwine the expansion to weight {INVARIANT_WEIGHT} at n = {n}",
+         lambda n=n: intertwining(n, INVARIANT_WEIGHT, INVARIANT_DEGREES))
+        for n in INVARIANT_DIMENSIONS
+    ] + [
+        (f"model records against the xi-model oracle to degree {MODEL_DEGREE} at n = {n}",
+         lambda n=n: model_records(n, MODEL_DEGREE))
+        for n in MODEL_DIMENSIONS
     ]
     n_fail = 0
     for name, run in oracles:

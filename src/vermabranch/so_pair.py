@@ -4,12 +4,14 @@ enveloping-algebra raising operator Q, the sl(2) ladder e/f/h, the Casimir,
 and the non-closure commutators.
 
 The operators commute with O(n-1), so F_l lies in the span of xn^{l-2k} q1^k
-(Stein and Weiss 1971, ch. IV), and the ``pq.*``, ``sl2.*`` and ``casimir.*``
-records run in the invariant model C[x, y], x = xn and y = q1, with
-E = x d_x + 2y d_y and Laplacian d_x^2 + 4y d_y^2 + 2(n-1) d_y.  The
-localized f(l) enters there cleared, as f~(l) = y f(l), and each identity
-with it is multiplied by y.  The other records, and a failed model record's
-witness, read the expansion x -> xn, y -> q1 in the n variables.
+(Stein and Weiss 1971, ch. IV), and the ``singular.*``, ``sl2.*``,
+``casimir.*``, ``pq.*`` and ``tmodel.*`` records run in the invariant model
+C[x, y], x = xn and y = q1, with E = x d_x + 2y d_y and Laplacian
+d_x^2 + 4y d_y^2 + 2(n-1) d_y.  Each of the n-1 primed directions acts there
+as x_m times one operator G, and the localized f(l) enters cleared, as
+f~(l) = y f(l), each identity with it multiplied by y.  The ``nonclosure.*``
+records, and a failed model record's witness, read the expansion
+x -> xn, y -> q1 in the n variables.
 
 The conventional global factor i on the nilradical action is dropped
 throughout: all operators here are the rational-scalar versions, which leaves
@@ -144,11 +146,6 @@ def op_P(ctx: SoPairContext) -> DiffOp:
     return lowering_direction_op(ctx, ctx.n - 1)
 
 
-def verify_singular(ctx: SoPairContext, f: GeoPoly) -> bool:
-    """True iff all n-1 primed-direction operators annihilate the vector."""
-    return all(lowering_direction_op(ctx, m).apply(f).is_zero() for m in range(ctx.n - 1))
-
-
 @per_context
 def op_Q(ctx: SoPairContext) -> DiffOp:
     """The enveloping-algebra raising operator
@@ -159,15 +156,18 @@ def op_Q(ctx: SoPairContext) -> DiffOp:
 @per_context
 def model_ops(ctx: SoPairContext) -> dict:
     """The operators of the invariant model by name: E, the Laplacian, P, Q,
-    and the degree-free part of the cleared closed-form Casimir,
-    -2 (q^2 d_n^2 + (2a+1) q xn d_n + a q1) + y 2 (E+a)^2."""
+    the primed directions' G = (1/2) d_x^2 - 2y d_y^2 - 2x d_x d_y - 2(a+1) d_y
+    (:func:`singular_family_check`) and the degree-free part of the cleared
+    closed-form Casimir, -2 (q^2 d_n^2 + (2a+1) q xn d_n + a q1) + y 2 (E+a)^2."""
     a, euler = ctx.alpha, DiffOp(XY, {(1, 0): _X, (0, 1): _Y.scale(2)})
     lap = DiffOp(XY, {(2, 0): 1, (0, 2): _Y.scale(4), (0, 1): 2 * (ctx.n - 1)})
     dn, shift = DiffOp.partial(XY, 0), euler + DiffOp.scalar(XY, a)
     p = DiffOp.mult(_X.scale(Fraction(1, 2))) @ lap + (DiffOp.scalar(XY, ctx.lam) - euler) @ dn
     cas = DiffOp(XY, {(2, 0): (_Q * _Q).scale(-2), (1, 0): (_Q * _X).scale(a * -4 - 2),
                       (0, 0): _Y.scale(a * -2)})
-    return {"E": euler, "lap": lap, "P": p, "Q": _raising(ctx, p, _X, _Y, euler),
+    g = DiffOp(XY, {(2, 0): Fraction(1, 2), (0, 2): _Y.scale(-2), (1, 1): _X.scale(-2),
+                    (0, 1): a * -2 - 2})
+    return {"E": euler, "lap": lap, "P": p, "Q": _raising(ctx, p, _X, _Y, euler), "G": g,
             "cas": cas + DiffOp.mult(_Y.scale(2)) @ shift @ shift}
 
 
@@ -256,10 +256,10 @@ def verify_sl2(ctx: SoPairContext, max_degree: int) -> ReportBundle:
         # h eigenvalue and weight-space dimension bookkeeping
         bundle.check(f"sl2.h-eigenvalue.{tag}", anchor,
                      h_l.apply(fs[l]) == fs[l].scale((ctx.alpha + l) * 2))
-        # read in the n variables, where y = q1 has degree 2
-        f_xi = singular_vector_F(ctx, l)
+        # F_l is nonzero and homogeneous of degree l in the n variables iff
+        # every model term x^i y^k has weight i + 2k = l (y = q1 has degree 2)
         bundle.check(f"sl2.homogeneous.{tag}", "so-pair:weight-spaces",
-                     f_xi.is_homogeneous() and f_xi.degree() == l)
+                     {i + 2 * k for i, k in fs[l].coefficients()} == {l})
 
         # product of consecutive constants: (ef - fe) eigenvalue on F_l
         if ce is not None:
@@ -324,12 +324,6 @@ def pq_membership_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     return bundle
 
 
-def t_model_poly(f: GeoPoly) -> GeoPoly:
-    """Collapse F_l = sum c_k xn^{l-2k} q'^k to sum c_k t^k, reading c_k on
-    x1^{2k} xn^{l-2k}, where q'^k has coefficient one, and dropping the rest."""
-    return f.relabel(t_var(), lambda e: None if any(e[1:-1]) else ((e[0] // 2,), 1))
-
-
 def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     """Commutativity of the square between the xi-model and the t-line
     operator -2(t+1) d_t + l.
@@ -343,7 +337,8 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     """
     bundle = ReportBundle()
     anchor = "so-pair:t-model"
-    ts = [t_model_poly(singular_vector_F(ctx, l)) for l in range(max_degree + 1)]
+    # F_l = sum c_k xn^{l-2k} q1^k collapses to sum c_k t^k: x^i y^k -> t^k
+    ts = [reduced_F(ctx, l).relabel(t_var(), lambda e: (e[1:], 1)) for l in range(max_degree + 1)]
     for l in range(max_degree + 1):
         tag = f"n={ctx.n},l={l}"
         lower = gegenbauer_tilde_lower_op(l)
@@ -450,9 +445,14 @@ def verify_nonclosure(ctx: SoPairContext) -> ReportBundle:
 
 
 def singular_family_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
+    """The n-1 primed directions L_m = (1/2) x_m Lap + (lam - E) d_m
+    annihilate F_l, checked in the model once for all m: on F(x, y),
+    d_m F = 2 x_m d_y F and E x_m = x_m (E + 1), so L_m F = x_m G F with G of
+    :func:`model_ops`, and as multiplication by x_m and the expansion are
+    injective, every L_m kills F_l iff G kills :func:`reduced_F`."""
     bundle = ReportBundle()
     for l in range(max_degree + 1):
-        f = singular_vector_F(ctx, l)
+        f = reduced_F(ctx, l)
         bundle.check(f"singular.annihilated.n={ctx.n},l={l}", "so-pair:singular-pde",
-                     verify_singular(ctx, f), witness=f)
+                     model_ops(ctx)["G"].apply(f).is_zero(), witness=_xi(ctx, f))
     return bundle

@@ -4,8 +4,10 @@ ladder operators, derivative formula, exact orthogonality), the reference
 fold of the operator products (``ref_compose``, ``ref_apply_rat``), the
 xi-model oracle of the so-pair's ladder and Casimir in n variables over the
 ring localized at q1 (``xi_ladder_ops``, ``xi_ladder_images``,
-``casimir_composed``, ``casimir_closed_form``), and the builders of the
-golden text tables ``goldens/*.txt``, keyed by file in ``GOLDEN_TABLES``.
+``casimir_composed``, ``casimir_closed_form``), the so-pair's singular-vector
+and t-line statements in the n variables (``verify_singular``,
+``t_model_poly``), and the builders of the golden text tables
+``goldens/*.txt``, keyed by file in ``GOLDEN_TABLES``.
 
 Tests import it by name, as pytest puts ``tests/`` on the path;
 ``tools/deep_oracles.py`` imports it by path.
@@ -22,8 +24,9 @@ from vermabranch.orthopoly import gegenbauer, gen_binomial, jacobi, rising_facto
 from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors, gegen_tilde_convert,
                                   invariant_expand, per_context, t_var, x_var)
 from vermabranch.scalars import ALPHA, ParamScalar
-from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_ops, model_ops, op_P,
-                                 op_Q, singular_vector_F)
+from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_ops,
+                                 lowering_direction_op, model_ops, op_P, op_Q,
+                                 singular_vector_F)
 from vermabranch.weylalg import DiffOp, proportionality
 
 
@@ -221,34 +224,57 @@ def casimir_composed(ctx: SoPairContext, l: int) -> DiffOp:
 
 
 def model_operator_pairs(ctx: SoPairContext, degrees):
-    """(name, reduced operator, xi-model operator) for P, Q, E, the
-    Laplacian, and e, f~, h and both cleared Casimirs at each degree; f~ and
-    the Casimirs are q1 times their localized xi-model operator."""
+    """(name, reduced operator, xi-model operator, factor) for P, Q, E, the
+    Laplacian, G once for each primed direction m, and e, f~, h and both
+    cleared Casimirs at each degree, where the xi-model operator applied to
+    the expansion is the factor times the expansion of the reduced image:
+    f~ and the Casimirs are q1 times their localized xi-model operator, and
+    G pairs with the primed lowering direction L_m and the factor x_m."""
     vs, ops, q1 = ctx.vars, model_ops(ctx), DiffOp.mult(ctx.q_prime())
-    pairs = [("P", ops["P"], op_P(ctx)), ("Q", ops["Q"], op_Q(ctx)),
-             ("E", ops["E"], DiffOp.euler(vs)), ("laplacian", ops["lap"], DiffOp.laplacian(vs))]
+    one = GeoPoly.const(vs, 1)
+    pairs = [("P", ops["P"], op_P(ctx), one), ("Q", ops["Q"], op_Q(ctx), one),
+             ("E", ops["E"], DiffOp.euler(vs), one),
+             ("laplacian", ops["lap"], DiffOp.laplacian(vs), one)]
+    pairs += [(f"G.{vs.names[m]}", ops["G"], lowering_direction_op(ctx, m),
+               GeoPoly.var(vs, vs.names[m])) for m in range(ctx.n - 1)]
     for l in degrees:
         (e, f, h), (e_xi, f_xi, h_xi) = ladder_ops(ctx, l), xi_ladder_ops(ctx, l)
         composed, closed = casimir_ops(ctx, l)
-        pairs += [(f"e({l})", e, e_xi), (f"f~({l})", f, q1 @ f_xi), (f"h({l})", h, h_xi),
-                  (f"casimir({l})", composed, q1 @ casimir_composed(ctx, l)),
-                  (f"closed-form({l})", closed, q1 @ casimir_closed_form(ctx, l))]
+        pairs += [(f"e({l})", e, e_xi, one), (f"f~({l})", f, q1 @ f_xi, one),
+                  (f"h({l})", h, h_xi, one),
+                  (f"casimir({l})", composed, q1 @ casimir_composed(ctx, l), one),
+                  (f"closed-form({l})", closed, q1 @ casimir_closed_form(ctx, l), one)]
     return pairs
 
 
 def intertwining_failures(ctx: SoPairContext, weight: int, degrees):
     """(operator, i, k) for each pair of :func:`model_operator_pairs` and each
     model monomial x^i y^k of weight i + 2k <= weight where
-    expand(T_model x^i y^k) != T_xi expand(x^i y^k)."""
+    factor * expand(T_model x^i y^k) != T_xi expand(x^i y^k)."""
     out = []
-    for name, t, t_xi in model_operator_pairs(ctx, degrees):
+    for name, t, t_xi, factor in model_operator_pairs(ctx, degrees):
         for k in range(weight // 2 + 1):
             for i in range(weight - 2 * k + 1):
                 m = GeoPoly(XY, {(i, k): 1})
-                if invariant_expand(ctx.vars, t.apply(m)) \
+                if factor * invariant_expand(ctx.vars, t.apply(m)) \
                         != t_xi.apply(invariant_expand(ctx.vars, m)):
                     out.append((name, i, k))
     return out
+
+
+# -- the so-pair's statements in the n variables ------------------------------
+# The library checks the singular vectors and reads the t-line polynomials in
+# the invariant model; these read the same statements off the expansion.
+
+def verify_singular(ctx: SoPairContext, f: GeoPoly) -> bool:
+    """True iff all n-1 primed-direction operators annihilate the vector."""
+    return all(lowering_direction_op(ctx, m).apply(f).is_zero() for m in range(ctx.n - 1))
+
+
+def t_model_poly(f: GeoPoly) -> GeoPoly:
+    """Collapse F_l = sum c_k xn^{l-2k} q'^k to sum c_k t^k, reading c_k on
+    x1^{2k} xn^{l-2k}, where q'^k has coefficient one, and dropping the rest."""
+    return f.relabel(t_var(), lambda e: None if any(e[1:-1]) else ((e[0] // 2,), 1))
 
 
 # -- golden tables ------------------------------------------------------------

@@ -210,6 +210,45 @@ def test_failed_check_with_a_huge_coefficient_exits_1(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_failed_singular_record_witnesses_the_vector_in_n_variables(monkeypatch, capsys):
+    # G with a stray d_y no longer kills F_2 and F_3: singular.annihilated
+    # fails there with exit 1, and its witness is F_l in the n variables,
+    # built from the model vector on failure only
+    import vermabranch.so_pair as so_pair
+    model_ops = so_pair.model_ops
+
+    def broken(ctx):
+        ops = model_ops(ctx)
+        return {**ops, "G": ops["G"] + DiffOp.partial(so_pair.XY, "y")}
+    monkeypatch.setattr(so_pair, "model_ops", broken)
+    assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    failed = {r["check-id"]: r["witness"] for r in json.loads(out)["records"]
+              if r["status"] == "fail"}
+    ctx = so_pair.SoPairContext.formal(3)
+    assert failed == {f"singular.annihilated.n=3,l={l}": so_pair.singular_vector_F(ctx, l).render()
+                      for l in (2, 3)}
+    assert "Traceback" not in err
+
+
+def test_reduced_vector_of_the_wrong_weight_fails_homogeneity(monkeypatch, capsys):
+    # a stray x^3 in the degree-2 model vector: its expansion is not
+    # homogeneous of degree 2, and sl2.homogeneous fails there alone
+    import vermabranch.so_pair as so_pair
+    reduced_F = so_pair.reduced_F
+
+    def broken(ctx, l):
+        f = reduced_F(ctx, l)
+        return f + GeoPoly.var(so_pair.XY, "x", 3) if l == 2 else f
+    monkeypatch.setattr(so_pair, "reduced_F", broken)
+    assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    status = {r["check-id"]: r["status"] for r in json.loads(out)["records"]}
+    assert [c for c, s in status.items() if c.startswith("sl2.homogeneous") and s == "fail"] \
+        == ["sl2.homogeneous.n=3,l=2"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("n, lam", [("2", "1/4"), ("4", "-1/4"), ("5", "-1/2"), ("6", "-3/4")])
 def test_collinear_low_eigenvalues_pass(n, lam):
     # lam = (3-n)/4, where the [P, Q] eigenvalues at l = 0, 1, 2 are collinear

@@ -1,8 +1,9 @@
 """The so-pair's invariant model C[x, y], x = xn and y = q1, against the
 xi-model in n variables: each reduced operator intertwines the expansion
 x -> xn, y -> q1, the cleared ones with q1 times the xi-model operator of
-``tests/oracles.py``, and the reduced vectors, ladder constants and Casimir
-eigenvalues are the xi-model's."""
+``tests/oracles.py`` and G with each primed direction L_m up to the factor
+x_m, and the reduced vectors, ladder constants and Casimir eigenvalues are
+the xi-model's."""
 
 from fractions import Fraction
 from math import factorial
@@ -10,20 +11,25 @@ from math import factorial
 import pytest
 
 from oracles import (casimir_closed_form, casimir_composed, intertwining_failures,
-                     xi_ladder_ops)
+                     verify_singular, xi_ladder_ops)
 from vermabranch.polyring import GeoPoly, invariant_expand
 from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_images, model_ops,
-                                 op_P, op_Q, p_image, reduced_F, singular_vector_F,
-                                 verify_singular)
+                                 op_P, op_Q, p_image, reduced_F, singular_vector_F)
 from vermabranch.weylalg import proportionality
 
 LADDER_DEGREES = range(4)
+SPECIALIZED = ((3, Fraction(1, 3)), (4, Fraction(-1, 4)), (6, Fraction(-3, 4)))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_reduced_operators_intertwine_the_expansion(n):
     # every model monomial x^i y^k of weight i + 2k <= 8
     assert intertwining_failures(SoPairContext.formal(n), 8, LADDER_DEGREES) == []
+
+
+@pytest.mark.parametrize("n, lam", SPECIALIZED)
+def test_reduced_operators_intertwine_the_expansion_at_specialized_weights(n, lam):
+    assert intertwining_failures(SoPairContext.at(n, lam), 8, LADDER_DEGREES) == []
 
 
 def reduced_mismatches(ctx, max_degree):
@@ -68,5 +74,5 @@ def test_reduced_vectors_constants_and_eigenvalues_are_the_xi_models(n):
 
 
 def test_reduced_constants_at_specialized_weights():
-    for n, lam in ((3, Fraction(1, 3)), (4, Fraction(-1, 4)), (6, Fraction(-3, 4))):
+    for n, lam in SPECIALIZED:
         assert reduced_mismatches(SoPairContext.at(n, lam), 4) == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import casimir_closed_form, xi_ladder_ops
+from oracles import casimir_closed_form, t_model_poly, verify_singular, xi_ladder_ops
 from vermabranch import so_pair
 from vermabranch.orthopoly import gegenbauer
 from vermabranch.polyring import GeoPoly, RatCoeff, gegen_tilde_convert, quadratic_sum
@@ -15,9 +15,8 @@ from vermabranch.so_pair import (SoPairContext, casimir_check,
                                  expected_ladder_constants,
                                  op_P, op_Q, pq_membership_check,
                                  singular_family_check, singular_vector_F,
-                                 t_model_check, t_model_poly, tilde_gegenbauer,
-                                 verify_nonclosure,
-                                 verify_singular, verify_sl2)
+                                 t_model_check, tilde_gegenbauer,
+                                 verify_nonclosure, verify_sl2)
 from vermabranch.weylalg import DiffOp, proportionality
 
 CTX3 = SoPairContext.formal(3)
@@ -45,8 +44,10 @@ def test_embedded_fourth_vector():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_singular_annihilation(n):
+    # the primed directions on F_l in the n variables, the statement that
+    # singular_family_check reads in the invariant model, to degree 8
     ctx = SoPairContext.formal(n)
-    for l in range(6):
+    for l in range(9):
         assert verify_singular(ctx, singular_vector_F(ctx, l))
 
 

@@ -38,6 +38,9 @@ def test_tools_build_their_runs():
     # intertwining record, and eight model values a degree
     bundle = deep.intertwining(3, 4, range(2))
     assert len(bundle.records) == 1 and bundle.ok()
+    # the singular vectors in the n variables, one record a degree
+    bundle = deep.singular_in_n_variables(3, 3)
+    assert len(bundle.records) == 4 and bundle.ok()
     bundle = deep.model_records(3, 2)
     assert len(bundle.records) == 24 and bundle.ok()
 

@@ -31,6 +31,10 @@ RUNS = [
     ["all", "--seed", "3", "--cases", "40", "--json", "-"],
     *(["verify-so", "--n", str(n), "--json", "-"] for n in range(2, 7)),
     ["verify-so", "--n", "6", "--max-degree", "14", "--json", "-"],
+    # many variables at high degree, where the singular check reads the
+    # model most
+    ["verify-so", "--n", "6", "--max-degree", "20", "--json", "-"],
+    ["verify-so", "--n", "8", "--max-degree", "12", "--json", "-"],
     ["verify-so", "--n", "3", "--lambda", "1/3", "--json", "-"],
     # specialized weights lam = (3-n)/4 at n >= 4, where the [P, Q]
     # eigenvalues at l = 0, 1, 2 are collinear

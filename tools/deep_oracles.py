@@ -16,8 +16,11 @@ At the formal weights (lambda, mu and alpha symbolic):
 - the Gegenbauer polynomials C_l^alpha for l <= 40 from the explicit sum,
   the three-term recurrence and the 2F1 series, which must be equal;
 - the whole ``verify-so`` suite (``cli_report.so_suite``) at n = 5 and 6 to
-  degree 14, where operator products run on many variables (Tier-1 runs its
-  ladder and Casimir checks there to degree 10, the benchmark stops at n = 4);
+  degree 14 (Tier-1 runs its ladder and Casimir checks there to degree 10,
+  the benchmark stops at n = 4), and beside it the statement that its
+  ``singular.*`` records read in the invariant model, in the n variables:
+  all n-1 primed directions annihilate F_l (``verify_singular`` of
+  ``tests/oracles.py``; Tier-1 runs it at n <= 5 to degree 8);
 - associativity ``(a@b)@c == a@(b@c)`` and the Jacobi identity on seeded
   operators at n = 3, 4 and 5, with coefficients over q1^j, j <= 2, and
   derivatives in every variable.  These reach the general localized products
@@ -32,10 +35,11 @@ At the formal weights (lambda, mu and alpha symbolic):
   coefficients of degree up to 2, where most lowerings D^k vanish on the
   right coefficient (Tier-1 compares them at n <= 4);
 - the so-pair's invariant model C[x, y] against the xi-model oracle of
-  ``tests/oracles.py``: each model operator (P, Q, E, the Laplacian, and
-  e, f~, h and both cleared Casimirs at l <= 5) intertwines the expansion
-  x -> xn, y -> q1 on every monomial x^i y^k with i + 2k <= 12 at n = 7
-  and 8 (Tier-1 stops at n = 6 and weight 8); and the values that the
+  ``tests/oracles.py``: each model operator (P, Q, E, the Laplacian, G,
+  and e, f~, h and both cleared Casimirs at l <= 5) intertwines the
+  expansion x -> xn, y -> q1 on every monomial x^i y^k with i + 2k <= 12 at
+  n = 7 and 8, G with each primed direction L_m up to the factor x_m
+  (Tier-1 stops at n = 6 and weight 8); and the values that the
   ``pq.*``, ``sl2.*`` and ``casimir.*`` records read in the model, expanded,
   equal the xi-model's at n = 5 and 6 for l <= 14: P F_l, Q F_l, the four
   ladder images and both Casimir images, the cleared ones over q1.
@@ -59,7 +63,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from oracles import (casimir_closed_form, casimir_composed, gegenbauer_recurrence,  # noqa: E402
                      gegenbauer_via_2f1, intertwining_failures, ref_apply_rat, ref_compose,
-                     xi_ladder_images)
+                     verify_singular, xi_ladder_images)
 from vermabranch import cli_report, diag_pair  # noqa: E402
 from vermabranch.orthopoly import gegenbauer  # noqa: E402
 from vermabranch.polyring import GeoPoly, RatCoeff, invariant_expand, xi_vars  # noqa: E402
@@ -174,6 +178,17 @@ def reference_products(n: int, cases: int) -> ReportBundle:
     return bundle
 
 
+def singular_in_n_variables(n: int, max_degree: int) -> ReportBundle:
+    """The primed directions on F_l in the n variables at l <= max_degree,
+    one record a degree."""
+    ctx, bundle = SoPairContext.formal(n), ReportBundle()
+    for l in range(max_degree + 1):
+        f = singular_vector_F(ctx, l)
+        bundle.check(f"xi.singular.n={n},l={l}", "so-pair:singular-pde",
+                     verify_singular(ctx, f), witness=f)
+    return bundle
+
+
 def intertwining(n: int, weight: int, degrees) -> ReportBundle:
     """One record: every model operator intertwines the expansion on every
     monomial x^i y^k with i + 2k <= weight, in n variables."""
@@ -216,6 +231,10 @@ def main() -> int:
     ] + [
         (f"so_suite at n = {n} to degree {SO_DEGREE}",
          lambda n=n: cli_report.so_suite(cli_report.RunConfig("so_pair", n=n, max_degree=SO_DEGREE)))
+        for n in SO_DIMENSIONS
+    ] + [
+        (f"primed directions on F_l in the n variables to degree {SO_DEGREE} at n = {n}",
+         lambda n=n: singular_in_n_variables(n, SO_DEGREE))
         for n in SO_DIMENSIONS
     ] + [
         (f"associativity and Jacobi on {LOCALIZED_CASES} localized cases at n = {n}",

@@ -1,10 +1,10 @@
-"""Sparse multivariate polynomials in the geometric variables, and their
-localization at q1 = x1^2 + ... + x_{n-1}^2, the one denominator of the
-operator algebra.
+"""Sparse multivariate polynomials in the geometric variables, the one
+coefficient ring of the operators of :mod:`~vermabranch.weylalg`.
 
 Variable sets are small and fixed by the two scenarios: ``x1..xn`` for the
-orthogonal pair, ``xi, eta`` for the diagonal pair, and the one-variable lines
-``t`` and ``x`` for the inhomogeneous models.  Coefficients live in the exact
+orthogonal pair, ``xi, eta`` for the diagonal pair, ``x, y`` for the
+orthogonal pair's O(n-1)-invariant model, and the one-variable lines ``t``
+and ``x`` for the inhomogeneous models.  Coefficients live in the exact
 parameter field Q(a, l, m) (:mod:`~vermabranch.scalars`).
 
 A :class:`GeoPoly` is an integer polynomial in the geometric variables and
@@ -26,9 +26,10 @@ The constructor, ``+`` and the operator products of :mod:`~vermabranch.weylalg`
 put numerators over the lcm of their parameter denominators in one routine,
 :func:`_over_common`.
 
-A :class:`RatCoeff` is ``num / q1^k`` with a GeoPoly ``num`` and an int k,
-q1 divided out of ``num`` as often as it goes by :func:`_shed_q1`, the one
-code that divides by q1, which the operator products of weylalg run too.
+:func:`invariant_expand` writes a value of the invariant model in the xi
+variables, x -> xn and y -> q1 = x1^2 + ... + x_{n-1}^2.  A :class:`RatCoeff`
+is the render-only witness of a failed model identity cleared by y: the
+value over q1^k, k = 0 or 1, in the xi variables.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ class GeoPoly:
 
 
 # ---------------------------------------------------------------------------
-# the shared quadratics and the coefficient ring localized at q1
+# the shared quadratics, and the witness form of a cleared model identity
 # ---------------------------------------------------------------------------
 
 def quadratic_sum(vars: VarSet, upto: int) -> GeoPoly:
@@ -325,7 +326,7 @@ _CURATED: Dict[VarSet, Mapping[str, GeoPoly]] = {}
 
 def curated_factors(vars: VarSet) -> Mapping[str, GeoPoly]:
     """The polynomials xn, q1 and q of the xi variables, none on the others.
-    q1 is the one denominator a RatCoeff allows.
+    q1 is the image of y under :func:`invariant_expand`.
 
     Built on first use of each variable set and shared read-only after that.
     """
@@ -363,121 +364,27 @@ def per_context(build):
 
 @lru_cache(maxsize=None)
 def _q1_power(vars: VarSet, e: int) -> GeoPoly:
-    """q1^e, which lifts a numerator over q1^k to one over q1^(k+e)."""
+    """q1^e, the image of y^e under :func:`invariant_expand`."""
     return curated_factors(vars)["q1"] ** e
 
 
-def _shed_q1(vars: VarSet, groups: Dict[int, Dict[int, int]],
-             k: int) -> Tuple[Dict[int, int], int]:
-    """The reduced num/q1^k of packed numerator groups keyed by their power
-    of q1, k the largest: while q1 divides the top group, its quotient joins
-    the group one power below; the rest is lifted to q1^k."""
-    top = _layout(vars.arity, _PBITS)[3]
-    q1 = list(_q1_power(vars, 1).terms.items())
-    while k and (q := _divide(dict(groups[k]), q1, top)) is not None:
-        del groups[k]
-        groups[k - 1] = _add(groups.get(k - 1, {}), q)
-        k = max((s for s, g in groups.items() if g), default=0)
-    t = groups.pop(k, {})
-    for s, g in groups.items():
-        if g:
-            t = _add(t, _product(g, _q1_power(vars, k - s).terms, top))
-    return t, k
-
-
-def _rat(num: GeoPoly, k: int = 0) -> "RatCoeff":
-    """num/q1^k for a num that q1 does not divide: no trial division."""
-    r = RatCoeff.__new__(RatCoeff)
-    r.num, r.k = num, k if num.terms else 0
-    return r
-
-
 class RatCoeff:
-    """Quotient num/q1^k of a GeoPoly by a power of q1 = x1^2 + ... + x_{n-1}^2.
-
-    q1 is the one denominator of the operator algebra, and only xi variable
-    sets allow k > 0.  Construction sheds q1 from the numerator as often as
-    it goes (:func:`_shed_q1`), so k is the least power of q1 that clears the
-    value's denominator, a RatCoeff with k = 0 *is* a polynomial, and a value
-    has one (num, k) form, also where q1 is not irreducible (x1^2 at n = 2).
-    Only a sum over equal powers of q1 is trial-divided: q1 divides no reduced
-    numerator, so a sum over two different powers is reduced as it stands.
-    """
+    """The witness form of a failed cleared identity of the invariant model:
+    a model value g over y^k, k = 0 or 1, written in the xi variables as
+    ``num / q1^k``.  Where y divides g (one :meth:`GeoPoly.exact_divide`),
+    the quotient is taken and k drops to 0; the value is then expanded by
+    :func:`invariant_expand`.  As y divides g iff q1 divides its expansion,
+    the form is reduced.  Built only on failure, and only rendered."""
 
     __slots__ = ("num", "k")
 
-    def __init__(self, num: GeoPoly, k: int = 0):
-        if k:
-            if not isinstance(k, int) or k < 0:
-                raise ValueError(f"the power of q1 must be a nonnegative int, not {k!r}")
-            if num.vars.kind != "xi":
-                raise ValueError(f"q1 is not a denominator for {num.vars.kind}")
-            t, s = _shed_q1(num.vars, {k: num.terms}, k)
-            if s < k:
-                num, k = _new(num.vars, t, num.den), s
-        self.num, self.k = num, k
-
-    @property
-    def vars(self) -> VarSet:
-        return self.num.vars
-
-    @staticmethod
-    def zero(vars: VarSet) -> "RatCoeff":
-        return RatCoeff(GeoPoly.zero(vars))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return not self.k
-
-    def as_poly(self) -> GeoPoly:
-        if self.k:
-            raise ValueError(f"not a polynomial: q1^{self.k} remains under {self.num.render()}")
-        return self.num
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "RatCoeff") -> "RatCoeff":
-        _same_vars(self.vars, other.vars)
-        a, b, k = self.num, other.num, self.k
-        if k == other.k:
-            return RatCoeff(a + b, k)
-        if k < other.k:
-            a, k = a * _q1_power(self.vars, other.k - k), other.k
-        else:
-            b = b * _q1_power(self.vars, k - other.k)
-        # q1 divides the lifted numerator but not the other, reduced one
-        return _rat(a + b, k)
-
-    def __neg__(self) -> "RatCoeff":
-        return _rat(-self.num, self.k)
-
-    def __sub__(self, other: "RatCoeff") -> "RatCoeff":
-        return self + (-other)
-
-    def __mul__(self, other: "RatCoeff") -> "RatCoeff":
-        _same_vars(self.vars, other.vars)
-        return RatCoeff(self.num * other.num, self.k + other.k)
-
-    def scale(self, c) -> "RatCoeff":
-        # q1 has constant coefficients, so it divides num iff it divides any
-        # nonzero multiple of num over Q(a, l, m)
-        return _rat(self.num.scale(c), self.k)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatCoeff):
-            return NotImplemented
-        # both sides are reduced, so equal values have equal forms
-        return self.k == other.k and self.num == other.num
+    def __init__(self, vars: VarSet, g: GeoPoly, k: int = 0):
+        if k and (q := g.exact_divide(GeoPoly.var(g.vars, "y"))) is not None:
+            g, k = q, 0
+        self.num, self.k = invariant_expand(vars, g), k
 
     def render(self) -> str:
-        if not self.k:
-            return self.num.render()
-        return f"({self.num.render()}) / [{_monomial(('q1',), (self.k,))}]"
-
-    def __repr__(self):
-        return f"RatCoeff({self.render()})"
+        return f"({self.num.render()}) / [q1]" if self.k else self.num.render()
 
 
 # ---------------------------------------------------------------------------

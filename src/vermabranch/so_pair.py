@@ -120,7 +120,7 @@ def singular_vector_F(ctx: SoPairContext, l: int) -> GeoPoly:
 def _xi(ctx: SoPairContext, g: GeoPoly, k: int = 0):
     """The witness of a failed model record: the xi-model value g / q1^k,
     k = 1 for a cleared identity, built only on failure."""
-    return lambda: RatCoeff(invariant_expand(ctx.vars, g), k)
+    return lambda: RatCoeff(ctx.vars, g, k)
 
 
 def _raising(ctx: SoPairContext, p: DiffOp, xn: GeoPoly, q1: GeoPoly, euler: DiffOp) -> DiffOp:

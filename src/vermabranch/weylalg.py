@@ -1,11 +1,11 @@
-"""Normal-ordered differential operators with coefficients over a power of q1.
+"""Normal-ordered differential operators with polynomial coefficients.
 
 A :class:`DiffOp` is a finite sum of terms ``coefficient * D^e`` where the
-coefficient is a :class:`~vermabranch.polyring.RatCoeff` ``num / q1^k`` and
-``D^e`` a derivative monomial.  An operator is written as its normal-form
-terms, ``DiffOp(vars, {e: c, ...})``, the one constructor, which checks and
-coerces them; results of the algebra skip that check.  Composition is used
-only for operators the paper states as compositions.
+coefficient is a :class:`~vermabranch.polyring.GeoPoly` and ``D^e`` a
+derivative monomial.  An operator is written as its normal-form terms,
+``DiffOp(vars, {e: c, ...})``, the one constructor, which checks and coerces
+them; results of the algebra skip that check.  Composition is used only for
+operators the paper states as compositions.
 
 All coefficients stand to the left of all derivatives; composition
 re-establishes that normal form via the Leibniz rule
@@ -19,98 +19,50 @@ loop over packed integer terms:
   the lcm of its coefficients', by :func:`~vermabranch.polyring._over_common`,
   once per operand (:func:`_lifted`), so the loop multiplies integers and a
   result's parameter denominator is the product of its operands';
-- a right coefficient n/q1^j is differentiated as
-
-      D^k (n q1^-j) = sum_{m <= k} binom(k, m) D^(k-m) n R_{m,j} / q1^(j+|m|),
-
-  with R_{m,j} = q1^(j+|m|) D^m q1^-j a polynomial cached per (vars, m, j),
-  zero where m differentiates xn and, for j = 0, everywhere but at m = 0.
-  The left term c becomes c R_{m,j} and binom(a, k) binom(k, m) the
-  multinomial binom(a, m) binom(a-m, k-m);
-- every sub-monomial k <= e of a packed derivative monomial, m and k alike,
-  comes with its binomial from one cached table, :func:`_lowerings`; an
-  action, which needs only k = e, builds that one row;
+- every sub-monomial k <= a of a packed derivative monomial comes with its
+  binomial from one cached table, :func:`_lowerings`; an action, which
+  needs only k = a, builds that one row;
 - D^k of a term ``c x^g`` is ``prod_i (g_i)_{k_i} c x^(g-k)``, with g - k
   the key less the packed k: a borrow in the top bit of a field
   (:func:`~vermabranch.scalars._layout`) means some g_i < k_i, and the term
   is dropped before any falling factorial is taken.
 
-Products are added per packed output derivative monomial and q1 exponent,
-both orders of a commutator with opposite signs into the same sums.  Each
-output coefficient is built once, after shedding q1 from the top down in
-:func:`~vermabranch.polyring._shed_q1` if its q1 exponent is nonzero, which
-the OR of its keys, taken by the overflow test, shows at once; a derivative
-monomial whose products all vanish gets none.  Derivative
-monomials are packed by :func:`~vermabranch.scalars._pack` and follow its
-2^15 rule: an operand or a product whose derivative exponent or degree
-reaches 2^15 raises ValueError.
+Products are added per packed output derivative monomial, both orders of a
+commutator with opposite signs into the same sums, and each output
+coefficient is built once; a derivative monomial whose products all vanish
+gets none.  Derivative monomials are packed by
+:func:`~vermabranch.scalars._pack` and follow its 2^15 rule: an operand or a
+product whose derivative exponent or degree reaches 2^15 raises ValueError.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from math import perm
+from numbers import Rational
 from operator import or_
 from typing import Dict, List, Tuple
 
-from .polyring import (GeoPoly, RatCoeff, VarSet, _new, _over_common, _rat,
-                       _same_vars, _shed_q1, curated_factors)
-from .scalars import (_FIELD, _OVERFLOW, _PBITS, _W, _checked, _layout,
-                      _monomial, _pack, _product, _unpack, ParamPoly, ParamScalar)
+from .polyring import GeoPoly, VarSet, _new, _over_common, _same_vars
+from .scalars import (_FIELD, _OVERFLOW, _PBITS, _checked, _layout, _monomial, _pack,
+                      _unpack, ParamPoly, ParamScalar)
 
 DerivMono = Tuple[int, ...]
-Lifted = List[Tuple[int, Dict[int, int], int]]
+Lifted = List[Tuple[int, Dict[int, int]]]
 Sums = Dict[int, Dict[int, int]]
 # an operator has few distinct derivative monomials, so each is packed once
 _dpack, _dunpack = lru_cache(maxsize=None)(_pack), lru_cache(maxsize=None)(_unpack)
 
 
-@lru_cache(maxsize=None)
-def _frame(n: int) -> Tuple[int, int]:
-    """The top-bit mask of the packed fields of n geometric variables
-    (:func:`_layout`), and the shift of the q1 exponent field just above
-    their degree field: the q1 exponent of a product of terms is the sum of
-    its factors', as for every other field."""
-    _, _, dshift, top = _layout(n, _PBITS)
-    return top, dshift + _W
-
-
 def _lifted(op: "DiffOp") -> Tuple[ParamPoly, Lifted]:
     """The lcm D of the parameter denominators of op's coefficients, and for
-    each coefficient num/q1^k at D^e the (packed e, packed numerator over D,
-    k), with k in the q1 exponent field of every key; kept in op.lift."""
+    each coefficient at D^e the (packed e, packed numerator over D); kept in
+    op.lift."""
     if op.lift is None:
-        nums, dens, out = [], [], []
-        shift = _frame(op.vars.arity)[1]
-        for e, c in op.terms.items():
-            t, k = c.num.terms, c.k
-            if k:
-                t = {key + (k << shift): v for key, v in t.items()}
-            nums.append(t)
-            dens.append(c.num.den)
-            out.append((_dpack(e), t, k))
-        den, lifted = _over_common(op.vars, nums, dens)
-        if lifted is not nums:
-            out = [(e, t, k) for (e, _, k), t in zip(out, lifted)]
-        op.lift = den, out
+        den, nums = _over_common(op.vars, [c.terms for c in op.terms.values()],
+                                 [c.den for c in op.terms.values()])
+        op.lift = den, list(zip(map(_dpack, op.terms), nums))
     return op.lift
-
-
-@lru_cache(maxsize=None)
-def _r(vars: VarSet, m: int, j: int) -> GeoPoly:
-    """R_{m,j} = q1^(j+|m|) D^m q1^-j for the packed derivative monomial m,
-    one derive at a time by the quotient rule
-    D_i (r / q1^s) = (q1 D_i r - s r D_i q1) / q1^(s+1)."""
-    if not m:
-        return GeoPoly.const(vars, 1)
-    n = vars.arity
-    e = _dunpack(m, n)
-    if not j or e[-1]:
-        return GeoPoly.zero(vars)
-    i = max(i for i, mi in enumerate(e) if mi)
-    prev = m - _layout(n)[1][i]
-    r, q1 = _r(vars, prev, j), curated_factors(vars)["q1"]
-    return q1 * r.derive(i) - (r * q1.derive(i)).scale(j + (prev >> _W * n))
 
 
 def _row(k: DerivMono, binomial: int, n: int) -> tuple:
@@ -140,90 +92,59 @@ def _lowerings(e: int, n: int, whole: bool = False) -> Tuple[tuple, ...]:
     return tuple(_row(k, binomial, n) for k, binomial in rows)
 
 
-def _lefts(vs: VarSet, ea: int, t1: Dict[int, int], j: int, whole: bool) -> List[tuple]:
-    """(ea - m, terms of binom(ea, m) t1 R_{m,j} / q1^|m|, lowerings of
-    ea - m, the last alone if whole) for each m <= ea of :func:`_lowerings`
-    with R_{m,j} nonzero, for a right coefficient over q1^j, j > 0: an
-    operand's or apply_rat's input."""
-    (top, shift), n, out = _frame(vs.arity), vs.arity, []
-    for m, binomial, _, _ in _lowerings(ea, n):
-        r = _r(vs, m, j).terms
-        if r:
-            rest, dm = ea - m, (m >> _W * n) << shift
-            left = {k + dm: binomial * c for k, c in _product(t1, r, top).items()}
-            out.append((rest, left.items(), _lowerings(rest, n, whole)))
-    return out
-
-
 def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
                   out: Sums) -> Sums:
-    """Add sign * binom(ea, m) binom(ea - m, k) * c1 R_{m,j} * D^k(c2 g) into
-    out[ea + eb - m - k] for every left term c1 g of a coefficient at ea,
-    right term c2 g of a coefficient over q1^j at eb, m <= ea with R_{m,j}
-    nonzero (m = 0 alone if j = 0) and k <= ea - m, each k of the table of
-    :func:`_lowerings` (its last entry, k = ea - m, alone if whole).
+    """Add sign * binom(ea, k) * c1 * D^k(c2 g) into out[ea + eb - k] for
+    every left term c1 g of a coefficient at ea, right term c2 g of a
+    coefficient at eb and k <= ea, each k of the table of :func:`_lowerings`
+    (its last entry, k = ea, alone if whole).
     D^k of a monomial with exponents g is prod_i (g_i)_{k_i} times the
-    monomial with g - k, and q1 exponents add in their field of the keys.
-    The key of g - k is the right key less k's drop; where some g_i < k_i,
-    D^k kills the term, and the subtraction leaves a borrow in that field's
-    top bit (as in :func:`~vermabranch.scalars._divide`), so the term is
-    skipped before any falling factorial is taken.
+    monomial with g - k, whose key is the right key less k's drop; where
+    some g_i < k_i, D^k kills the term, and the subtraction leaves a borrow
+    in that field's top bit (as in :func:`~vermabranch.scalars._divide`), so
+    the term is skipped before any falling factorial is taken.
     Each field of the packed ea and eb is below 2^15, so ea + eb never carries."""
     n = vs.arity
-    top = _frame(n)[0]
-    for ea, t1, _ in a:
-        lefts = {}
-        plain = ((ea, t1.items(), _lowerings(ea, n, whole)),)
-        for eb, t2, j in b:
-            ms = plain
-            if j:
-                ms = lefts.get(j) or lefts.setdefault(j, _lefts(vs, ea, t1, j, whole))
-            t2 = t2.items()
-            for rest, left, subs in ms:
-                ab = rest + eb
-                for k, binomial, fields, drop in subs:
-                    acc = out.setdefault(ab - k, {})
-                    get, m = acc.get, sign * binomial
-                    for k2, c in t2:
-                        k2 -= drop
-                        if k2 & top:
-                            continue
-                        c *= m
-                        for s, ki in fields:
-                            c *= perm((k2 >> s & _FIELD) + ki, ki)
-                        for k1, c1 in left:
-                            key = k1 + k2
-                            acc[key] = get(key, 0) + c1 * c
+    top = _layout(n, _PBITS)[3]
+    for ea, t1 in a:
+        left, subs = t1.items(), _lowerings(ea, n, whole)
+        for eb, t2 in b:
+            ab, t2 = ea + eb, t2.items()
+            for k, binomial, fields, drop in subs:
+                acc = out.setdefault(ab - k, {})
+                get, m = acc.get, sign * binomial
+                for k2, c in t2:
+                    k2 -= drop
+                    if k2 & top:
+                        continue
+                    c *= m
+                    for s, ki in fields:
+                        c *= perm((k2 >> s & _FIELD) + ki, ki)
+                    for k1, c1 in left:
+                        key = k1 + k2
+                        acc[key] = get(key, 0) + c1 * c
     return out
 
 
-def _coefficients(vs: VarSet, sums: Sums, den: ParamPoly) -> Dict[DerivMono, RatCoeff]:
-    """The reduced coefficient num/q1^k over den of each derivative monomial
-    of the sums; a monomial whose sum vanishes gets none.  The OR of a sum's
-    keys, which :func:`~vermabranch.scalars._checked` tests for overflow,
-    has no bit in the q1 field where k = 0; only otherwise is k the q1
-    field of the largest key."""
+def _coefficients(vs: VarSet, sums: Sums, den: ParamPoly) -> Dict[DerivMono, GeoPoly]:
+    """The coefficient over den of each derivative monomial of the sums; a
+    monomial whose sum vanishes gets none."""
     n = vs.arity
-    (top, shift), coeffs = _frame(n), {}
+    top, coeffs = _layout(n, _PBITS)[3], {}
     if reduce(or_, sums, 0) & _layout(n)[3]:
         raise ValueError(_OVERFLOW)
     for e, t in sums.items():
-        t, bits = _checked(t, top)
-        if k := bits >> shift and max(t) >> shift:
-            groups: Dict[int, Dict[int, int]] = {}
-            for key, c in t.items():
-                groups.setdefault(s := key >> shift, {})[key - (s << shift)] = c
-            t, k = _shed_q1(vs, groups, k)
+        t = _checked(t, top)[0]
         if t:
-            coeffs[_dunpack(e, n)] = _rat(_new(vs, t, den), k)
+            coeffs[_dunpack(e, n)] = _new(vs, t, den)
     return coeffs
 
 
-def _op(vars: VarSet, terms: Dict[DerivMono, RatCoeff]) -> "DiffOp":
-    """The operator of RatCoeff ``terms`` in vars, zero coefficients dropped.
+def _op(vars: VarSet, terms: Dict[DerivMono, GeoPoly]) -> "DiffOp":
+    """The operator of GeoPoly ``terms`` in vars, zero coefficients dropped.
     Every internal result is built here, not by the constructor."""
     op = DiffOp.__new__(DiffOp)
-    op.vars, op.terms, op.lift = vars, {e: c for e, c in terms.items() if c.num.terms}, None
+    op.vars, op.terms, op.lift = vars, {e: c for e, c in terms.items() if c.terms}, None
     return op
 
 
@@ -233,25 +154,29 @@ def _unit(vars: VarSet, i: int, order: int = 1) -> DerivMono:
 
 
 class DiffOp:
-    """Element of the localized Weyl algebra in normal form.  ``lift`` keeps
-    the operand form of the products (:func:`_lifted`), built on first use."""
+    """Element of the Weyl algebra in normal form.  ``lift`` keeps the
+    operand form of the products (:func:`_lifted`), built on first use."""
 
     __slots__ = ("vars", "terms", "lift")
 
     def __init__(self, vars: VarSet, terms: Dict[DerivMono, object] | None = None):
         """The operator sum c * D^e over ``terms``: e a tuple of arity(vars)
-        nonnegative ints, c a RatCoeff or GeoPoly in vars or a Q(a, l, m)
-        scalar (int, Fraction or ParamScalar).  Zero coefficients are dropped."""
-        clean: Dict[DerivMono, RatCoeff] = {}
+        nonnegative ints, c a GeoPoly in vars or a Q(a, l, m) scalar (int,
+        Fraction, ParamPoly or ParamScalar); any other c raises TypeError.
+        Zero coefficients are dropped."""
+        clean: Dict[DerivMono, GeoPoly] = {}
         for e, c in (terms or {}).items():
             if len(e) != vars.arity:
                 raise ValueError("derivative exponent arity mismatch")
             if min(e, default=0) < 0:
                 raise ValueError("negative derivative exponent")
-            if not isinstance(c, RatCoeff):
-                c = RatCoeff(c if isinstance(c, GeoPoly) else GeoPoly.const(vars, c))
+            if not isinstance(c, GeoPoly):
+                if not isinstance(c, (Rational, ParamPoly, ParamScalar)):
+                    raise TypeError(f"an operator coefficient is a GeoPoly or a scalar, "
+                                    f"not {type(c).__name__}")
+                c = GeoPoly.const(vars, c)
             _same_vars(c.vars, vars)
-            if c.num.terms:
+            if c.terms:
                 clean[tuple(e)] = c
         self.vars, self.terms, self.lift = vars, clean, None
 
@@ -266,8 +191,8 @@ class DiffOp:
         return DiffOp(vars, {(0,) * vars.arity: c})
 
     @staticmethod
-    def mult(c: GeoPoly | RatCoeff) -> "DiffOp":
-        """Multiplication by a polynomial or a localized coefficient."""
+    def mult(c: GeoPoly) -> "DiffOp":
+        """Multiplication by a polynomial."""
         return DiffOp(c.vars, {(0,) * c.vars.arity: c})
 
     @staticmethod
@@ -324,7 +249,7 @@ class DiffOp:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        # zero coefficients are dropped and RatCoeff equality compares forms
+        # zero coefficients are dropped and GeoPoly equality compares values
         return self.vars == other.vars and self.terms == other.terms
 
     def is_zero(self) -> bool:
@@ -336,20 +261,20 @@ class DiffOp:
 
     # -- action -----------------------------------------------------------
 
-    def apply_rat(self, p: GeoPoly | RatCoeff) -> RatCoeff:
-        """Exact action on a polynomial or a localized coefficient num/q1^j,
-        which enters as one right coefficient over q1^j, written as by
-        :func:`_lifted`; the result keeps a power of q1 where one remains."""
+    def apply_rat(self, p: GeoPoly) -> GeoPoly:
+        """The action on a polynomial: p enters the loop of :func:`_leibniz_sums`
+        as one right coefficient at D^0, and each left term takes its own
+        lowering alone.  perfbench's tracer counts and times every action
+        under this name (``weylalg.apply``, ``weylalg.apply_s``), so
+        :meth:`apply` calls it; ROADMAP item 8 can merge the two names."""
         vs = _same_vars(self.vars, p.vars)
         den, a = _lifted(self)
-        p, j = (p.num, p.k) if isinstance(p, RatCoeff) else (p, 0)
-        t = {key + (j << _frame(vs.arity)[1]): c for key, c in p.terms.items()} if j else p.terms
-        sums = _leibniz_sums(vs, a, [(0, t, j)], 1, True, {})
-        return _coefficients(vs, sums, den * p.den).get((0,) * vs.arity) or RatCoeff.zero(vs)
+        sums = _leibniz_sums(vs, a, [(0, p.terms)], 1, True, {})
+        return _coefficients(vs, sums, den * p.den).get((0,) * vs.arity) or GeoPoly.zero(vs)
 
     def apply(self, p: GeoPoly) -> GeoPoly:
-        """Action on a polynomial, demanding a polynomial result."""
-        return self.apply_rat(p).as_poly()
+        """The action on a polynomial, by :meth:`apply_rat`."""
+        return self.apply_rat(p)
 
     # -- rendering --------------------------------------------------------
 

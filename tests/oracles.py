@@ -1,13 +1,14 @@
 """Test-side oracles: independent reference constructions for the library's
 orthogonal polynomials (three-term recurrence, terminating 2F1 series, ODEs,
 ladder operators, derivative formula, exact orthogonality), the reference
-fold of the operator products (``ref_compose``, ``ref_apply_rat``), the
-xi-model oracle of the so-pair's ladder and Casimir in n variables over the
-ring localized at q1 (``xi_ladder_ops``, ``xi_ladder_images``,
-``casimir_composed``, ``casimir_closed_form``), the so-pair's singular-vector
-and t-line statements in the n variables (``verify_singular``,
-``t_model_poly``), and the builders of the golden text tables
-``goldens/*.txt``, keyed by file in ``GOLDEN_TABLES``.
+fold of the operator products (``ref_compose``, ``ref_apply``), the
+xi-model oracle of the so-pair's ladder and Casimir in the n variables, with
+the lowering operator and the Casimir cleared by q1 into polynomial
+operators (``xi_ladder_ops``, ``xi_ladder_images``, ``casimir_composed``,
+``casimir_closed_form``, and ``render_over_q1`` for the witness text of a
+cleared value), the so-pair's singular-vector and t-line statements in the n
+variables (``verify_singular``, ``t_model_poly``), and the builders of the
+golden text tables ``goldens/*.txt``, keyed by file in ``GOLDEN_TABLES``.
 
 Tests import it by name, as pytest puts ``tests/`` on the path;
 ``tools/deep_oracles.py`` imports it by path.
@@ -21,7 +22,7 @@ from vermabranch.cli import gegenbauer_lines
 from vermabranch.diag_pair import (DiagContext, lowering_constant, op_F_fourier,
                                    singular_vector_Ptilde)
 from vermabranch.orthopoly import gegenbauer, gen_binomial, jacobi, rising_factorial
-from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors, gegen_tilde_convert,
+from vermabranch.polyring import (GeoPoly, curated_factors, gegen_tilde_convert,
                                   invariant_expand, per_context, t_var, x_var)
 from vermabranch.scalars import ALPHA, ParamScalar
 from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_ops,
@@ -166,46 +167,53 @@ def gegenbauer_tilde_raise_op(l: int, alpha) -> DiffOp:
 
 
 # -- the so-pair's ladder and Casimir in the xi-model ---------------------------
-# The library checks these in the two-variable invariant model, with the
-# lowering operator cleared by q1; here they act on the n Fourier variables,
-# f(l) over q1 as the paper displays it.
+# The library checks these in the two-variable invariant model; here they act
+# on the n Fourier variables.  The paper's lowering operator f(l) has
+# coefficients over q1, and so has its Casimir; both enter cleared by q1, as
+# the polynomial operators f~(l) = q1 f(l) and q1 Cas, and every identity
+# with them is multiplied by q1.
 
 @per_context
 def xi_ladder_ops(ctx: SoPairContext, l: int):
-    """(e, f, h) at degree l: e = -q d_n - (2a+l) xn and the localized
-    f = (q/q1) d_n - l xn/q1, which is (1/xn)((q/q1)(xn d_n - l) + l) since
-    q = q1 + xn^2."""
+    """(e, f~, h) at degree l: e = -q d_n - (2a+l) xn and the cleared
+    f~ = q d_n - l xn of the localized f = (q/q1) d_n - l xn/q1; since
+    q = q1 + xn^2, xn f~ = q (xn d_n - l) + l q1."""
     vs, n, xn, q = ctx.vars, ctx.n, ctx.xn(), ctx.q_full()
     dn, e0 = (0,) * (n - 1) + (1,), (0,) * n
     e_op = DiffOp(vs, {dn: -q, e0: xn.scale(-(ctx.alpha * 2 + l))})
-    f_op = DiffOp(vs, {dn: RatCoeff(q, 1), e0: RatCoeff(xn.scale(-l), 1)})
+    f_op = DiffOp(vs, {dn: q, e0: xn.scale(-l)})
     h_op = DiffOp.scalar(vs, (ctx.alpha + l) * 2)
     return e_op, f_op, h_op
 
 
 @per_context
 def xi_ladder_images(ctx: SoPairContext, l: int):
-    """(e(l) F_l, f(l) F_l, f(l+1) e(l) F_l, e(l-1) f(l) F_l), the last three
-    over a power of q1 where one remains; the last is zero at l = 0."""
+    """(e(l) F_l, f~(l) F_l, f~(l+1) e(l) F_l, e(l-1) f~(l) F_l), the last
+    three cleared by q1; the last is zero at l = 0."""
     e_l, f_l, _ = xi_ladder_ops(ctx, l)
     f = singular_vector_F(ctx, l)
-    ev = e_l.apply(f)
-    fv = f_l.apply_rat(f)
-    return ev, fv, xi_ladder_ops(ctx, l + 1)[1].apply_rat(ev), \
-        xi_ladder_ops(ctx, l - 1)[0].apply_rat(fv)
+    ev, fv = e_l.apply(f), f_l.apply(f)
+    return ev, fv, xi_ladder_ops(ctx, l + 1)[1].apply(ev), xi_ladder_ops(ctx, l - 1)[0].apply(fv)
+
+
+def render_over_q1(p: GeoPoly) -> str:
+    """The text of p / q1 for a polynomial p in the xi variables: the
+    quotient where q1 divides p, else ``(p) / [q1]``."""
+    q = p.exact_divide(curated_factors(p.vars)["q1"])
+    return q.render() if q is not None else f"({p.render()}) / [q1]"
 
 
 def casimir_closed_form(ctx: SoPairContext, l: int) -> DiffOp:
-    """The displayed closed form of the Casimir at degree l,
-    -2 (q^2 d_n^2 + (2a+1) q xn d_n + a q1 - (2a+l) l xn^2) / q1 + 2 (E+a)^2."""
+    """q1 times the displayed closed form of the Casimir at degree l,
+    -2 (q^2 d_n^2 + (2a+1) q xn d_n + a q1 - (2a+l) l xn^2) + q1 2 (E+a)^2."""
     vs, n, alpha = ctx.vars, ctx.n, ctx.alpha
     xn, q, q1 = ctx.xn(), ctx.q_full(), ctx.q_prime()
     mid = q1.scale(alpha) - (xn * xn).scale((alpha * 2 + l) * l)
     d = (0,) * (n - 1)
-    localized = DiffOp(vs, {d + (2,): RatCoeff((q * q).scale(-2), 1),
-                            d + (1,): RatCoeff((q * xn).scale((alpha * 2 + 1) * -2), 1),
-                            d + (0,): RatCoeff(mid.scale(-2), 1)})
-    return localized + _euler_shift_square(ctx)
+    cleared = DiffOp(vs, {d + (2,): (q * q).scale(-2),
+                          d + (1,): (q * xn).scale((alpha * 2 + 1) * -2),
+                          d + (0,): mid.scale(-2)})
+    return cleared + DiffOp.mult(q1) @ _euler_shift_square(ctx)
 
 
 @per_context
@@ -216,11 +224,12 @@ def _euler_shift_square(ctx: SoPairContext) -> DiffOp:
 
 
 def casimir_composed(ctx: SoPairContext, l: int) -> DiffOp:
-    """f(l+1) e(l) + e(l-1) f(l) + (1/2) h(l)^2; at l = 0 the leg e(-1) f(0)
-    annihilates the bottom weight F_0."""
+    """q1 (f(l+1) e(l) + e(l-1) f(l) + (1/2) h(l)^2) = f~(l+1) e(l) +
+    e(l-1) f~(l) + (1/2) q1 h(l)^2, as q1 commutes with e = -q d_n - (2a+l) xn;
+    at l = 0 the leg e(-1) f~(0) annihilates the bottom weight F_0."""
     e_l, f_l, h_l = xi_ladder_ops(ctx, l)
     f_up, e_dn = xi_ladder_ops(ctx, l + 1)[1], xi_ladder_ops(ctx, l - 1)[0]
-    return f_up @ e_l + e_dn @ f_l + (h_l @ h_l).scale(Fraction(1, 2))
+    return f_up @ e_l + e_dn @ f_l + DiffOp.mult(ctx.q_prime()) @ (h_l @ h_l).scale(Fraction(1, 2))
 
 
 def model_operator_pairs(ctx: SoPairContext, degrees):
@@ -228,9 +237,9 @@ def model_operator_pairs(ctx: SoPairContext, degrees):
     Laplacian, G once for each primed direction m, and e, f~, h and both
     cleared Casimirs at each degree, where the xi-model operator applied to
     the expansion is the factor times the expansion of the reduced image:
-    f~ and the Casimirs are q1 times their localized xi-model operator, and
-    G pairs with the primed lowering direction L_m and the factor x_m."""
-    vs, ops, q1 = ctx.vars, model_ops(ctx), DiffOp.mult(ctx.q_prime())
+    f~ and the Casimirs are cleared by q1 on both sides, and G pairs with the
+    primed lowering direction L_m and the factor x_m."""
+    vs, ops = ctx.vars, model_ops(ctx)
     one = GeoPoly.const(vs, 1)
     pairs = [("P", ops["P"], op_P(ctx), one), ("Q", ops["Q"], op_Q(ctx), one),
              ("E", ops["E"], DiffOp.euler(vs), one),
@@ -240,10 +249,10 @@ def model_operator_pairs(ctx: SoPairContext, degrees):
     for l in degrees:
         (e, f, h), (e_xi, f_xi, h_xi) = ladder_ops(ctx, l), xi_ladder_ops(ctx, l)
         composed, closed = casimir_ops(ctx, l)
-        pairs += [(f"e({l})", e, e_xi, one), (f"f~({l})", f, q1 @ f_xi, one),
+        pairs += [(f"e({l})", e, e_xi, one), (f"f~({l})", f, f_xi, one),
                   (f"h({l})", h, h_xi, one),
-                  (f"casimir({l})", composed, q1 @ casimir_composed(ctx, l), one),
-                  (f"closed-form({l})", closed, q1 @ casimir_closed_form(ctx, l), one)]
+                  (f"casimir({l})", composed, casimir_composed(ctx, l), one),
+                  (f"closed-form({l})", closed, casimir_closed_form(ctx, l), one)]
     return pairs
 
 
@@ -277,23 +286,12 @@ def t_model_poly(f: GeoPoly) -> GeoPoly:
     return f.relabel(t_var(), lambda e: None if any(e[1:-1]) else ((e[0] // 2,), 1))
 
 
-# -- golden tables ------------------------------------------------------------
-
 # -- the reference fold of the operator products ------------------------------
 # compose, commutator and apply_rat run one packed Leibniz loop.  The plain
 # fold below enumerates k <= ea and its binomials itself, not from the
-# library's table, re-derives D^k for every (ea, k) by the quotient rule, forms
-# every product with RatCoeff.__mul__ and adds it through DiffOp.__add__; the
-# two must agree term for term, down to the rendered form of every
-# coefficient.
-
-def ref_derive(c: RatCoeff, i: int) -> RatCoeff:
-    """d/dx_i (n / q1^k) = (q1 n' - k n q1') / q1^(k+1)."""
-    if not c.k:
-        return RatCoeff(c.num.derive(i))
-    q1 = curated_factors(c.vars)["q1"]
-    return RatCoeff(q1 * c.num.derive(i) - (c.num * q1.derive(i)).scale(c.k), c.k + 1)
-
+# library's table, takes D^k one GeoPoly.derive at a time, forms every
+# product with GeoPoly.__mul__ and adds it through DiffOp.__add__; the two
+# must agree term for term, down to the rendered form of every coefficient.
 
 def ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
     out = DiffOp.zero(a.vars)
@@ -304,7 +302,7 @@ def ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
                 dc = cb
                 for i, ki in enumerate(k):
                     for _ in range(ki):
-                        dc = ref_derive(dc, i)
+                        dc = dc.derive(i)
                     if dc.is_zero():
                         break
                 if dc.is_zero():
@@ -314,17 +312,19 @@ def ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
     return out
 
 
-def ref_apply_rat(op: DiffOp, p: GeoPoly | RatCoeff) -> RatCoeff:
-    out = RatCoeff.zero(op.vars)
+def ref_apply(op: DiffOp, p: GeoPoly) -> GeoPoly:
+    out = GeoPoly.zero(op.vars)
     for e, c in op.terms.items():
-        dp = p if isinstance(p, RatCoeff) else RatCoeff(p)
+        dp = p
         for i, ei in enumerate(e):
             for _ in range(ei):
-                dp = ref_derive(dp, i)
+                dp = dp.derive(i)
         if not dp.is_zero():
             out = out + c * dp
     return out
 
+
+# -- golden tables ------------------------------------------------------------
 
 def f_vector_table(n: int, max_degree: int) -> str:
     ctx = SoPairContext.formal(n)

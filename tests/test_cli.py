@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import GOLDEN_TABLES, xi_ladder_ops
+from oracles import GOLDEN_TABLES, render_over_q1, xi_ladder_ops
 from vermabranch.cli import build_parser, main
-from vermabranch.polyring import GeoPoly, RatCoeff, t_var
+from vermabranch.polyring import GeoPoly, t_var
 from vermabranch.report import ReportBundle
 from vermabranch.weylalg import DiffOp
 
@@ -152,17 +152,29 @@ def _stray_x(ladder_ops):
     return broken
 
 
+def _stray_xn(ctx, l):
+    """The cleared xi-model ladder with the same stray term, + xn in f~(2)."""
+    e, f, h = xi_ladder_ops(ctx, l)
+    return e, f + DiffOp.mult(ctx.xn()) if l == 2 else f, h
+
+
 def test_non_polynomial_lowering_is_a_failed_check(monkeypatch, capsys):
     # f(2) with a stray xn/q1 term: its image of F_2 keeps q1, which is a
-    # failed check (exit 1, with a report), not a precondition error
+    # failed check (exit 1, with a report), not a precondition error; the
+    # witness is the cleared xi-model image over q1
     import vermabranch.so_pair as so_pair
     monkeypatch.setattr(so_pair, "ladder_ops", _stray_x(so_pair.ladder_ops))
     assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
     out, err = capsys.readouterr()
-    failed = {r["check-id"] for r in json.loads(out)["records"] if r["status"] == "fail"}
-    assert failed == {"sl2.lower-polynomial.n=3,l=2",
-                      *(f"{c}.n=3,l={l}" for l in (1, 2) for c in
-                        ("sl2.bracket", "casimir.scalar", "casimir.dirac-square"))}
+    failed = {r["check-id"]: r.get("witness") for r in json.loads(out)["records"]
+              if r["status"] == "fail"}
+    assert failed.keys() == {"sl2.lower-polynomial.n=3,l=2",
+                             *(f"{c}.n=3,l={l}" for l in (1, 2) for c in
+                               ("sl2.bracket", "casimir.scalar", "casimir.dirac-square"))}
+    ctx = so_pair.SoPairContext.formal(3)
+    low = _stray_xn(ctx, 2)[1].apply(so_pair.singular_vector_F(ctx, 2))
+    assert low.exact_divide(ctx.q_prime()) is None
+    assert failed["sl2.lower-polynomial.n=3,l=2"] == render_over_q1(low)
     assert "Traceback" not in err
 
 
@@ -170,7 +182,8 @@ def test_failed_bracket_witness_holds_both_legs(monkeypatch, capsys):
     # the same stray term in f(2): the lowering leg e(1) f(2) F_2 keeps q1,
     # and the bracket and the Dirac square at l = 2 fail on both legs,
     # f(3) e(2) F_2 -/+ e(1) f(2) F_2, not on the raising leg alone; the
-    # expected witnesses come from the xi-model oracle with the stray xn/q1
+    # expected witnesses come from the cleared xi-model oracle with the
+    # stray + xn in f~(2)
     import vermabranch.so_pair as so_pair
     monkeypatch.setattr(so_pair, "ladder_ops", _stray_x(so_pair.ladder_ops))
     assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
@@ -178,15 +191,11 @@ def test_failed_bracket_witness_holds_both_legs(monkeypatch, capsys):
     witness = {r["check-id"]: r.get("witness") for r in records}
     ctx = so_pair.SoPairContext.formal(3)
     f2 = so_pair.singular_vector_F(ctx, 2)
-
-    def broken(l):
-        e, f, h = xi_ladder_ops(ctx, l)
-        return e, f + DiffOp.mult(RatCoeff(ctx.xn(), 1)) if l == 2 else f, h
-    (e2, f2_op, _), f3, e1 = broken(2), broken(3)[1], broken(1)[0]
-    up, down = f3.apply_rat(e2.apply(f2)), e1.apply_rat(f2_op.apply_rat(f2))
-    assert not down.is_polynomial()
-    assert witness["sl2.bracket.n=3,l=2"] == (up - down).render()
-    assert witness["casimir.dirac-square.n=3,l=2"] == (up + down).render()
+    (e2, f2_op, _), f3, e1 = _stray_xn(ctx, 2), _stray_xn(ctx, 3)[1], _stray_xn(ctx, 1)[0]
+    up, down = f3.apply(e2.apply(f2)), e1.apply(f2_op.apply(f2))
+    assert down.exact_divide(ctx.q_prime()) is None
+    assert witness["sl2.bracket.n=3,l=2"] == render_over_q1(up - down)
+    assert witness["casimir.dirac-square.n=3,l=2"] == render_over_q1(up + down)
 
 
 def test_failed_check_with_a_huge_coefficient_exits_1(monkeypatch, capsys):
@@ -195,7 +204,7 @@ def test_failed_check_with_a_huge_coefficient_exits_1(monkeypatch, capsys):
     # still exits 1 with a report, not 2
     import vermabranch.so_pair as so_pair
     tv = t_var()
-    big = DiffOp.partial(tv, "t", 2000).apply_rat(GeoPoly.var(tv, "t", 2000))
+    big = DiffOp.partial(tv, "t", 2000).apply(GeoPoly.var(tv, "t", 2000))
 
     def failing(ctx, max_degree):
         bundle = ReportBundle()

@@ -1,6 +1,6 @@
 """The so-pair's invariant model C[x, y], x = xn and y = q1, against the
 xi-model in n variables: each reduced operator intertwines the expansion
-x -> xn, y -> q1, the cleared ones with q1 times the xi-model operator of
+x -> xn, y -> q1, the cleared ones with the cleared xi-model operator of
 ``tests/oracles.py`` and G with each primed direction L_m up to the factor
 x_m, and the reduced vectors, ladder constants and Casimir eigenvalues are
 the xi-model's."""
@@ -54,15 +54,15 @@ def reduced_mismatches(ctx, max_degree):
             bad.append(f"Q-constant.{l}")
         if l:
             f_dn = singular_vector_F(ctx, l - 1)
-            low = fv.exact_divide(y)
-            if low is None or proportionality(low, reduced_F(ctx, l - 1)) \
-                    != proportionality(f_op_xi.apply_rat(f_xi).as_poly(), f_dn):
+            low, low_xi = fv.exact_divide(y), f_op_xi.apply(f_xi).exact_divide(ctx.q_prime())
+            if low is None or low_xi is None \
+                    or proportionality(low, reduced_F(ctx, l - 1)) != proportionality(low_xi, f_dn):
                 bad.append(f"f-constant.{l}")
             if p_image(ctx, l)[1] != proportionality(op_P(ctx).apply(f_xi), f_dn):
                 bad.append(f"P-constant.{l}")
         for name, op, op_xi in zip(("casimir", "closed-form"), casimir_ops(ctx, l),
                                    (casimir_composed(ctx, l), casimir_closed_form(ctx, l))):
-            c_xi = proportionality(op_xi.apply_rat(f_xi).as_poly(), f_xi)
+            c_xi = proportionality(op_xi.apply(f_xi), ctx.q_prime() * f_xi)
             if c_xi != eig or proportionality(op.apply(f), y * f) != c_xi:
                 bad.append(f"{name}-eigenvalue.{l}")
     return bad

@@ -1,16 +1,15 @@
-"""Sparse geometric polynomials, coefficients over a power of q1, and the
-homogenization helpers."""
+"""Sparse geometric polynomials, the witness form of a cleared model
+identity, and the homogenization helpers."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from vermabranch import polyring
 from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors,
                                   dehomogenize, gegen_tilde_convert,
-                                  homogenize, quadratic_sum, t_var, x_var,
-                                  xi_eta_vars, xi_vars, xy_vars)
+                                  homogenize, invariant_expand, quadratic_sum,
+                                  t_var, x_var, xi_eta_vars, xi_vars, xy_vars)
 from vermabranch.scalars import (_ONE, _PBITS, _PTOP, ALPHA, LAMBDA, MU, ParamPoly, ParamScalar,
                                  _layout, _pack, _product, _unpack)
 from vermabranch.weylalg import DiffOp
@@ -59,90 +58,46 @@ def test_curated_factors_per_kind():
     assert curated_factors(x_var()) == {}
 
 
+# -- the witness form of a cleared model identity ------------------------------
+
+XY = xy_vars()
+X, Y = GeoPoly.var(XY, "x"), GeoPoly.var(XY, "y")
+
+
 def test_ratcoeff_autoreduces():
+    # y divides the cleared value y x, so the witness is the polynomial xn
     vs = xi_vars(3)
-    q1 = quadratic_sum(vs, 2)
-    x3 = GeoPoly.var(vs, "x3")
-    r = RatCoeff(q1 * x3, 1)
-    assert r.is_polynomial()
-    assert r.as_poly() == x3
+    r = RatCoeff(vs, Y * X, 1)
+    assert r.k == 0 and r.num == GeoPoly.var(vs, "x3")
+    assert r.render() == "x3"
 
 
 def test_ratcoeff_keeps_irreducible_denominator():
     vs = xi_vars(3)
-    x3 = GeoPoly.var(vs, "x3")
-    r = RatCoeff(x3, 1)
-    assert not r.is_polynomial()
-    with pytest.raises(ValueError):
-        r.as_poly()
-
-
-def test_ratcoeff_addition_common_denominator():
-    vs = xi_vars(3)
-    q1 = quadratic_sum(vs, 2)
-    x3 = GeoPoly.var(vs, "x3")
-    a = RatCoeff(x3, 1)
-    b = RatCoeff(q1 - x3, 1)
-    assert (a + b).as_poly() == GeoPoly.const(vs, 1)
-
-
-def test_ratcoeff_quotient_rule():
-    # d/dx1 o (1/q1) = (1/q1) d/dx1 - 2 x1/q1^2, q1 = x1^2 at n = 2, also
-    # over a parameter denominator
-    vs = xi_vars(2)
-    one, x1 = GeoPoly.const(vs, 1), GeoPoly.var(vs, "x1")
-    for c in (1, LAMBDA / (LAMBDA + 1)):
-        inv = RatCoeff(one.scale(c), 1)
-        op = DiffOp.partial(vs, "x1") @ DiffOp.mult(inv)
-        assert op.terms == {(1, 0): inv, (0, 0): RatCoeff(x1.scale(c * -2), 2)}
-        assert op.terms[(0, 0)].render() == f"({x1.scale(c * -2).render()}) / [q1^2]"
+    r = RatCoeff(vs, X + Y.scale(LAMBDA), 1)
+    assert r.k == 1 and r.num == GeoPoly.var(vs, "x3") + quadratic_sum(vs, 2).scale(LAMBDA)
+    assert r.render() == "(l*x1^2 + l*x2^2 + x3) / [q1]"
 
 
 def test_ratcoeff_equality_compares_reduced_forms():
-    # at n = 2, q1 = x1^2
-    vs = xi_vars(2)
-    x1, x2 = GeoPoly.var(vs, "x1"), GeoPoly.var(vs, "x2")
-    a, b = RatCoeff(x1, 1), RatCoeff(x1 ** 3, 2)
-    assert a.k == b.k == 1 and a.num == b.num == x1
-    assert a == b and b == a
-    c = RatCoeff(x1, 2)
-    assert a != c and c != a
-    assert a != RatCoeff(x1.scale(2), 1)
-    assert RatCoeff(x1 * x1 * x2, 1) == RatCoeff(x2) and RatCoeff(x2, 1) != RatCoeff(x2)
-
-
-def test_ratcoeff_scalar_multiples_skip_trial_division(monkeypatch):
-    # a nonzero multiple of a numerator that q1 does not divide stays so
-    vs = xi_vars(3)
-    x3, q1 = GeoPoly.var(vs, "x3"), quadratic_sum(vs, 2)
-    r = RatCoeff(x3.scale(LAMBDA) + GeoPoly.const(vs, 1), 2)
-    s = RatCoeff(GeoPoly.var(vs, "x1") + x3.scale(MU), 1)
-    third = RatCoeff(x3 * q1 - r.num, 2)
-    # every trial division by q1 is a _divide call in polyring._shed_q1
-    calls = []
-    divide = polyring._divide
-    monkeypatch.setattr(polyring, "_divide", lambda *args: calls.append(args) or divide(*args))
-    neg, tripled = -r, r.scale(3)
-    # over two different powers of q1 the sum needs no trial division either:
-    # q1 divides the lifted numerator but not the other, reduced one
-    sums = r + s, s + r
-    assert calls == []
-    # over equal powers the sum is still trial-divided and reduced
-    total = r + third
-    assert len(calls) == 2
-    monkeypatch.undo()
-    assert neg.k == tripled.k == r.k == 2
-    assert neg == RatCoeff(-r.num, r.k)
-    assert tripled == RatCoeff(r.num.scale(3), r.k)
-    assert (neg + r).is_zero() and r.scale(0).is_zero() and r.scale(0).k == 0
-    want = RatCoeff(r.num + s.num * q1, 2)
-    assert want.k == 2 and all(x == want for x in sums)
-    assert third.k == 2 and total == RatCoeff(x3, 1) and total.k == 1
+    # a value has one form: g over 1 and y g over y give the same witness,
+    # also at n = 2, where q1 = x1^2 is not irreducible, and g over y differs
+    g = X * X + Y.scale(LAMBDA / (LAMBDA + 1))
+    for n in (2, 3):
+        vs = xi_vars(n)
+        a, b = RatCoeff(vs, g), RatCoeff(vs, Y * g, 1)
+        assert a.num == b.num and a.k == b.k == 0 and a.render() == b.render()
+        c = RatCoeff(vs, g, 1)
+        assert c.k == 1 and c.num == a.num and c.render() == f"({a.render()}) / [q1]"
+        # over 1 nothing is divided out
+        d = RatCoeff(vs, Y * g)
+        assert d.k == 0 and d.num == invariant_expand(vs, Y * g)
 
 
 def _reduce_by_exact_divide(num, k):
-    """The earlier RatCoeff reduction, a test-only reference: q1 divided out
-    of num by GeoPoly.exact_divide, one power at a time."""
+    """A test-only reference for the witness form: q1 divided out of the
+    expansion num in the xi variables by GeoPoly.exact_divide, one power at
+    a time."""
     q1 = curated_factors(num.vars)["q1"]
     while k and (q := num.exact_divide(q1)) is not None:
         num, k = q, k - 1
@@ -151,66 +106,23 @@ def _reduce_by_exact_divide(num, k):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_ratcoeff_reduction_matches_trial_division_reference(n):
+    # dividing y out of the model value is dividing q1 out of its expansion
     rng = random.Random(30 + n)
     vs = xi_vars(n)
-    q1 = quadratic_sum(vs, n - 1)
     over = (MU - 1) / (LAMBDA * 2 - 3)
     outcomes = set()
     for _ in range(30):
-        a = _rand_pair(rng, vs)[0] * q1 ** rng.randint(0, 3)
+        a = _rand_pair(rng, XY)[0] * Y ** rng.randint(0, 2)
         b = a.scale(over)
         assert not b.den.is_constant()
-        for num in (a, b):
-            for k in range(1, 5):
-                r = RatCoeff(num, k)
-                assert (r.num.render(), r.k) == _reduce_by_exact_divide(num, k)
-                outcomes.add((r.k == 0, r.k == k))
-    # some values shed every power of q1, some a few and some none
-    assert outcomes == {(True, False), (False, False), (False, True)}
-    # at n = 2, q1 = x1^2 is not irreducible, and x1^3 q1 = x1^5 sheds two powers
-    x1 = GeoPoly.var(vs, "x1")
-    assert RatCoeff(x1 ** 3 * q1, 3).k == (1 if n == 2 else 2)
-    zero = RatCoeff(GeoPoly.zero(vs), 2)
-    assert (zero.num.render(), zero.k) == _reduce_by_exact_divide(GeoPoly.zero(vs), 2) == ("0", 0)
-
-
-def test_sums_and_products_over_mixed_q1_powers_match_cross_multiplication():
-    # coefficients over distinct Z[a, l, m] denominators and powers of q1,
-    # added and multiplied as RatCoeffs and checked over q1^4 with GeoPoly
-    # arithmetic alone
-    vs = xi_vars(3)
-    x1, x3 = GeoPoly.var(vs, "x1"), GeoPoly.var(vs, "x3")
-    q1 = quadratic_sum(vs, 2)
-    xs = [RatCoeff(x1.scale(1 / (LAMBDA + 1)), 1),
-          RatCoeff(x3.scale(Fraction(2, 3)) + q1, 2),
-          RatCoeff(x1 * x3 + GeoPoly.const(vs, 1 / (LAMBDA + 2)), 2),
-          RatCoeff(q1.scale(MU))]
-    products = [(k, a, b) for k, (a, b) in zip((1, -2, 3, 5, -1, 4),
-                                                ((xs[0], xs[1]), (xs[1], xs[2]), (xs[2], xs[3]),
-                                                 (xs[3], xs[0]), (xs[0], xs[2]), (xs[3], xs[3])))]
-    got, want = RatCoeff.zero(vs), GeoPoly.zero(vs)
-    for k, a, b in products:
-        got = got + (a * b).scale(k)
-        want = want + (a.num * b.num * q1 ** (4 - a.k - b.k)).scale(k)
-    assert got.num * q1 ** (4 - got.k) == want
-    # reduced: q1 does not divide the numerator
-    assert got.k and got.num.exact_divide(q1) is None
-    # a sum that cancels, and (x3/q1) * q1, which divides out to x3
-    back = RatCoeff.zero(vs)
-    for k, a, b in products:
-        back = back - (a * b).scale(k)
-    assert (got + back).is_zero() and (got + back).k == 0
-    one = RatCoeff(x3, 1) * RatCoeff(q1)
-    assert one.is_polynomial() and one.as_poly() == x3
-
-
-def test_rejects_non_curated_denominator():
-    # q1 is the one denominator: a nonnegative int power of it, on xi only
-    for vs, k in ((xi_vars(2), -1), (xi_vars(2), {"q1": 1}), (xi_vars(2), 1.0),
-                  (t_var(), 1), (xi_eta_vars(), 2)):
-        with pytest.raises(ValueError):
-            RatCoeff(GeoPoly.const(vs, 1), k)
-    assert RatCoeff(GeoPoly.const(t_var(), 1), 0).is_polynomial()
+        for g in (a, b):
+            r = RatCoeff(vs, g, 1)
+            assert (r.num.render(), r.k) == _reduce_by_exact_divide(invariant_expand(vs, g), 1)
+            outcomes.add(r.k)
+    # some values shed q1 and some keep it
+    assert outcomes == {0, 1}
+    zero = RatCoeff(vs, GeoPoly.zero(XY), 1)
+    assert (zero.num.render(), zero.k) == _reduce_by_exact_divide(GeoPoly.zero(vs), 1) == ("0", 0)
 
 
 @pytest.mark.parametrize("other", [xi_vars(4), t_var(), xi_eta_vars()],
@@ -222,14 +134,7 @@ def test_mixing_variable_sets_raises_value_error(other):
         for a, b in ((x3, y), (y, x3)):
             with pytest.raises(ValueError, match="variable-set mismatch"):
                 f(a, b)
-    # a RatCoeff over q1 is an xi value; the other operand may have k = 0
-    ks = (0, 1) if other.kind == "xi" else (0,)
-    for r, s in [(RatCoeff(x3, k), RatCoeff(y, j)) for k in (0, 1) for j in ks]:
-        for f in (lambda a, b: a + b, lambda a, b: a * b):
-            for a, b in ((r, s), (s, r)):
-                with pytest.raises(ValueError, match="variable-set mismatch"):
-                    f(a, b)
-    a, b = DiffOp.mult(RatCoeff(x3, 1)) @ DiffOp.partial(vs, 0), DiffOp.partial(other, 0)
+    a, b = DiffOp.mult(x3) @ DiffOp.partial(vs, 0), DiffOp.partial(other, 0)
     for f in (lambda a, b: a + b, lambda a, b: a @ b, lambda a, b: a.commutator(b)):
         for x, z in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="variable-set mismatch"):
@@ -237,9 +142,8 @@ def test_mixing_variable_sets_raises_value_error(other):
     for op, p in ((a, y), (b, x3)):
         with pytest.raises(ValueError, match="variable-set mismatch"):
             op.apply_rat(p)
-    for c in (y, RatCoeff(y)):
-        with pytest.raises(ValueError, match="variable-set mismatch"):
-            DiffOp(vs, {(1, 0, 0): c})
+    with pytest.raises(ValueError, match="variable-set mismatch"):
+        DiffOp(vs, {(1, 0, 0): y})
 
 
 def test_homogenize_roundtrip():
@@ -362,8 +266,7 @@ def test_int_coefficients_match_the_coerced_path(monkeypatch):
         assert GeoPoly(vs, terms).terms == p.terms
 
 
-@pytest.mark.parametrize("wrap", [lambda p: p, RatCoeff, DiffOp.mult],
-                         ids=["GeoPoly", "RatCoeff", "DiffOp"])
+@pytest.mark.parametrize("wrap", [lambda p: p, DiffOp.mult], ids=["GeoPoly", "DiffOp"])
 def test_values_are_unhashable(wrap):
     # equal values with unequal hashes would break sets and dict keys, so the
     # classes define __eq__ without __hash__

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import casimir_closed_form, t_model_poly, verify_singular, xi_ladder_ops
+from oracles import (casimir_closed_form, casimir_composed, render_over_q1, t_model_poly,
+                     verify_singular, xi_ladder_ops)
 from vermabranch import so_pair
 from vermabranch.orthopoly import gegenbauer
-from vermabranch.polyring import GeoPoly, RatCoeff, gegen_tilde_convert, quadratic_sum
+from vermabranch.polyring import GeoPoly, gegen_tilde_convert, quadratic_sum
 from vermabranch.report import DISCREPANCY
 from vermabranch.scalars import ALPHA, LAMBDA, ParamScalar
 from vermabranch.so_pair import (SoPairContext, casimir_check,
@@ -102,10 +103,37 @@ def test_casimir(n):
 
 
 def test_localized_lowering_is_polynomial_on_family():
+    # f(l) F_l is a polynomial iff q1 divides the cleared image f~(l) F_l
+    q1 = CTX3.q_prime()
     for l in range(1, 6):
         _, f_l, _ = xi_ladder_ops(CTX3, l)
-        img = f_l.apply_rat(singular_vector_F(CTX3, l))
-        assert img.is_polynomial()
+        assert f_l.apply(singular_vector_F(CTX3, l)).exact_divide(q1) is not None
+
+
+def _failed_casimir_witnesses(monkeypatch, stray):
+    """The witnesses of casimir_check at n = 3, l <= 2, with stray added to
+    the model's composed (cleared) Casimir."""
+    casimir_ops = so_pair.casimir_ops
+    monkeypatch.setattr(so_pair, "casimir_ops",
+                        lambda ctx, l: (casimir_ops(ctx, l)[0] + stray, casimir_ops(ctx, l)[1]))
+    bundle = casimir_check(CTX3, 2)
+    return {r.check_id: r.witness for r in bundle.failed}
+
+
+@pytest.mark.parametrize("stray, over_q1", [("y", False), ("x", True)])
+def test_failed_cleared_identity_witness_sheds_q1_where_it_divides(monkeypatch, stray, over_q1):
+    # a residual that y divides (a stray y) is a polynomial witness; one that
+    # y does not divide (a stray x) is a witness over q1.  Both texts are the
+    # cleared xi-model's image over q1, the stray term expanded to q1 or xn
+    var = GeoPoly.var(so_pair.XY, stray)
+    witness = _failed_casimir_witnesses(monkeypatch, DiffOp.mult(var))
+    assert witness.keys() == {f"casimir.scalar.n=3,l={l}" for l in range(3)}
+    term = CTX3.xn() if stray == "x" else CTX3.q_prime()
+    for l in range(3):
+        f = singular_vector_F(CTX3, l)
+        want = render_over_q1(casimir_composed(CTX3, l).apply(f) + term * f)
+        text = witness[f"casimir.scalar.n=3,l={l}"]
+        assert text == want and text.endswith(" / [q1]") == over_q1
 
 
 def test_pq_membership():
@@ -229,22 +257,23 @@ def test_high_degree_vector_is_fully_reduced():
 # -- the ladder and Casimir literals against their composed forms -------------
 
 def _ref_e_f(ctx, l):
-    """e = -q o d_n - (2a+l) xn, and xn o f = (q/q1) o (xn d_n - l) + l."""
+    """e = -q o d_n - (2a+l) xn, and xn o f~ = q o (xn d_n - l) + l q1, the
+    cleared form of xn o f = (q/q1) o (xn d_n - l) + l."""
     vs, xn, q = ctx.vars, ctx.xn(), ctx.q_full()
     dn, s = DiffOp.partial(vs, ctx.n - 1), lambda c: DiffOp.scalar(vs, c)
     e = -(DiffOp.mult(q) @ dn) - DiffOp.mult(xn.scale(ctx.alpha * 2 + l))
-    return e, DiffOp.mult(RatCoeff(q, 1)) @ (DiffOp.mult(xn) @ dn - s(l)) + s(l)
+    return e, DiffOp.mult(q) @ (DiffOp.mult(xn) @ dn - s(l)) + DiffOp.mult(ctx.q_prime().scale(l))
 
 
 def _ref_casimir(ctx, l):
+    """q1 times the closed form, composed from its displayed factors."""
     vs, alpha, xn, q, q1 = ctx.vars, ctx.alpha, ctx.xn(), ctx.q_full(), ctx.q_prime()
-    dn = DiffOp.partial(vs, ctx.n - 1)
-    per_q1 = lambda p: DiffOp.mult(RatCoeff(p, 1))
+    dn, mult = DiffOp.partial(vs, ctx.n - 1), DiffOp.mult
     mid = q1.scale(alpha) - (xn * xn).scale((alpha * 2 + l) * l)
     euler_shift = DiffOp.euler(vs) + DiffOp.scalar(vs, alpha)
-    return (per_q1(q * q).scale(-2) @ dn @ dn
-            + per_q1(q * xn).scale((alpha * 2 + 1) * -2) @ dn
-            + per_q1(mid).scale(-2) + (euler_shift @ euler_shift).scale(2))
+    return (mult(q * q).scale(-2) @ dn @ dn
+            + mult(q * xn).scale((alpha * 2 + 1) * -2) @ dn
+            + mult(mid).scale(-2) + (mult(q1) @ euler_shift @ euler_shift).scale(2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -28,8 +28,11 @@ def test_tools_build_their_runs():
     deep = load_tool("deep_oracles")
     bundle = deep.gegenbauer_check(3)
     assert len(bundle.records) == 8 and bundle.ok()
-    # the action on localized coefficients, on a few seeded cases
-    bundle = deep.localized_action(3, 4)
+    # the laws and the action on a few seeded polynomial operators, two
+    # records a case for the laws and one for the action
+    bundle = deep.operator_laws(3, 2)
+    assert len(bundle.records) == 4 and bundle.ok()
+    bundle = deep.operator_action(3, 4)
     assert len(bundle.records) == 4 and bundle.ok()
     # the products against the reference fold, three records a case
     bundle = deep.reference_products(5, 3)

@@ -22,13 +22,12 @@ At the formal weights (lambda, mu and alpha symbolic):
   all n-1 primed directions annihilate F_l (``verify_singular`` of
   ``tests/oracles.py``; Tier-1 runs it at n <= 5 to degree 8);
 - associativity ``(a@b)@c == a@(b@c)`` and the Jacobi identity on seeded
-  operators at n = 3, 4 and 5, with coefficients over q1^j, j <= 2, and
-  derivatives in every variable.  These reach the general localized products
-  that no scenario does: an R_{m,j} with m != 0, and a coefficient whose
-  lower q1 groups are lifted after the top one sheds q1;
-- the action on a localized coefficient, ``a.apply_rat(c) ==
+  polynomial operators at n = 3, 4 and 5, with coefficients over parameter
+  denominators and derivatives in every variable (the ``ops_random``
+  benchmark workload and the property suites stop at n = 2);
+- the action on a polynomial, ``a.apply_rat(c) ==
   (a @ DiffOp.mult(c)).apply_rat(1)``, on operators a drawn as above and
-  coefficients c over q1^j, j <= 2, at n = 3, 4 and 5;
+  coefficients c drawn as theirs, at n = 3, 4 and 5;
 - ``compose``, ``commutator`` and ``apply_rat`` against the reference fold
   of ``tests/oracles.py``, term for term and render for render, on seeded
   polynomial operators at n = 5 and 6 with derivatives of order up to 3 on
@@ -42,7 +41,8 @@ At the formal weights (lambda, mu and alpha symbolic):
   (Tier-1 stops at n = 6 and weight 8); and the values that the
   ``pq.*``, ``sl2.*`` and ``casimir.*`` records read in the model, expanded,
   equal the xi-model's at n = 5 and 6 for l <= 14: P F_l, Q F_l, the four
-  ladder images and both Casimir images, the cleared ones over q1.
+  ladder images and both Casimir images, the cleared ones cleared by q1 on
+  both sides.
 
 The tool prints the number of records (for the seeded operators, two per
 case for the laws, one for the action and three for the reference fold) and
@@ -62,11 +62,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from oracles import (casimir_closed_form, casimir_composed, gegenbauer_recurrence,  # noqa: E402
-                     gegenbauer_via_2f1, intertwining_failures, ref_apply_rat, ref_compose,
+                     gegenbauer_via_2f1, intertwining_failures, ref_apply, ref_compose,
                      verify_singular, xi_ladder_images)
 from vermabranch import cli_report, diag_pair  # noqa: E402
 from vermabranch.orthopoly import gegenbauer  # noqa: E402
-from vermabranch.polyring import GeoPoly, RatCoeff, invariant_expand, xi_vars  # noqa: E402
+from vermabranch.polyring import GeoPoly, invariant_expand, xi_vars  # noqa: E402
 from vermabranch.so_pair import (SoPairContext, casimir_ops, ladder_images,  # noqa: E402
                                  model_ops, op_P, op_Q, p_image, reduced_F,
                                  singular_vector_F)
@@ -79,9 +79,9 @@ T_ANNIHILATION_DEGREE = 40
 GEGENBAUER_DEGREE = 40
 SO_DIMENSIONS = (5, 6)
 SO_DEGREE = 14
-LOCALIZED_DIMENSIONS = (3, 4, 5)
-LOCALIZED_CASES = 40
-LOCALIZED_COEFFS = (1, -2, 3, LAMBDA, LAMBDA + 1, Fraction(1, 2), LAMBDA / (LAMBDA + 1))
+OPERATOR_DIMENSIONS = (3, 4, 5)
+OPERATOR_CASES = 40
+COEFFS = (1, -2, 3, LAMBDA, LAMBDA + 1, Fraction(1, 2), LAMBDA / (LAMBDA + 1))
 REFERENCE_DIMENSIONS = (5, 6)
 REFERENCE_CASES = 40
 INVARIANT_DIMENSIONS = (7, 8)
@@ -110,50 +110,46 @@ def _exponents(rng: random.Random, n: int, order: int) -> tuple:
     return tuple(e)
 
 
-def _localized_op(rng: random.Random, vs) -> DiffOp:
-    """One or two terms num/q1^j D^e: num of degree <= 2 with coefficients
-    over parameter denominators, j <= 2 and e of order <= 3."""
-    terms = {}
-    for _ in range(rng.randint(1, 2)):
-        num = GeoPoly(vs, {_exponents(rng, vs.arity, 2): rng.choice(LOCALIZED_COEFFS)
-                           for _ in range(rng.randint(1, 3))})
-        terms[_exponents(rng, vs.arity, 3)] = RatCoeff(num, rng.randint(0, 2))
-    return DiffOp(vs, terms)
+def _coefficient(rng: random.Random, vs, degree: int, terms: int) -> GeoPoly:
+    """One to ``terms`` terms of degree <= ``degree``, with coefficients
+    over parameter denominators."""
+    return GeoPoly(vs, {_exponents(rng, vs.arity, degree): rng.choice(COEFFS)
+                        for _ in range(rng.randint(1, terms))})
 
 
-def localized_laws(n: int, cases: int) -> ReportBundle:
+def _op(rng: random.Random, vs) -> DiffOp:
+    """One or two terms c D^e: c of degree <= 2 and e of order <= 3."""
+    return DiffOp(vs, {_exponents(rng, vs.arity, 3): _coefficient(rng, vs, 2, 3)
+                       for _ in range(rng.randint(1, 2))})
+
+
+def operator_laws(n: int, cases: int) -> ReportBundle:
     """Associativity and the Jacobi identity on ``cases`` seeded triples of
     operators in n variables."""
     rng, vs, bundle = random.Random(n), xi_vars(n), ReportBundle()
     for i in range(cases):
-        a, b, c = (_localized_op(rng, vs) for _ in range(3))
+        a, b, c = (_op(rng, vs) for _ in range(3))
         jacobi = (a.commutator(b.commutator(c)) + b.commutator(c.commutator(a))
                   + c.commutator(a.commutator(b)))
         witness = lambda: f"{a.render()} ; {b.render()} ; {c.render()}"  # noqa: E731
-        bundle.check(f"localized.associativity.n={n}.case={i}", "engine:normal-ordering",
+        bundle.check(f"operators.associativity.n={n}.case={i}", "engine:normal-ordering",
                      (a @ b) @ c == a @ (b @ c), witness=witness)
-        bundle.check(f"localized.jacobi.n={n}.case={i}", "engine:normal-ordering",
+        bundle.check(f"operators.jacobi.n={n}.case={i}", "engine:normal-ordering",
                      jacobi.is_zero(), witness=witness)
     return bundle
 
 
-def localized_action(n: int, cases: int) -> ReportBundle:
-    """The action of a seeded operator on a seeded coefficient c against the
+def operator_action(n: int, cases: int) -> ReportBundle:
+    """The action of a seeded operator on a seeded polynomial c against the
     D^0 coefficient of its product with c, on ``cases`` pairs in n variables."""
     rng, vs, bundle = random.Random(n), xi_vars(n), ReportBundle()
     one = GeoPoly.const(vs, 1)
     for i in range(cases):
-        a, c = _localized_op(rng, vs), next(iter(_localized_op(rng, vs).terms.values()))
+        a, c = _op(rng, vs), _coefficient(rng, vs, 2, 3)
         got, want = a.apply_rat(c), (a @ DiffOp.mult(c)).apply_rat(one)
-        bundle.check(f"localized.apply.n={n}.case={i}", "engine:normal-ordering", got == want,
+        bundle.check(f"operators.apply.n={n}.case={i}", "engine:normal-ordering", got == want,
                      witness=lambda: f"{a.render()} ; {c.render()}")
     return bundle
-
-
-def _poly(rng: random.Random, vs, degree: int) -> GeoPoly:
-    """One to four terms of degree <= ``degree``, coefficients as above."""
-    return GeoPoly(vs, {_exponents(rng, vs.arity, degree): rng.choice(LOCALIZED_COEFFS)
-                        for _ in range(rng.randint(1, 4))})
 
 
 def reference_products(n: int, cases: int) -> ReportBundle:
@@ -164,15 +160,15 @@ def reference_products(n: int, cases: int) -> ReportBundle:
     rng, vs, bundle = random.Random(100 + n), xi_vars(n), ReportBundle()
 
     def op() -> DiffOp:
-        return DiffOp(vs, {_exponents(rng, n, 3): _poly(rng, vs, 2)
+        return DiffOp(vs, {_exponents(rng, n, 3): _coefficient(rng, vs, 2, 4)
                            for _ in range(rng.randint(1, 3))})
 
     for i in range(cases):
-        a, b, p = op(), op(), _poly(rng, vs, 3)
+        a, b, p = op(), op(), _coefficient(rng, vs, 3, 4)
         ab, ba = ref_compose(a, b), ref_compose(b, a)
         witness = lambda: f"{a.render()} ; {b.render()} ; {p.render()}"  # noqa: E731
         for name, got, want in (("compose", a @ b, ab), ("commutator", a.commutator(b), ab - ba),
-                                ("apply_rat", a.apply_rat(p), ref_apply_rat(a, p))):
+                                ("apply_rat", a.apply_rat(p), ref_apply(a, p))):
             bundle.check(f"reference.{name}.n={n}.case={i}", "engine:normal-ordering",
                          got == want and got.render() == want.render(), witness=witness)
     return bundle
@@ -207,13 +203,11 @@ def model_records(n: int, max_degree: int) -> ReportBundle:
         f, f_xi = reduced_F(ctx, l), singular_vector_F(ctx, l)
         model = [p_image(ctx, l)[0], model_ops(ctx)["Q"].apply(f), *ladder_images(ctx, l),
                  *(op.apply(f) for op in casimir_ops(ctx, l))]
-        ev, *images = xi_ladder_images(ctx, l)
-        oracle = [op_P(ctx).apply_rat(f_xi), op_Q(ctx).apply_rat(f_xi), RatCoeff(ev), *images,
-                  casimir_composed(ctx, l).apply_rat(f_xi),
-                  casimir_closed_form(ctx, l).apply_rat(f_xi)]
+        oracle = [op_P(ctx).apply(f_xi), op_Q(ctx).apply(f_xi), *xi_ladder_images(ctx, l),
+                  casimir_composed(ctx, l).apply(f_xi), casimir_closed_form(ctx, l).apply(f_xi)]
         for name, g, want in zip(names, model, oracle):
-            # the lower image, its legs and the Casimirs are cleared by q1
-            got = RatCoeff(invariant_expand(ctx.vars, g), int(name not in ("P", "Q", "raise")))
+            # the lower image, its legs and the Casimirs are cleared by q1 on both sides
+            got = invariant_expand(ctx.vars, g)
             bundle.check(f"invariant.{name}.n={n},l={l}", "so-pair:invariant-model", got == want,
                          witness=lambda: f"{got.render()} ; {want.render()}")
     return bundle
@@ -237,13 +231,13 @@ def main() -> int:
          lambda n=n: singular_in_n_variables(n, SO_DEGREE))
         for n in SO_DIMENSIONS
     ] + [
-        (f"associativity and Jacobi on {LOCALIZED_CASES} localized cases at n = {n}",
-         lambda n=n: localized_laws(n, LOCALIZED_CASES))
-        for n in LOCALIZED_DIMENSIONS
+        (f"associativity and Jacobi on {OPERATOR_CASES} operator cases at n = {n}",
+         lambda n=n: operator_laws(n, OPERATOR_CASES))
+        for n in OPERATOR_DIMENSIONS
     ] + [
-        (f"apply_rat on {LOCALIZED_CASES} localized coefficients at n = {n}",
-         lambda n=n: localized_action(n, LOCALIZED_CASES))
-        for n in LOCALIZED_DIMENSIONS
+        (f"apply_rat on {OPERATOR_CASES} polynomials at n = {n}",
+         lambda n=n: operator_action(n, OPERATOR_CASES))
+        for n in OPERATOR_DIMENSIONS
     ] + [
         (f"compose, commutator and apply_rat against the reference fold on "
          f"{REFERENCE_CASES} polynomial cases at n = {n}",

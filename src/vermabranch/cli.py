@@ -8,7 +8,6 @@ errors, degenerate weights included.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -156,10 +155,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
     try:
-        config = RunConfig(_SCENARIOS[args.command],
-                           **{k: v for k, v in vars(args).items() if k in fields})
+        config = RunConfig(_SCENARIOS[args.command], **{
+            k: v for k, v in vars(args).items() if k in RunConfig.__slots__})
         bundle = run_suite(config)
         if args.command == "all":
             bundle.extend(run_property_suites(args.seed, args.cases))

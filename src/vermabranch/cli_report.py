@@ -3,13 +3,12 @@ the conformal-parabolic branching."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, Optional
 
 from . import diag_pair, so_pair
-from .report import ReportBundle, VerificationRecord, record
+from .report import Fields, ReportBundle, VerificationRecord, record
 
 
 def hilbert_check(n: int, J: int) -> VerificationRecord:
@@ -31,25 +30,25 @@ def hilbert_check(n: int, J: int) -> VerificationRecord:
 # run configurations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    scenario: str  # so_pair | diag_pair | branch | all
-    n: int = 3
-    max_degree: int = 4
-    lam: Optional[Fraction] = None  # None means formal
-    mu: Optional[Fraction] = None
-    N: int = 3
-    cutoff: int = 8
-    seed: int = 0
+class RunConfig(Fields):
+    """What one suite run checks.  ``__slots__`` is the tuple of its field
+    names, which the CLI reads its options by."""
 
-    def __post_init__(self):
-        if self.max_degree < 1:
+    __slots__ = ("scenario", "n", "max_degree", "lam", "mu", "N", "cutoff", "seed")
+
+    def __init__(self, scenario: str, n: int = 3, max_degree: int = 4,
+                 lam: Optional[Fraction] = None, mu: Optional[Fraction] = None,
+                 N: int = 3, cutoff: int = 8, seed: int = 0):
+        # scenario: so_pair | diag_pair | branch | all; lam None means formal
+        if max_degree < 1:
             raise ValueError("max_degree must be >= 1")
-        if self.cutoff < 1:
+        if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         # only the orthogonal pair reads lambda without mu
-        if self.scenario != "so_pair" and (self.lam is None) != (self.mu is None):
+        if scenario != "so_pair" and (lam is None) != (mu is None):
             raise ValueError("lambda and mu must be given together")
+        self.scenario, self.n, self.max_degree = scenario, n, max_degree
+        self.lam, self.mu, self.N, self.cutoff, self.seed = lam, mu, N, cutoff, seed
 
     def to_dict(self) -> Dict:
         return {

@@ -10,7 +10,7 @@ verbatim for the i-free versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, factorial
 from typing import Dict, List
 
@@ -22,14 +22,11 @@ from .scalars import ParamScalar
 from .weylalg import DiffOp
 
 
-@dataclass(frozen=True)
-class DiagContext:
-    """The two inducing weights (formal by default).
-    ``_memo``, not a field, keeps the families built from this context
-    (see :func:`~vermabranch.polyring.per_context`)."""
-
-    lam: ParamScalar
-    mu: ParamScalar
+class DiagContext(namedtuple("DiagContext", "lam mu")):
+    """The two inducing weights (formal by default).  The fields are
+    read-only; equality and hash are those of (lam, mu).  ``_memo`` sits in
+    the instance dict, outside the fields, and keeps the families built from
+    this context (see :func:`~vermabranch.polyring.per_context`)."""
 
     @staticmethod
     def formal() -> "DiagContext":
@@ -234,12 +231,11 @@ def top_coefficient_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
 IOTA = lambda nu: -nu - 2
 
 
-@dataclass
-class BranchingSets:
-    lambda_s: List[int]
-    iota_lambda_s: List[int]
-    lambda_r_definitional: List[int]
-    lambda_r_displayed: List[int]
+class BranchingSets(namedtuple("BranchingSets", "lambda_s iota_lambda_s "
+                                 "lambda_r_definitional lambda_r_displayed")):
+    """The weight sets of the branching, each a list of ints."""
+
+    __slots__ = ()
 
     def diff(self) -> Dict[str, List[int]]:
         return {

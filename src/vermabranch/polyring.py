@@ -34,7 +34,7 @@ value over q1^k, k = 0 or 1, in the xi variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, wraps
 from math import gcd
 from types import MappingProxyType
@@ -47,10 +47,11 @@ from .scalars import (_FIELD, _ONE, _PBITS, _PMASK, _add, _divide, _gcd,
 Expts = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VarSet:
-    kind: str
-    names: Tuple[str, ...]
+class VarSet(namedtuple("VarSet", "kind names")):
+    """The kind and the names of a set of variables.  The fields are
+    read-only; equality and hash are those of the tuple (kind, names)."""
+
+    __slots__ = ()
 
     @property
     def arity(self) -> int:
@@ -349,7 +350,7 @@ def per_context(build):
     """Memoize ``build(ctx, *args)`` in the context's instance dict, keyed by
     the function name and the positional arguments.
 
-    The context's dataclass fields, equality and repr are untouched.  A build
+    The context's fields, equality, hash and repr are untouched.  A build
     that raises (a degenerate weight) stores nothing.
     """
     @wraps(build)

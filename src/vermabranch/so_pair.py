@@ -20,7 +20,7 @@ every mapping statement and every recorded constant intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -38,14 +38,12 @@ _X, _Y = GeoPoly.var(XY, "x"), GeoPoly.var(XY, "y")
 _Q = _Y + _X * _X
 
 
-@dataclass(frozen=True)
-class SoPairContext:
+class SoPairContext(namedtuple("SoPairContext", "n lam")):
     """Dimension n >= 2 and the inducing character (formal by default).
-    ``_memo``, ``vars`` and ``alpha``, not fields, keep what is built from
-    this context (see :func:`~vermabranch.polyring.per_context`)."""
-
-    n: int
-    lam: ParamScalar
+    The fields are read-only; equality and hash are those of (n, lam).
+    ``_memo``, ``vars`` and ``alpha`` sit in the instance dict, outside the
+    fields, and keep what is built from this context (see
+    :func:`~vermabranch.polyring.per_context`)."""
 
     @staticmethod
     def formal(n: int) -> "SoPairContext":

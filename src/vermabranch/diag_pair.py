@@ -182,8 +182,9 @@ def model_transport_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
             q = GeoPoly(tv, {(k,): k + 1 for k in range(probe_deg + 1)})
             lhs = x_hat.apply(homogenize(q, l))
             rhs = x_t.apply(q)
-            ok = (lhs.is_zero() and rhs.is_zero()) or \
-                (not lhs.is_zero() and dehomogenize(lhs, l - 1) == rhs)
+            # dehomogenize raises on an image of another degree: fail it here
+            ok = (lhs.is_zero() or lhs.is_homogeneous() and lhs.degree() == l - 1) \
+                and dehomogenize(lhs, l - 1) == rhs
             bundle.check(f"diag.transport.l={l},deg={probe_deg}", anchor, ok)
     return bundle
 

@@ -1,12 +1,14 @@
 """Exact parametric Gegenbauer and Jacobi polynomials.
 
+The Gegenbauer family is built on its t-line, C~_l = x^{-l} C_l^alpha(x) at
+x^2 = -1/t (:func:`gegenbauer_tilde`), and C_l in x is one relabel of it.
 All Gamma-function ratios are finite rising-factorial products, so every
 value stays inside the rational-function field; half-integer parameter shifts
 are ordinary field elements.  These are the families and the one ladder
 operator that the scenarios build; the reference constructions that check
 them (the three-term recurrence, the 2F1 forms, the differential equations,
-the other ladder operators and exact orthogonality) are test oracles and live
-in ``tests/oracles.py``.
+the other ladder operators, exact orthogonality and the x -> t conversion)
+are test oracles and live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -44,19 +46,24 @@ def gen_binomial(z, k: int) -> ParamScalar:
     return falling_factorial(z, k) / factorial(k)
 
 
-def gegenbauer(l: int, alpha) -> GeoPoly:
-    """C_l^alpha as a polynomial in x from the explicit sum; C_{-1} := 0."""
-    alpha, xv = ParamScalar.coerce(alpha), x_var()
+def gegenbauer_tilde(l: int, alpha) -> GeoPoly:
+    """C~_l = x^{-l} C_l^alpha(x) at x^2 = -1/t, a polynomial in t, from the
+    explicit sum: t^k has (alpha)_{l-k} 2^{l-2k} / (k! (l-2k)!); C~_{-1} := 0."""
+    alpha, tv = ParamScalar.coerce(alpha), t_var()
     if l < 0:
-        return GeoPoly.zero(xv)
-    # x^{l-2k} has (-1)^k (alpha)_{l-k} 2^{l-2k} / (k! (l-2k)!); k runs down
+        return GeoPoly.zero(tv)
+    # k runs down, so (alpha)_{l-k} gains one factor a step
     terms, rise = {}, rising_factorial(alpha, l - l // 2)
     for k in range(l // 2, -1, -1):
-        terms[(l - 2 * k,)] = rise * Fraction((-1) ** k * 2 ** (l - 2 * k),
-                                              factorial(k) * factorial(l - 2 * k))
+        terms[(k,)] = rise * Fraction(2 ** (l - 2 * k), factorial(k) * factorial(l - 2 * k))
         if k:
             rise = rise * (alpha + (l - k))
-    return GeoPoly(xv, terms)
+    return GeoPoly(tv, terms)
+
+
+def gegenbauer(l: int, alpha) -> GeoPoly:
+    """C_l^alpha in x: :func:`gegenbauer_tilde` relabelled, t^k -> (-1)^k x^{l-2k}."""
+    return gegenbauer_tilde(l, alpha).relabel(x_var(), lambda e: ((l - 2 * e[0],), (-1) ** e[0]))
 
 
 def jacobi(l: int, alpha, beta) -> GeoPoly:

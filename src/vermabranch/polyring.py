@@ -18,9 +18,10 @@ bound.  Integer order is graded-lexicographic in the geometric part, the last
 variable least significant, which keeps rendered output stable for the golden
 files.  The one constructor ``GeoPoly(vars, terms)`` checks its terms and
 coerces each coefficient but an exact int, and :meth:`GeoPoly.relabel`
-moves a value between models.  Only the read-only view (``coefficients``,
-``coefficient``, ``leading``) builds per-monomial ParamScalars, in the
-canonical form of :mod:`scalars`.
+moves a value between models, among them the Gegenbauer family from its
+t-line to x.  Only the read-only view (``coefficients``, ``coefficient``,
+``leading``) builds per-monomial ParamScalars, in the canonical form of
+:mod:`scalars`.
 
 The constructor, ``+`` and the operator products of :mod:`~vermabranch.weylalg`
 put numerators over the lcm of their parameter denominators in one routine,
@@ -421,17 +422,3 @@ def invariant_expand(vars: VarSet, g: GeoPoly) -> GeoPoly:
             out[base + m] = c * d
     return _new(vars, out, g.den)
 
-
-def gegen_tilde_convert(c: GeoPoly, l: int) -> GeoPoly:
-    """Rewrite x^{-l} C(x), C of degree l with the parity of l, as a
-    polynomial in t via x^2 = -1/t: the x^{l-2k} coefficient lands on (-t)^k.
-    """
-    if c.vars.arity != 1:
-        raise ValueError("expected a univariate polynomial")
-
-    def f(e):
-        if (l - e[0]) % 2:
-            raise ValueError(f"parity violation: degree-{e[0]} term in a degree-{l} polynomial")
-        k = (l - e[0]) // 2
-        return (k,), (-1) ** k
-    return c.relabel(t_var(), f)

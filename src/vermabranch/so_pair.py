@@ -26,9 +26,9 @@ from functools import cached_property
 from math import factorial
 from typing import Tuple
 
-from .orthopoly import gegenbauer, gegenbauer_tilde_lower_op
-from .polyring import (GeoPoly, RatCoeff, VarSet, curated_factors, gegen_tilde_convert,
-                       invariant_expand, per_context, t_var, xi_vars, xy_vars)
+from .orthopoly import gegenbauer_tilde, gegenbauer_tilde_lower_op
+from .polyring import (GeoPoly, RatCoeff, VarSet, curated_factors, invariant_expand,
+                       per_context, t_var, xi_vars, xy_vars)
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
 from .scalars import ParamScalar
 from .weylalg import DiffOp, proportionality
@@ -73,10 +73,9 @@ class SoPairContext(namedtuple("SoPairContext", "n lam")):
 
 @per_context
 def tilde_gegenbauer(ctx: SoPairContext, l: int) -> GeoPoly:
-    """The converted Gegenbauer polynomial x^{-l} C_l^alpha(x) in t (x^2 = -1/t),
-    built directly at the spectral parameter alpha = -lam-(n-1)/2: the t^k
-    coefficient is (-1)^k times the x^{l-2k} coefficient of C_l^alpha."""
-    return gegen_tilde_convert(gegenbauer(l, ctx.alpha), l)
+    """C~_l = x^{-l} C_l^alpha(x) in t (x^2 = -1/t), the explicit sum on the
+    t-line built directly at the spectral parameter alpha = -lam-(n-1)/2."""
+    return gegenbauer_tilde(l, ctx.alpha)
 
 
 def _top_normalization(l: int) -> Fraction:
@@ -89,8 +88,8 @@ def _top_normalization(l: int) -> Fraction:
 @per_context
 def reduced_F(ctx: SoPairContext, l: int) -> GeoPoly:
     """Normalized degree-l singular vector in the invariant model,
-    sum_k c_k x^{l-2k} y^k with c_k the t^k coefficient of the converted
-    Gegenbauer polynomial, scaled so that c_k at k = floor(l/2) is l!/(2^k k!).
+    sum_k c_k x^{l-2k} y^k with c_k the t^k coefficient of the t-line
+    Gegenbauer polynomial C~_l, scaled so that c_k at k = floor(l/2) is l!/(2^k k!).
 
     Raises ZeroDivisionError exactly where alpha = -lam-(n-1)/2 is one of
     0, -1, ..., 1 - ceil(l/2): the zeros of (alpha)_{ceil(l/2)}, the only
@@ -328,8 +327,8 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
 
     The t-line operator is the exact transport of the localized lowering
     operator f(l): its proportionality constant on the collapsed vectors
-    matches the recorded f-ladder constant.  On the unnormalized converted
-    Gegenbauer family it produces (l+2a-1).  The enveloping-algebra lowering
+    matches the recorded f-ladder constant.  On the unnormalized t-line
+    Gegenbauer family C~_l it produces (l+2a-1).  The enveloping-algebra lowering
     operator maps along the same arrows; its constant picks up an extra
     factor, recorded as data.
     """

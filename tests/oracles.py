@@ -1,8 +1,9 @@
 """Test-side oracles: independent reference constructions for the library's
 orthogonal polynomials (three-term recurrence, terminating 2F1 series, ODEs,
-ladder operators, derivative formula, exact orthogonality), the reference
-fold of the operator products (``ref_compose``, ``ref_apply``), the
-xi-model oracle of the so-pair's ladder and Casimir in the n variables, with
+ladder operators, derivative formula, exact orthogonality, and the x -> t
+conversion ``gegen_tilde_convert``), the reference fold of the operator
+products (``ref_compose``, ``ref_apply``), the xi-model oracle of the
+so-pair's ladder and Casimir in the n variables, with
 the lowering operator and the Casimir cleared by q1 into polynomial
 operators (``xi_ladder_ops``, ``xi_ladder_images``, ``casimir_composed``,
 ``casimir_closed_form``, and ``render_over_q1`` for the witness text of a
@@ -21,9 +22,9 @@ from math import comb, factorial, prod
 from vermabranch.cli import gegenbauer_lines
 from vermabranch.diag_pair import (DiagContext, lowering_constant, op_F_fourier,
                                    singular_vector_Ptilde)
-from vermabranch.orthopoly import gegenbauer, gen_binomial, jacobi, rising_factorial
-from vermabranch.polyring import (GeoPoly, curated_factors, gegen_tilde_convert,
-                                  invariant_expand, per_context, t_var, x_var)
+from vermabranch.orthopoly import gegenbauer_tilde, gen_binomial, jacobi, rising_factorial
+from vermabranch.polyring import (GeoPoly, curated_factors, invariant_expand, per_context,
+                                  t_var, x_var)
 from vermabranch.scalars import ALPHA, ParamScalar
 from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_ops,
                                  lowering_direction_op, model_ops, op_P, op_Q,
@@ -46,6 +47,18 @@ def gegenbauer_recurrence(l: int, alpha) -> GeoPoly:
         nxt = (x * c_cur).scale((alpha + (k - 1)) * 2) - c_prev.scale(alpha * 2 + (k - 2))
         c_prev, c_cur = c_cur, nxt.scale(Fraction(1, k))
     return c_cur
+
+
+def gegen_tilde_convert(c: GeoPoly, l: int) -> GeoPoly:
+    """x^{-l} C(x) as a polynomial in t via x^2 = -1/t, for C in x of degree
+    l with the parity of l: the x^{l-2k} coefficient lands on (-t)^k.  The
+    reference for :func:`gegenbauer_tilde`, which the library builds on the
+    t-line directly."""
+    def f(e):
+        k, odd = divmod(l - e[0], 2)
+        assert k >= 0 and not odd, f"degree-{e[0]} term in a degree-{l} polynomial"
+        return (k,), (-1) ** k
+    return c.relabel(t_var(), f)
 
 
 def jacobi_derivative(l: int, alpha, beta, k: int) -> GeoPoly:
@@ -336,8 +349,7 @@ def f_vector_table(n: int, max_degree: int) -> str:
 def gegenbauer_table(max_degree: int) -> str:
     lines = gegenbauer_lines(max_degree)
     for l in range(max_degree + 1):
-        ct = gegen_tilde_convert(gegenbauer(l, ALPHA), l)
-        lines.append(f"C~_{l} = {ct.render()}")
+        lines.append(f"C~_{l} = {gegenbauer_tilde(l, ALPHA).render()}")
     return "\n".join(lines) + "\n"
 
 

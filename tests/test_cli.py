@@ -12,7 +12,7 @@ import pytest
 
 from oracles import GOLDEN_TABLES, render_over_q1, xi_ladder_ops
 from vermabranch.cli import build_parser, main
-from vermabranch.polyring import GeoPoly, t_var
+from vermabranch.polyring import GeoPoly, t_var, xi_eta_vars
 from vermabranch.report import ReportBundle
 from vermabranch.weylalg import DiffOp
 
@@ -255,6 +255,43 @@ def test_reduced_vector_of_the_wrong_weight_fails_homogeneity(monkeypatch, capsy
     status = {r["check-id"]: r["status"] for r in json.loads(out)["records"]}
     assert [c for c, s in status.items() if c.startswith("sl2.homogeneous") and s == "fail"] \
         == ["sl2.homogeneous.n=3,l=2"]
+    assert "Traceback" not in err
+
+
+def test_wrong_t_form_fails_records(monkeypatch, capsys):
+    # C~_2 with its t^0 coefficient off by 1: the normalized model vector
+    # F_2 is no longer singular, which fails records (exit 1), not the run
+    import vermabranch.so_pair as so_pair
+    gegenbauer_tilde = so_pair.gegenbauer_tilde
+
+    def broken(l, alpha):
+        c = gegenbauer_tilde(l, alpha)
+        return c + GeoPoly.const(c.vars, 1) if l == 2 else c
+    monkeypatch.setattr(so_pair, "gegenbauer_tilde", broken)
+    assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    status = {r["check-id"]: r["status"] for r in json.loads(out)["records"]}
+    assert status["singular.annihilated.n=3,l=2"] == "fail"
+    assert status["singular.annihilated.n=3,l=3"] == "pass"
+    assert "Traceback" not in err
+
+
+def test_fourier_image_of_the_wrong_degree_fails_records(monkeypatch, capsys):
+    # op_X_fourier with a stray eta^2 d_eta^2 keeps the degree of its input:
+    # the transport records fail on the image's degree (exit 1), where
+    # dehomogenize would raise and end the run with exit 2
+    import vermabranch.diag_pair as diag_pair
+    op_X_fourier = diag_pair.op_X_fourier
+
+    def broken(ctx):
+        vs = xi_eta_vars()
+        return op_X_fourier(ctx) + DiffOp(vs, {(0, 2): GeoPoly.var(vs, "eta", 2)})
+    monkeypatch.setattr(diag_pair, "op_X_fourier", broken)
+    assert main(["verify-diag", "--max-degree", "3", "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    failed = [r["check-id"] for r in json.loads(out)["records"] if r["status"] == "fail"]
+    assert failed == ["diag.annihilation.l=2", "diag.annihilation.l=3", "diag.commute.fourier",
+                      *(f"diag.transport.l={l},deg={d}" for l in (2, 3) for d in range(l + 1))]
     assert "Traceback" not in err
 
 

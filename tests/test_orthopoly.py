@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (gegenbauer_lower_op, gegenbauer_ode_op, gegenbauer_raise_op,
-                     gegenbauer_recurrence, gegenbauer_tilde_raise_op,
+from oracles import (gegen_tilde_convert, gegenbauer_lower_op, gegenbauer_ode_op,
+                     gegenbauer_raise_op, gegenbauer_recurrence, gegenbauer_tilde_raise_op,
                      gegenbauer_via_2f1, hypergeom_2f1_terminating,
                      jacobi_derivative, jacobi_norm_closed_form, jacobi_ode_op,
                      jacobi_via_2f1, orthogonality_integral)
-from vermabranch.orthopoly import (falling_factorial, gegenbauer,
+from vermabranch.orthopoly import (falling_factorial, gegenbauer, gegenbauer_tilde,
                                    gegenbauer_tilde_lower_op, gen_binomial,
                                    jacobi, jacobi_recursion_coeffs,
                                    rising_factorial)
-from vermabranch.polyring import GeoPoly, gegen_tilde_convert, t_var, x_var
+from vermabranch.polyring import GeoPoly, t_var, x_var
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
 from vermabranch.weylalg import DiffOp
 
@@ -41,6 +41,13 @@ def test_gegenbauer_methods_agree(l):
     assert gegenbauer(l, ALPHA) == gegenbauer_recurrence(l, ALPHA)
 
 
+@pytest.mark.parametrize("l", range(-1, 13))
+def test_tilde_sum_matches_converted_recurrence(l):
+    # the t-line sum against the three-term recurrence in x, moved to t
+    # by the oracle's x -> t conversion
+    assert gegenbauer_tilde(l, ALPHA) == gegen_tilde_convert(gegenbauer_recurrence(l, ALPHA), l)
+
+
 @pytest.mark.parametrize("l", range(13))
 def test_gegenbauer_ode(l):
     c = gegenbauer(l, ALPHA)
@@ -64,9 +71,7 @@ def test_gegenbauer_ladder(l):
 
 @pytest.mark.parametrize("l", range(1, 7))
 def test_tilde_ladder_transport(l):
-    ct = gegen_tilde_convert(gegenbauer(l, ALPHA), l)
-    dn = gegen_tilde_convert(gegenbauer(l - 1, ALPHA), l - 1)
-    up = gegen_tilde_convert(gegenbauer(l + 1, ALPHA), l + 1)
+    ct, dn, up = (gegenbauer_tilde(k, ALPHA) for k in (l, l - 1, l + 1))
     assert gegenbauer_tilde_lower_op(l).apply(ct) == dn.scale(ALPHA * 2 + (l - 1))
     assert gegenbauer_tilde_raise_op(l, ALPHA).apply(ct) == up.scale(-(l + 1))
 

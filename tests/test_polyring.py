@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors,
-                                  dehomogenize, gegen_tilde_convert,
+from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors, dehomogenize,
                                   homogenize, invariant_expand, quadratic_sum,
                                   t_var, x_var, xi_eta_vars, xi_vars, xy_vars)
 from vermabranch.scalars import (_ONE, _PBITS, _PTOP, ALPHA, LAMBDA, MU, ParamPoly, ParamScalar,
@@ -161,22 +160,6 @@ def test_homogenize_roundtrip():
     with pytest.raises(ValueError, match="input is not homogeneous of the stated degree"):
         dehomogenize(p, 4)
     assert dehomogenize(GeoPoly.zero(xi_eta_vars()), 3).is_zero()
-
-
-def test_gegen_tilde_convert_parity():
-    xv = x_var()
-    x = GeoPoly.var(xv, "x")
-    # even-degree input with an odd-degree term is rejected
-    with pytest.raises(ValueError, match="parity violation: degree-1 term in a degree-2 polynomial"):
-        gegen_tilde_convert(x * x + x, 2)
-    with pytest.raises(ValueError, match="expected a univariate polynomial"):
-        gegen_tilde_convert(GeoPoly.var(xi_vars(2), "x1"), 1)
-    with pytest.raises(ValueError, match="negative exponent"):
-        gegen_tilde_convert(x ** 3, 1)
-    # x^2 - 1 at l=2 becomes 1 + t
-    out = gegen_tilde_convert(x * x - GeoPoly.const(xv, 1), 2)
-    t = GeoPoly.var(t_var(), "t")
-    assert out == t + GeoPoly.const(t_var(), 1)
 
 
 def test_render_is_stable():

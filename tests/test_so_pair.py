@@ -8,8 +8,8 @@ import pytest
 from oracles import (casimir_closed_form, casimir_composed, render_over_q1, t_model_poly,
                      verify_singular, xi_ladder_ops)
 from vermabranch import so_pair
-from vermabranch.orthopoly import gegenbauer
-from vermabranch.polyring import GeoPoly, gegen_tilde_convert, quadratic_sum
+from vermabranch.orthopoly import gegenbauer_tilde
+from vermabranch.polyring import GeoPoly, quadratic_sum
 from vermabranch.report import DISCREPANCY
 from vermabranch.scalars import ALPHA, LAMBDA, ParamScalar
 from vermabranch.so_pair import (SoPairContext, casimir_check,
@@ -151,7 +151,7 @@ def test_t_model():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_t_model_poly_is_the_normalized_tilde_gegenbauer(n):
-    # F_l collapses to the converted Gegenbauer polynomial times the
+    # F_l collapses to the t-line Gegenbauer polynomial C~_l times the
     # normalization l!/(2^k k!) over its top coefficient, k = floor(l/2)
     ctx = SoPairContext.formal(n)
     for l in range(7):
@@ -175,10 +175,10 @@ def test_nonclosure(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_tilde_gegenbauer_matches_formal_alpha_build(n):
     # C_l^alpha built at alpha = -lam-(n-1)/2 against C_l^a built with a
-    # formal a, converted, and then specialized coefficient by coefficient
+    # formal a on the t-line, and then specialized coefficient by coefficient
     ctx = SoPairContext.formal(n)
     for l in range(11):
-        formal = gegen_tilde_convert(gegenbauer(l, ALPHA), l)
+        formal = gegenbauer_tilde(l, ALPHA)
         expected = GeoPoly(formal.vars, {
             e: c.substitute({"a": ctx.alpha}) for e, c in formal.coefficients().items()})
         assert tilde_gegenbauer(ctx, l) == expected

@@ -46,6 +46,8 @@ RUNS = [
     ["branch-report", "--N", "3"],
     ["branch-report", "--N", "3", "--lambda", "1/2", "--mu", "5/2", "--json", "-"],
     ["ortho-tables"],
+    # every C_l line is a relabel of the t-line family C~_l
+    ["ortho-tables", "--max-degree", "12"],
     # the precondition and usage errors: exit 2 and one error line
     ["verify-so", "--n", "1"],
     ["verify-so", "--max-degree", "-1"],

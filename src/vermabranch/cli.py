@@ -13,10 +13,12 @@ import sys
 from fractions import Fraction
 
 from .cli_report import RunConfig, run_suite
-from .orthopoly import gegenbauer, jacobi
+from .diag_pair import DiagContext, jacobi_t_polynomial
+from .orthopoly import gegenbauer
+from .polyring import GeoPoly, x_var
 from .properties import run_all as run_property_suites
 from .report import FAIL, ReportBundle, render_json
-from .scalars import ALPHA, LAMBDA, MU
+from .scalars import ALPHA
 
 
 def _rational(text: str):
@@ -56,10 +58,16 @@ def gegenbauer_lines(max_degree: int) -> list:
 
 def ortho_table(max_degree: int) -> str:
     """What ``vermabranch ortho-tables`` prints: the C_l lines, then the
-    Jacobi polynomials P_l^(-lambda-1, mu+lambda-2l+1)."""
+    Jacobi polynomials P_l^(-lambda-1, mu+lambda-2l+1) in x, each the
+    diagonal pair's t-form :func:`~vermabranch.diag_pair.jacobi_t_polynomial`
+    at t = (x-1)/2, summed by Horner's rule."""
     lines = gegenbauer_lines(max_degree)
+    ctx, xv = DiagContext.formal(), x_var()
+    t = (GeoPoly.var(xv, "x") - GeoPoly.const(xv, 1)).scale(Fraction(1, 2))
     for l in range(max_degree + 1):
-        p = jacobi(l, -LAMBDA - 1, MU + LAMBDA - (2 * l - 1))
+        cs, p = jacobi_t_polynomial(ctx, l).coefficients(), GeoPoly.zero(xv)
+        for i in range(l, -1, -1):
+            p = p * t + GeoPoly.const(xv, cs.get((i,), 0))
         lines.append(f"P_{l} = {p.render()}")
     return "\n".join(lines) + "\n"
 

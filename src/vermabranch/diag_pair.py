@@ -14,7 +14,7 @@ from collections import namedtuple
 from math import comb, factorial
 from typing import Dict, List
 
-from .orthopoly import jacobi_recursion_coeffs
+from .orthopoly import falling_factorial
 from .polyring import (GeoPoly, dehomogenize, homogenize, per_context, t_var,
                        xi_eta_vars, xy_vars)
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
@@ -110,6 +110,14 @@ def singular_vector_Ptilde(ctx: DiagContext, l: int) -> GeoPoly:
     return homogenize(jacobi_t_polynomial(ctx, l), l)
 
 
+def _fourier_vectors(ctx: DiagContext, max_degree: int) -> list:
+    """P~_0..P~_max_degree, with None at each l where jacobi_t_polynomial(ctx, l)
+    has a term above t^l: homogenize raises there, so the records that read
+    P~_l fail instead, with the t-polynomial as witness."""
+    return [singular_vector_Ptilde(ctx, l) if jacobi_t_polynomial(ctx, l).degree() <= l
+            else None for l in range(max_degree + 1)]
+
+
 def lowering_constant(ctx: DiagContext, l: int) -> ParamScalar:
     """2(l-1-lam)(mu-l+1)."""
     return (ParamScalar.const(l - 1) - ctx.lam) * (ctx.mu - (l - 1)) * 2
@@ -120,12 +128,13 @@ def lowering_constant(ctx: DiagContext, l: int) -> ParamScalar:
 def annihilation_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
     bundle = ReportBundle()
     x_hat = op_X_fourier(ctx)
-    for l in range(max_degree + 1):
-        p = singular_vector_Ptilde(ctx, l)
+    for l, p in enumerate(_fourier_vectors(ctx, max_degree)):
+        witness = jacobi_t_polynomial(ctx, l) if p is None else p
         bundle.check(f"diag.annihilation.l={l}", "diag-pair:singular-solutions",
-                     x_hat.apply(p).is_zero(), witness=p)
+                     p is not None and x_hat.apply(p).is_zero(), witness=witness)
         bundle.check(f"diag.homogeneous.l={l}", "diag-pair:singular-solutions",
-                     p.is_homogeneous() and p.degree() == l)
+                     p is not None and p.is_homogeneous() and p.degree() == l,
+                     witness=witness)
     return bundle
 
 
@@ -145,13 +154,14 @@ def verify_lowering(ctx: DiagContext, max_degree: int) -> ReportBundle:
     bundle = ReportBundle()
     anchor = "diag-pair:lowering-theorem"
     f_hat = op_F_fourier(ctx)
-    vecs = [singular_vector_Ptilde(ctx, l) for l in range(max_degree + 1)]
+    vecs = _fourier_vectors(ctx, max_degree)
     for l in range(1, max_degree + 1):
         c = lowering_constant(ctx, l)
-        img = f_hat.apply(vecs[l])
-        ok = img == vecs[l - 1].scale(c)
-        bundle.check(f"diag.lowering.fourier.l={l}", anchor, ok, witness=img)
         q = jacobi_t_polynomial(ctx, l)
+        img = None if vecs[l] is None else f_hat.apply(vecs[l])
+        ok = img is not None and vecs[l - 1] is not None and img == vecs[l - 1].scale(c)
+        bundle.check(f"diag.lowering.fourier.l={l}", anchor, ok,
+                     witness=q if img is None else img)
         timg = op_F_t(ctx, l).apply(q)
         okt = timg == jacobi_t_polynomial(ctx, l - 1).scale(c)
         bundle.check(f"diag.lowering.t.l={l}", anchor, okt, witness=timg)
@@ -190,18 +200,28 @@ def model_transport_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
 
 
 def recursion_crosscheck(ctx: DiagContext, max_degree: int) -> ReportBundle:
-    """(a) The two-term recursion reproduces the dehomogenized singular
-    vectors; (b) the bracket identity behind the lowering proof holds as a
-    polynomial identity in formal (i, l, mu)."""
+    """(a) The coefficients a^l_0..a^l_l of jacobi_t_polynomial satisfy the
+    two-term recursion, by multiplication alone: the seed a^l_l =
+    mu(mu-1)...(mu-l+1)/l!, and for each i < l a nonzero bracket
+    (l-i)(l-i-1-mu) = i^2 + (mu+1-2l) i + l^2 - mu l - l with
+    a^l_i (l-i)(l-i-1-mu) = (lam-i)(i+1) a^l_{i+1}.  As no bracket vanishes,
+    these fix every a^l_i, so a record passes exactly where the top-seeded
+    recursion rebuilds the polynomial; a term above t^l fails it too.
+    (b) The bracket identity behind the lowering proof holds as a polynomial
+    identity in formal (i, l, mu)."""
     bundle = ReportBundle()
     anchor = "diag-pair:coefficient-recursion"
     zero = ParamScalar.const(0)
     for l in range(max_degree + 1):
-        coeffs = jacobi_recursion_coeffs(l, ctx.lam, ctx.mu)
         q = jacobi_t_polynomial(ctx, l)
         cs = q.coefficients()
-        got = [cs.get((i,), zero) for i in range(l + 1)]
-        ok = all(a == b for a, b in zip(coeffs, got))
+        # a term above t^l lengthens got, which fails the record and shows it
+        got = [cs.get((i,), zero) for i in range(max(l, q.degree()) + 1)]
+        ok = len(got) == l + 1 and got[l] == falling_factorial(ctx.mu, l) / factorial(l)
+        for i in range(l):
+            bracket = (ParamScalar.const(l - i - 1) - ctx.mu) * (l - i)
+            ok = ok and not bracket.is_zero() \
+                and got[i] * bracket == (ctx.lam - i) * (i + 1) * got[i + 1]
         bundle.check(f"diag.recursion.l={l}", anchor, ok,
                      witness=lambda: " , ".join(c.render() for c in got))
     # formal bracket identity, with i and l as free symbols

@@ -1,7 +1,9 @@
 """Test-side oracles: independent reference constructions for the library's
-orthogonal polynomials (three-term recurrence, terminating 2F1 series, ODEs,
-ladder operators, derivative formula, exact orthogonality, and the x -> t
-conversion ``gegen_tilde_convert``), the reference fold of the operator
+orthogonal polynomials (three-term recurrence, the Jacobi family in x as the
+binomial double sum ``jacobi`` with ``gen_binomial``, its t-coefficients from
+the top-seeded recursion ``jacobi_recursion_coeffs``, terminating 2F1 series,
+ODEs, ladder operators, derivative formula, exact orthogonality, and the
+x -> t conversion ``gegen_tilde_convert``), the reference fold of the operator
 products (``ref_compose``, ``ref_apply``), the xi-model oracle of the
 so-pair's ladder and Casimir in the n variables, with
 the lowering operator and the Casimir cleared by q1 into polynomial
@@ -22,7 +24,7 @@ from math import comb, factorial, prod
 from vermabranch.cli import gegenbauer_lines
 from vermabranch.diag_pair import (DiagContext, lowering_constant, op_F_fourier,
                                    singular_vector_Ptilde)
-from vermabranch.orthopoly import gegenbauer_tilde, gen_binomial, jacobi, rising_factorial
+from vermabranch.orthopoly import falling_factorial, gegenbauer_tilde, rising_factorial
 from vermabranch.polyring import (GeoPoly, curated_factors, invariant_expand, per_context,
                                   t_var, x_var)
 from vermabranch.scalars import ALPHA, ParamScalar
@@ -59,6 +61,54 @@ def gegen_tilde_convert(c: GeoPoly, l: int) -> GeoPoly:
         assert k >= 0 and not odd, f"degree-{e[0]} term in a degree-{l} polynomial"
         return (k,), (-1) ** k
     return c.relabel(t_var(), f)
+
+
+def gen_binomial(z, k: int) -> ParamScalar:
+    """binom(z, k) = z(z-1)...(z-k+1)/k! for integer k >= 0.
+
+    Agrees with the Gamma-quotient continuation wherever that is defined and
+    vanishes automatically at the integer points where it must.
+    """
+    if k < 0:
+        raise ValueError("lower index must be a nonnegative integer")
+    return falling_factorial(z, k) / factorial(k)
+
+
+def jacobi(l: int, alpha, beta) -> GeoPoly:
+    """P_l^(alpha,beta) via the binomial double sum; degree can drop under
+    special parameter values."""
+    alpha = ParamScalar.coerce(alpha)
+    beta = ParamScalar.coerce(beta)
+    if l < 0:
+        return GeoPoly.zero(x_var())
+    xv = x_var()
+    x = GeoPoly.var(xv, "x")
+    half = Fraction(1, 2)
+    xm = (x - GeoPoly.const(xv, 1)).scale(half)
+    xp = (x + GeoPoly.const(xv, 1)).scale(half)
+    out = GeoPoly.zero(xv)
+    for j in range(l + 1):
+        c = gen_binomial(alpha + l, j) * gen_binomial(beta + l, l - j)
+        if c.is_zero():
+            continue
+        out = out + (xm ** (l - j) * xp ** j).scale(c)
+    return out
+
+
+def jacobi_recursion_coeffs(l: int, lam, mu) -> list:
+    """Coefficients a^l_0..a^l_l of the degree-l singular-vector polynomial
+    in t, from the two-term recursion seeded at the top coefficient
+    a^l_l = mu(mu-1)...(mu-l+1)/l!."""
+    lam = ParamScalar.coerce(lam)
+    mu = ParamScalar.coerce(mu)
+    coeffs = [ParamScalar.const(0)] * (l + 1)
+    coeffs[l] = falling_factorial(mu, l) / factorial(l)
+    for i in range(l - 1, -1, -1):
+        bracket = ParamScalar.const(i * i) + (mu + (1 - 2 * l)) * i + (ParamScalar.const(l * l) - mu * l - l)
+        if bracket.is_zero():
+            raise ZeroDivisionError(f"recursion coefficient vanishes at index {i}")
+        coeffs[i] = -(ParamScalar.const(i) - lam) * (i + 1) * coeffs[i + 1] / bracket
+    return coeffs
 
 
 def jacobi_derivative(l: int, alpha, beta, k: int) -> GeoPoly:

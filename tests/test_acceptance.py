@@ -8,12 +8,12 @@ import sys
 from pathlib import Path
 
 from oracles import (GOLDEN_TABLES, gegenbauer_ode_op, gegenbauer_recurrence,
-                     jacobi_derivative, jacobi_norm_closed_form, jacobi_ode_op,
+                     jacobi, jacobi_derivative, jacobi_norm_closed_form, jacobi_ode_op,
                      orthogonality_integral)
 from vermabranch import diag_pair, so_pair
 from vermabranch.cli import main as cli_main
 from vermabranch.cli_report import RunConfig, hilbert_check, run_suite
-from vermabranch.orthopoly import gegenbauer, jacobi, rising_factorial
+from vermabranch.orthopoly import gegenbauer, rising_factorial
 from vermabranch.properties import ALL_SUITES
 from vermabranch.report import DISCREPANCY, render_json
 from vermabranch.scalars import ALPHA, LAMBDA, MU

@@ -295,6 +295,30 @@ def test_fourier_image_of_the_wrong_degree_fails_records(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_term_above_the_degree_fails_records(monkeypatch, capsys):
+    # the diagonal pair's t-form P_2 with a stray t^3: the records that would
+    # homogenize it at degree 2 fail with the t-form as witness (exit 1),
+    # where homogenize would raise and end the run with exit 2
+    import vermabranch.diag_pair as diag_pair
+    jacobi_t_polynomial = diag_pair.jacobi_t_polynomial
+
+    def broken(ctx, l):
+        q = jacobi_t_polynomial(ctx, l)
+        return q + GeoPoly.var(t_var(), "t", 3) if l == 2 else q
+    monkeypatch.setattr(diag_pair, "jacobi_t_polynomial", broken)
+    assert main(["verify-diag", "--max-degree", "3", "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    records = json.loads(out)["records"]
+    failed = [r["check-id"] for r in records if r["status"] == "fail"]
+    assert failed == ["diag.annihilation.l=2", "diag.homogeneous.l=2",
+                      "diag.lowering.fourier.l=2", "diag.lowering.fourier.l=3",
+                      "diag.lowering.t.l=2", "diag.lowering.t.l=3",
+                      "diag.recursion.l=2", "diag.t-annihilation.l=2"]
+    witness = {r["check-id"]: r.get("witness") for r in records}
+    assert witness["diag.annihilation.l=2"] == broken(diag_pair.DiagContext.formal(), 2).render()
+    assert err == ""
+
+
 @pytest.mark.parametrize("n, lam", [("2", "1/4"), ("4", "-1/4"), ("5", "-1/2"), ("6", "-3/4")])
 def test_collinear_low_eigenvalues_pass(n, lam):
     # lam = (3-n)/4, where the [P, Q] eigenvalues at l = 0, 1, 2 are collinear

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import jacobi
 from vermabranch.diag_pair import (DiagContext, annihilation_check,
                                    branching_sets, character_check,
                                    commutation_check, decomposition_report,
@@ -17,7 +18,6 @@ from vermabranch.diag_pair import (DiagContext, annihilation_check,
                                    singular_vector_Ptilde,
                                    t_annihilation_check,
                                    top_coefficient_check, verify_lowering)
-from vermabranch.orthopoly import jacobi
 from vermabranch.polyring import GeoPoly, t_var, x_var, xi_eta_vars, xy_vars
 from vermabranch.report import DISCREPANCY
 from vermabranch.scalars import LAMBDA, MU, ParamScalar
@@ -76,6 +76,23 @@ def test_model_transport():
 def test_recursion_crosscheck():
     bundle = recursion_crosscheck(CTX, 6)
     assert bundle.ok()
+
+
+_PERTURB_P3 = {**{f"t^{e}+1": lambda q, e=e: q + GeoPoly(t_var(), {(e,): 1}) for e in range(4)},
+               "twice": lambda q: q.scale(2)}
+
+
+@pytest.mark.parametrize("name", _PERTURB_P3)
+def test_recursion_record_pins_every_coefficient(name, monkeypatch):
+    # one coefficient of P_3 off by 1 breaks the seed (t^3) or a relation,
+    # and 2 P_3 keeps every relation but the seed: the record of l = 3
+    # fails, and only it
+    import vermabranch.diag_pair as diag_pair
+    build, perturb = diag_pair.jacobi_t_polynomial, _PERTURB_P3[name]
+    monkeypatch.setattr(diag_pair, "jacobi_t_polynomial",
+                        lambda ctx, l: perturb(build(ctx, l)) if l == 3 else build(ctx, l))
+    failed = [r.check_id for r in recursion_crosscheck(DiagContext.formal(), 4).failed]
+    assert failed == ["diag.recursion.l=3"]
 
 
 def test_top_coefficient_cancellation():

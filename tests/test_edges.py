@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from oracles import gen_binomial, jacobi, jacobi_recursion_coeffs
 from vermabranch.cli_report import hilbert_check
-from vermabranch.orthopoly import gegenbauer, gen_binomial, jacobi, jacobi_recursion_coeffs
+from vermabranch.orthopoly import gegenbauer
 from vermabranch.polyring import GeoPoly, xi_vars
 from vermabranch.properties import _rand_scalar, field_axioms
 from vermabranch.scalars import ALPHA, LAMBDA, ParamPoly, ParamScalar

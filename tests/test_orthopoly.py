@@ -7,13 +7,11 @@ import pytest
 
 from oracles import (gegen_tilde_convert, gegenbauer_lower_op, gegenbauer_ode_op,
                      gegenbauer_raise_op, gegenbauer_recurrence, gegenbauer_tilde_raise_op,
-                     gegenbauer_via_2f1, hypergeom_2f1_terminating,
-                     jacobi_derivative, jacobi_norm_closed_form, jacobi_ode_op,
-                     jacobi_via_2f1, orthogonality_integral)
+                     gegenbauer_via_2f1, gen_binomial, hypergeom_2f1_terminating,
+                     jacobi, jacobi_derivative, jacobi_norm_closed_form, jacobi_ode_op,
+                     jacobi_recursion_coeffs, jacobi_via_2f1, orthogonality_integral)
 from vermabranch.orthopoly import (falling_factorial, gegenbauer, gegenbauer_tilde,
-                                   gegenbauer_tilde_lower_op, gen_binomial,
-                                   jacobi, jacobi_recursion_coeffs,
-                                   rising_factorial)
+                                   gegenbauer_tilde_lower_op, rising_factorial)
 from vermabranch.polyring import GeoPoly, t_var, x_var
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
 from vermabranch.weylalg import DiffOp

@@ -12,12 +12,13 @@ re-establishes that normal form via the Leibniz rule
 
     D^a (c g) = sum_{k <= a} binom(a, k) (D^k c) (D^{a-k} g).
 
-``compose``, ``commutator`` and ``apply_rat`` run it for every operand in one
-loop over packed integer terms:
+``compose`` and ``commutator`` run it term by term in one loop over packed
+integer terms (:func:`_leibniz_sums`); the action ``apply_rat`` runs its own
+loop over the geometric rows of its input:
 
 - each operand's numerators are lifted to one shared Z[a, l, m] denominator,
   the lcm of its coefficients', by :func:`~vermabranch.polyring._over_common`,
-  once per operand (:func:`_lifted`), so the loop multiplies integers and a
+  once per operand (:func:`_lifted`), so the loops multiply integers and a
   result's parameter denominator is the product of its operands';
 - every sub-monomial k <= a of a packed derivative monomial comes with its
   binomial from one cached table, :func:`_lowerings`; an action, which
@@ -25,14 +26,21 @@ loop over packed integer terms:
 - D^k of a term ``c x^g`` is ``prod_i (g_i)_{k_i} c x^(g-k)``, with g - k
   the key less the packed k: a borrow in the top bit of a field
   (:func:`~vermabranch.scalars._layout`) means some g_i < k_i, and the term
-  is dropped before any falling factorial is taken.
+  is dropped before any falling factorial is taken;
+- the action groups its input's terms once by geometric monomial g, the
+  recursive view of a sparse polynomial (Monagan and Pearce 2011), and takes
+  the borrow test and the falling factorial once per row, however many
+  parameter terms the coefficient of x^g has: at formal weights the
+  diagonal pair's vectors carry dozens on each x^g, while the operands of a
+  composition rarely carry more than one, so compose stays term by term.
 
 Products are added per packed output derivative monomial, both orders of a
 commutator with opposite signs into the same sums, and each output
 coefficient is built once; a derivative monomial whose products all vanish
 gets none.  Derivative monomials are packed by
 :func:`~vermabranch.scalars._pack` and follow its 2^15 rule: an operand or a
-product whose derivative exponent or degree reaches 2^15 raises ValueError.
+product, of either loop, whose derivative exponent or degree reaches 2^15
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from operator import or_
 from typing import Dict, List, Tuple
 
 from .polyring import GeoPoly, VarSet, _new, _over_common, _same_vars
-from .scalars import (_FIELD, _OVERFLOW, _PBITS, _checked, _layout, _monomial, _pack,
+from .scalars import (_FIELD, _OVERFLOW, _PBITS, _PMASK, _checked, _layout, _monomial, _pack,
                       _unpack, ParamPoly, ParamScalar)
 
 DerivMono = Tuple[int, ...]
@@ -92,12 +100,10 @@ def _lowerings(e: int, n: int, whole: bool = False) -> Tuple[tuple, ...]:
     return tuple(_row(k, binomial, n) for k, binomial in rows)
 
 
-def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
-                  out: Sums) -> Sums:
+def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, out: Sums) -> Sums:
     """Add sign * binom(ea, k) * c1 * D^k(c2 g) into out[ea + eb - k] for
     every left term c1 g of a coefficient at ea, right term c2 g of a
-    coefficient at eb and k <= ea, each k of the table of :func:`_lowerings`
-    (its last entry, k = ea, alone if whole).
+    coefficient at eb and k <= ea, each k of the table of :func:`_lowerings`.
     D^k of a monomial with exponents g is prod_i (g_i)_{k_i} times the
     monomial with g - k, whose key is the right key less k's drop; where
     some g_i < k_i, D^k kills the term, and the subtraction leaves a borrow
@@ -107,7 +113,7 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, whole: bool,
     n = vs.arity
     top = _layout(n, _PBITS)[3]
     for ea, t1 in a:
-        left, subs = t1.items(), _lowerings(ea, n, whole)
+        left, subs = t1.items(), _lowerings(ea, n)
         for eb, t2 in b:
             ab, t2 = ea + eb, t2.items()
             for k, binomial, fields, drop in subs:
@@ -234,7 +240,7 @@ class DiffOp:
         """Normal-ordered product self o other."""
         vs = _same_vars(self.vars, other.vars)
         (da, a), (db, b) = _lifted(self), _lifted(other)
-        return _op(vs, _coefficients(vs, _leibniz_sums(vs, a, b, 1, False, {}), da * db))
+        return _op(vs, _coefficients(vs, _leibniz_sums(vs, a, b, 1, {}), da * db))
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other)
@@ -243,7 +249,7 @@ class DiffOp:
         """self o other - other o self, both orders summed per coefficient."""
         vs = _same_vars(self.vars, other.vars)
         (da, a), (db, b) = _lifted(self), _lifted(other)
-        sums = _leibniz_sums(vs, b, a, -1, False, _leibniz_sums(vs, a, b, 1, False, {}))
+        sums = _leibniz_sums(vs, b, a, -1, _leibniz_sums(vs, a, b, 1, {}))
         return _op(vs, _coefficients(vs, sums, da * db))
 
     def __eq__(self, other: object) -> bool:
@@ -262,15 +268,41 @@ class DiffOp:
     # -- action -----------------------------------------------------------
 
     def apply_rat(self, p: GeoPoly) -> GeoPoly:
-        """The action on a polynomial: p enters the loop of :func:`_leibniz_sums`
-        as one right coefficient at D^0, and each left term takes its own
-        lowering alone.  perfbench's tracer counts and times every action
-        under this name (``weylalg.apply``, ``weylalg.apply_s``), so
-        :meth:`apply` calls it; ROADMAP item 8 can merge the two names."""
+        """The action on a polynomial, run over the geometric rows of p: its
+        terms are grouped once by geometric monomial x^g, each row holding the
+        packed parameter terms of the coefficient of x^g.  A coefficient of
+        self at D^e takes the one row k = e of :func:`_lowerings`.  A row
+        whose key less e's drop borrows is killed, as in :func:`_leibniz_sums`;
+        any other takes prod_i (g_i)_{e_i} once, however many parameter terms
+        it holds.  All products add into one sum at D^0, finished by
+        :func:`_coefficients` with the 2^15 check and normal form of compose.
+        perfbench's tracer counts and times every action under this name
+        (``weylalg.apply``, ``weylalg.apply_s``), so :meth:`apply` calls it;
+        ROADMAP item 8 can merge the two names."""
         vs = _same_vars(self.vars, p.vars)
         den, a = _lifted(self)
-        sums = _leibniz_sums(vs, a, [(0, p.terms)], 1, True, {})
-        return _coefficients(vs, sums, den * p.den).get((0,) * vs.arity) or GeoPoly.zero(vs)
+        n = vs.arity
+        top, rows, acc = _layout(n, _PBITS)[3], {}, {}
+        for key, c in p.terms.items():
+            k2 = key & _PMASK
+            rows.setdefault(key - k2, []).append((k2, c))
+        get = acc.get
+        for ea, t1 in a:
+            left, (_, _, fields, drop) = t1.items(), _lowerings(ea, n, True)[0]
+            for g, row in rows.items():
+                g -= drop
+                if g & top:
+                    continue
+                f = 1
+                for s, ki in fields:
+                    f *= perm((g >> s & _FIELD) + ki, ki)
+                for k1, c1 in left:
+                    k1 += g
+                    c1 *= f
+                    for k2, c in row:
+                        key = k1 + k2
+                        acc[key] = get(key, 0) + c1 * c
+        return _coefficients(vs, {0: acc}, den * p.den).get((0,) * n) or GeoPoly.zero(vs)
 
     def apply(self, p: GeoPoly) -> GeoPoly:
         """The action on a polynomial, by :meth:`apply_rat`."""

@@ -7,6 +7,8 @@ from math import perm
 import pytest
 
 from oracles import casimir_closed_form, ref_apply, ref_compose, xi_ladder_ops
+from vermabranch.diag_pair import (DiagContext, jacobi_t_polynomial, op_F_fourier, op_F_t,
+                                   op_X_fourier, op_X_t, singular_vector_Ptilde)
 from vermabranch.polyring import GeoPoly, RatCoeff, quadratic_sum, t_var, xi_vars, xy_vars
 from vermabranch.properties import (apply_compose, associativity,
                                     field_axioms, jacobi_identity,
@@ -140,6 +142,39 @@ def test_polynomial_products_match_the_reference_fold(n):
         _assert_same(a.commutator(b), ref_compose(a, b) - ref_compose(b, a))
         _assert_same(a.apply_rat(p), ref_apply(a, p))
         _assert_same(a.apply_rat(p_over), ref_apply(a, p_over))
+
+
+@pytest.mark.parametrize("l", range(9))
+def test_action_on_long_parameter_rows(l):
+    # the diagonal pair's vectors at formal lam, mu carry a polynomial in
+    # (l, m) on each geometric monomial, 25 packed terms on the longest at
+    # l = 8: the action runs each as one row, compose and the reference fold
+    # term by term.  X kills P~_l and P_l, so X also meets xi P~_l and P_l
+    # meets the t-model X of l + 1; d_xi^2 kills the rows xi^0 and xi^1 of
+    # P~_l and keeps the others
+    ctx = DiagContext.formal()
+    p_fourier, p_t = singular_vector_Ptilde(ctx, l), jacobi_t_polynomial(ctx, l)
+    vs = p_fourier.vars
+    d2 = DiffOp.partial(vs, "xi", 2)
+    cases = [(op, p) for op in (op_X_fourier(ctx), op_F_fourier(ctx))
+             for p in (p_fourier, GeoPoly.var(vs, "xi") * p_fourier)]
+    cases += [(op, p_t) for op in (op_X_t(ctx, l), op_F_t(ctx, l), op_X_t(ctx, l + 1))]
+    # the same vector over a parameter denominator
+    over = p_fourier.scale(1 / (LAMBDA - MU * 2 + 3))
+    assert len(over.den.terms) > 1
+    cases.append((op_F_fourier(ctx), over))
+    cases.append((d2, p_fourier))
+    for op, p in cases:
+        got = op.apply_rat(p)
+        _assert_same(got, ref_apply(op, p))
+        _assert_same(got, (op @ DiffOp.mult(p)).apply(GeoPoly.const(p.vars, 1)))
+    assert op_X_fourier(ctx).apply_rat(p_fourier).is_zero()
+    assert op_X_t(ctx, l).apply_rat(p_t).is_zero()
+    assert not op_X_t(ctx, l + 1).apply_rat(p_t).is_zero()
+    assert op_F_fourier(ctx).apply_rat(p_fourier).is_zero() == (l == 0)
+    kept = {e for e in p_fourier.coefficients() if e[0] >= 2}
+    assert len(kept) == max(l - 1, 0) and len(p_fourier.coefficients()) == l + 1
+    assert {(e[0] + 2, e[1]) for e in d2.apply_rat(p_fourier).coefficients()} == kept
 
 
 def test_localized_and_fractional_products_match_the_reference_fold():

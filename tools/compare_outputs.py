@@ -43,6 +43,8 @@ RUNS = [
     ["verify-so", "--n", "2", "--max-degree", "45", "--json", "-"],
     ["verify-diag", "--json", "-"],
     ["verify-diag", "--lambda", "1/3", "--mu", "2/5", "--json", "-"],
+    # the longest parameter rows an action meets: P~_l at formal lam, mu
+    ["verify-diag", "--max-degree", "26", "--json", "-"],
     ["branch-report", "--N", "3"],
     ["branch-report", "--N", "3", "--lambda", "1/2", "--mu", "5/2", "--json", "-"],
     ["ortho-tables"],

@@ -11,7 +11,7 @@ A :class:`GeoPoly` is an integer polynomial in the geometric variables and
 the parameters over one shared denominator ``den`` in Z[a, l, m] (FLINT's
 ``fmpq_poly`` form), with the integer content of both sides divided out and a
 positive leading coefficient in ``den``.  A monomial is one int in the packed
-layout of :mod:`~vermabranch.scalars`, ``_layout(n, _PBITS)``: 16-bit fields
+layout of :mod:`~vermabranch.packed`, ``layout(n, PBITS)``: 16-bit fields
 for the total geometric degree and g_1..g_n sit above the parameter fields,
 whose bits are a ParamPoly key, so both layers share one kernel and its 2^15
 bound.  Integer order is graded-lexicographic in the geometric part, the last
@@ -41,9 +41,8 @@ from math import gcd
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .scalars import (_FIELD, _ONE, _PBITS, _PMASK, _add, _divide, _gcd,
-                      _layout, _monomial, _normalize, _pack, _product,
-                      _signed_sum, _unpack, ParamPoly, ParamScalar)
+from .packed import PBITS, PMASK, add, divide, layout, pack, product, unpack
+from .scalars import _ONE, _gcd, _monomial, _normalize, _signed_sum, ParamPoly, ParamScalar
 
 Expts = Tuple[int, ...]
 
@@ -104,8 +103,8 @@ def _over_common(vars: VarSet, nums: List[Dict[int, int]],
     den, lift = _ONE, dict.fromkeys(dens)
     for d in lift:
         den = den * d.exact_divide(_gcd(den, d))
-    lift, top = {d: den.exact_divide(d).terms for d in lift}, _layout(vars.arity, _PBITS)[3]
-    return den, [_product(t, lift[d], top) for t, d in zip(nums, dens)]
+    lift, top = {d: den.exact_divide(d).terms for d in lift}, layout(vars.arity, PBITS)[3]
+    return den, [product(t, lift[d], top) for t, d in zip(nums, dens)]
 
 
 def _new(vars: VarSet, terms: Dict[int, int], den: ParamPoly = _ONE) -> "GeoPoly":
@@ -136,7 +135,7 @@ class GeoPoly:
         for e, c in (terms or {}).items():
             if len(e) != vars.arity:
                 raise ValueError("exponent arity mismatch")
-            g = _pack(e, _PBITS)
+            g = pack(e, PBITS)
             if type(c) is int:
                 num, den = {0: c} if c else {}, _ONE
             else:
@@ -174,10 +173,10 @@ class GeoPoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(self.terms) >> _layout(self.vars.arity, _PBITS)[2] if self.terms else -1
+        return max(self.terms) >> layout(self.vars.arity, PBITS)[2] if self.terms else -1
 
     def is_homogeneous(self) -> bool:
-        dshift = _layout(self.vars.arity, _PBITS)[2]
+        dshift = layout(self.vars.arity, PBITS)[2]
         return len({k >> dshift for k in self.terms}) <= 1
 
     def coefficients(self) -> Dict[Expts, ParamScalar]:
@@ -185,18 +184,18 @@ class GeoPoly:
         canonical ParamScalar, highest monomial first.  Built on each call."""
         rows: Dict[int, Dict[int, int]] = {}
         for k, c in self.terms.items():
-            rows.setdefault(k >> _PBITS, {})[k & _PMASK] = c
+            rows.setdefault(k >> PBITS, {})[k & PMASK] = c
         n = self.vars.arity
-        return {_unpack(g << _PBITS, n, _PBITS): ParamScalar(ParamPoly(rows[g]), self.den)
+        return {unpack(g << PBITS, n, PBITS): ParamScalar(ParamPoly(rows[g]), self.den)
                 for g in sorted(rows, reverse=True)}
 
     def coefficient(self, e: Expts) -> ParamScalar:
-        g = _pack(tuple(e), _PBITS) >> _PBITS
-        row = {k & _PMASK: c for k, c in self.terms.items() if k >> _PBITS == g}
+        g = pack(tuple(e), PBITS) >> PBITS
+        row = {k & PMASK: c for k, c in self.terms.items() if k >> PBITS == g}
         return ParamScalar(ParamPoly(row), self.den)
 
     def leading(self) -> Tuple[Expts, ParamScalar]:
-        e = _unpack(max(self.terms), self.vars.arity, _PBITS)
+        e = unpack(max(self.terms), self.vars.arity, PBITS)
         return e, self.coefficient(e)
 
     # -- arithmetic -------------------------------------------------------
@@ -208,7 +207,7 @@ class GeoPoly:
         if not self.terms:
             return other
         den, (a, b) = _over_common(self.vars, [self.terms, other.terms], [self.den, other.den])
-        return _new(self.vars, _add(a, b), den)
+        return _new(self.vars, add(a, b), den)
 
     def __neg__(self) -> "GeoPoly":
         return _new(self.vars, {k: -c for k, c in self.terms.items()}, self.den)
@@ -218,8 +217,8 @@ class GeoPoly:
 
     def __mul__(self, other: "GeoPoly") -> "GeoPoly":
         _same_vars(self.vars, other.vars)
-        top = _layout(self.vars.arity, _PBITS)[3]
-        return _new(self.vars, _product(self.terms, other.terms, top), self.den * other.den)
+        top = layout(self.vars.arity, PBITS)[3]
+        return _new(self.vars, product(self.terms, other.terms, top), self.den * other.den)
 
     def __pow__(self, k: int) -> "GeoPoly":
         if k < 0:
@@ -230,29 +229,16 @@ class GeoPoly:
         return out
 
     def scale(self, c) -> "GeoPoly":
-        c, top = ParamScalar.coerce(c), _layout(self.vars.arity, _PBITS)[3]
-        return _new(self.vars, _product(self.terms, c.num.terms, top), self.den * c.den)
+        c, top = ParamScalar.coerce(c), layout(self.vars.arity, PBITS)[3]
+        return _new(self.vars, product(self.terms, c.num.terms, top), self.den * c.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeoPoly) or self.vars != other.vars:
             return False
         if self.den == other.den:
             return self.terms == other.terms
-        top = _layout(self.vars.arity, _PBITS)[3]
-        return _product(self.terms, other.den.terms, top) == _product(other.terms, self.den.terms, top)
-
-    # -- calculus ---------------------------------------------------------
-
-    def derive(self, var: str | int) -> "GeoPoly":
-        i = var if isinstance(var, int) else self.vars.index(var)
-        shifts, units, _, _ = _layout(self.vars.arity, _PBITS)
-        s, unit = shifts[i], units[i]
-        out: Dict[int, int] = {}
-        for k, c in self.terms.items():
-            g = k >> s & _FIELD
-            if g:
-                out[k - unit] = c * g
-        return _new(self.vars, out, self.den)
+        top = layout(self.vars.arity, PBITS)[3]
+        return product(self.terms, other.den.terms, top) == product(other.terms, self.den.terms, top)
 
     def exact_divide(self, divisor: "GeoPoly") -> Optional["GeoPoly"]:
         """Quotient self/divisor when the division is exact, else None.
@@ -265,16 +251,16 @@ class GeoPoly:
         dt = divisor.terms
         if not dt:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not divisor.den.is_constant() or any(k & _PMASK for k in dt):
+        if not divisor.den.is_constant() or any(k & PMASK for k in dt):
             raise ValueError("exact_divide needs a divisor with constant coefficients")
         if not self.terms:
             return self
-        cont, top = gcd(*dt.values()), _layout(self.vars.arity, _PBITS)[3]
-        quot = _divide(dict(self.terms), [(k, c // cont) for k, c in dt.items()], top)
+        cont, top = gcd(*dt.values()), layout(self.vars.arity, PBITS)[3]
+        quot = divide(dict(self.terms), [(k, c // cont) for k, c in dt.items()], top)
         if quot is None:
             return None
         # self / divisor = quot * den(divisor) / (den(self) * cont)
-        return _new(self.vars, _product(quot, divisor.den.terms, top),
+        return _new(self.vars, product(quot, divisor.den.terms, top),
                     self.den * ParamPoly.const(cont))
 
     def relabel(self, target: VarSet, f) -> "GeoPoly":
@@ -284,13 +270,13 @@ class GeoPoly:
         change: the integer coefficients and shared denominator stay, and
         colliding images add."""
         moves = {}
-        for g in sorted({k >> _PBITS for k in self.terms}, reverse=True):
-            m = f(_unpack(g << _PBITS, self.vars.arity, _PBITS))
+        for g in sorted({k >> PBITS for k in self.terms}, reverse=True):
+            m = f(unpack(g << PBITS, self.vars.arity, PBITS))
             if m is not None:
-                moves[g] = (_pack(m[0], _PBITS) - (g << _PBITS), m[1])
+                moves[g] = (pack(m[0], PBITS) - (g << PBITS), m[1])
         out: Dict[int, int] = {}
         for k, c in self.terms.items():
-            if (m := moves.get(k >> _PBITS)) is not None:
+            if (m := moves.get(k >> PBITS)) is not None:
                 out[k + m[0]] = out.get(k + m[0], 0) + m[1] * c
         return _new(target, {k: c for k, c in out.items() if c}, self.den)
 
@@ -414,10 +400,10 @@ def invariant_expand(vars: VarSet, g: GeoPoly) -> GeoPoly:
     the O(n-1)-invariant model: x^i y^k becomes xn^i q1^k.  q1 has integer
     coefficients and no xn, so each packed term of g times each term of q1^k
     lands on a key of its own."""
-    out, xn = {}, _layout(vars.arity, _PBITS)[1][-1]
+    out, xn = {}, layout(vars.arity, PBITS)[1][-1]
     for key, c in g.terms.items():
-        i, k = _unpack(key, 2, _PBITS)
-        base = (key & _PMASK) + i * xn
+        i, k = unpack(key, 2, PBITS)
+        base = (key & PMASK) + i * xn
         for m, d in _q1_power(vars, k).terms.items():
             out[base + m] = c * d
     return _new(vars, out, g.den)

@@ -8,21 +8,8 @@ them, so the arithmetic path builds no ``fractions.Fraction``: rationals
 appear only at the boundary (``ParamScalar.const``, ``rational_value`` and
 ``render``).
 
-This module holds the one packed monomial layout of the package and its
-kernel (Monagan and Pearce, CASC 2007).  A monomial is one int of 16-bit
-fields, highest first: the total degree, then one exponent per variable.
-:func:`_layout` places n variables above a given bit: the symbols of
-``SYMBOLS`` take ``_layout(3)``, and the geometric variables of
-:mod:`~vermabranch.polyring` take ``_layout(n, _PBITS)``, so a parameter
-monomial is the low ``_PBITS`` of a geometric one.  Integer order is thus the
-graded-lexicographic order, and a monomial product is one integer addition.
-Every exponent and degree stays below 2^15, so two fields never carry into
-their neighbour; a product that reaches 2^15 in a field raises ValueError.
-Both layers pack with :func:`_pack`, add with :func:`_add`, multiply with
-:func:`_product` and divide with :func:`_divide`.  The operator algebra of
-:mod:`~vermabranch.weylalg` runs a second multiply-accumulate loop, the
-packed Leibniz rule, on the same keys, and tests its sums with
-:func:`_checked` as :func:`_product` does.
+Both sides are polynomials in the packed monomial layout of
+:mod:`~vermabranch.packed`, ``layout(3)``, and run on its kernel.
 
 Canonical form: numerator and denominator have no common factor, the
 denominator has a positive leading coefficient, and the integer content of
@@ -42,55 +29,14 @@ terms with :func:`_signed_sum`; each keeps its own coefficient rule.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul, neg, or_
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 from zlib import crc32
 
+from .packed import (FIELD, PTOP, SHIFTS, SYMBOLS, UNITS, Packed, add, divide, product,
+                     unpack)
+
 RationalLike = Union[int, Fraction]
-Packed = Dict[int, int]                  # packed monomial key -> nonzero int
-
-SYMBOLS = ("a", "l", "m")
-
-# -- the packed monomials ------------------------------------------------------
-
-_W = 16                                  # bits per packed field
-_FIELD = (1 << _W) - 1
-_LIMIT = 1 << (_W - 1)                   # every exponent stays below this
-_OVERFLOW = f"exponent of {_LIMIT} or more in a polynomial"
-
-
-@lru_cache(maxsize=None)
-def _layout(n: int, base: int = 0) -> Tuple[Tuple[int, ...], Tuple[int, ...], int, int]:
-    """For n variables packed above bit base: the shift of each one's field,
-    the key of each one's unit monomial, the shift of their degree field, and
-    the mask of the top bit of every field from bit 0 up to theirs."""
-    shifts = tuple(base + _W * i for i in reversed(range(n)))
-    dshift = base + _W * n
-    units = tuple(1 << s | 1 << dshift for s in shifts)
-    top = sum(1 << s for s in range(_W - 1, dshift + _W, _W))
-    return shifts, units, dshift, top
-
-
-_SHIFTS, _UNITS, _DSHIFT, _PTOP = _layout(len(SYMBOLS))
-_PBITS = _DSHIFT + _W                    # the parameter fields, degree included
-_PMASK = (1 << _PBITS) - 1
-
-
-def _pack(e: Sequence[int], base: int = 0) -> int:
-    """The key of the exponents e packed above bit base."""
-    if min(e) < 0:
-        raise ValueError("negative exponent")
-    if sum(e) >= _LIMIT:
-        raise ValueError(_OVERFLOW)
-    return sum(x * u for x, u in zip(e, _layout(len(e), base)[1]))
-
-
-def _unpack(k: int, n: int, base: int = 0) -> Tuple[int, ...]:
-    """The n exponents packed above bit base in the key k."""
-    return tuple(k >> s & _FIELD for s in _layout(n, base)[0])
 
 
 def _monomial(names: Sequence[str], exps: Sequence[int], form: str = "{}") -> str:
@@ -122,83 +68,6 @@ def _signed_sum(parts: List[str]) -> str:
     return " ".join(parts[:1] + signed) or "0"
 
 
-def _add(a: Packed, b: Packed) -> Packed:
-    """The sum of two packed polynomials."""
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return out
-
-
-def _checked(out: Packed, top: int) -> Tuple[Packed, int]:
-    """The accumulated packed sum out without its zero terms, and the OR of
-    their keys, tested against ``top``, the mask of the top bit of each of
-    its fields."""
-    out = {k: c for k, c in out.items() if c}
-    bits = reduce(or_, out, 0)
-    if bits & top:
-        raise ValueError(_OVERFLOW)
-    return out, bits
-
-
-def _product(a: Packed, b: Packed, top: int) -> Packed:
-    """The product of two packed polynomials, tested by :func:`_checked`; a
-    constant factor scales the other, which a factor 1 returns as it is."""
-    if len(b) == 1 and 0 in b:
-        a, b = b, a
-    if len(a) == 1 and 0 in a:
-        c = a[0]
-        return b if c == 1 else {k: c * v for k, v in b.items()}
-    out: Packed = {}
-    get = out.get
-    b = b.items()
-    for k1, c1 in a.items():
-        for k2, c2 in b:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return _checked(out, top)[0]
-
-
-def _divide(rem: Packed, div: List[Tuple[int, int]], top: int) -> Optional[Packed]:
-    """The quotient of the packed polynomial rem by div in integers if the
-    division is exact, else None; consumes rem.
-
-    A leading monomial of rem that the divisor's does not divide leaves a
-    borrow in the top bit of some field of the difference of their keys.  Each
-    leading key is popped from a heap of negated keys (Monagan and Pearce,
-    J. Symb. Comput. 46, 2011), skipped if it has cancelled meanwhile.
-    """
-    de, dc = max(div)
-    quot: Packed = {}
-    heap = list(map(neg, rem))
-    heapify(heap)
-    while heap:
-        e = -heappop(heap)
-        if e not in rem:
-            continue
-        q = e - de
-        if q & top:
-            return None
-        c, r = divmod(rem[e], dc)
-        if r:
-            return None
-        quot[q] = c
-        for k, v in div:
-            t = q + k
-            s = rem.get(t, 0) - c * v
-            if s:
-                if t not in rem:
-                    heappush(heap, -t)
-                rem[t] = s
-            else:
-                del rem[t]
-    return quot
-
-
 class ParamPoly:
     """Sparse polynomial in the parameters a, l, m over the integers.
 
@@ -217,7 +86,7 @@ class ParamPoly:
 
     @staticmethod
     def symbol(name: str) -> "ParamPoly":
-        return ParamPoly({_UNITS[SYMBOLS.index(name)]: 1})
+        return ParamPoly({UNITS[SYMBOLS.index(name)]: 1})
 
     def is_constant(self) -> bool:
         t = self.terms
@@ -231,13 +100,13 @@ class ParamPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        return ParamPoly(_add(self.terms, other.terms))
+        return ParamPoly(add(self.terms, other.terms))
 
     def __neg__(self) -> "ParamPoly":
         return ParamPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        t = _product(self.terms, other.terms, _PTOP)
+        t = product(self.terms, other.terms, PTOP)
         return self if t is self.terms else other if t is other.terms else ParamPoly(t)
 
     def __eq__(self, other: object) -> bool:
@@ -256,7 +125,7 @@ class ParamPoly:
             if any(v % c for v in self.terms.values()):
                 return None
             return self if c == 1 else ParamPoly({e: v // c for e, v in self.terms.items()})
-        q = _divide(dict(self.terms), list(dt.items()), _PTOP)
+        q = divide(dict(self.terms), list(dt.items()), PTOP)
         return None if q is None else ParamPoly(q)
 
     # -- rendering --------------------------------------------------------
@@ -266,7 +135,7 @@ class ParamPoly:
         parts = []
         for k in sorted(self.terms, reverse=True):
             c = self.terms[k] if div == 1 else Fraction(self.terms[k], div)
-            mono = _monomial(SYMBOLS, _unpack(k, len(SYMBOLS)))
+            mono = _monomial(SYMBOLS, unpack(k, len(SYMBOLS)))
             if mono and abs(c) == 1:
                 parts.append(mono if c > 0 else f"-{mono}")
             else:
@@ -282,16 +151,16 @@ _ONE = ParamPoly.const(1)
 
 
 def _degree(p: ParamPoly, i: int) -> int:
-    s = _SHIFTS[i]
-    return max(k >> s & _FIELD for k in p.terms)
+    s = SHIFTS[i]
+    return max(k >> s & FIELD for k in p.terms)
 
 
 def _content(p: ParamPoly, i: int, g: ParamPoly | None = None) -> ParamPoly:
     """The gcd of g and of the coefficients of p as a polynomial in symbol i."""
-    s, u = _SHIFTS[i], _UNITS[i]
+    s, u = SHIFTS[i], UNITS[i]
     rows: Dict[int, Packed] = {}
     for k, c in p.terms.items():
-        x = k >> s & _FIELD
+        x = k >> s & FIELD
         rows.setdefault(x, {})[k - x * u] = c
     for t in rows.values():
         g = ParamPoly(t) if g is None else _gcd(g, ParamPoly(t))
@@ -301,15 +170,15 @@ def _content(p: ParamPoly, i: int, g: ParamPoly | None = None) -> ParamPoly:
 def _prem(p: ParamPoly, q: ParamPoly, i: int) -> ParamPoly:
     """The pseudo-remainder of p by q in symbol i: lc(q)^k p minus a multiple
     of q, of lower degree in symbol i than q."""
-    s, u = _SHIFTS[i], _UNITS[i]
+    s, u = SHIFTS[i], UNITS[i]
     dq = _degree(q, i)
-    lq = ParamPoly({k - dq * u: c for k, c in q.terms.items() if k >> s & _FIELD == dq})
+    lq = ParamPoly({k - dq * u: c for k, c in q.terms.items() if k >> s & FIELD == dq})
     while p.terms:
         dp = _degree(p, i)
         if dp < dq:
             break
         # lc(p) s^(dp - dq), with s symbol i
-        lead = ParamPoly({k - dq * u: c for k, c in p.terms.items() if k >> s & _FIELD == dp})
+        lead = ParamPoly({k - dq * u: c for k, c in p.terms.items() if k >> s & FIELD == dp})
         p = p * lq + -(lead * q)
     return p
 
@@ -497,22 +366,6 @@ class ParamScalar:
             return hash(self.rational_value())
         return hash((self.num, self.den))
 
-    def substitute(self, bindings: Mapping[str, "ParamScalar | ParamPoly | RationalLike"]) -> "ParamScalar":
-        """Replace bound symbols; unbound symbols stay formal.
-
-        Raises ZeroDivisionError naming the binding if the denominator
-        vanishes under it.
-        """
-        for s in bindings:
-            if s not in SYMBOLS:
-                raise KeyError(f"unknown parameter symbol {s!r}")
-        num = _substitute_scalar(self.num, bindings)
-        den = _substitute_scalar(self.den, bindings)
-        if den.is_zero():
-            names = ", ".join(f"{s}={ParamScalar.coerce(v).render()}" for s, v in bindings.items())
-            raise ZeroDivisionError(f"denominator vanishes under binding {names}")
-        return num / den
-
     # -- rendering --------------------------------------------------------
 
     def render(self) -> str:
@@ -524,21 +377,6 @@ class ParamScalar:
 
     def __repr__(self):
         return f"ParamScalar({self.render()})"
-
-
-def _substitute_scalar(p: ParamPoly, bindings: Mapping[str, "ParamScalar | ParamPoly | RationalLike"]) -> ParamScalar:
-    """p with bound symbols replaced, each power read from one table per symbol."""
-    tables = []
-    for i, s in enumerate(SYMBOLS):
-        base = ParamScalar.coerce(bindings.get(s, ParamPoly.symbol(s)))
-        tables.append([ParamScalar.const(1)])
-        for _ in range(_degree(p, i) if p.terms else 0):
-            tables[-1].append(tables[-1][-1] * base)
-    out = ParamScalar.const(0)
-    for k, c in p.terms.items():
-        out = out + reduce(mul, (t[x] for t, x in zip(tables, _unpack(k, len(SYMBOLS))) if x),
-                           ParamScalar.const(c))
-    return out
 
 
 # convenience symbols

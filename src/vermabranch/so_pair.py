@@ -10,8 +10,9 @@ C[x, y], x = xn and y = q1, with E = x d_x + 2y d_y and Laplacian
 d_x^2 + 4y d_y^2 + 2(n-1) d_y.  Each of the n-1 primed directions acts there
 as x_m times one operator G, and the localized f(l) enters cleared, as
 f~(l) = y f(l), each identity with it multiplied by y.  The ``nonclosure.*``
-records, and a failed model record's witness, read the expansion
-x -> xn, y -> q1 in the n variables.
+records run on the operators of :mod:`~vermabranch.xi_model` in the n
+variables; they, and a failed model record's witness, read the expansion
+x -> xn, y -> q1 there.
 
 The conventional global factor i on the nilradical action is dropped
 throughout: all operators here are the rational-scalar versions, which leaves
@@ -32,6 +33,7 @@ from .polyring import (GeoPoly, RatCoeff, VarSet, curated_factors, invariant_exp
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
 from .scalars import ParamScalar
 from .weylalg import DiffOp, proportionality
+from .xi_model import displayed_commutators, e_euler_form, op_P, op_Q, raising_op
 
 XY = xy_vars()
 _X, _Y = GeoPoly.var(XY, "x"), GeoPoly.var(XY, "y")
@@ -120,36 +122,6 @@ def _xi(ctx: SoPairContext, g: GeoPoly, k: int = 0):
     return lambda: RatCoeff(ctx.vars, g, k)
 
 
-def _raising(ctx: SoPairContext, p: DiffOp, xn: GeoPoly, q1: GeoPoly, euler: DiffOp) -> DiffOp:
-    """q1 P - (lam - E + 2)(n + 2 lam - 2E + 1) xn, in the xi-model or the model."""
-    vs, lam = xn.vars, ctx.lam
-    return DiffOp.mult(q1) @ p - (DiffOp.scalar(vs, lam + 2) - euler) @ (
-        DiffOp.scalar(vs, lam * 2 + (ctx.n + 1)) - euler.scale(2)) @ DiffOp.mult(xn)
-
-
-@per_context
-def lowering_direction_op(ctx: SoPairContext, m: int) -> DiffOp:
-    """Quadratic nilradical action in direction m (0-based index):
-    (1/2) x_m Laplacian + (lam - Euler) d_m."""
-    vs = ctx.vars
-    xm = GeoPoly.var(vs, vs.names[m])
-    return (DiffOp.mult(xm.scale(Fraction(1, 2))) @ DiffOp.laplacian(vs)
-            + (DiffOp.scalar(vs, ctx.lam) - DiffOp.euler(vs)) @ DiffOp.partial(vs, m))
-
-
-def op_P(ctx: SoPairContext) -> DiffOp:
-    """Degree-lowering action of the complementary root space (the i-free
-    version)."""
-    return lowering_direction_op(ctx, ctx.n - 1)
-
-
-@per_context
-def op_Q(ctx: SoPairContext) -> DiffOp:
-    """The enveloping-algebra raising operator
-    (sum' xi^2) P - (lam - E + 2)(n + 2 lam - 2E + 1) xn."""
-    return _raising(ctx, op_P(ctx), ctx.xn(), ctx.q_prime(), DiffOp.euler(ctx.vars))
-
-
 @per_context
 def model_ops(ctx: SoPairContext) -> dict:
     """The operators of the invariant model by name: E, the Laplacian, P, Q,
@@ -164,7 +136,7 @@ def model_ops(ctx: SoPairContext) -> dict:
                       (0, 0): _Y.scale(a * -2)})
     g = DiffOp(XY, {(2, 0): Fraction(1, 2), (0, 2): _Y.scale(-2), (1, 1): _X.scale(-2),
                     (0, 1): a * -2 - 2})
-    return {"E": euler, "lap": lap, "P": p, "Q": _raising(ctx, p, _X, _Y, euler), "G": g,
+    return {"E": euler, "lap": lap, "P": p, "Q": raising_op(ctx, p, _X, _Y, euler), "G": g,
             "cas": cas + DiffOp.mult(_Y.scale(2)) @ shift @ shift}
 
 
@@ -194,15 +166,6 @@ def p_image(ctx: SoPairContext, l: int) -> Tuple[GeoPoly, ParamScalar | None]:
     P lowers: c is None where P F_l is no multiple of F_{l-1}, and at l = 0."""
     pv = model_ops(ctx)["P"].apply(reduced_F(ctx, l))
     return pv, proportionality(pv, reduced_F(ctx, l - 1)) if l else None
-
-
-def e_euler_form(ctx: SoPairContext) -> DiffOp:
-    """The raising operator with the degree index promoted to the Euler
-    operator: -(sum xi^2) d_n - (E - 1 + 2a) xn."""
-    vs = ctx.vars
-    shift = DiffOp.euler(vs) + DiffOp.scalar(vs, ctx.alpha * 2 - 1)
-    return -(DiffOp.mult(ctx.q_full()) @ DiffOp.partial(vs, ctx.n - 1)) \
-        - (shift @ DiffOp.mult(ctx.xn()))
 
 
 def expected_ladder_constants(ctx: SoPairContext, l: int) -> Tuple[ParamScalar, ParamScalar]:
@@ -362,31 +325,6 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     return bundle
 
 
-def _displayed_commutators(ctx: SoPairContext) -> Tuple[DiffOp, DiffOp]:
-    """Transcriptions of the displayed right-hand sides of [P, Q] and of
-    [e-Euler-form, P]."""
-    vs, lam, n, xn, q1 = ctx.vars, ctx.lam, ctx.n, ctx.xn(), ctx.q_prime()
-    e, dn, lap = DiffOp.euler(vs), DiffOp.partial(vs, ctx.n - 1), DiffOp.laplacian(vs)
-    s = lambda c: DiffOp.scalar(vs, c)
-
-    lam_m_e = s(lam) - e
-    # (lam - E + 2)(2 lam + n + 1 - 2E) and 4 lam + n + 3 - 4E, each twice
-    r, w = (lam_m_e + s(2)) @ (s(lam * 2 + (n + 1)) - e.scale(2)), s(lam * 4 + (n + 3)) - e.scale(4)
-    t1 = (s(lam * 4 + 10) + e.scale(2)).scale(Fraction(-1, 2)) @ DiffOp.mult(xn * xn) @ lap
-    bracket = ((e.scale(2) + s(n - 3)) @ (s(lam + 1) - e) + r - lam_m_e @ w
-               - (s(lam * 4 + (n + 7)) + e.scale(4)))
-    t2 = bracket @ DiffOp.mult(xn) @ dn
-    t3 = -(DiffOp.mult(q1 + xn * xn) @ (DiffOp.mult(xn) @ dn + s(1)) @ lap)
-    t4 = ((s(lam + 1) - e).scale(-2)) @ DiffOp.mult(q1 + xn * xn) @ dn @ dn
-    t5 = -(lam_m_e @ (r - w))
-    ep = (DiffOp.mult(q1.scale(Fraction(-1, 2))) @ lap
-          - DiffOp.mult(q1) @ dn @ dn
-          + DiffOp.mult((xn * xn).scale(Fraction(1, 2))) @ lap
-          + (s(lam + n) + e) @ DiffOp.mult(xn) @ dn
-          + (e + s(ctx.alpha * 2)) @ (s(lam) - e))
-    return t1 + t2 + t3 + t4 + t5, ep
-
-
 def verify_nonclosure(ctx: SoPairContext) -> ReportBundle:
     """Exact non-closure checks plus term-level diffs against the displayed
     commutators (reported as data, never asserted)."""
@@ -431,7 +369,7 @@ def verify_nonclosure(ctx: SoPairContext) -> ReportBundle:
     bundle.check(f"nonclosure.ep-order.n={ctx.n}", "so-pair:ep-commutator",
                  ep.order() == 2, witness=ep)
 
-    for name, computed, displayed in zip(("pq", "ep"), (pq, ep), _displayed_commutators(ctx)):
+    for name, computed, displayed in zip(("pq", "ep"), (pq, ep), displayed_commutators(ctx)):
         diff = computed - displayed
         residual = None if diff.is_zero() else diff.render()
         key = f"nonclosure.display-diff.{name}.n={ctx.n}"

@@ -25,7 +25,7 @@ loop over the geometric rows of its input:
   needs only k = a, builds that one row;
 - D^k of a term ``c x^g`` is ``prod_i (g_i)_{k_i} c x^(g-k)``, with g - k
   the key less the packed k: a borrow in the top bit of a field
-  (:func:`~vermabranch.scalars._layout`) means some g_i < k_i, and the term
+  (:func:`~vermabranch.packed.layout`) means some g_i < k_i, and the term
   is dropped before any falling factorial is taken;
 - the action groups its input's terms once by geometric monomial g, the
   recursive view of a sparse polynomial (Monagan and Pearce 2011), and takes
@@ -38,7 +38,7 @@ Products are added per packed output derivative monomial, both orders of a
 commutator with opposite signs into the same sums, and each output
 coefficient is built once; a derivative monomial whose products all vanish
 gets none.  Derivative monomials are packed by
-:func:`~vermabranch.scalars._pack` and follow its 2^15 rule: an operand or a
+:func:`~vermabranch.packed.pack` and follow its 2^15 rule: an operand or a
 product, of either loop, whose derivative exponent or degree reaches 2^15
 raises ValueError.
 """
@@ -52,14 +52,14 @@ from operator import or_
 from typing import Dict, List, Tuple
 
 from .polyring import GeoPoly, VarSet, _new, _over_common, _same_vars
-from .scalars import (_FIELD, _OVERFLOW, _PBITS, _PMASK, _checked, _layout, _monomial, _pack,
-                      _unpack, ParamPoly, ParamScalar)
+from .packed import FIELD, OVERFLOW, PBITS, PMASK, checked, layout, pack, unpack
+from .scalars import _monomial, ParamPoly, ParamScalar
 
 DerivMono = Tuple[int, ...]
 Lifted = List[Tuple[int, Dict[int, int]]]
 Sums = Dict[int, Dict[int, int]]
 # an operator has few distinct derivative monomials, so each is packed once
-_dpack, _dunpack = lru_cache(maxsize=None)(_pack), lru_cache(maxsize=None)(_unpack)
+_dpack, _dunpack = lru_cache(maxsize=None)(pack), lru_cache(maxsize=None)(unpack)
 
 
 def _lifted(op: "DiffOp") -> Tuple[ParamPoly, Lifted]:
@@ -78,9 +78,9 @@ def _row(k: DerivMono, binomial: int, n: int) -> tuple:
     variables: k packed as a derivative monomial, fields the packed field
     shift and order of each variable that k differentiates, and drop the key
     D^k subtracts from a monomial."""
-    shifts = _layout(n, _PBITS)[0]
-    return (_pack(k), binomial, tuple((s, ki) for s, ki in zip(shifts, k) if ki),
-            _pack(k, _PBITS))
+    shifts = layout(n, PBITS)[0]
+    return (pack(k), binomial, tuple((s, ki) for s, ki in zip(shifts, k) if ki),
+            pack(k, PBITS))
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +90,9 @@ def _lowerings(e: int, n: int, whole: bool = False) -> Tuple[tuple, ...]:
     variables: the one table of the sub-monomials of e.  If whole, the row
     k = e alone, binomial 1, which is all an action uses, without the rest."""
     if whole:
-        return (_row(_unpack(e, n), 1, n),)
+        return (_row(unpack(e, n), 1, n),)
     rows = [((), 1)]
-    for ei in reversed(_unpack(e, n)):
+    for ei in reversed(unpack(e, n)):
         row = [1]
         for k in range(ei):
             row.append(row[-1] * (ei - k) // (k + 1))
@@ -107,11 +107,11 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, out: Sums) -> Sum
     D^k of a monomial with exponents g is prod_i (g_i)_{k_i} times the
     monomial with g - k, whose key is the right key less k's drop; where
     some g_i < k_i, D^k kills the term, and the subtraction leaves a borrow
-    in that field's top bit (as in :func:`~vermabranch.scalars._divide`), so
+    in that field's top bit (as in :func:`~vermabranch.packed.divide`), so
     the term is skipped before any falling factorial is taken.
     Each field of the packed ea and eb is below 2^15, so ea + eb never carries."""
     n = vs.arity
-    top = _layout(n, _PBITS)[3]
+    top = layout(n, PBITS)[3]
     for ea, t1 in a:
         left, subs = t1.items(), _lowerings(ea, n)
         for eb, t2 in b:
@@ -125,7 +125,7 @@ def _leibniz_sums(vs: VarSet, a: Lifted, b: Lifted, sign: int, out: Sums) -> Sum
                         continue
                     c *= m
                     for s, ki in fields:
-                        c *= perm((k2 >> s & _FIELD) + ki, ki)
+                        c *= perm((k2 >> s & FIELD) + ki, ki)
                     for k1, c1 in left:
                         key = k1 + k2
                         acc[key] = get(key, 0) + c1 * c
@@ -136,11 +136,11 @@ def _coefficients(vs: VarSet, sums: Sums, den: ParamPoly) -> Dict[DerivMono, Geo
     """The coefficient over den of each derivative monomial of the sums; a
     monomial whose sum vanishes gets none."""
     n = vs.arity
-    top, coeffs = _layout(n, _PBITS)[3], {}
-    if reduce(or_, sums, 0) & _layout(n)[3]:
-        raise ValueError(_OVERFLOW)
+    top, coeffs = layout(n, PBITS)[3], {}
+    if reduce(or_, sums, 0) & layout(n)[3]:
+        raise ValueError(OVERFLOW)
     for e, t in sums.items():
-        t = _checked(t, top)[0]
+        t = checked(t, top)[0]
         if t:
             coeffs[_dunpack(e, n)] = _new(vs, t, den)
     return coeffs
@@ -282,9 +282,9 @@ class DiffOp:
         vs = _same_vars(self.vars, p.vars)
         den, a = _lifted(self)
         n = vs.arity
-        top, rows, acc = _layout(n, _PBITS)[3], {}, {}
+        top, rows, acc = layout(n, PBITS)[3], {}, {}
         for key, c in p.terms.items():
-            k2 = key & _PMASK
+            k2 = key & PMASK
             rows.setdefault(key - k2, []).append((k2, c))
         get = acc.get
         for ea, t1 in a:
@@ -295,7 +295,7 @@ class DiffOp:
                     continue
                 f = 1
                 for s, ki in fields:
-                    f *= perm((g >> s & _FIELD) + ki, ki)
+                    f *= perm((g >> s & FIELD) + ki, ki)
                 for k1, c1 in left:
                     k1 += g
                     c1 *= f

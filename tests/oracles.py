@@ -3,8 +3,10 @@ orthogonal polynomials (three-term recurrence, the Jacobi family in x as the
 binomial double sum ``jacobi`` with ``gen_binomial``, its t-coefficients from
 the top-seeded recursion ``jacobi_recursion_coeffs``, terminating 2F1 series,
 ODEs, ladder operators, derivative formula, exact orthogonality, and the
-x -> t conversion ``gegen_tilde_convert``), the reference fold of the operator
-products (``ref_compose``, ``ref_apply``), the xi-model oracle of the
+x -> t conversion ``gegen_tilde_convert``), the specialization of a formal
+scalar at a weight (``substitute``), the coefficient-wise derivative
+(``derive``) and on it the reference fold of the operator products
+(``ref_compose``, ``ref_apply``), the xi-model oracle of the
 so-pair's ladder and Casimir in the n variables, with
 the lowering operator and the Casimir cleared by q1 into polynomial
 operators (``xi_ladder_ops``, ``xi_ladder_images``, ``casimir_composed``,
@@ -18,20 +20,23 @@ Tests import it by name, as pytest puts ``tests/`` on the path;
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb, factorial, prod
+from operator import mul
 
 from vermabranch.cli import gegenbauer_lines
 from vermabranch.diag_pair import (DiagContext, lowering_constant, op_F_fourier,
                                    singular_vector_Ptilde)
 from vermabranch.orthopoly import falling_factorial, gegenbauer_tilde, rising_factorial
+from vermabranch.packed import SYMBOLS, unpack
 from vermabranch.polyring import (GeoPoly, curated_factors, invariant_expand, per_context,
                                   t_var, x_var)
-from vermabranch.scalars import ALPHA, ParamScalar
-from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_ops,
-                                 lowering_direction_op, model_ops, op_P, op_Q,
+from vermabranch.scalars import ALPHA, ParamPoly, ParamScalar
+from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_ops, model_ops,
                                  singular_vector_F)
 from vermabranch.weylalg import DiffOp, proportionality
+from vermabranch.xi_model import lowering_direction_op, op_P, op_Q
 
 
 def gegenbauer_recurrence(l: int, alpha) -> GeoPoly:
@@ -349,10 +354,56 @@ def t_model_poly(f: GeoPoly) -> GeoPoly:
     return f.relabel(t_var(), lambda e: None if any(e[1:-1]) else ((e[0] // 2,), 1))
 
 
+# -- specialization and derivatives -------------------------------------------
+# The library specializes a family by building it at the weight itself; these
+# specialize a formal result after the fact, and differentiate coefficient by
+# coefficient, for the tests that compare the two ways.
+
+def _substitute_poly(p: ParamPoly, bindings) -> ParamScalar:
+    """p with bound symbols replaced, each power read from one table per symbol."""
+    exps = {k: unpack(k, len(SYMBOLS)) for k in p.terms}
+    tables = []
+    for i, s in enumerate(SYMBOLS):
+        base = ParamScalar.coerce(bindings.get(s, ParamPoly.symbol(s)))
+        tables.append([ParamScalar.const(1)])
+        for _ in range(max((e[i] for e in exps.values()), default=0)):
+            tables[-1].append(tables[-1][-1] * base)
+    out = ParamScalar.const(0)
+    for k, c in p.terms.items():
+        out = out + reduce(mul, (t[x] for t, x in zip(tables, exps[k]) if x),
+                           ParamScalar.const(c))
+    return out
+
+
+def substitute(v: ParamScalar, bindings) -> ParamScalar:
+    """v with the symbols bound in ``bindings`` (a name of a, l, m to an int,
+    Fraction, ParamPoly or ParamScalar) replaced; unbound symbols stay formal.
+
+    Raises KeyError on an unknown symbol, and ZeroDivisionError naming the
+    binding if the denominator vanishes under it.
+    """
+    for s in bindings:
+        if s not in SYMBOLS:
+            raise KeyError(f"unknown parameter symbol {s!r}")
+    num, den = _substitute_poly(v.num, bindings), _substitute_poly(v.den, bindings)
+    if den.is_zero():
+        names = ", ".join(f"{s}={ParamScalar.coerce(b).render()}" for s, b in bindings.items())
+        raise ZeroDivisionError(f"denominator vanishes under binding {names}")
+    return num / den
+
+
+def derive(p: GeoPoly, var) -> GeoPoly:
+    """d p / d var for a variable name or index, built coefficient by
+    coefficient through the GeoPoly constructor."""
+    i = var if isinstance(var, int) else p.vars.index(var)
+    return GeoPoly(p.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                            for e, c in p.coefficients().items() if e[i]})
+
+
 # -- the reference fold of the operator products ------------------------------
 # compose, commutator and apply_rat run one packed Leibniz loop.  The plain
 # fold below enumerates k <= ea and its binomials itself, not from the
-# library's table, takes D^k one GeoPoly.derive at a time, forms every
+# library's table, takes D^k one :func:`derive` at a time, forms every
 # product with GeoPoly.__mul__ and adds it through DiffOp.__add__; the two
 # must agree term for term, down to the rendered form of every coefficient.
 
@@ -365,7 +416,7 @@ def ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
                 dc = cb
                 for i, ki in enumerate(k):
                     for _ in range(ki):
-                        dc = dc.derive(i)
+                        dc = derive(dc, i)
                     if dc.is_zero():
                         break
                 if dc.is_zero():
@@ -381,7 +432,7 @@ def ref_apply(op: DiffOp, p: GeoPoly) -> GeoPoly:
         dp = p
         for i, ei in enumerate(e):
             for _ in range(ei):
-                dp = dp.derive(i)
+                dp = derive(dp, i)
         if not dp.is_zero():
             out = out + c * dp
     return out

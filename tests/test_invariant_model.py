@@ -14,8 +14,9 @@ from oracles import (casimir_closed_form, casimir_composed, intertwining_failure
                      verify_singular, xi_ladder_ops)
 from vermabranch.polyring import GeoPoly, invariant_expand
 from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_images, model_ops,
-                                 op_P, op_Q, p_image, reduced_F, singular_vector_F)
+                                 p_image, reduced_F, singular_vector_F)
 from vermabranch.weylalg import proportionality
+from vermabranch.xi_model import op_P, op_Q
 
 LADDER_DEGREES = range(4)
 SPECIALIZED = ((3, Fraction(1, 3)), (4, Fraction(-1, 4)), (6, Fraction(-3, 4)))

@@ -8,16 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from vermabranch import diag_pair, polyring, so_pair
+from vermabranch import diag_pair, polyring, so_pair, xi_model
 from vermabranch.diag_pair import (DiagContext, jacobi_t_polynomial,
                                    singular_vector_Ptilde)
 from vermabranch.polyring import (curated_factors, per_context, quadratic_sum,
                                   xi_vars)
-from vermabranch.so_pair import (SoPairContext, ladder_images, ladder_ops,
-                                 lowering_direction_op, model_ops, op_P, op_Q, p_image,
-                                 pq_membership_check, reduced_F, singular_vector_F,
+from vermabranch.so_pair import (SoPairContext, ladder_images, ladder_ops, model_ops,
+                                 p_image, pq_membership_check, reduced_F, singular_vector_F,
                                  t_model_check, tilde_gegenbauer)
 from vermabranch.weylalg import proportionality
+from vermabranch.xi_model import lowering_direction_op, op_P, op_Q
 
 SO_BUILDS = [(lowering_direction_op, (1,)), (op_Q, ()), (ladder_images, (0,)),
              (ladder_images, (3,)), (tilde_gegenbauer, (3,)), (p_image, (2,))]
@@ -164,7 +164,7 @@ def test_context_fields_unchanged():
 
 @pytest.mark.parametrize("fn", [polyring.curated_factors, so_pair.singular_vector_F,
                                 so_pair.ladder_ops, diag_pair.jacobi_t_polynomial,
-                                so_pair.lowering_direction_op, so_pair.op_Q,
+                                xi_model.lowering_direction_op, xi_model.op_Q,
                                 so_pair.ladder_images, so_pair.tilde_gegenbauer,
                                 diag_pair.singular_vector_Ptilde])
 def test_traced_functions_stay_plain(fn):

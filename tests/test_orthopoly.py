@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (gegen_tilde_convert, gegenbauer_lower_op, gegenbauer_ode_op,
+from oracles import (derive, gegen_tilde_convert, gegenbauer_lower_op, gegenbauer_ode_op,
                      gegenbauer_raise_op, gegenbauer_recurrence, gegenbauer_tilde_raise_op,
                      gegenbauer_via_2f1, gen_binomial, hypergeom_2f1_terminating,
                      jacobi, jacobi_derivative, jacobi_norm_closed_form, jacobi_ode_op,
@@ -102,7 +102,7 @@ def test_gegenbauer_jacobi_relation(l):
 def test_jacobi_derivative_formula(k):
     direct = jacobi(5, LAMBDA, MU)
     for _ in range(k):
-        direct = direct.derive("x")
+        direct = derive(direct, "x")
     assert jacobi_derivative(5, LAMBDA, MU, k) == direct
 
 

@@ -5,20 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (casimir_closed_form, casimir_composed, render_over_q1, t_model_poly,
-                     verify_singular, xi_ladder_ops)
+from oracles import (casimir_closed_form, casimir_composed, render_over_q1, substitute,
+                     t_model_poly, verify_singular, xi_ladder_ops)
 from vermabranch import so_pair
 from vermabranch.orthopoly import gegenbauer_tilde
 from vermabranch.polyring import GeoPoly, quadratic_sum
 from vermabranch.report import DISCREPANCY
 from vermabranch.scalars import ALPHA, LAMBDA, ParamScalar
 from vermabranch.so_pair import (SoPairContext, casimir_check,
-                                 expected_ladder_constants,
-                                 op_P, op_Q, pq_membership_check,
+                                 expected_ladder_constants, pq_membership_check,
                                  singular_family_check, singular_vector_F,
                                  t_model_check, tilde_gegenbauer,
                                  verify_nonclosure, verify_sl2)
 from vermabranch.weylalg import DiffOp, proportionality
+from vermabranch.xi_model import op_P, op_Q
 
 CTX3 = SoPairContext.formal(3)
 
@@ -180,7 +180,7 @@ def test_tilde_gegenbauer_matches_formal_alpha_build(n):
     for l in range(11):
         formal = gegenbauer_tilde(l, ALPHA)
         expected = GeoPoly(formal.vars, {
-            e: c.substitute({"a": ctx.alpha}) for e, c in formal.coefficients().items()})
+            e: substitute(c, {"a": ctx.alpha}) for e, c in formal.coefficients().items()})
         assert tilde_gegenbauer(ctx, l) == expected
 
 

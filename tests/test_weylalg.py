@@ -14,8 +14,9 @@ from vermabranch.properties import (apply_compose, associativity,
                                     field_axioms, jacobi_identity,
                                     normal_order_confluence)
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
-from vermabranch.so_pair import SoPairContext, op_P, op_Q
+from vermabranch.so_pair import SoPairContext
 from vermabranch.weylalg import DiffOp, proportionality
+from vermabranch.xi_model import op_P, op_Q
 
 VS = xi_vars(2)
 X1 = GeoPoly.var(VS, "x1")
@@ -149,7 +150,7 @@ def test_action_on_long_parameter_rows(l):
     # the diagonal pair's vectors at formal lam, mu carry a polynomial in
     # (l, m) on each geometric monomial, 25 packed terms on the longest at
     # l = 8: the action runs each as one row, compose and the reference fold
-    # term by term.  X kills P~_l and P_l, so X also meets xi P~_l and P_l
+    # term by term, and compose is checked against the fold as well.  X kills P~_l and P_l, so X also meets xi P~_l and P_l
     # meets the t-model X of l + 1; d_xi^2 kills the rows xi^0 and xi^1 of
     # P~_l and keeps the others
     ctx = DiagContext.formal()
@@ -165,9 +166,10 @@ def test_action_on_long_parameter_rows(l):
     cases.append((op_F_fourier(ctx), over))
     cases.append((d2, p_fourier))
     for op, p in cases:
-        got = op.apply_rat(p)
+        got, product = op.apply_rat(p), op @ DiffOp.mult(p)
         _assert_same(got, ref_apply(op, p))
-        _assert_same(got, (op @ DiffOp.mult(p)).apply(GeoPoly.const(p.vars, 1)))
+        _assert_same(product, ref_compose(op, DiffOp.mult(p)))
+        _assert_same(got, product.apply(GeoPoly.const(p.vars, 1)))
     assert op_X_fourier(ctx).apply_rat(p_fourier).is_zero()
     assert op_X_t(ctx, l).apply_rat(p_t).is_zero()
     assert not op_X_t(ctx, l + 1).apply_rat(p_t).is_zero()

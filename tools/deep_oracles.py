@@ -68,11 +68,11 @@ from vermabranch import cli_report, diag_pair  # noqa: E402
 from vermabranch.orthopoly import gegenbauer  # noqa: E402
 from vermabranch.polyring import GeoPoly, invariant_expand, xi_vars  # noqa: E402
 from vermabranch.so_pair import (SoPairContext, casimir_ops, ladder_images,  # noqa: E402
-                                 model_ops, op_P, op_Q, p_image, reduced_F,
-                                 singular_vector_F)
+                                 model_ops, p_image, reduced_F, singular_vector_F)
 from vermabranch.report import ReportBundle  # noqa: E402
 from vermabranch.scalars import ALPHA, LAMBDA  # noqa: E402
 from vermabranch.weylalg import DiffOp  # noqa: E402
+from vermabranch.xi_model import op_P, op_Q  # noqa: E402
 
 TRANSPORT_DEGREE = 30
 T_ANNIHILATION_DEGREE = 40

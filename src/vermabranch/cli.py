@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cli_report import RunConfig, run_suite
 from .diag_pair import DiagContext, jacobi_t_polynomial
 from .orthopoly import gegenbauer
-from .polyring import GeoPoly, x_var
+from .polyring import X_LINE, GeoPoly
 from .properties import run_all as run_property_suites
 from .report import FAIL, ReportBundle, render_json
 from .scalars import ALPHA
@@ -62,12 +62,12 @@ def ortho_table(max_degree: int) -> str:
     diagonal pair's t-form :func:`~vermabranch.diag_pair.jacobi_t_polynomial`
     at t = (x-1)/2, summed by Horner's rule."""
     lines = gegenbauer_lines(max_degree)
-    ctx, xv = DiagContext.formal(), x_var()
-    t = (GeoPoly.var(xv, "x") - GeoPoly.const(xv, 1)).scale(Fraction(1, 2))
+    ctx = DiagContext.formal()
+    t = (GeoPoly.var(X_LINE, "x") - GeoPoly.const(X_LINE, 1)).scale(Fraction(1, 2))
     for l in range(max_degree + 1):
-        cs, p = jacobi_t_polynomial(ctx, l).coefficients(), GeoPoly.zero(xv)
+        cs, p = jacobi_t_polynomial(ctx, l).coefficients(), GeoPoly.zero(X_LINE)
         for i in range(l, -1, -1):
-            p = p * t + GeoPoly.const(xv, cs.get((i,), 0))
+            p = p * t + GeoPoly.const(X_LINE, cs.get((i,), 0))
         lines.append(f"P_{l} = {p.render()}")
     return "\n".join(lines) + "\n"
 

@@ -15,8 +15,7 @@ from math import comb, factorial
 from typing import Dict, List
 
 from .orthopoly import falling_factorial
-from .polyring import (GeoPoly, dehomogenize, homogenize, per_context, t_var,
-                       xi_eta_vars, xy_vars)
+from .polyring import T_LINE, XI_ETA, XY, GeoPoly, dehomogenize, homogenize, per_context
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
 from .scalars import ParamScalar
 from .weylalg import DiffOp
@@ -41,48 +40,42 @@ class DiagContext(namedtuple("DiagContext", "lam mu")):
 
 def op_X_fourier(ctx: DiagContext) -> DiffOp:
     """-lam d_xi + xi d_xi^2 - mu d_eta + eta d_eta^2 on C[xi, eta]."""
-    vs = xi_eta_vars()
-    return DiffOp(vs, {(1, 0): -ctx.lam, (2, 0): GeoPoly.var(vs, "xi"),
-                       (0, 1): -ctx.mu, (0, 2): GeoPoly.var(vs, "eta")})
+    return DiffOp(XI_ETA, {(1, 0): -ctx.lam, (2, 0): GeoPoly.var(XI_ETA, "xi"),
+                           (0, 1): -ctx.mu, (0, 2): GeoPoly.var(XI_ETA, "eta")})
 
 
 def op_F_fourier(ctx: DiagContext) -> DiffOp:
     """-lam d_xi + xi d_xi^2 + mu d_eta - eta d_eta^2: op_X_fourier with the
     second summand's sign flipped."""
-    vs = xi_eta_vars()
-    return DiffOp(vs, {(1, 0): -ctx.lam, (2, 0): GeoPoly.var(vs, "xi"),
-                       (0, 1): ctx.mu, (0, 2): -GeoPoly.var(vs, "eta")})
+    return DiffOp(XI_ETA, {(1, 0): -ctx.lam, (2, 0): GeoPoly.var(XI_ETA, "xi"),
+                           (0, 1): ctx.mu, (0, 2): -GeoPoly.var(XI_ETA, "eta")})
 
 
 def op_X_function(ctx: DiagContext) -> DiffOp:
     """lam x + x^2 d_x + mu y + y^2 d_y on C[x, y]."""
-    vs = xy_vars()
-    return DiffOp(vs, {(0, 0): GeoPoly(vs, {(1, 0): ctx.lam, (0, 1): ctx.mu}),
-                       (1, 0): GeoPoly.var(vs, "x", 2), (0, 1): GeoPoly.var(vs, "y", 2)})
+    return DiffOp(XY, {(0, 0): GeoPoly(XY, {(1, 0): ctx.lam, (0, 1): ctx.mu}),
+                       (1, 0): GeoPoly.var(XY, "x", 2), (0, 1): GeoPoly.var(XY, "y", 2)})
 
 
 def op_F_function(ctx: DiagContext) -> DiffOp:
     """lam x + x^2 d_x - mu y - y^2 d_y on C[x, y]."""
-    vs = xy_vars()
-    return DiffOp(vs, {(0, 0): GeoPoly(vs, {(1, 0): ctx.lam, (0, 1): -ctx.mu}),
-                       (1, 0): GeoPoly.var(vs, "x", 2), (0, 1): -GeoPoly.var(vs, "y", 2)})
+    return DiffOp(XY, {(0, 0): GeoPoly(XY, {(1, 0): ctx.lam, (0, 1): -ctx.mu}),
+                       (1, 0): GeoPoly.var(XY, "x", 2), (0, 1): -GeoPoly.var(XY, "y", 2)})
 
 
 def op_X_t(ctx: DiagContext, l: int) -> DiffOp:
     """t(t+1) d^2 + (t(mu-2(l-1)) - lam) d + l(l-1-mu) at homogeneity l."""
-    tv = t_var()
-    return DiffOp(tv, {(2,): GeoPoly(tv, {(2,): 1, (1,): 1}),
-                       (1,): GeoPoly(tv, {(1,): ctx.mu - 2 * (l - 1), (0,): -ctx.lam}),
-                       (0,): (ParamScalar.const(l - 1) - ctx.mu) * l})
+    return DiffOp(T_LINE, {(2,): GeoPoly(T_LINE, {(2,): 1, (1,): 1}),
+                           (1,): GeoPoly(T_LINE, {(1,): ctx.mu - 2 * (l - 1), (0,): -ctx.lam}),
+                           (0,): (ParamScalar.const(l - 1) - ctx.mu) * l})
 
 
 def op_F_t(ctx: DiagContext, l: int) -> DiffOp:
     """-t(t-1) d^2 + (t(2l-mu-2) - lam) d + l(mu-l+1) at homogeneity l."""
-    tv = t_var()
-    return DiffOp(tv, {(2,): GeoPoly(tv, {(2,): -1, (1,): 1}),
-                       (1,): GeoPoly(tv, {(1,): ParamScalar.const(2 * l - 2) - ctx.mu,
-                                          (0,): -ctx.lam}),
-                       (0,): (ctx.mu - (l - 1)) * l})
+    return DiffOp(T_LINE, {(2,): GeoPoly(T_LINE, {(2,): -1, (1,): 1}),
+                           (1,): GeoPoly(T_LINE, {(1,): ParamScalar.const(2 * l - 2) - ctx.mu,
+                                                  (0,): -ctx.lam}),
+                           (0,): (ctx.mu - (l - 1)) * l})
 
 
 # -- singular vectors --------------------------------------------------------
@@ -101,7 +94,7 @@ def jacobi_t_polynomial(ctx: DiagContext, l: int) -> GeoPoly:
         if i:
             prefix = prefix * (ctx.mu - (l - i))
         terms[(i,)] = suffix[l - i] * prefix * comb(l, i) / factorial(l)
-    return GeoPoly(t_var(), terms)
+    return GeoPoly(T_LINE, terms)
 
 
 @per_context
@@ -185,11 +178,10 @@ def model_transport_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
     bundle = ReportBundle()
     anchor = "diag-pair:homogenization"
     x_hat = op_X_fourier(ctx)
-    tv = t_var()
     for l in range(max_degree + 1):
         x_t = op_X_t(ctx, l)
         for probe_deg in range(l + 1):
-            q = GeoPoly(tv, {(k,): k + 1 for k in range(probe_deg + 1)})
+            q = GeoPoly(T_LINE, {(k,): k + 1 for k in range(probe_deg + 1)})
             lhs = x_hat.apply(homogenize(q, l))
             rhs = x_t.apply(q)
             # dehomogenize raises on an image of another degree: fail it here
@@ -236,12 +228,11 @@ def recursion_crosscheck(ctx: DiagContext, max_degree: int) -> ReportBundle:
 
 
 def top_coefficient_check(ctx: DiagContext, max_degree: int) -> ReportBundle:
-    """The t^l coefficient of the lowered polynomial cancels:
-    -l(l-1) + l(2l-mu-2) + l(mu-l+1) = 0."""
+    """The t^l coefficient of op_F_t(ctx, l) applied to t^l cancels, read
+    from the operator: -l(l-1) + l(2l-mu-2) + l(mu-l+1) = 0."""
     bundle = ReportBundle()
     for l in range(1, max_degree + 1):
-        c = (ParamScalar.const(-l * (l - 1)) + (ParamScalar.const(2 * l - 2) - ctx.mu) * l
-             + (ctx.mu - (l - 1)) * l)
+        c = op_F_t(ctx, l).apply(GeoPoly.var(T_LINE, "t", l)).coefficient((l,))
         bundle.check(f"diag.top-cancellation.l={l}", "diag-pair:lowering-theorem",
                      c.is_zero(), witness=c)
     return bundle

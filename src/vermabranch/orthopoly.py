@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .polyring import GeoPoly, t_var, x_var
+from .polyring import T_LINE, X_LINE, GeoPoly
 from .scalars import ParamScalar
 from .weylalg import DiffOp
 
@@ -40,24 +40,23 @@ def falling_factorial(z, k: int) -> ParamScalar:
 def gegenbauer_tilde(l: int, alpha) -> GeoPoly:
     """C~_l = x^{-l} C_l^alpha(x) at x^2 = -1/t, a polynomial in t, from the
     explicit sum: t^k has (alpha)_{l-k} 2^{l-2k} / (k! (l-2k)!); C~_{-1} := 0."""
-    alpha, tv = ParamScalar.coerce(alpha), t_var()
+    alpha = ParamScalar.coerce(alpha)
     if l < 0:
-        return GeoPoly.zero(tv)
+        return GeoPoly.zero(T_LINE)
     # k runs down, so (alpha)_{l-k} gains one factor a step
     terms, rise = {}, rising_factorial(alpha, l - l // 2)
     for k in range(l // 2, -1, -1):
         terms[(k,)] = rise * Fraction(2 ** (l - 2 * k), factorial(k) * factorial(l - 2 * k))
         if k:
             rise = rise * (alpha + (l - k))
-    return GeoPoly(tv, terms)
+    return GeoPoly(T_LINE, terms)
 
 
 def gegenbauer(l: int, alpha) -> GeoPoly:
     """C_l^alpha in x: :func:`gegenbauer_tilde` relabelled, t^k -> (-1)^k x^{l-2k}."""
-    return gegenbauer_tilde(l, alpha).relabel(x_var(), lambda e: ((l - 2 * e[0],), (-1) ** e[0]))
+    return gegenbauer_tilde(l, alpha).relabel(X_LINE, lambda e: ((l - 2 * e[0],), (-1) ** e[0]))
 
 
 def gegenbauer_tilde_lower_op(l: int) -> DiffOp:
     """-2(t+1) d_t + l on the t-line."""
-    tv = t_var()
-    return DiffOp(tv, {(1,): GeoPoly(tv, {(1,): -2, (0,): -2}), (0,): l})
+    return DiffOp(T_LINE, {(1,): GeoPoly(T_LINE, {(1,): -2, (0,): -2}), (0,): l})

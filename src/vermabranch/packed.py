@@ -82,15 +82,13 @@ def add(a: Packed, b: Packed) -> Packed:
     return out
 
 
-def checked(out: Packed, top: int) -> Tuple[Packed, int]:
-    """The accumulated packed sum out without its zero terms, and the OR of
-    their keys, tested against ``top``, the mask of the top bit of each of
-    its fields."""
+def checked(out: Packed, top: int) -> Packed:
+    """The accumulated packed sum out without its zero terms, its keys tested
+    against ``top``, the mask of the top bit of each of its fields."""
     out = {k: c for k, c in out.items() if c}
-    bits = reduce(or_, out, 0)
-    if bits & top:
+    if reduce(or_, out, 0) & top:
         raise ValueError(OVERFLOW)
-    return out, bits
+    return out
 
 
 def product(a: Packed, b: Packed, top: int) -> Packed:
@@ -108,7 +106,7 @@ def product(a: Packed, b: Packed, top: int) -> Packed:
         for k2, c2 in b:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-    return checked(out, top)[0]
+    return checked(out, top)
 
 
 def divide(rem: Packed, div: List[Tuple[int, int]], top: int) -> Optional[Packed]:

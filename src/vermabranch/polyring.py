@@ -4,8 +4,11 @@ coefficient ring of the operators of :mod:`~vermabranch.weylalg`.
 Variable sets are small and fixed by the two scenarios: ``x1..xn`` for the
 orthogonal pair, ``xi, eta`` for the diagonal pair, ``x, y`` for the
 orthogonal pair's O(n-1)-invariant model, and the one-variable lines ``t``
-and ``x`` for the inhomogeneous models.  Coefficients live in the exact
-parameter field Q(a, l, m) (:mod:`~vermabranch.scalars`).
+and ``x`` for the inhomogeneous models.  Each is one shared object: the
+constants ``XI_ETA``, ``XY``, ``T_LINE`` and ``X_LINE``, and ``xi_vars(n)``,
+cached per n.  So :func:`_same_vars` is an identity test for the package's
+own sets; a hand-built equal set still passes by equality.  Coefficients
+live in the exact parameter field Q(a, l, m) (:mod:`~vermabranch.scalars`).
 
 A :class:`GeoPoly` is an integer polynomial in the geometric variables and
 the parameters over one shared denominator ``den`` in Z[a, l, m] (FLINT's
@@ -69,26 +72,18 @@ def _same_vars(a: VarSet, b: VarSet) -> VarSet:
     raise ValueError(f"variable-set mismatch: {a} vs {b}")
 
 
+@lru_cache(maxsize=None)
 def xi_vars(n: int) -> VarSet:
+    """The variables x1..xn of the orthogonal pair, one shared set per n."""
     if n < 2:
         raise ValueError("the orthogonal-pair scenario needs n >= 2")
     return VarSet("xi", tuple(f"x{i}" for i in range(1, n + 1)))
 
 
-def xi_eta_vars() -> VarSet:
-    return VarSet("xi_eta", ("xi", "eta"))
-
-
-def xy_vars() -> VarSet:
-    return VarSet("xy", ("x", "y"))
-
-
-def t_var() -> VarSet:
-    return VarSet("t", ("t",))
-
-
-def x_var() -> VarSet:
-    return VarSet("x", ("x",))
+XI_ETA = VarSet("xi_eta", ("xi", "eta"))
+XY = VarSet("xy", ("x", "y"))
+T_LINE = VarSet("t", ("t",))
+X_LINE = VarSet("x", ("x",))
 
 
 def _over_common(vars: VarSet, nums: List[Dict[int, int]],
@@ -385,14 +380,14 @@ def homogenize(q: GeoPoly, l: int) -> GeoPoly:
         raise ValueError("homogenize expects a univariate polynomial")
     if q.degree() > l:
         raise ValueError(f"degree {q.degree()} exceeds homogeneity {l}")
-    return q.relabel(xi_eta_vars(), lambda e: ((e[0], l - e[0]), 1))
+    return q.relabel(XI_ETA, lambda e: ((e[0], l - e[0]), 1))
 
 
 def dehomogenize(p: GeoPoly, l: int) -> GeoPoly:
     """Inverse of :func:`homogenize` on homogeneous degree-l polynomials."""
     if p.terms and not (p.is_homogeneous() and p.degree() == l):
         raise ValueError("input is not homogeneous of the stated degree")
-    return p.relabel(t_var(), lambda e: ((e[0],), 1))
+    return p.relabel(T_LINE, lambda e: ((e[0],), 1))
 
 
 def invariant_expand(vars: VarSet, g: GeoPoly) -> GeoPoly:

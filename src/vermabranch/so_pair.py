@@ -28,14 +28,13 @@ from math import factorial
 from typing import Tuple
 
 from .orthopoly import gegenbauer_tilde, gegenbauer_tilde_lower_op
-from .polyring import (GeoPoly, RatCoeff, VarSet, curated_factors, invariant_expand,
-                       per_context, t_var, xi_vars, xy_vars)
+from .polyring import (T_LINE, XY, GeoPoly, RatCoeff, VarSet, curated_factors,
+                       invariant_expand, per_context, xi_vars)
 from .report import DISCREPANCY, ReportBundle, VerificationRecord
 from .scalars import ParamScalar
 from .weylalg import DiffOp, proportionality
 from .xi_model import displayed_commutators, e_euler_form, op_P, op_Q, raising_op
 
-XY = xy_vars()
 _X, _Y = GeoPoly.var(XY, "x"), GeoPoly.var(XY, "y")
 _Q = _Y + _X * _X
 
@@ -298,7 +297,7 @@ def t_model_check(ctx: SoPairContext, max_degree: int) -> ReportBundle:
     bundle = ReportBundle()
     anchor = "so-pair:t-model"
     # F_l = sum c_k xn^{l-2k} q1^k collapses to sum c_k t^k: x^i y^k -> t^k
-    ts = [reduced_F(ctx, l).relabel(t_var(), lambda e: (e[1:], 1)) for l in range(max_degree + 1)]
+    ts = [reduced_F(ctx, l).relabel(T_LINE, lambda e: (e[1:], 1)) for l in range(max_degree + 1)]
     for l in range(max_degree + 1):
         tag = f"n={ctx.n},l={l}"
         lower = gegenbauer_tilde_lower_op(l)

@@ -45,14 +45,13 @@ raises ValueError.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import perm
 from numbers import Rational
-from operator import or_
 from typing import Dict, List, Tuple
 
 from .polyring import GeoPoly, VarSet, _new, _over_common, _same_vars
-from .packed import FIELD, OVERFLOW, PBITS, PMASK, checked, layout, pack, unpack
+from .packed import FIELD, PBITS, PMASK, checked, layout, pack, unpack
 from .scalars import _monomial, ParamPoly, ParamScalar
 
 DerivMono = Tuple[int, ...]
@@ -137,10 +136,8 @@ def _coefficients(vs: VarSet, sums: Sums, den: ParamPoly) -> Dict[DerivMono, Geo
     monomial whose sum vanishes gets none."""
     n = vs.arity
     top, coeffs = layout(n, PBITS)[3], {}
-    if reduce(or_, sums, 0) & layout(n)[3]:
-        raise ValueError(OVERFLOW)
-    for e, t in sums.items():
-        t = checked(t, top)[0]
+    for e, t in checked(sums, layout(n)[3]).items():
+        t = checked(t, top)
         if t:
             coeffs[_dunpack(e, n)] = _new(vs, t, den)
     return coeffs

@@ -30,10 +30,10 @@ from vermabranch.diag_pair import (DiagContext, lowering_constant, op_F_fourier,
                                    singular_vector_Ptilde)
 from vermabranch.orthopoly import falling_factorial, gegenbauer_tilde, rising_factorial
 from vermabranch.packed import SYMBOLS, unpack
-from vermabranch.polyring import (GeoPoly, curated_factors, invariant_expand, per_context,
-                                  t_var, x_var)
+from vermabranch.polyring import (T_LINE, X_LINE, XY, GeoPoly, curated_factors,
+                                  invariant_expand, per_context)
 from vermabranch.scalars import ALPHA, ParamPoly, ParamScalar
-from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_ops, model_ops,
+from vermabranch.so_pair import (SoPairContext, casimir_ops, ladder_ops, model_ops,
                                  singular_vector_F)
 from vermabranch.weylalg import DiffOp, proportionality
 from vermabranch.xi_model import lowering_direction_op, op_P, op_Q
@@ -42,13 +42,13 @@ from vermabranch.xi_model import lowering_direction_op, op_P, op_Q
 def gegenbauer_recurrence(l: int, alpha) -> GeoPoly:
     """C_l^alpha from the three-term recurrence, the reference for
     :func:`gegenbauer`; C_{-1} := 0."""
-    alpha, xv = ParamScalar.coerce(alpha), x_var()
+    alpha = ParamScalar.coerce(alpha)
     if l < 0:
-        return GeoPoly.zero(xv)
-    c_prev = GeoPoly.const(xv, 1)                       # C_0
+        return GeoPoly.zero(X_LINE)
+    c_prev = GeoPoly.const(X_LINE, 1)                   # C_0
     if l == 0:
         return c_prev
-    x = GeoPoly.var(xv, "x")
+    x = GeoPoly.var(X_LINE, "x")
     c_cur = x.scale(alpha * 2)                          # C_1
     for k in range(2, l + 1):
         nxt = (x * c_cur).scale((alpha + (k - 1)) * 2) - c_prev.scale(alpha * 2 + (k - 2))
@@ -65,7 +65,7 @@ def gegen_tilde_convert(c: GeoPoly, l: int) -> GeoPoly:
         k, odd = divmod(l - e[0], 2)
         assert k >= 0 and not odd, f"degree-{e[0]} term in a degree-{l} polynomial"
         return (k,), (-1) ** k
-    return c.relabel(t_var(), f)
+    return c.relabel(T_LINE, f)
 
 
 def gen_binomial(z, k: int) -> ParamScalar:
@@ -85,13 +85,12 @@ def jacobi(l: int, alpha, beta) -> GeoPoly:
     alpha = ParamScalar.coerce(alpha)
     beta = ParamScalar.coerce(beta)
     if l < 0:
-        return GeoPoly.zero(x_var())
-    xv = x_var()
-    x = GeoPoly.var(xv, "x")
+        return GeoPoly.zero(X_LINE)
+    x = GeoPoly.var(X_LINE, "x")
     half = Fraction(1, 2)
-    xm = (x - GeoPoly.const(xv, 1)).scale(half)
-    xp = (x + GeoPoly.const(xv, 1)).scale(half)
-    out = GeoPoly.zero(xv)
+    xm = (x - GeoPoly.const(X_LINE, 1)).scale(half)
+    xp = (x + GeoPoly.const(X_LINE, 1)).scale(half)
+    out = GeoPoly.zero(X_LINE)
     for j in range(l + 1):
         c = gen_binomial(alpha + l, j) * gen_binomial(beta + l, l - j)
         if c.is_zero():
@@ -121,7 +120,7 @@ def jacobi_derivative(l: int, alpha, beta, k: int) -> GeoPoly:
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
     if k > l:
-        return GeoPoly.zero(x_var())
+        return GeoPoly.zero(X_LINE)
     alpha = ParamScalar.coerce(alpha)
     beta = ParamScalar.coerce(beta)
     c = rising_factorial(alpha + beta + l + 1, k) * Fraction(1, 2 ** k)
@@ -150,8 +149,7 @@ def hypergeom_2f1_terminating(a, b, c, arg: GeoPoly, terms: int) -> GeoPoly:
 def gegenbauer_via_2f1(l: int, alpha) -> GeoPoly:
     """(2a)_l / l! * 2F1(-l, 2a+l; a+1/2; (1-x)/2)."""
     alpha = ParamScalar.coerce(alpha)
-    xv = x_var()
-    arg = (GeoPoly.const(xv, 1) - GeoPoly.var(xv, "x")).scale(Fraction(1, 2))
+    arg = (GeoPoly.const(X_LINE, 1) - GeoPoly.var(X_LINE, "x")).scale(Fraction(1, 2))
     series = hypergeom_2f1_terminating(ParamScalar.const(-l), alpha * 2 + l,
                                        alpha + Fraction(1, 2), arg, l)
     return series.scale(rising_factorial(alpha * 2, l) / factorial(l))
@@ -161,8 +159,7 @@ def jacobi_via_2f1(l: int, alpha, beta) -> GeoPoly:
     """binom(l+a, l) * 2F1(-l, 1+a+b+l; a+1; (1-x)/2)."""
     alpha = ParamScalar.coerce(alpha)
     beta = ParamScalar.coerce(beta)
-    xv = x_var()
-    arg = (GeoPoly.const(xv, 1) - GeoPoly.var(xv, "x")).scale(Fraction(1, 2))
+    arg = (GeoPoly.const(X_LINE, 1) - GeoPoly.var(X_LINE, "x")).scale(Fraction(1, 2))
     series = hypergeom_2f1_terminating(ParamScalar.const(-l), alpha + beta + l + 1,
                                        alpha + 1, arg, l)
     return series.scale(gen_binomial(alpha + l, l))
@@ -173,9 +170,8 @@ def orthogonality_integral(k: int, l: int, alpha: int, beta: int) -> Fraction:
     nonnegative weights."""
     if alpha < 0 or beta < 0 or not isinstance(alpha, int) or not isinstance(beta, int):
         raise ValueError("only nonnegative integer weight parameters are supported")
-    xv = x_var()
-    one = GeoPoly.const(xv, 1)
-    x = GeoPoly.var(xv, "x")
+    one = GeoPoly.const(X_LINE, 1)
+    x = GeoPoly.var(X_LINE, "x")
     weight = (one - x) ** alpha * (one + x) ** beta
     a = ParamScalar.const(alpha)
     b = ParamScalar.const(beta)
@@ -200,38 +196,34 @@ def jacobi_norm_closed_form(l: int, alpha: int, beta: int) -> Fraction:
 
 def gegenbauer_ode_op(l: int, alpha) -> DiffOp:
     """(1-x^2) d^2 - (2a+1) x d + l(l+2a), annihilating C_l^a."""
-    xv = x_var()
-    return DiffOp(xv, {(2,): GeoPoly(xv, {(2,): -1, (0,): 1}),
-                       (1,): GeoPoly(xv, {(1,): -(alpha * 2 + 1)}),
-                       (0,): (alpha * 2 + l) * l})
+    return DiffOp(X_LINE, {(2,): GeoPoly(X_LINE, {(2,): -1, (0,): 1}),
+                           (1,): GeoPoly(X_LINE, {(1,): -(alpha * 2 + 1)}),
+                           (0,): (alpha * 2 + l) * l})
 
 
 def jacobi_ode_op(l: int, alpha, beta) -> DiffOp:
     """(1-x^2) d^2 + (b-a-(a+b+2)x) d + l(l+a+b+1), annihilating P_l^(a,b)."""
-    xv = x_var()
-    return DiffOp(xv, {(2,): GeoPoly(xv, {(2,): -1, (0,): 1}),
-                       (1,): GeoPoly(xv, {(1,): -(alpha + beta + 2), (0,): beta - alpha}),
-                       (0,): (alpha + beta + l + 1) * l})
+    return DiffOp(X_LINE, {(2,): GeoPoly(X_LINE, {(2,): -1, (0,): 1}),
+                           (1,): GeoPoly(X_LINE, {(1,): -(alpha + beta + 2), (0,): beta - alpha}),
+                           (0,): (alpha + beta + l + 1) * l})
 
 
 def gegenbauer_lower_op(l: int) -> DiffOp:
     """(1-x^2) d + l x, sending C_l to (l+2a-1) C_{l-1}."""
-    xv = x_var()
-    return DiffOp(xv, {(1,): GeoPoly(xv, {(2,): -1, (0,): 1}), (0,): GeoPoly(xv, {(1,): l})})
+    return DiffOp(X_LINE, {(1,): GeoPoly(X_LINE, {(2,): -1, (0,): 1}),
+                           (0,): GeoPoly(X_LINE, {(1,): l})})
 
 
 def gegenbauer_raise_op(l: int, alpha) -> DiffOp:
     """(1-x^2) d - (l+2a) x, sending C_l to -(l+1) C_{l+1}."""
-    xv = x_var()
-    return DiffOp(xv, {(1,): GeoPoly(xv, {(2,): -1, (0,): 1}),
-                       (0,): GeoPoly(xv, {(1,): -(alpha * 2 + l)})})
+    return DiffOp(X_LINE, {(1,): GeoPoly(X_LINE, {(2,): -1, (0,): 1}),
+                           (0,): GeoPoly(X_LINE, {(1,): -(alpha * 2 + l)})})
 
 
 def gegenbauer_tilde_raise_op(l: int, alpha) -> DiffOp:
     """2t(t+1) d_t - l t - 2(l+a) on the t-line."""
-    tv = t_var()
-    return DiffOp(tv, {(1,): GeoPoly(tv, {(2,): 2, (1,): 2}),
-                       (0,): GeoPoly(tv, {(1,): -l, (0,): -(alpha + l) * 2})})
+    return DiffOp(T_LINE, {(1,): GeoPoly(T_LINE, {(2,): 2, (1,): 2}),
+                           (0,): GeoPoly(T_LINE, {(1,): -l, (0,): -(alpha + l) * 2})})
 
 
 # -- the so-pair's ladder and Casimir in the xi-model ---------------------------
@@ -351,7 +343,7 @@ def verify_singular(ctx: SoPairContext, f: GeoPoly) -> bool:
 def t_model_poly(f: GeoPoly) -> GeoPoly:
     """Collapse F_l = sum c_k xn^{l-2k} q'^k to sum c_k t^k, reading c_k on
     x1^{2k} xn^{l-2k}, where q'^k has coefficient one, and dropping the rest."""
-    return f.relabel(t_var(), lambda e: None if any(e[1:-1]) else ((e[0] // 2,), 1))
+    return f.relabel(T_LINE, lambda e: None if any(e[1:-1]) else ((e[0] // 2,), 1))
 
 
 # -- specialization and derivatives -------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import GOLDEN_TABLES, render_over_q1, xi_ladder_ops
 from vermabranch.cli import build_parser, main
-from vermabranch.polyring import GeoPoly, t_var, xi_eta_vars
+from vermabranch.polyring import T_LINE, XI_ETA, XY, GeoPoly
 from vermabranch.report import ReportBundle
 from vermabranch.weylalg import DiffOp
 
@@ -203,8 +203,7 @@ def test_failed_check_with_a_huge_coefficient_exits_1(monkeypatch, capsys):
     # here 2000!, renders as its digit count and a digest: the failed check
     # still exits 1 with a report, not 2
     import vermabranch.so_pair as so_pair
-    tv = t_var()
-    big = DiffOp.partial(tv, "t", 2000).apply(GeoPoly.var(tv, "t", 2000))
+    big = DiffOp.partial(T_LINE, "t", 2000).apply(GeoPoly.var(T_LINE, "t", 2000))
 
     def failing(ctx, max_degree):
         bundle = ReportBundle()
@@ -228,7 +227,7 @@ def test_failed_singular_record_witnesses_the_vector_in_n_variables(monkeypatch,
 
     def broken(ctx):
         ops = model_ops(ctx)
-        return {**ops, "G": ops["G"] + DiffOp.partial(so_pair.XY, "y")}
+        return {**ops, "G": ops["G"] + DiffOp.partial(XY, "y")}
     monkeypatch.setattr(so_pair, "model_ops", broken)
     assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
     out, err = capsys.readouterr()
@@ -248,7 +247,7 @@ def test_reduced_vector_of_the_wrong_weight_fails_homogeneity(monkeypatch, capsy
 
     def broken(ctx, l):
         f = reduced_F(ctx, l)
-        return f + GeoPoly.var(so_pair.XY, "x", 3) if l == 2 else f
+        return f + GeoPoly.var(XY, "x", 3) if l == 2 else f
     monkeypatch.setattr(so_pair, "reduced_F", broken)
     assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
     out, err = capsys.readouterr()
@@ -284,8 +283,7 @@ def test_fourier_image_of_the_wrong_degree_fails_records(monkeypatch, capsys):
     op_X_fourier = diag_pair.op_X_fourier
 
     def broken(ctx):
-        vs = xi_eta_vars()
-        return op_X_fourier(ctx) + DiffOp(vs, {(0, 2): GeoPoly.var(vs, "eta", 2)})
+        return op_X_fourier(ctx) + DiffOp(XI_ETA, {(0, 2): GeoPoly.var(XI_ETA, "eta", 2)})
     monkeypatch.setattr(diag_pair, "op_X_fourier", broken)
     assert main(["verify-diag", "--max-degree", "3", "--json", "-"]) == 1
     out, err = capsys.readouterr()
@@ -304,7 +302,7 @@ def test_term_above_the_degree_fails_records(monkeypatch, capsys):
 
     def broken(ctx, l):
         q = jacobi_t_polynomial(ctx, l)
-        return q + GeoPoly.var(t_var(), "t", 3) if l == 2 else q
+        return q + GeoPoly.var(T_LINE, "t", 3) if l == 2 else q
     monkeypatch.setattr(diag_pair, "jacobi_t_polynomial", broken)
     assert main(["verify-diag", "--max-degree", "3", "--json", "-"]) == 1
     out, err = capsys.readouterr()

@@ -18,7 +18,7 @@ from vermabranch.diag_pair import (DiagContext, annihilation_check,
                                    singular_vector_Ptilde,
                                    t_annihilation_check,
                                    top_coefficient_check, verify_lowering)
-from vermabranch.polyring import GeoPoly, t_var, x_var, xi_eta_vars, xy_vars
+from vermabranch.polyring import T_LINE, X_LINE, XI_ETA, XY, GeoPoly
 from vermabranch.report import DISCREPANCY
 from vermabranch.scalars import LAMBDA, MU, ParamScalar
 from vermabranch.weylalg import DiffOp
@@ -27,10 +27,9 @@ CTX = DiagContext.formal()
 
 
 def test_low_degree_solutions():
-    vs = xi_eta_vars()
-    xi = GeoPoly.var(vs, "xi")
-    eta = GeoPoly.var(vs, "eta")
-    assert singular_vector_Ptilde(CTX, 0) == GeoPoly.const(vs, 1)
+    xi = GeoPoly.var(XI_ETA, "xi")
+    eta = GeoPoly.var(XI_ETA, "eta")
+    assert singular_vector_Ptilde(CTX, 0) == GeoPoly.const(XI_ETA, 1)
     assert singular_vector_Ptilde(CTX, 1) == xi.scale(MU) - eta.scale(LAMBDA)
     p2 = singular_vector_Ptilde(CTX, 2)
     assert p2.coefficient((2, 0)) == (MU * MU - MU) / 2
@@ -78,7 +77,7 @@ def test_recursion_crosscheck():
     assert bundle.ok()
 
 
-_PERTURB_P3 = {**{f"t^{e}+1": lambda q, e=e: q + GeoPoly(t_var(), {(e,): 1}) for e in range(4)},
+_PERTURB_P3 = {**{f"t^{e}+1": lambda q, e=e: q + GeoPoly(T_LINE, {(e,): 1}) for e in range(4)},
                "twice": lambda q: q.scale(2)}
 
 
@@ -99,6 +98,16 @@ def test_top_coefficient_cancellation():
     assert top_coefficient_check(CTX, 10).ok()
 
 
+def test_top_coefficient_record_reads_the_operator(monkeypatch):
+    # a stray -t^2 d^2 in op_F_t adds -l(l-1) to the t^l coefficient of its
+    # image of t^l: the records of l >= 2 fail, l = 1 still cancels
+    import vermabranch.diag_pair as diag_pair
+    build, stray = diag_pair.op_F_t, DiffOp(T_LINE, {(2,): -GeoPoly.var(T_LINE, "t", 2)})
+    monkeypatch.setattr(diag_pair, "op_F_t", lambda ctx, l: build(ctx, l) + stray)
+    failed = [r.check_id for r in top_coefficient_check(DiagContext.formal(), 4).failed]
+    assert failed == [f"diag.top-cancellation.l={l}" for l in (2, 3, 4)]
+
+
 def test_jacobi_t_polynomial_degree():
     for l in range(7):
         assert jacobi_t_polynomial(CTX, l).degree() == l
@@ -106,20 +115,19 @@ def test_jacobi_t_polynomial_degree():
 
 def _at_2t_plus_1(p):
     """The univariate p(x) at x = 2t + 1, by Horner's rule."""
-    tv = t_var()
-    image = GeoPoly.var(tv, "t").scale(2) + GeoPoly.const(tv, 1)
+    image = GeoPoly.var(T_LINE, "t").scale(2) + GeoPoly.const(T_LINE, 1)
     cs = p.coefficients()
-    out = GeoPoly.zero(tv)
+    out = GeoPoly.zero(T_LINE)
     for k in range(p.degree(), -1, -1):
-        out = out * image + GeoPoly.const(tv, cs.get((k,), 0))
+        out = out * image + GeoPoly.const(T_LINE, cs.get((k,), 0))
     return out
 
 
 def test_affine_substitution_helper():
-    x = GeoPoly.var(x_var(), "x")
-    t = GeoPoly.var(t_var(), "t")
-    assert _at_2t_plus_1(x * x) == (t * t).scale(4) + t.scale(4) + GeoPoly.const(t_var(), 1)
-    assert _at_2t_plus_1(GeoPoly.zero(x_var())).is_zero()
+    x = GeoPoly.var(X_LINE, "x")
+    t = GeoPoly.var(T_LINE, "t")
+    assert _at_2t_plus_1(x * x) == (t * t).scale(4) + t.scale(4) + GeoPoly.const(T_LINE, 1)
+    assert _at_2t_plus_1(GeoPoly.zero(X_LINE)).is_zero()
 
 
 @pytest.mark.parametrize("l", range(13))
@@ -193,35 +201,31 @@ def test_suite_bundles_pass():
 # scalar operators.
 
 def _ref_fourier(ctx, sign):
-    vs = xi_eta_vars()
-    dxi, deta = DiffOp.partial(vs, "xi"), DiffOp.partial(vs, "eta")
-    eta_part = deta.scale(-ctx.mu) + DiffOp.mult(GeoPoly.var(vs, "eta")) @ deta @ deta
-    return (dxi.scale(-ctx.lam) + DiffOp.mult(GeoPoly.var(vs, "xi")) @ dxi @ dxi
+    dxi, deta = DiffOp.partial(XI_ETA, "xi"), DiffOp.partial(XI_ETA, "eta")
+    eta_part = deta.scale(-ctx.mu) + DiffOp.mult(GeoPoly.var(XI_ETA, "eta")) @ deta @ deta
+    return (dxi.scale(-ctx.lam) + DiffOp.mult(GeoPoly.var(XI_ETA, "xi")) @ dxi @ dxi
             + eta_part.scale(sign))
 
 
 def _ref_function(ctx, sign):
-    vs = xy_vars()
-    x, y = GeoPoly.var(vs, "x"), GeoPoly.var(vs, "y")
-    y_part = DiffOp.mult(y.scale(ctx.mu)) + DiffOp.mult(y * y) @ DiffOp.partial(vs, "y")
-    return (DiffOp.mult(x.scale(ctx.lam)) + DiffOp.mult(x * x) @ DiffOp.partial(vs, "x")
+    x, y = GeoPoly.var(XY, "x"), GeoPoly.var(XY, "y")
+    y_part = DiffOp.mult(y.scale(ctx.mu)) + DiffOp.mult(y * y) @ DiffOp.partial(XY, "y")
+    return (DiffOp.mult(x.scale(ctx.lam)) + DiffOp.mult(x * x) @ DiffOp.partial(XY, "x")
             + y_part.scale(sign))
 
 
 def _ref_X_t(ctx, l):
-    tv = t_var()
-    t, one, d = GeoPoly.var(tv, "t"), GeoPoly.const(tv, 1), DiffOp.partial(tv, "t")
+    t, one, d = GeoPoly.var(T_LINE, "t"), GeoPoly.const(T_LINE, 1), DiffOp.partial(T_LINE, "t")
     lin = t.scale(ctx.mu - 2 * (l - 1)) - one.scale(ctx.lam)
     return (DiffOp.mult(t * (t + one)) @ d @ d + DiffOp.mult(lin) @ d
-            + DiffOp.scalar(tv, (ParamScalar.const(l - 1) - ctx.mu) * l))
+            + DiffOp.scalar(T_LINE, (ParamScalar.const(l - 1) - ctx.mu) * l))
 
 
 def _ref_F_t(ctx, l):
-    tv = t_var()
-    t, one, d = GeoPoly.var(tv, "t"), GeoPoly.const(tv, 1), DiffOp.partial(tv, "t")
+    t, one, d = GeoPoly.var(T_LINE, "t"), GeoPoly.const(T_LINE, 1), DiffOp.partial(T_LINE, "t")
     lin = t.scale(ParamScalar.const(2 * l - 2) - ctx.mu) - one.scale(ctx.lam)
     return (DiffOp.mult(-(t * (t - one))) @ d @ d + DiffOp.mult(lin) @ d
-            + DiffOp.scalar(tv, (ctx.mu - (l - 1)) * l))
+            + DiffOp.scalar(T_LINE, (ctx.mu - (l - 1)) * l))
 
 
 @pytest.mark.parametrize("ctx", [CTX, DiagContext.at(Fraction(1, 3), Fraction(2, 5))],

@@ -12,8 +12,8 @@ import pytest
 
 from oracles import (casimir_closed_form, casimir_composed, intertwining_failures,
                      verify_singular, xi_ladder_ops)
-from vermabranch.polyring import GeoPoly, invariant_expand
-from vermabranch.so_pair import (XY, SoPairContext, casimir_ops, ladder_images, model_ops,
+from vermabranch.polyring import XY, GeoPoly, invariant_expand
+from vermabranch.so_pair import (SoPairContext, casimir_ops, ladder_images, model_ops,
                                  p_image, reduced_F, singular_vector_F)
 from vermabranch.weylalg import proportionality
 from vermabranch.xi_model import op_P, op_Q

@@ -11,7 +11,7 @@ import pytest
 from vermabranch import diag_pair, polyring, so_pair, xi_model
 from vermabranch.diag_pair import (DiagContext, jacobi_t_polynomial,
                                    singular_vector_Ptilde)
-from vermabranch.polyring import (curated_factors, per_context, quadratic_sum,
+from vermabranch.polyring import (VarSet, curated_factors, per_context, quadratic_sum,
                                   xi_vars)
 from vermabranch.so_pair import (SoPairContext, ladder_images, ladder_ops, model_ops,
                                  p_image, pq_membership_check, reduced_F, singular_vector_F,
@@ -24,7 +24,8 @@ SO_BUILDS = [(lowering_direction_op, (1,)), (op_Q, ()), (ladder_images, (0,)),
 
 
 def test_curated_factors_shared_per_varset():
-    a, b = xi_vars(3), xi_vars(3)
+    # a hand-built equal set is another object; the memo keys by value
+    a, b = xi_vars(3), VarSet("xi", ("x1", "x2", "x3"))
     assert a is not b and a == b and hash(a) == hash(b)
     assert curated_factors(a) is curated_factors(b)
     facs = curated_factors(a)

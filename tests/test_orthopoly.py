@@ -12,7 +12,7 @@ from oracles import (derive, gegen_tilde_convert, gegenbauer_lower_op, gegenbaue
                      jacobi_recursion_coeffs, jacobi_via_2f1, orthogonality_integral)
 from vermabranch.orthopoly import (falling_factorial, gegenbauer, gegenbauer_tilde,
                                    gegenbauer_tilde_lower_op, rising_factorial)
-from vermabranch.polyring import GeoPoly, t_var, x_var
+from vermabranch.polyring import T_LINE, X_LINE, GeoPoly
 from vermabranch.scalars import ALPHA, LAMBDA, MU, ParamScalar
 from vermabranch.weylalg import DiffOp
 
@@ -26,12 +26,12 @@ def test_factorial_helpers():
 
 
 def test_gegenbauer_low_degrees():
-    x = GeoPoly.var(x_var(), "x")
-    assert gegenbauer(0, ALPHA) == GeoPoly.const(x_var(), 1)
+    x = GeoPoly.var(X_LINE, "x")
+    assert gegenbauer(0, ALPHA) == GeoPoly.const(X_LINE, 1)
     assert gegenbauer(1, ALPHA) == x.scale(ALPHA * 2)
     c2 = gegenbauer(2, ALPHA)
     assert c2 == (x * x).scale(ALPHA * ALPHA * 2 + ALPHA * 2) - GeoPoly.const(
-        x_var(), ALPHA)
+        X_LINE, ALPHA)
 
 
 @pytest.mark.parametrize("l", range(13))
@@ -75,7 +75,7 @@ def test_tilde_ladder_transport(l):
 
 
 def test_2f1_terminates():
-    x = GeoPoly.var(x_var(), "x")
+    x = GeoPoly.var(X_LINE, "x")
     f = hypergeom_2f1_terminating(-2, LAMBDA, MU, x, terms=10)
     assert f.degree() == 2
 
@@ -141,7 +141,7 @@ def test_orthogonality_sample_values():
 def _ref_ops(l):
     """The six operators composed from multiplication, derivative and scalar
     operators, in the order of the literals they check."""
-    xv, tv = x_var(), t_var()
+    xv, tv = X_LINE, T_LINE
     x, one, d = GeoPoly.var(xv, "x"), GeoPoly.const(xv, 1), DiffOp.partial(xv, "x")
     t, t_one, dt = GeoPoly.var(tv, "t"), GeoPoly.const(tv, 1), DiffOp.partial(tv, "t")
     lin = GeoPoly.const(xv, MU - LAMBDA) - x.scale(LAMBDA + MU + 2)

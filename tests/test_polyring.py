@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from vermabranch.polyring import (GeoPoly, RatCoeff, curated_factors, dehomogenize,
-                                  homogenize, invariant_expand, quadratic_sum,
-                                  t_var, x_var, xi_eta_vars, xi_vars, xy_vars)
+from vermabranch import polyring, properties, weylalg
+from vermabranch.cli import main
+from vermabranch.polyring import (T_LINE, X_LINE, XI_ETA, XY, GeoPoly, RatCoeff, VarSet,
+                                  curated_factors, dehomogenize, homogenize,
+                                  invariant_expand, quadratic_sum, xi_vars)
 from oracles import derive
 from vermabranch.packed import PBITS, PTOP, layout, pack, product, unpack
 from vermabranch.scalars import _ONE, ALPHA, LAMBDA, MU, ParamPoly, ParamScalar
@@ -18,9 +20,36 @@ from vermabranch.weylalg import DiffOp
 def test_varsets():
     vs = xi_vars(3)
     assert vs.names == ("x1", "x2", "x3")
-    assert xi_eta_vars().names == ("xi", "eta")
-    assert xy_vars().names == ("x", "y")
-    assert t_var().arity == 1
+    assert XI_ETA.names == ("xi", "eta")
+    assert XY.names == ("x", "y")
+    assert T_LINE.arity == 1
+    assert xi_vars(3) is xi_vars(3)
+    with pytest.raises(ValueError, match="n >= 2"):
+        xi_vars(1)
+
+
+def test_every_varset_check_meets_one_object(monkeypatch, capsys):
+    # the package builds each variable set once, so no check of a run
+    # compares two equal copies; a hand-built equal set still passes
+    same, calls, copies = polyring._same_vars, [], []
+
+    def counting(a, b):
+        calls.append(a)
+        if a is not b and a == b:
+            copies.append(a)
+        return same(a, b)
+
+    for module in (polyring, weylalg):
+        monkeypatch.setattr(module, "_same_vars", counting)
+    assert main(["verify-so", "--n", "3", "--max-degree", "3"]) == 0
+    assert main(["verify-diag", "--max-degree", "3"]) == 0
+    assert properties.run_all(7, 2).ok()
+    capsys.readouterr()
+    assert calls and copies == []
+    vs = xi_vars(3)
+    assert same(vs, VarSet("xi", ("x1", "x2", "x3"))) is vs
+    with pytest.raises(ValueError, match="variable-set mismatch"):
+        same(vs, VarSet("t", vs.names))
 
 
 def test_basic_arithmetic():
@@ -53,14 +82,13 @@ def test_exact_divide():
 
 def test_curated_factors_per_kind():
     assert set(curated_factors(xi_vars(4))) == {"xn", "q1", "q"}
-    assert curated_factors(xi_eta_vars()) == {}
-    assert curated_factors(t_var()) == {}
-    assert curated_factors(x_var()) == {}
+    assert curated_factors(XI_ETA) == {}
+    assert curated_factors(T_LINE) == {}
+    assert curated_factors(X_LINE) == {}
 
 
 # -- the witness form of a cleared model identity ------------------------------
 
-XY = xy_vars()
 X, Y = GeoPoly.var(XY, "x"), GeoPoly.var(XY, "y")
 
 
@@ -125,7 +153,7 @@ def test_ratcoeff_reduction_matches_trial_division_reference(n):
     assert (zero.num.render(), zero.k) == _reduce_by_exact_divide(GeoPoly.zero(vs), 1) == ("0", 0)
 
 
-@pytest.mark.parametrize("other", [xi_vars(4), t_var(), xi_eta_vars()],
+@pytest.mark.parametrize("other", [xi_vars(4), T_LINE, XI_ETA],
                          ids=lambda vs: f"{vs.kind}{vs.arity}")
 def test_mixing_variable_sets_raises_value_error(other):
     vs = xi_vars(3)
@@ -147,8 +175,7 @@ def test_mixing_variable_sets_raises_value_error(other):
 
 
 def test_homogenize_roundtrip():
-    tv = t_var()
-    q = GeoPoly(tv, {(0,): ParamScalar.const(2), (1,): LAMBDA, (3,): ParamScalar.const(-1)})
+    q = GeoPoly(T_LINE, {(0,): ParamScalar.const(2), (1,): LAMBDA, (3,): ParamScalar.const(-1)})
     p = homogenize(q, 5)
     assert p.is_homogeneous() and p.degree() == 5
     assert dehomogenize(p, 5) == q
@@ -157,10 +184,10 @@ def test_homogenize_roundtrip():
     with pytest.raises(ValueError, match="homogenize expects a univariate polynomial"):
         homogenize(GeoPoly.var(xi_vars(2), "x1"), 2)
     with pytest.raises(ValueError, match="input is not homogeneous of the stated degree"):
-        dehomogenize(p + GeoPoly.var(xi_eta_vars(), "xi"), 5)
+        dehomogenize(p + GeoPoly.var(XI_ETA, "xi"), 5)
     with pytest.raises(ValueError, match="input is not homogeneous of the stated degree"):
         dehomogenize(p, 4)
-    assert dehomogenize(GeoPoly.zero(xi_eta_vars()), 3).is_zero()
+    assert dehomogenize(GeoPoly.zero(XI_ETA), 3).is_zero()
 
 
 def test_render_is_stable():
@@ -171,8 +198,7 @@ def test_render_is_stable():
 
 
 def test_coefficient_lookup():
-    vs = xi_eta_vars()
-    p = GeoPoly(vs, {(2, 1): ParamScalar.const(Fraction(1, 2))})
+    p = GeoPoly(XI_ETA, {(2, 1): ParamScalar.const(Fraction(1, 2))})
     assert p.coefficient((2, 1)) == ParamScalar.const(Fraction(1, 2))
     assert p.coefficient((0, 0)).is_zero()
 
@@ -196,7 +222,7 @@ def test_one_pass_constructor_keeps_the_canonical_form():
     rng = random.Random(5)
     dens = [ParamScalar.const(1), ParamScalar.const(6), LAMBDA + 1, LAMBDA * 2 - 3,
             (LAMBDA + 1) * (MU - 1), ALPHA * MU + 2]
-    for vs in (t_var(), xi_vars(3), xi_eta_vars()):
+    for vs in (T_LINE, xi_vars(3), XI_ETA):
         for _ in range(20):
             coeffs = {}
             for _ in range(rng.randint(1, 8)):
@@ -265,27 +291,26 @@ def test_values_are_unhashable(wrap):
 # -- the packed kernel ---------------------------------------------------------
 
 def test_exponents_stay_below_the_field_limit():
-    tv = t_var()
     with pytest.raises(ValueError):
-        GeoPoly.var(tv, "t", 2 ** 15)
+        GeoPoly.var(T_LINE, "t", 2 ** 15)
     with pytest.raises(ValueError):
-        GeoPoly(tv, {(2 ** 15,): ParamScalar.const(1)})
+        GeoPoly(T_LINE, {(2 ** 15,): ParamScalar.const(1)})
     with pytest.raises(ValueError):
         GeoPoly(xi_vars(2), {(2 ** 14, 2 ** 14): 1})
     with pytest.raises(ValueError):
-        GeoPoly.const(tv, ParamPoly({pack((0, 2 ** 15, 0)): 1}))
-    half = GeoPoly.var(tv, "t", 2 ** 14)
+        GeoPoly.const(T_LINE, ParamPoly({pack((0, 2 ** 15, 0)): 1}))
+    half = GeoPoly.var(T_LINE, "t", 2 ** 14)
     with pytest.raises(ValueError):
         half * half
     # the parameter fields are guarded too
-    lam = GeoPoly.const(tv, ParamPoly({pack((0, 2 ** 14, 0)): 1}))
+    lam = GeoPoly.const(T_LINE, ParamPoly({pack((0, 2 ** 14, 0)): 1}))
     with pytest.raises(ValueError):
         lam * lam
     with pytest.raises(ValueError):
         lam.scale(lam.coefficient((0,)))
-    top = GeoPoly.var(tv, "t", 2 ** 15 - 1)
+    top = GeoPoly.var(T_LINE, "t", 2 ** 15 - 1)
     assert top.degree() == 2 ** 15 - 1
-    assert (top * GeoPoly.const(tv, 3)).degree() == 2 ** 15 - 1
+    assert (top * GeoPoly.const(T_LINE, 3)).degree() == 2 ** 15 - 1
 
 
 def test_equal_values_with_different_shared_denominators():
@@ -458,7 +483,7 @@ def _rand_pair(rng, vs, max_terms=4, max_deg=2):
     return GeoPoly(vs, terms), _RefGeo(vs, terms)
 
 
-_VARSETS = [xi_vars(2), xi_vars(3), xi_vars(4), xi_eta_vars(), t_var()]
+_VARSETS = [xi_vars(2), xi_vars(3), xi_vars(4), XI_ETA, T_LINE]
 
 
 @pytest.mark.parametrize("vs", _VARSETS, ids=lambda vs: f"{vs.kind}{vs.arity}")
@@ -520,10 +545,10 @@ def _relabel_by_coefficients(p, target, f):
 _RELABELS = {
     # onto the t-line by total degree, signed by the first exponent: images
     # collide, and their sums can cancel
-    "collapse": lambda vs: (t_var(), lambda e: ((sum(e),), (-1) ** e[0])),
+    "collapse": lambda vs: (T_LINE, lambda e: ((sum(e),), (-1) ** e[0])),
     "drop-odd": lambda vs: (vs, lambda e: None if e[0] % 2 else (e, 1)),
     "reverse": lambda vs: (vs, lambda e: (e[::-1], (-1) ** sum(e))),
-    "homogenize": lambda vs: (xi_eta_vars(), lambda e: ((e[0], 8 - e[0]), 1)),
+    "homogenize": lambda vs: (XI_ETA, lambda e: ((e[0], 8 - e[0]), 1)),
 }
 
 
@@ -550,7 +575,7 @@ def test_relabel_keeps_coefficients_and_denominator():
 
 
 def test_relabel_adds_colliding_images_and_drops_what_cancels():
-    vs, tv = xi_vars(2), t_var()
+    vs, tv = xi_vars(2), T_LINE
     x1, x2 = GeoPoly.var(vs, "x1"), GeoPoly.var(vs, "x2")
     c, d = LAMBDA / (LAMBDA + 1), (MU - 1) / (LAMBDA * 2 - 3)
     flip = lambda e: ((sum(e),), -1 if e == (0, 1) else 1)

@@ -9,7 +9,7 @@ from oracles import (casimir_closed_form, casimir_composed, render_over_q1, subs
                      t_model_poly, verify_singular, xi_ladder_ops)
 from vermabranch import so_pair
 from vermabranch.orthopoly import gegenbauer_tilde
-from vermabranch.polyring import GeoPoly, quadratic_sum
+from vermabranch.polyring import XY, GeoPoly, quadratic_sum
 from vermabranch.report import DISCREPANCY
 from vermabranch.scalars import ALPHA, LAMBDA, ParamScalar
 from vermabranch.so_pair import (SoPairContext, casimir_check,
@@ -125,7 +125,7 @@ def test_failed_cleared_identity_witness_sheds_q1_where_it_divides(monkeypatch, 
     # a residual that y divides (a stray y) is a polynomial witness; one that
     # y does not divide (a stray x) is a witness over q1.  Both texts are the
     # cleared xi-model's image over q1, the stray term expanded to q1 or xn
-    var = GeoPoly.var(so_pair.XY, stray)
+    var = GeoPoly.var(XY, stray)
     witness = _failed_casimir_witnesses(monkeypatch, DiffOp.mult(var))
     assert witness.keys() == {f"casimir.scalar.n=3,l={l}" for l in range(3)}
     term = CTX3.xn() if stray == "x" else CTX3.q_prime()

@@ -9,7 +9,7 @@ import pytest
 from oracles import casimir_closed_form, ref_apply, ref_compose, xi_ladder_ops
 from vermabranch.diag_pair import (DiagContext, jacobi_t_polynomial, op_F_fourier, op_F_t,
                                    op_X_fourier, op_X_t, singular_vector_Ptilde)
-from vermabranch.polyring import GeoPoly, RatCoeff, quadratic_sum, t_var, xi_vars, xy_vars
+from vermabranch.polyring import T_LINE, XY, GeoPoly, RatCoeff, quadratic_sum, xi_vars
 from vermabranch.properties import (apply_compose, associativity,
                                     field_axioms, jacobi_identity,
                                     normal_order_confluence)
@@ -210,25 +210,24 @@ def test_localized_and_fractional_products_match_the_reference_fold():
 def test_products_past_the_exponent_limit_are_rejected():
     # half * half reaches 2^15 in the t field or in the l field, as a product
     # of coefficients or through a derivative: half d/dt (t half) = half^2 + ...
-    vs = t_var()
-    for half in (GeoPoly.var(vs, "t", 2 ** 14), GeoPoly.const(vs, LAMBDA) ** 2 ** 14):
-        mult, op = DiffOp.mult(half), DiffOp(vs, {(1,): half})
-        big = half * GeoPoly.var(vs, "t")
+    for half in (GeoPoly.var(T_LINE, "t", 2 ** 14), GeoPoly.const(T_LINE, LAMBDA) ** 2 ** 14):
+        mult, op = DiffOp.mult(half), DiffOp(T_LINE, {(1,): half})
+        big = half * GeoPoly.var(T_LINE, "t")
         for product in (lambda: mult @ mult, lambda: mult.apply_rat(half), lambda: op @ op,
                         lambda: op.commutator(DiffOp.mult(big)), lambda: op.apply_rat(big)):
             with pytest.raises(ValueError, match="exponent of 32768"):
                 product()
     # just below the limit the product is built
-    below = DiffOp(vs, {(1,): GeoPoly.var(vs, "t", 2 ** 14 - 1)})
+    below = DiffOp(T_LINE, {(1,): GeoPoly.var(T_LINE, "t", 2 ** 14 - 1)})
     assert (below @ below).order() == 2
     # derivative monomials are packed the same way: D^(2^14-1) squared is
     # built, while an operand or a product whose derivative exponent or degree
     # reaches 2^15 raises instead of carrying into a neighbouring field
-    d = DiffOp.partial(vs, "t", 2 ** 14 - 1)
+    d = DiffOp.partial(T_LINE, "t", 2 ** 14 - 1)
     assert (d @ d).order() == 2 ** 15 - 2
-    assert (d @ d).terms == {(2 ** 15 - 2,): GeoPoly.const(vs, 1)}
-    assert (d @ DiffOp.mult(GeoPoly.var(vs, "t"))).terms.keys() == {(2 ** 14 - 1,), (2 ** 14 - 2,)}
-    for op in (DiffOp.partial(vs, "t", 2 ** 15), DiffOp.partial(VS, "x2", 2 ** 15),
+    assert (d @ d).terms == {(2 ** 15 - 2,): GeoPoly.const(T_LINE, 1)}
+    assert (d @ DiffOp.mult(GeoPoly.var(T_LINE, "t"))).terms.keys() == {(2 ** 14 - 1,), (2 ** 14 - 2,)}
+    for op in (DiffOp.partial(T_LINE, "t", 2 ** 15), DiffOp.partial(VS, "x2", 2 ** 15),
                DiffOp(VS, {(2 ** 14, 2 ** 14): 1})):
         one = GeoPoly.const(op.vars, 1)
         for product in (lambda: op @ op, lambda: op.commutator(op), lambda: op.apply_rat(one)):
@@ -285,7 +284,7 @@ def test_constructor_rejects_malformed_terms():
     # a coefficient over another variable set, a negative exponent, and
     # exponents of the wrong arity
     with pytest.raises(ValueError, match="variable-set"):
-        DiffOp(VS, {(1, 0): GeoPoly.var(t_var(), "t")})
+        DiffOp(VS, {(1, 0): GeoPoly.var(T_LINE, "t")})
     for e in ((-1, 0), (0, 1, 1), (1,)):
         with pytest.raises(ValueError):
             DiffOp(VS, {e: 1})
@@ -305,7 +304,7 @@ def test_polynomial_and_localized_coefficients():
     assert op.terms == {(0, 0): X1, (0, 1): X2}
     assert op == DiffOp.mult(X1) + DiffOp.mult(X2) @ D2
     assert all(type(c) is GeoPoly for c in (op @ op).terms.values())
-    witness = RatCoeff(VS, GeoPoly.var(xy_vars(), "x"), 1)
+    witness = RatCoeff(VS, GeoPoly.var(XY, "x"), 1)
     assert witness.k == 1
     for c in (witness, "x1", 1.5):
         with pytest.raises(TypeError):
@@ -332,11 +331,10 @@ def test_render_of_a_coefficient_past_the_int_to_str_limit():
     # 2000! has 5,736 digits, past Python's 4,300-digit limit for str(int):
     # it renders as its digit count and a digest of its hex form, and a
     # Fraction part past the limit does too
-    tv = t_var()
-    big = DiffOp.partial(tv, "t", 2000).apply(GeoPoly.var(tv, "t", 2000))
+    big = DiffOp.partial(T_LINE, "t", 2000).apply(GeoPoly.var(T_LINE, "t", 2000))
     assert big.render() == "([5736 digits, crc32 71f04888])"
     x = big.coefficient((0,)).num.constant_value()
-    half = GeoPoly(tv, {(1,): Fraction(1, 2 * x + 1), (0,): -x})
+    half = GeoPoly(T_LINE, {(1,): Fraction(1, 2 * x + 1), (0,): -x})
     assert half.render() == ("(1/[5736 digits, crc32 6b7b30cc])*t"
                              " + (-[5736 digits, crc32 71f04888])")
 
@@ -357,8 +355,8 @@ def test_witness_renders_are_pinned():
         " + ((-4*l - 2)*x1^3 + (-4*l - 2)*x1*x2^2) D[x1]"
         " + ((-4*l - 2)*x1^2*x2 + (-4*l - 2)*x2^3) D[x2] + ((4*l + 2)*x3^3) D[x3]"
         " + ((2*l^2 + 6*l + 4)*x1^2 + (2*l^2 + 6*l + 4)*x2^2 - 8*l*x3^2)")
-    x, y = GeoPoly.var(xy_vars(), "x"), GeoPoly.var(xy_vars(), "y")
-    assert RatCoeff(ctx.vars, x.scale(LAMBDA) + GeoPoly.const(xy_vars(), 1), 1).render() \
+    x, y = GeoPoly.var(XY, "x"), GeoPoly.var(XY, "y")
+    assert RatCoeff(ctx.vars, x.scale(LAMBDA) + GeoPoly.const(XY, 1), 1).render() \
         == "(l*x3 + 1) / [q1]"
     assert RatCoeff(ctx.vars, x, 1).render() == "(x3) / [q1]"
     assert RatCoeff(ctx.vars, x * y, 1).render() == "x3"

@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = RunConfig(_SCENARIOS[args.command], **{
-            k: v for k, v in vars(args).items() if k in RunConfig.__slots__})
+            k: v for k, v in vars(args).items() if k in RunConfig._fields})
         bundle = run_suite(config)
         if args.command == "all":
             bundle.extend(run_property_suites(args.seed, args.cases))

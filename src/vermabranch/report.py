@@ -1,8 +1,11 @@
-"""Verification records and the JSON report schema."""
+"""Verification records, the bundles that collect them, and the JSON report
+schema.  Records and bundles are ``namedtuple`` subclasses, as the variable
+sets, the contexts and the branching sets are."""
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from typing import Dict, List, Optional
 
 SCHEMA_VERSION = 1
@@ -12,37 +15,13 @@ FAIL = "fail"
 DISCREPANCY = "discrepancy-reported"
 
 
-class Fields:
-    """Value semantics for a plain class whose ``__slots__`` name its fields:
-    an instance equals one of the same class with equal fields, in order, and
-    its repr shows them.  The fields can be reassigned, so it is unhashable."""
+class VerificationRecord(namedtuple("VerificationRecord", "check_id anchor status witness",
+                                    defaults=(None,))):
+    """One check: its ID, the anchor in the paper, its status and, for a
+    failed or discrepancy-reported check, the witness text.  The fields are
+    read-only; equality and hash are those of the tuple of the fields."""
 
     __slots__ = ()
-    __hash__ = None
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({shown})"
-
-
-class VerificationRecord(Fields):
-    """One check: its ID, the anchor in the paper, its status and, for a
-    failed or discrepancy-reported check, the witness text."""
-
-    __slots__ = ("check_id", "anchor", "status", "witness")
-
-    def __init__(self, check_id: str, anchor: str, status: str,
-                 witness: Optional[str] = None):
-        self.check_id, self.anchor, self.status = check_id, anchor, status
-        self.witness = witness
 
     def to_dict(self) -> Dict:
         d = {"check-id": self.check_id, "anchor": self.anchor, "status": self.status}
@@ -64,15 +43,17 @@ def record(check_id: str, anchor: str, ok: bool, witness=None) -> VerificationRe
     return VerificationRecord(check_id, anchor, FAIL, witness)
 
 
-class ReportBundle(Fields):
-    """A named batch of records plus free-form data tables."""
+class ReportBundle(namedtuple("ReportBundle", "records data")):
+    """A named batch of records plus free-form data tables.  The fields are
+    read-only, but the list and the dict they hold grow; a list is not
+    hashable, so neither is a bundle."""
 
-    __slots__ = ("records", "data")
+    __slots__ = ()
 
-    def __init__(self, records: Optional[List[VerificationRecord]] = None,
-                 data: Optional[Dict[str, object]] = None):
-        self.records = [] if records is None else records
-        self.data = {} if data is None else data
+    def __new__(cls, records: Optional[List[VerificationRecord]] = None,
+                data: Optional[Dict[str, object]] = None):
+        return super().__new__(cls, [] if records is None else records,
+                               {} if data is None else data)
 
     def add(self, rec: VerificationRecord):
         self.records.append(rec)

@@ -91,6 +91,8 @@ def reduced_F(ctx: SoPairContext, l: int) -> GeoPoly:
     """Normalized degree-l singular vector in the invariant model,
     sum_k c_k x^{l-2k} y^k with c_k the t^k coefficient of the t-line
     Gegenbauer polynomial C~_l, scaled so that c_k at k = floor(l/2) is l!/(2^k k!).
+    Only the c_k with 2k <= l are read, the monomials of weight l: a stray
+    higher term of C~_l fails the records that read the t-line family.
 
     Raises ZeroDivisionError exactly where alpha = -lam-(n-1)/2 is one of
     0, -1, ..., 1 - ceil(l/2): the zeros of (alpha)_{ceil(l/2)}, the only
@@ -105,7 +107,8 @@ def reduced_F(ctx: SoPairContext, l: int) -> GeoPoly:
     # each coefficient reduced on its own, most to a polynomial in lam: one
     # scale of the whole would keep top's numerator as the shared denominator
     scale = ParamScalar.const(_top_normalization(l)) / top
-    return GeoPoly(XY, {(l - 2 * k, k): c * scale for (k,), c in tilde.coefficients().items()})
+    return GeoPoly(XY, {(l - 2 * k, k): c * scale for (k,), c in tilde.coefficients().items()
+                          if 2 * k <= l})
 
 
 @per_context

@@ -186,10 +186,6 @@ class DiffOp:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(vars: VarSet) -> "DiffOp":
-        return DiffOp(vars)
-
-    @staticmethod
     def scalar(vars: VarSet, c) -> "DiffOp":
         return DiffOp(vars, {(0,) * vars.arity: c})
 

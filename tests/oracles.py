@@ -400,7 +400,7 @@ def derive(p: GeoPoly, var) -> GeoPoly:
 # must agree term for term, down to the rendered form of every coefficient.
 
 def ref_compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    out = DiffOp.zero(a.vars)
+    out = DiffOp(a.vars)
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
             for k in product(*(range(x + 1) for x in ea)):

@@ -275,6 +275,26 @@ def test_wrong_t_form_fails_records(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_t_form_term_above_the_weight_fails_records(monkeypatch, capsys):
+    # C~_2 with a stray t^2, one term above t^(l//2): reduced_F reads only
+    # the monomials of weight 2, so the t-line records fail (exit 1) where
+    # x^(l-2k) with l-2k < 0 would end the run with exit 2
+    import vermabranch.so_pair as so_pair
+    gegenbauer_tilde = so_pair.gegenbauer_tilde
+
+    def broken(l, alpha):
+        c = gegenbauer_tilde(l, alpha)
+        return c + GeoPoly.var(T_LINE, "t", 2) if l == 2 else c
+    monkeypatch.setattr(so_pair, "gegenbauer_tilde", broken)
+    assert main(["verify-so", "--n", "3", "--max-degree", "3", "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    failed = {r["check-id"]: r.get("witness") for r in json.loads(out)["records"]
+              if r["status"] == "fail"}
+    assert sorted(failed) == ["tmodel.tilde.n=3,l=2", "tmodel.tilde.n=3,l=3"]
+    assert failed["tmodel.tilde.n=3,l=2"] == "-2*t^2 - 4*t + (4*l^2 + 6*l + 2)"
+    assert err == ""
+
+
 def test_fourier_image_of_the_wrong_degree_fails_records(monkeypatch, capsys):
     # op_X_fourier with a stray eta^2 d_eta^2 keeps the degree of its input:
     # the transport records fail on the image's degree (exit 1), where

@@ -1,7 +1,8 @@
-"""The plain value classes keep the semantics of the frozen and mutable
-records they replaced: field names, equality, hash, repr and read-only
-fields; the package imports no ``dataclasses``; and the benchmark tracer can
-key the arguments of the functions whose distinct calls it counts."""
+"""The plain value classes keep the field names, equality and repr of the
+frozen and mutable records they replaced; every field is read-only, and
+every value that holds no list hashes as the tuple of its fields; the
+package imports no ``dataclasses``; and the benchmark tracer can key the
+arguments of the functions whose distinct calls it counts."""
 
 import importlib.util
 import os
@@ -69,23 +70,29 @@ def test_frozen_values_hash_as_their_field_tuples():
                                           (SoPairContext.formal(3), "lam"),
                                           (DiagContext.formal(), "mu"),
                                           (xi_vars(2), "names"),
-                                          # writable before it became a tuple
-                                          (branching_sets(3, 2), "lambda_s")])
+                                          # writable before they became tuples
+                                          (branching_sets(3, 2), "lambda_s"),
+                                          (VerificationRecord("a", "b", "pass"), "witness"),
+                                          (ReportBundle(), "records"),
+                                          (RunConfig("all"), "seed")])
 def test_fields_are_read_only(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
 
 
-def test_records_compare_by_value_and_are_unhashable():
+def test_records_compare_by_value_and_hash_as_their_fields():
     rec = VerificationRecord("a", "b", "pass")
     assert rec == VerificationRecord("a", "b", "pass")
     assert rec != VerificationRecord("a", "b", "pass", "w")
     assert ReportBundle([rec]) == ReportBundle([VerificationRecord("a", "b", "pass")])
     assert RunConfig("all") == RunConfig("all") != RunConfig("all", seed=1)
     assert branching_sets(3, 2) == BranchingSets([3, 1], [-5, -3], [-1], [])
-    rec.witness = "w"
-    assert rec.to_dict()["witness"] == "w"
-    for value in (rec, ReportBundle(), RunConfig("all"), branching_sets(3, 2)):
+    assert VerificationRecord("a", "b", "pass", "w").to_dict()["witness"] == "w"
+    assert hash(rec) == hash(("a", "b", "pass", None))
+    assert hash(RunConfig("all", seed=1)) == hash(RunConfig("all", seed=1))
+    # each bundle holds its own list and dict, and a list is unhashable
+    assert ReportBundle().records is not ReportBundle().records
+    for value in (ReportBundle(), branching_sets(3, 2)):
         with pytest.raises(TypeError):
             hash(value)
 

@@ -58,7 +58,7 @@ def test_laplacian():
 
 
 def test_order():
-    assert DiffOp.zero(VS).order() == -1
+    assert DiffOp(VS).order() == -1
     assert DiffOp.mult(X1).order() == 0
     assert (D1 @ D2).order() == 2
 
@@ -371,5 +371,5 @@ def test_witness_renders_are_pinned():
     assert num.render(4) == "-a*m + 3/2*l^2 - l + m - 5/4"
     op = DiffOp(VS, {(1, 0): 1, (0, 2): X1.scale(LAMBDA), (0, 0): -2})
     assert op.render() == "(l*x1) D[x2]^2 + D[x1] + (-2)"
-    assert [z.render() for z in (GeoPoly.zero(VS), DiffOp.zero(VS), ParamScalar.const(0))] \
+    assert [z.render() for z in (GeoPoly.zero(VS), DiffOp(VS), ParamScalar.const(0))] \
         == ["0", "0", "0"]
